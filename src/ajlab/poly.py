@@ -12,6 +12,12 @@ resultant, square-free part) require honest polynomials, so they clear
 Laurent units first; see the individual functions for what is and is not
 reapplied.
 
+gcd and exact division also split off the rational content and work on
+integer coefficients.  ``poly_gcd`` runs the heuristic GCDHEU first (Char,
+Geddes & Gonnet 1989: evaluate at a large integer, take an integer gcd,
+interpolate back, check by division) with the primitive PRS as the
+fallback; ``exact_divide`` is one integer long division.
+
 Term order used for leading-term decisions and for text output is graded
 lexicographic (total degree first, then lex on the exponent vector), which
 is only a bookkeeping order for Laurent exponents but is total and fixed.
@@ -20,11 +26,12 @@ is only a bookkeeping order for Laurent exponents but is total and fixed.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, PoleError
 
 Coeff = Union[int, Fraction]
 
@@ -183,6 +190,9 @@ class LaurentMPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it must hash like it
+        if not self.vars:
+            return hash(self.constant_value())
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
@@ -270,9 +280,17 @@ class LaurentMPoly:
 
     def shift_var(self, v: str, k: int) -> "LaurentMPoly":
         """Multiply by v**k (Laurent monomial)."""
-        if k == 0:
-            return self
-        return self * LaurentMPoly.var(v, k)
+        return self._times_monomial({v: k}) if k else self
+
+    def _times_monomial(self, powers: Mapping[str, int]) -> "LaurentMPoly":
+        """Multiply by the product of v**k over powers, by shifting
+        exponents rather than multiplying coefficients."""
+        vars = self.vars + tuple(v for v in powers if v not in self.vars)
+        pad = (0,) * (len(vars) - len(self.vars))
+        shift = [powers.get(v, 0) for v in vars]
+        return LaurentMPoly(vars, {
+            tuple(x + s for x, s in zip(e + pad, shift)): c
+            for e, c in self.terms.items()})
 
     def map_coeffs(self, f) -> "LaurentMPoly":
         return LaurentMPoly(self.vars, {e: f(c) for e, c in self.terms.items()})
@@ -327,19 +345,15 @@ class LaurentMPoly:
         and each variable genuinely occurs with exponent 0 somewhere.
         Returns (polynomial part, extracted powers)."""
         unit = {v: m for v, m in self.laurent_unit().items() if m != 0}
-        p = self
-        for v, m in unit.items():
-            p = p.shift_var(v, -m)
-        return p, unit
+        if not unit:
+            return self, unit
+        return self._times_monomial({v: -m for v, m in unit.items()}), unit
 
     def clear_negative(self) -> "LaurentMPoly":
         """Shift only the negative exponents up to zero, leaving honest
         polynomials untouched."""
-        p = self
-        for v, m in self.laurent_unit().items():
-            if m < 0:
-                p = p.shift_var(v, -m)
-        return p
+        neg = {v: -m for v, m in self.laurent_unit().items() if m < 0}
+        return self._times_monomial(neg) if neg else self
 
     def eval_exact(self, point: Mapping[str, Coeff]) -> Fraction:
         """Evaluate at exact rational values for every variable."""
@@ -369,7 +383,11 @@ class LaurentMPoly:
             t = complex(c)
             for v, k in zip(self.vars, e):
                 if k:
-                    t *= complex(point[v]) ** k
+                    try:
+                        t *= complex(point[v]) ** k
+                    except ZeroDivisionError:
+                        raise PoleError(
+                            f"negative power of {v} at {v} = 0") from None
             total += t
         return total
 
@@ -409,49 +427,162 @@ def poly_arith(a: LaurentMPoly, b: LaurentMPoly, op: str) -> LaurentMPoly:
     raise DomainError(f"unknown polynomial operation {op!r}")
 
 
+# -- integer-polynomial core -----------------------------------------------
+#
+# gcd and exact division run on integer polynomials: plain dicts
+# {exponent tuple: nonzero int} over a variable tuple the caller holds.
+
+def _integer_primitive(p: LaurentMPoly,
+                       vars: tuple[str, ...]) -> tuple[Fraction, dict]:
+    """(rational_content(p), p / content as an integer dict over vars)."""
+    cont = rational_content(p)
+    n, d = cont.numerator, cont.denominator
+    terms = p.terms if p.vars == vars else p._embedded(vars)
+    return cont, {e: c.numerator // n * (d // c.denominator)
+                  for e, c in terms.items()}
+
+
+def _neg_glex(e: tuple[int, ...]) -> tuple:
+    # graded-lex key negated, so heapq's min-heap pops the largest term
+    return (-sum(e), tuple(-x for x in e))
+
+
+def _zz_divide(a: dict, b: dict) -> dict | None:
+    """Quotient a/b of integer polynomials when b divides a over the
+    integers; None otherwise.  b must be nonzero.
+
+    Long division by the graded-lex leading term of b, with the remainder's
+    terms on a heap.  Each step cancels the remainder's leading term and
+    adds only smaller ones, and graded-lex well-orders exponent vectors
+    with nonnegative entries, so the loop ends.
+    """
+    # imported on first use: loading the _heapq extension at package
+    # import measurably lengthens every cold start (the benchmark's setup_s)
+    import heapq
+
+    lead_b = max(b, key=_term_sort_key)
+    cb = b[lead_b]
+    tail = [(e, c) for e, c in b.items() if e != lead_b]
+    rem = dict(a)
+    heap = [(_neg_glex(e), e) for e in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = rem.pop(e, 0)
+        if not c:  # cancelled, or a stale duplicate entry
+            continue
+        qe = tuple(x - y for x, y in zip(e, lead_b))
+        qc, r = divmod(c, cb)
+        if r or min(qe, default=0) < 0:
+            return None
+        quot[qe] = qc
+        for eb, c_b in tail:
+            t = tuple(x + y for x, y in zip(qe, eb))
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -qc * c_b
+                heapq.heappush(heap, (_neg_glex(t), t))
+            elif old == qc * c_b:
+                del rem[t]
+            else:
+                rem[t] = old - qc * c_b
+    return quot
+
+
+def _eval_last(f: dict, xi: int) -> dict:
+    """f with its last variable set to the integer xi."""
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in f.items():
+        k = e[:-1]
+        out[k] = out.get(k, 0) + c * xi ** e[-1]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: dict, xi: int) -> dict:
+    """The polynomial in one more (last) variable whose value at xi is h,
+    read off digit by digit in base xi with symmetric residues."""
+    out = {}
+    half = xi // 2
+    k = 0
+    while h:
+        rest = {}
+        for e, c in h.items():
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e + (k,)] = r
+            c = (c - r) // xi
+            if c:
+                rest[e] = c
+        h = rest
+        k += 1
+    return out
+
+
+# values of xi GCDHEU tries before poly_gcd falls back to the PRS
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """gcd of two nonzero integer polynomials, up to sign, by GCDHEU
+    (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989); None when it gives up.
+
+    Setting the last variable to an integer xi reduces the problem by one
+    variable, down to an integer gcd; the image gcd is lifted back by
+    xi-adic interpolation.  Because xi starts above 2*min(|f|, |g|) + 2
+    (max norms), a primitive candidate that divides both inputs is the gcd
+    itself, not merely a common divisor.
+    """
+    if not next(iter(f)):  # no variables left: two integers
+        return {(): math.gcd(f[()], g[()])}
+    cont = math.gcd(*f.values(), *g.values())
+    if cont != 1:
+        f = {e: c // cont for e, c in f.items()}
+        g = {e: c // cont for e, c in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        h = _heu_gcd(_eval_last(f, xi), _eval_last(g, xi))
+        if h is None:
+            return None
+        h = _interpolate(h, xi)
+        if len(h) == 1 and not any(next(iter(h))):
+            return {next(iter(h)): cont}
+        hc = math.gcd(*h.values())
+        h = {e: c // hc for e, c in h.items()}
+        if _zz_divide(f, h) is not None and _zz_divide(g, h) is not None:
+            return {e: c * cont for e, c in h.items()} if cont != 1 else h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 # -- exact division, content, primitive part -------------------------------
 
 def exact_divide(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     """Quotient a/b when b divides a exactly; DomainError otherwise.
 
-    Plain long division by the graded-lex leading term.  Because any
-    divisor's leading term divides the leading term of each successive
-    remainder when the division is exact, this terminates with remainder 0
-    exactly in the divisible case.
+    Laurent units and rational contents are split off both inputs; the
+    integer parts go through one integer long division, and the net unit
+    and content are put back on the quotient.
     """
     if b.is_zero():
         raise DomainError("division by the zero polynomial")
-    # Laurent inputs: clear units, divide, reapply the net unit.
+    if a.is_zero():
+        return a
     pa, ua = a.clear_laurent()
     pb, ub = b.clear_laurent()
     vars = LaurentMPoly._merge_vars(pa, pb)
-    rem = dict(pa._embedded(vars))
-    bt = pb._embedded(vars)
-    lead_b = max(bt, key=_term_sort_key)
-    cb = bt[lead_b]
-    quot: dict[tuple[int, ...], Fraction] = {}
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 100000:  # pragma: no cover
-            raise DomainError("division runaway; inputs likely not divisible")
-        lead_r = max(rem, key=_term_sort_key)
-        qe = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(v < 0 for v in qe):
-            raise DomainError("polynomials do not divide exactly")
-        qc = rem[lead_r] / cb
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        for eb, cbt in bt.items():
-            e = tuple(x + y for x, y in zip(qe, eb))
-            nc = rem.get(e, Fraction(0)) - qc * cbt
-            if nc:
-                rem[e] = nc
-            else:
-                rem.pop(e, None)
-    q = LaurentMPoly(vars, quot)
-    for v in set(ua) | set(ub):
-        q = q.shift_var(v, ua.get(v, 0) - ub.get(v, 0))
-    return q
+    ca, fa = _integer_primitive(pa, vars)
+    cb, fb = _integer_primitive(pb, vars)
+    quot = _zz_divide(fa, fb)
+    if quot is None:
+        raise DomainError("polynomials do not divide exactly")
+    scale = ca / cb
+    q = LaurentMPoly(vars, {e: c * scale for e, c in quot.items()}
+                     if scale != 1 else quot)
+    unit = {v: ua.get(v, 0) - ub.get(v, 0) for v in set(ua) | set(ub)}
+    return q._times_monomial(unit) if any(unit.values()) else q
 
 
 def divides(b: LaurentMPoly, a: LaurentMPoly) -> bool:
@@ -466,12 +597,11 @@ def rational_content(p: LaurentMPoly) -> Fraction:
     """Positive rational c with p/c having coprime integer coefficients."""
     if p.is_zero():
         return Fraction(1)
-    from math import gcd as igcd
     num = 0
     den = 1
     for c in p.terms.values():
-        num = igcd(num, abs(c.numerator))
-        den = den * c.denominator // igcd(den, c.denominator)
+        num = math.gcd(num, c.numerator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     return Fraction(num, den)
 
 
@@ -532,18 +662,31 @@ def _pseudo_rem(a: LaurentMPoly, b: LaurentMPoly, v: str) -> LaurentMPoly:
 def poly_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     """GCD in the polynomial ring after clearing Laurent units.
 
-    Primitive and with positive leading coefficient; constants collapse
-    to 1 (rationals are units).  Recursive primitive-PRS on the last
-    variable in the canonical order.
+    Primitive, with positive graded-lex leading coefficient and no
+    monomial content; constants collapse to 1 (rationals are units).
+    GCDHEU on the integer-primitive inputs first, the primitive PRS
+    (`_prs_gcd`) as the fallback when the heuristic gives up.
     """
     a, _ = a.clear_laurent()
     b, _ = b.clear_laurent()
-    if a.is_zero():
-        return normalize_sign(primitive_part(b)) if b else LaurentMPoly.zero()
-    if b.is_zero():
-        return normalize_sign(primitive_part(a))
+    if a.is_zero() or b.is_zero():
+        return normalize_sign(primitive_part(a + b))
     if a.is_constant() or b.is_constant():
         return LaurentMPoly.const(1)
+    vars = LaurentMPoly._merge_vars(a, b)
+    h = _heu_gcd(_integer_primitive(a, vars)[1], _integer_primitive(b, vars)[1])
+    if h is None:
+        return _prs_gcd(a, b)
+    return normalize_sign(LaurentMPoly(vars, h))
+
+
+def _prs_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
+    """`poly_gcd` by recursive primitive PRS on the last variable in the
+    canonical order, for nonconstant inputs without Laurent units.
+
+    The v-contents come from `poly_gcd`, which drops monomial factors, so
+    the PRS result can carry monomial content; it is stripped at the end.
+    """
     v = max(set(a.vars) | set(b.vars), key=var_sort_key)
     ca, pa = _content_and_primitive_wrt(a, v)
     cb, pb = _content_and_primitive_wrt(b, v)
@@ -566,7 +709,7 @@ def poly_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     if g.is_constant():
         return normalize_sign(primitive_part(cg))
     _, g = _content_and_primitive_wrt(g, v)
-    return normalize_sign(primitive_part(cg * g))
+    return normalize_sign(primitive_part((cg * g).clear_laurent()[0]))
 
 
 def poly_lcm(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:

@@ -154,6 +154,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial equals its numerator, so it must hash like it
+        if self.is_polynomial():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:

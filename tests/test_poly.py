@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ajlab.errors import DomainError
+from ajlab.errors import DomainError, PoleError
+from ajlab import poly as poly_module
 from ajlab.poly import (
     LaurentMPoly,
+    _prs_gcd,
     exact_divide,
     divides,
     format_poly,
@@ -27,12 +29,16 @@ from ajlab.poly import (
 P = parse_poly
 
 
-def poly_terms(varnames, max_deg=4, max_terms=5, coeff_range=6, laurent=False):
+def poly_terms(varnames, max_deg=4, max_terms=5, coeff_range=6, laurent=False,
+               min_terms=0):
     lo = -max_deg if laurent else 0
     exps = st.tuples(*[st.integers(lo, max_deg) for _ in varnames])
     coeff = st.fractions(
         min_value=-coeff_range, max_value=coeff_range, max_denominator=4)
-    return st.dictionaries(exps, coeff, max_size=max_terms).map(
+    if min_terms:
+        coeff = coeff.filter(bool)
+    return st.dictionaries(exps, coeff, min_size=min_terms,
+                           max_size=max_terms).map(
         lambda d: LaurentMPoly(varnames, d))
 
 
@@ -116,6 +122,12 @@ class TestArithmetic:
             p.eval_exact({"Q": 0})
         assert p.eval_exact({"Q": Fraction(1, 2)}) == 2
 
+    def test_eval_complex_at_a_pole(self):
+        p = P("x^-1 + 1")
+        with pytest.raises(PoleError):
+            p.eval_complex({"x": 0j})
+        assert p.eval_complex({"x": 2j}) == 1 - 0.5j
+
     def test_derivative(self):
         p = P("Q^3*E + 2*Q*E^2 - 5")
         assert p.derivative("Q") == P("3*Q^2*E + 2*E^2")
@@ -196,10 +208,96 @@ class TestContentGcd:
         gp = normalize_sign(primitive_part(g.clear_laurent()[0]))
         assert divides(gp, d)
 
+    def test_gcd_has_no_monomial_content(self):
+        # the PRS once kept an x factor the inner content gcd had cleared
+        a = P("(x+y+1)*(x+y)")
+        b = P("(x+y+1)*(x-y)")
+        assert poly_gcd(a, b) == P("x + y + 1")
+        assert _prs_gcd(a, b) == P("x + y + 1")
+
     def test_gcd_with_zero(self):
         a = P("2*Q^2 - 2")
         assert poly_gcd(a, LaurentMPoly.zero()) == P("Q^2 - 1")
         assert poly_gcd(LaurentMPoly.zero(), LaurentMPoly.zero()).is_zero()
+
+
+@st.composite
+def planted_pairs(draw):
+    """(a, b, g): a and b share the factor g, each times its own cofactor
+    and Laurent monomial; 1 to 3 variables, rational coefficients."""
+    names = draw(st.sampled_from([("q",), ("Q", "E"), ("q", "Q", "E")]))
+    factor = poly_terms(names, max_deg=3, max_terms=4, coeff_range=5,
+                        min_terms=1)
+    g = draw(poly_terms(names, max_deg=3, max_terms=4, coeff_range=5,
+                        min_terms=2))
+    unit = st.dictionaries(st.sampled_from(names), st.integers(-3, 3))
+    a = g * draw(factor) * LaurentMPoly.monomial(1, draw(unit))
+    b = g * draw(factor) * LaurentMPoly.monomial(1, draw(unit))
+    return a, b, g
+
+
+def prs_reference(a, b):
+    """poly_gcd's contract computed by the PRS alone, for nonzero a, b."""
+    a, b = a.clear_laurent()[0], b.clear_laurent()[0]
+    if a.is_constant() or b.is_constant():
+        return P("1")
+    return _prs_gcd(a, b)
+
+
+def sympy_gcd(a, b):
+    """gcd from sympy over the integers, brought back in canonical form."""
+    sympy = pytest.importorskip("sympy")
+    a, b = a.clear_laurent()[0], b.clear_laurent()[0]
+    names = LaurentMPoly._merge_vars(a, b)
+    gens = sympy.symbols(names)
+
+    def to_sympy(p):
+        terms = primitive_part(p)._embedded(names)
+        return sympy.Poly.from_dict({e: int(c) for e, c in terms.items()},
+                                    *gens, domain=sympy.ZZ)
+
+    h = to_sympy(a).gcd(to_sympy(b))
+    return normalize_sign(primitive_part(LaurentMPoly(
+        names, {e: int(c) for e, c in h.as_dict().items()})))
+
+
+class TestGcdDifferential:
+    """The heuristic gcd and the integer division against independent
+    paths: the PRS gcd, sympy, and multiplication."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_pairs())
+    def test_heuristic_matches_prs(self, pair):
+        a, b, g = pair
+        d = poly_gcd(a, b)
+        assert d == prs_reference(a, b)
+        gp = normalize_sign(primitive_part(g.clear_laurent()[0]))
+        assert divides(gp, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_pairs())
+    def test_heuristic_matches_sympy(self, pair):
+        a, b, _ = pair
+        assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_pairs())
+    def test_exact_division(self, pair):
+        a, b, g = pair
+        assert exact_divide(a * b, b) == a
+        assert exact_divide(a, g) * g == a
+        # g is no unit, so it cannot divide a * b + 1
+        with pytest.raises(DomainError):
+            exact_divide(a * b + 1, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_pairs())
+    def test_prs_fallback_when_heuristic_fails(self, pair):
+        a, b, _ = pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly_module, "_heu_gcd", lambda f, g: None)
+            d = poly_gcd(a, b)
+        assert d == prs_reference(a, b)
 
 
 class TestResultant:

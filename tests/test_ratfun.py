@@ -68,6 +68,16 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             RationalFunction(P("1"), P("0"))
 
+    def test_hash_agrees_with_equality(self):
+        for x in (0, 1, 3, Fraction(-5, 7)):
+            same = [x, Fraction(x), LaurentMPoly.const(x),
+                    RationalFunction.const(x)]
+            assert all(y == same[0] for y in same)
+            assert len(set(same)) == 1
+        poly = P("Q^2 - q")
+        assert rf("Q^2 - q") == poly
+        assert len({rf("Q^2 - q"), poly, rf("Q^2*q - q^2", "q")}) == 1
+
     @given(num=small_polys(), den=small_polys(allow_zero=False),
            mul=small_polys(allow_zero=False))
     @settings(max_examples=60, deadline=None)
