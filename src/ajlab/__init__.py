@@ -52,7 +52,6 @@ from .ore import (
     homogenize,
     ore_apply,
     ore_mul,
-    ore_pow,
     substitute_qm,
     telescope_sum_check,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "li2",
     "ore_apply",
     "ore_mul",
-    "ore_pow",
     "p0_inhomogeneity",
     "p0_operator",
     "parse_poly",

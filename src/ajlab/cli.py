@@ -49,22 +49,44 @@ from .ratfun import format_ratfun
 
 # -- argument parsing ------------------------------------------------------
 
-def _parse_ints(text: str) -> list[int]:
-    """'1..8' (inclusive range) or '1,2,5'."""
+# the most values one --n / --ns accepts; a range 'a..b' is checked
+# against it before it is expanded
+MAX_VALUES = 100
+
+
+def _parse_ints(ctx, param, text: str) -> list[int]:
+    """Option callback: '1..8' (inclusive range) or '1,2,5'."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise DomainError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        if ".." in text:
+            lo, hi = (int(x) for x in text.split("..", 1))
+            count = hi - lo + 1
+        else:
+            vals = [int(x) for x in text.split(",") if x.strip()]
+            count = len(vals)
+    except ValueError:
+        raise click.BadParameter(
+            f"{text!r} is neither a range 'a..b' nor a list 'a,b,c' of "
+            "integers") from None
+    if count < 1:
+        raise click.BadParameter(f"no values in {text!r}")
+    if count > MAX_VALUES:
+        raise click.BadParameter(
+            f"{count} values in {text!r}; at most {MAX_VALUES} are accepted")
+    return list(range(lo, hi + 1)) if ".." in text else vals
 
 
-def _parse_rationals(text: str) -> list[Fraction]:
-    vals = [Fraction(x.strip()) for x in text.split(",") if x.strip()]
+def _parse_rationals(ctx, param, text):
+    """Option callback: comma-separated rationals such as '2,5/2'."""
+    if text is None:
+        return None
+    try:
+        vals = [Fraction(x.strip()) for x in text.split(",") if x.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(
+            f"{text!r} is not a list 'a,b/c' of rationals") from None
     if not vals:
-        raise DomainError("no values given")
+        raise click.BadParameter(f"no values in {text!r}")
     return vals
 
 
@@ -222,23 +244,22 @@ def main():
 # -- subcommands -----------------------------------------------------------
 
 @main.command()
-@click.option("--n", "nspec", required=True,
-              help="Color range '1..8' or list '1,2,5'.")
-@click.option("--q", "qspec", default=None,
+@click.option("--n", "ns", required=True, callback=_parse_ints,
+              help=f"Color range '1..8' or list '1,2,5', at most "
+                   f"{MAX_VALUES} colors.")
+@click.option("--q", "qs", default=None, callback=_parse_rationals,
               help="Evaluate at these rationals (comma separated) instead "
                    "of printing coefficients.")
 @_output_options
-def jones(nspec, qspec, fmt, out):
+def jones(ns, qs, fmt, out):
     """Colored Jones values of the figure-eight knot."""
-    ns = _parse_ints(nspec)
     rows = []
-    if qspec is None:
+    if qs is None:
         for n in ns:
             rows.append({"n": n, "poly": format_poly(jones_symbolic(n))})
         lines = [r["poly"] if len(rows) == 1
                  else f"J({r['n']}) = {r['poly']}" for r in rows]
     else:
-        qs = _parse_rationals(qspec)
         for n in ns:
             for qv in qs:
                 rows.append({"n": n, "q": str(qv),
@@ -453,17 +474,18 @@ def propcheck(ctx, negative, fmt, out):
 
 
 @main.command()
-@click.option("--ns", "nspec", default="100,200,400,800", show_default=True,
-              help="Root-of-unity orders.")
+@click.option("--ns", default="100,200,400,800", show_default=True,
+              callback=_parse_ints,
+              help=f"Root-of-unity orders, as a list or a range 'a..b', at "
+                   f"most {MAX_VALUES} of them.")
 @click.option("--a", "aval", default="3/10", show_default=True,
               help="Meridian exponent fraction n/N.")
 @click.option("--u", "uval", default="1/5", show_default=True,
               help="Coordinate exponent fraction i/N.")
 @_output_options
-def asympt(nspec, aval, uval, fmt, out):
+def asympt(ns, aval, uval, fmt, out):
     """Discrete ratio at roots of unity vs the continuous form."""
-    rows = asymptotic_check(Fraction(aval), Fraction(uval),
-                            _parse_ints(nspec))
+    rows = asymptotic_check(Fraction(aval), Fraction(uval), ns)
     lines = [f"N={r['N']:>6}  n={r['n']:>5}  i={r['i']:>5}  "
              f"rel_err={r['rel_err']:.6e}" for r in rows]
     _emit(fmt, out, "\n".join(lines), {"rows": [

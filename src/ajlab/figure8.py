@@ -183,6 +183,7 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
     """
     p0 = p0_operator()
     jev = jones_evaluator()
+    jones: dict[int, RationalFunction] = {}  # colors overlap across n
     rows = []
     for n in ns:
         if n < 1:
@@ -197,9 +198,11 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
             LaurentMPoly.const(1))
         parts = [inhom]
         for e, c in p0.terms.items():
-            jk = RationalFunction(jones_symbolic(n + e[0]),
-                                  LaurentMPoly.const(1))
-            parts.append(c.subst({"Q": qn}) * jk)
+            k = n + e[0]
+            if k not in jones:
+                jones[k] = RationalFunction(jones_symbolic(k),
+                                            LaurentMPoly.const(1))
+            parts.append(c.subst({"Q": qn}) * jones[k])
         total = RationalFunction.zero()
         for t in parts:
             total = total + t
@@ -220,8 +223,3 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
 
 def builtin_names() -> tuple[str, ...]:
     return ("figure8",)
-
-
-def check_builtin(name: str) -> None:
-    if name not in builtin_names():
-        raise DomainError(f"unknown built-in knot {name!r}")

@@ -254,15 +254,6 @@ def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
     return OreOperator(a.nu, out, a.meridian, a.e0_twist)
 
 
-def ore_pow(a: OreOperator, n: int) -> OreOperator:
-    if n < 0:
-        raise DomainError("negative operator power")
-    r = OreOperator.scalar(1, a.nu, a.meridian, a.e0_twist)
-    for _ in range(n):
-        r = ore_mul(r, a)
-    return r
-
-
 # -- action on sequences ---------------------------------------------------
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ is only a bookkeeping order for Laurent exponents but is total and fixed.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
@@ -415,18 +414,6 @@ class LaurentMPoly:
         return acc
 
 
-# -- dispatcher used by the serialization layer and the CLI ----------------
-
-def poly_arith(a: LaurentMPoly, b: LaurentMPoly, op: str) -> LaurentMPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unknown polynomial operation {op!r}")
-
-
 # -- integer-polynomial core -----------------------------------------------
 #
 # gcd and exact division run on integer polynomials: plain dicts
@@ -535,6 +522,8 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
     (max norms), a primitive candidate that divides both inputs is the gcd
     itself, not merely a common divisor.
     """
+    if not f or not g:  # xi was a root of an input one level up
+        return None
     if not next(iter(f)):  # no variables left: two integers
         return {(): math.gcd(f[()], g[()])}
     cont = math.gcd(*f.values(), *g.values())
@@ -1009,7 +998,3 @@ def poly_from_json(obj: dict) -> LaurentMPoly:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed polynomial JSON: {exc}") from exc
     return LaurentMPoly(vars, terms)
-
-
-def poly_to_json_text(p: LaurentMPoly) -> str:
-    return json.dumps(poly_to_json(p), separators=(", ", ": "))

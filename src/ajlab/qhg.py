@@ -5,6 +5,13 @@ integer arguments, and finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L)
 whose lengths L are integer linear forms.  The arguments are one or two
 colors (``n``; or ``m``, ``mp``) plus lattice indices ``k1..k_nu``.
 
+At a point, the Pochhammer factors cancel by index range before anything
+is multiplied: (1 - q^j) occurs to the net power m_j = #{numerator lengths
+>= j} - #{denominator lengths >= j}, and ``eval_symbolic``/``eval_exact``
+multiply only the factors with m_j != 0, on the side its sign picks.  For
+Habiro's figure-eight summand every m_j >= 0, so its value is built as a
+polynomial with nothing left to cancel.
+
 Shifting one argument by an integer multiplies the summand by a rational
 function of q and of the exponentials of the arguments; ``shift_ratio``
 returns that ratio exactly, over the symbols
@@ -95,11 +102,6 @@ class LinearForm:
             d[s] = d.get(s, Fraction(0)) + c
         return LinearForm.make(d, self.const + other.const)
 
-    def scaled(self, k: Scalar) -> "LinearForm":
-        k = _frac(k)
-        return LinearForm.make({s: c * k for s, c in self.coeffs},
-                               self.const * k)
-
 
 def _affine_monomial(coeffs: Mapping[str, Fraction], const: Fraction,
                      q_extra: int = 0) -> LaurentMPoly:
@@ -129,6 +131,11 @@ def _affine_monomial(coeffs: Mapping[str, Fraction], const: Fraction,
             raise DomainError(
                 f"exponent {c} on {sym} is neither integer nor half-integer")
     return LaurentMPoly.monomial(1, powers) if powers else LaurentMPoly.const(1)
+
+
+def _dense_q(coeffs: Sequence[int]) -> LaurentMPoly:
+    """sum coeffs[k] * q^k."""
+    return LaurentMPoly(("q",), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
 @dataclass(frozen=True)
@@ -237,6 +244,24 @@ class ProperQHTerm:
 
     # -- evaluation --------------------------------------------------------
 
+    def _net_multiplicities(self, env: Mapping[str, int]
+                            ) -> tuple[list[tuple[int, bool]], dict[int, int]]:
+        """The (length, under the bar) pair of every Pochhammer factor, and
+        {j: m_j} for the nonzero net powers of (1 - q^j) in their product,
+        m_j = #{numerator lengths >= j} - #{denominator lengths >= j};
+        exact because (q)_L = prod_{j=1..L} (1 - q^j)."""
+        lengths = [(int(f.length.value(env)), f.denom) for f in self.poch]
+        step: dict[int, int] = {}
+        for ln, denom in lengths:
+            step[ln] = step.get(ln, 0) + (-1 if denom else 1)
+        net: dict[int, int] = {}
+        m = 0
+        for j in range(max(step, default=0), 0, -1):
+            m += step.get(j, 0)
+            if m:
+                net[j] = m
+        return lengths, net
+
     def eval_with_support(self, point: Sequence[int], qval: Scalar,
                           sval: Optional[Scalar] = None
                           ) -> tuple[Fraction, bool]:
@@ -245,9 +270,9 @@ class ProperQHTerm:
             return Fraction(0), False
         qval = _frac(qval)
         e = self.quad.value(env)
+        if qval == 0 and e < 0:
+            raise DomainError("q = 0 under a negative exponent")
         if e.denominator == 1:
-            if qval == 0 and e < 0:
-                raise DomainError("q = 0 under a negative exponent")
             total = qval ** int(e)
         else:
             if sval is None:
@@ -259,45 +284,50 @@ class ProperQHTerm:
             total = sval ** int(2 * e)
         if int(self.sign.value(env)) % 2:
             total = -total
-        for f in self.poch:
-            ln = int(f.length.value(env))
-            prod = Fraction(1)
-            for j in range(1, ln + 1):
-                prod *= 1 - qval ** j
-            if f.denom:
-                if prod == 0:
-                    raise PoleError(
-                        f"(q)_{ln} vanishes at q = {qval} under the bar")
-                total /= prod
+        # a rational q is a root of some 1 - q^j (j >= 1) only at q = 1, or
+        # at q = -1 with j even; any such factor under the bar is a pole,
+        # even where the numerator would cancel it
+        lengths, net = self._net_multiplicities(env)
+        for ln, denom in lengths:
+            if denom and ((qval == 1 and ln >= 1) or (qval == -1 and ln >= 2)):
+                raise PoleError(
+                    f"(q)_{ln} vanishes at q = {qval} under the bar")
+        num = den = Fraction(1)
+        for j, m in net.items():
+            if m > 0:
+                num *= (1 - qval ** j) ** m
             else:
-                total *= prod
-        return total, True
+                den *= (1 - qval ** j) ** -m
+        return total * num / den, True
 
     def eval_exact(self, point: Sequence[int], qval: Scalar,
                    sval: Optional[Scalar] = None) -> Fraction:
+        """Exact value at q = qval (and s = sval for a half-integer
+        exponent); zero out of support.  Only the net powers of
+        (1 - q^j) are multiplied, after every denominator factor (q)_L
+        has been checked for a zero, which raises PoleError."""
         return self.eval_with_support(point, qval, sval)[0]
 
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
         """Value at an integer point as a rational function of q (and s
-        when the exponent is half-integer); zero out of support."""
+        when the exponent is half-integer); zero out of support.  Only the
+        net powers of (1 - q^j) are multiplied, as dense integer
+        coefficient lists, one per side of the fraction bar."""
         env = self._env(point)
         if not self.in_support(point):
             return RationalFunction.zero()
-        e = self.quad.value(env)
-        num = _affine_monomial({}, e)
-        den = LaurentMPoly.const(1)
+        num, den = [1], [1]
+        for j, m in self._net_multiplicities(env)[1].items():
+            side = num if m > 0 else den
+            for _ in range(abs(m)):  # side *= 1 - q^j
+                side.extend([0] * j)
+                for k in range(len(side) - 1, j - 1, -1):
+                    side[k] -= side[k - j]
         if int(self.sign.value(env)) % 2:
-            num = -num
-        for f in self.poch:
-            ln = int(f.length.value(env))
-            prod = LaurentMPoly.const(1)
-            for j in range(1, ln + 1):
-                prod = prod * (LaurentMPoly.const(1) - LaurentMPoly.var("q", j))
-            if f.denom:
-                den = den * prod
-            else:
-                num = num * prod
-        return RationalFunction(num, den)
+            num = [-c for c in num]
+        return RationalFunction(
+            _affine_monomial({}, self.quad.value(env)) * _dense_q(num),
+            _dense_q(den))
 
     def mul(self, other: "ProperQHTerm") -> "ProperQHTerm":
         """Product of summands over the same arguments."""

@@ -111,10 +111,6 @@ class RationalFunction:
         return RationalFunction(LaurentMPoly.var(name, power),
                                 LaurentMPoly.const(1))
 
-    @staticmethod
-    def from_fraction(num: LaurentMPoly, den: LaurentMPoly) -> "RationalFunction":
-        return RationalFunction(num, den)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ajlab.cli import main
+from ajlab.cli import MAX_VALUES, main
 from ajlab.figure8 import a_polynomial_nonabelian
 from ajlab.poly import format_poly
 
@@ -119,6 +119,38 @@ def test_exit_codes(run):
     assert "Error" in res.output
     # Newton seeded exactly at the critical point of the gluing equation
     assert run("saddle", "--start", "0.5,0").exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("jones", "--n", "abc"),
+    ("jones", "--n", "1..x"),
+    ("jones", "--n", "3..1"),
+    ("jones", "--n", ","),
+    ("jones", "--n", "2", "--q", "x"),
+    ("jones", "--n", "2", "--q", "1/0"),
+    ("jones", "--n", "2", "--q", ","),
+    ("asympt", "--ns", "100,abc"),
+])
+def test_malformed_values_are_usage_errors(run, args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "Invalid value for" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_range_length_limit(run):
+    # a huge range is refused before any list is built
+    res = run("jones", "--n", "1..10000000000000000000")
+    assert res.exit_code == 2
+    assert f"at most {MAX_VALUES}" in res.output
+    assert run("jones", "--n", f"1..{MAX_VALUES + 1}").exit_code == 2
+    listed = ",".join(["1"] * (MAX_VALUES + 1))
+    assert run("jones", "--n", listed, "--q", "2").exit_code == 2
+    res = run("asympt", "--ns", f"100..{100 + MAX_VALUES}")
+    assert res.exit_code == 2
+    res = run("jones", "--n", ",".join(["1"] * MAX_VALUES), "--q", "2")
+    assert res.exit_code == 0
+    assert res.output.count("= 1\n") == MAX_VALUES
 
 
 def test_out_file_replaces_atomically(run, tmp_path):

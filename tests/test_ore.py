@@ -36,6 +36,7 @@ from ajlab.ore import (
     telescope_sum_check,
 )
 from ajlab.poly import LaurentMPoly, parse_poly
+from ajlab.qhg import jones_symbolic
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
@@ -222,6 +223,18 @@ class TestCertificate:
         spans = [r["degree_span"] for r in rows]
         assert spans == sorted(spans)
         assert spans[0] == 16  # 2(n+1)(n+2) from the widest summand + 4
+
+    def test_recurrence_report_builds_each_color_once(self, monkeypatch):
+        import ajlab.figure8 as figure8
+        colors = []
+
+        def counted(n):
+            colors.append(n)
+            return jones_symbolic(n)
+
+        monkeypatch.setattr(figure8, "jones_symbolic", counted)
+        recurrence_report(ns=(1, 2, 3), qs=(Fraction(2),))
+        assert sorted(colors) == [1, 2, 3, 4, 5]
 
     def test_recurrence_report_rejects_bad_colors(self):
         with pytest.raises(DomainError):

@@ -215,6 +215,13 @@ class TestContentGcd:
         assert poly_gcd(a, b) == P("x + y + 1")
         assert _prs_gcd(a, b) == P("x + y + 1")
 
+    def test_gcd_when_an_evaluation_point_is_a_root(self):
+        # xi = 31 at both levels: the inner image of (q - Q) is q - 31,
+        # which vanishes at the inner xi = 31
+        a = P("(q^2*Q - q*Q^2)*(Q + 1)")
+        b = P("Q + 1")
+        assert poly_gcd(a, b) == poly_gcd(b, a) == P("Q + 1")
+
     def test_gcd_with_zero(self):
         a = P("2*Q^2 - 2")
         assert poly_gcd(a, LaurentMPoly.zero()) == P("Q^2 - 1")

@@ -1,6 +1,7 @@
 """Summand data model: values, support, shift ratios, crossing tables."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,155 @@ def so3_minus_literal(m, k1, k2, k3, k4, qv):
     return val
 
 
+def literal_symbolic(term, point):
+    """Per-factor oracle: every (q)_L multiplied out on its own side."""
+    if not term.in_support(point):
+        return RationalFunction.zero()
+    env = dict(zip(term.symbols(), point))
+    e = term.quad.value(env)
+    num = (LaurentMPoly.var("q", int(e)) if e.denominator == 1
+           else LaurentMPoly.var("s", int(2 * e)))
+    if int(term.sign.value(env)) % 2:
+        num = -num
+    den = LaurentMPoly.const(1)
+    for f in term.poch:
+        for j in range(1, int(f.length.value(env)) + 1):
+            if f.denom:
+                den = den * (1 - LaurentMPoly.var("q", j))
+            else:
+                num = num * (1 - LaurentMPoly.var("q", j))
+    return RationalFunction(num, den)
+
+
+def literal_exact(term, point, qv, sv):
+    """Per-factor oracle at q = qv (s = sv): a vanishing (q)_L under the
+    bar is a pole even where the numerator vanishes too."""
+    if not term.in_support(point):
+        return Fraction(0)
+    env = dict(zip(term.symbols(), point))
+    e = term.quad.value(env)
+    if qv == 0 and e < 0:
+        raise DomainError("q = 0 under a negative exponent")
+    if e.denominator == 1:
+        val = qv ** int(e)
+    else:
+        if sv * sv != qv:
+            raise DomainError("not a square root")
+        val = sv ** int(2 * e)
+    if int(term.sign.value(env)) % 2:
+        val = -val
+    for f in term.poch:
+        prod = qp(qv, int(f.length.value(env)))
+        if f.denom:
+            if prod == 0:
+                raise PoleError("pole")
+            val /= prod
+        else:
+            val *= prod
+    return val
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, PoleError) as exc:
+        return type(exc)
+
+
+ALL_SUMMANDS = [habiro_figure_eight()] + [
+    build_crossing(sign, norm)
+    for sign in (True, False) for norm in ("so3", "two-color")]
+
+
+def random_support_points(term, rng, count, lo=-1, hi=6):
+    out = []
+    while len(out) < count:
+        pt = tuple(rng.randint(lo, hi) for _ in term.symbols())
+        if term.in_support(pt):
+            out.append(pt)
+    return out
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def habiro_sum(n, qv):
+    """J_n = sum_{i<n} q^(-n i) prod_{j=1..i} (1 - q^(n-j)) (1 - q^(n+j))."""
+    q, total = Fraction(qv), Fraction(0)
+    for i in range(n):
+        term = q ** (-n * i)
+        for j in range(1, i + 1):
+            term *= (1 - q ** (n - j)) * (1 - q ** (n + j))
+        total += term
+    return total
+
+
+class TestAgainstPerFactorProduct:
+    """The net-multiplicity evaluators against the per-factor oracle."""
+
+    @pytest.mark.parametrize("idx", range(len(ALL_SUMMANDS)))
+    def test_symbolic_matches_oracle(self, idx):
+        term = ALL_SUMMANDS[idx]
+        rng = random.Random(1000 + idx)
+        for pt in random_support_points(term, rng, 40):
+            got = term.eval_symbolic(pt)
+            want = literal_symbolic(term, pt)
+            assert (got.num, got.den) == (want.num, want.den), pt
+
+    @pytest.mark.parametrize("idx", range(len(ALL_SUMMANDS)))
+    def test_exact_matches_oracle(self, idx):
+        term = ALL_SUMMANDS[idx]
+        rng = random.Random(2000 + idx)
+        for pt in random_support_points(term, rng, 40):
+            sv = random_rational(rng)
+            for qv in (random_rational(rng), sv * sv, Fraction(1),
+                       Fraction(-1)):
+                got = outcome(term.eval_exact, pt, qv, sv)
+                want = outcome(literal_exact, term, pt, qv, sv)
+                assert got == want, (pt, qv, sv)
+
+
+class TestPoleContract:
+    def test_figure_eight_at_one_is_a_pole_in_support(self):
+        f = habiro_figure_eight()
+        for n in range(1, 6):
+            for i in range(n):
+                with pytest.raises(PoleError):
+                    f.eval_exact((n, i), 1)
+
+    def test_zero_square_root_under_a_negative_exponent(self):
+        # exponent -1/2 at this point: s = 0 is no value, not a division
+        t = build_crossing(True, "two-color")
+        with pytest.raises(DomainError):
+            t.eval_exact((0, 1, 0, 0, 0, 1), 0, 0)
+
+    def test_out_of_support_is_zero_before_any_pole(self):
+        f = habiro_figure_eight()
+        for pt in [(2, 5), (2, -1), (3, 3), (1, 1)]:
+            assert f.eval_exact(pt, 1) == 0
+            assert f.eval_exact(pt, -1) == 0
+
+    @pytest.mark.parametrize("idx", [0, 1, 3])
+    def test_minus_one_is_a_pole_iff_a_denominator_reaches_two(self, idx):
+        # the integer-exponent summands: Habiro's and both so3 crossings
+        term = ALL_SUMMANDS[idx]
+        rng = random.Random(3000 + idx)
+        seen = set()
+        for pt in random_support_points(term, rng, 60, 0, 3):
+            env = dict(zip(term.symbols(), pt))
+            pole = any(f.denom and f.length.value(env) >= 2
+                       for f in term.poch)
+            seen.add(pole)
+            if pole:
+                with pytest.raises(PoleError):
+                    term.eval_exact(pt, -1)
+            else:
+                assert term.eval_exact(pt, -1) == literal_exact(
+                    term, pt, Fraction(-1), None)
+        assert seen == {True, False}
+
+
 class TestSummandValues:
     def test_figure_eight_summand_pins(self):
         f = habiro_figure_eight()
@@ -114,11 +264,18 @@ class TestSummandValues:
             jones_eval(0, 2)
 
     def test_full_sum_palindromic(self):
-        for n in range(1, 7):
+        for n in range(1, 13):
             j = jones_symbolic(n)
             mirrored = LaurentMPoly(
                 j.vars, {tuple(-x for x in e): c for e, c in j.terms.items()})
             assert mirrored == j
+
+    def test_full_sum_matches_habiro_sum(self):
+        for n in range(1, 13):
+            j = jones_symbolic(n)
+            assert j.eval_exact({"q": 1}) == 1
+            for qv in (Fraction(2), Fraction(-3, 5), Fraction(7, 4)):
+                assert j.eval_exact({"q": qv}) == habiro_sum(n, qv), (n, qv)
 
 
 class TestCrossingTables:
