@@ -9,6 +9,7 @@ fails, so they can gate scripts.
 import json
 import os
 import pathlib
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -76,15 +77,21 @@ def _parse_ints(ctx, param, text: str) -> list[int]:
     return list(range(lo, hi + 1)) if ".." in text else vals
 
 
+def _parse_rational(ctx, param, text: str) -> Fraction:
+    """Option callback: one rational such as '5/2'."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(
+            f"{text.strip()!r} is not a rational such as '5/2'") from None
+
+
 def _parse_rationals(ctx, param, text):
     """Option callback: comma-separated rationals such as '2,5/2'."""
     if text is None:
         return None
-    try:
-        vals = [Fraction(x.strip()) for x in text.split(",") if x.strip()]
-    except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(
-            f"{text!r} is not a list 'a,b/c' of rationals") from None
+    vals = [_parse_rational(ctx, param, x) for x in text.split(",")
+            if x.strip()]
     if not vals:
         raise click.BadParameter(f"no values in {text!r}")
     return vals
@@ -211,6 +218,16 @@ def _json_complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _fmt_exact(v: Fraction) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        # Python refuses to print integers past a fixed number of digits
+        raise DomainError(
+            f"value has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing an integer") from None
+
+
 def _output_options(f):
     f = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                      default="text", show_default=True,
@@ -263,7 +280,7 @@ def jones(ns, qs, fmt, out):
         for n in ns:
             for qv in qs:
                 rows.append({"n": n, "q": str(qv),
-                             "value": str(jones_eval(n, qv))})
+                             "value": _fmt_exact(jones_eval(n, qv))})
         lines = [r["value"] if len(rows) == 1
                  else f"J({r['n']}; q={r['q']}) = {r['value']}"
                  for r in rows]
@@ -479,13 +496,15 @@ def propcheck(ctx, negative, fmt, out):
               help=f"Root-of-unity orders, as a list or a range 'a..b', at "
                    f"most {MAX_VALUES} of them.")
 @click.option("--a", "aval", default="3/10", show_default=True,
+              callback=_parse_rational,
               help="Meridian exponent fraction n/N.")
 @click.option("--u", "uval", default="1/5", show_default=True,
+              callback=_parse_rational,
               help="Coordinate exponent fraction i/N.")
 @_output_options
 def asympt(ns, aval, uval, fmt, out):
     """Discrete ratio at roots of unity vs the continuous form."""
-    rows = asymptotic_check(Fraction(aval), Fraction(uval), ns)
+    rows = asymptotic_check(aval, uval, ns)
     lines = [f"N={r['N']:>6}  n={r['n']:>5}  i={r['i']:>5}  "
              f"rel_err={r['rel_err']:.6e}" for r in rows]
     _emit(fmt, out, "\n".join(lines), {"rows": [

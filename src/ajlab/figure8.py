@@ -15,11 +15,7 @@ from .errors import DomainError
 from .ore import DiscreteEvaluator, OreOperator, ore_apply, ore_mul
 from .poly import LaurentMPoly, exact_divide, parse_poly, poly_lcm
 from .qhg import habiro_figure_eight, jones_eval, jones_symbolic
-from .ratfun import RationalFunction
-
-
-def _rf(num: str, den: str = "1") -> RationalFunction:
-    return RationalFunction(parse_poly(num), parse_poly(den))
+from .ratfun import RationalFunction, parse_ratfun as _rf
 
 
 def x_cofactor(nu: int = 0) -> OreOperator:

@@ -7,12 +7,19 @@ the gluing equations, and the alpha one evaluates to the squared longitude
 eigenvalue.  Saddle points are found by Newton iteration on the cleared
 polynomial system, and the imaginary part of the potential at the selected
 saddle is the volume.
+
+The exact objects of a potential (its forms, and the cleared gluing
+polynomials with their Jacobian) depend only on the `PotentialSpec`, so
+each is built once per spec and process, on first use, and shared by every
+later solve; `derivative_forms` hands out a copy of the cached forms.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .dilog import li2
@@ -23,9 +30,9 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .poly import LaurentMPoly, parse_poly
+from .poly import LaurentMPoly
 from .qhg import build_crossing, epsilon_ratio, habiro_figure_eight, shift_ratio
-from .ratfun import RationalFunction, format_ratfun
+from .ratfun import RationalFunction, format_ratfun, parse_ratfun as _rf
 
 _PI = math.pi
 
@@ -40,11 +47,15 @@ class PotentialSpec:
     positive: bool = True
     mirror: bool = False
 
+    def __post_init__(self):
+        if self.kind not in ("builtin", "crossing"):
+            raise DomainError(f"unknown potential kind {self.kind!r}")
+        if self.kind == "builtin" and self.name != "figure8":
+            raise DomainError(f"unknown builtin potential {self.name!r}")
+
 
 def builtin_potential(name: str = "figure8",
                       mirror: bool = False) -> PotentialSpec:
-    if name != "figure8":
-        raise DomainError(f"unknown builtin potential {name!r}")
     return PotentialSpec("builtin", name=name, mirror=mirror)
 
 
@@ -56,9 +67,7 @@ def crossing_potential(positive: bool,
 def coordinate_names(spec: PotentialSpec) -> tuple[str, ...]:
     if spec.kind == "builtin":
         return ("x",)
-    if spec.kind == "crossing":
-        return ("w1", "w2", "w3", "w4")
-    raise DomainError(f"unknown potential kind {spec.kind!r}")
+    return ("w1", "w2", "w3", "w4")
 
 
 # -- evaluation ------------------------------------------------------------
@@ -122,13 +131,11 @@ def phi_eval(spec: PotentialSpec, alpha: complex, coords) -> complex:
 
 # -- exact derivative forms ------------------------------------------------
 
-def _rf(num: str, den: str = "1") -> RationalFunction:
-    return RationalFunction(parse_poly(num), parse_poly(den))
-
-
-def derivative_forms(spec: PotentialSpec) -> dict[str, RationalFunction]:
-    """exp of each logarithmic derivative of the potential, as an exact
-    rational function of (alpha, coordinates)."""
+# The spec-keyed caches need one entry per valid spec, six in all; they are
+# bounded because a crossing spec ignores `name`, so any string there would
+# otherwise be a new key.
+@lru_cache(maxsize=8)
+def _forms(spec: PotentialSpec) -> Mapping[str, RationalFunction]:
     if spec.kind == "builtin":
         forms = {
             "x": _rf("alpha^-2*(1 - alpha^2*x)*(1 - alpha^2*x^-1)"),
@@ -165,20 +172,37 @@ def derivative_forms(spec: PotentialSpec) -> dict[str, RationalFunction]:
         }
     if spec.mirror:
         forms = {k: f.inverse() for k, f in forms.items()}
-    return forms
+    return MappingProxyType(forms)
+
+
+def derivative_forms(spec: PotentialSpec) -> dict[str, RationalFunction]:
+    """exp of each logarithmic derivative of the potential, as an exact
+    rational function of (alpha, coordinates)."""
+    return dict(_forms(spec))
+
+
+@lru_cache(maxsize=8)
+def _newton_system(spec: PotentialSpec) -> tuple[
+        tuple[LaurentMPoly, ...], tuple[tuple[LaurentMPoly, ...], ...]]:
+    """The cleared gluing polynomials (coordinate form = 1) and their
+    Jacobian in the coordinates."""
+    forms = _forms(spec)
+    coords = coordinate_names(spec)
+    one = RationalFunction.one()
+    polys = tuple(cleared_equation(forms[c], one) for c in coords)
+    jac = tuple(tuple(p.derivative(c2) for c2 in coords) for p in polys)
+    return polys, jac
 
 
 def saddle_system(spec: PotentialSpec,
                   longitude: str = "squared") -> EquationSystem:
     """Cleared polynomial system: coordinate forms equal 1, the alpha form
     equals l^2 (or, for the builtin only, its square root equals l)."""
-    forms = derivative_forms(spec)
-    one = RationalFunction.one()
     lv = RationalFunction.var("l")
     coords = coordinate_names(spec)
-    glue = tuple(cleared_equation(forms[c], one) for c in coords)
+    glue = _newton_system(spec)[0]
     if longitude == "squared":
-        lon = cleared_equation(forms["alpha"], lv * lv)
+        lon = cleared_equation(_forms(spec)["alpha"], lv * lv)
     elif longitude == "linear":
         if spec.kind != "builtin":
             raise DomainError(
@@ -203,7 +227,7 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
     whether they agree exactly.
     """
     term = build_crossing(positive)
-    forms = derivative_forms(crossing_potential(positive))
+    forms = _forms(crossing_potential(positive))
     rows = []
     for which, key in (("Et1", "w1"), ("Et2", "w2"), ("Et3", "w3"),
                        ("Et4", "w4"), ("Em", "alpha")):
@@ -291,11 +315,9 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start,
     returned, provided it too satisfies the forms.
     """
     a = complex(alpha)
-    forms = derivative_forms(spec)
+    forms = _forms(spec)
     coords = coordinate_names(spec)
-    one = RationalFunction.one()
-    polys = [cleared_equation(forms[c], one) for c in coords]
-    jac = [[p.derivative(c2) for c2 in coords] for p in polys]
+    polys, jac = _newton_system(spec)
     w = _coerce_coords(spec, start)
     names = list(coords)
     it = 0
@@ -380,6 +402,11 @@ def _rf_at_unit_root(r: RationalFunction, big_n: int,
     return ev(r.num) / den
 
 
+@cache
+def _discrete_em_ratio() -> RationalFunction:
+    return shift_ratio(habiro_figure_eight(), "Em")
+
+
 def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
                      big_ns: Sequence[int] = (100, 200, 400, 800)) -> list[dict]:
     """Compare the discrete two-step ratio of the builtin summand at a
@@ -390,9 +417,8 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
     coordinate zeta_N^i with n ~ aN, i ~ uN; the continuous side at
     alpha^2 = zeta_N^n, x = zeta_N^i.  The relative gap shrinks like 1/N.
     """
-    term = habiro_figure_eight()
-    disc_rf = shift_ratio(term, "Em")
-    cont_rf = derivative_forms(builtin_potential())["alpha"]
+    disc_rf = _discrete_em_ratio()
+    cont_rf = _forms(builtin_potential())["alpha"]
     rows = []
     for big_n in big_ns:
         if not isinstance(big_n, int) or not 3 <= big_n <= 10**4:

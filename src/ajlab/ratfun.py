@@ -16,6 +16,7 @@ from .poly import (
     LaurentMPoly,
     exact_divide,
     format_poly,
+    parse_poly,
     poly_from_json,
     poly_gcd,
     poly_to_json,
@@ -303,7 +304,12 @@ class RationalFunction:
         return self.num.eval_complex(point) / d
 
 
-# -- formatting and serialization ------------------------------------------
+# -- parsing, formatting and serialization ---------------------------------
+
+def parse_ratfun(num: str, den: str = "1") -> RationalFunction:
+    """The reduced quotient of two polynomials given as text."""
+    return RationalFunction(parse_poly(num), parse_poly(den))
+
 
 def format_ratfun(f: RationalFunction) -> str:
     if f.is_polynomial():

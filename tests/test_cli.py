@@ -130,6 +130,9 @@ def test_exit_codes(run):
     ("jones", "--n", "2", "--q", "1/0"),
     ("jones", "--n", "2", "--q", ","),
     ("asympt", "--ns", "100,abc"),
+    ("asympt", "--a", "x"),
+    ("asympt", "--u", "1/0"),
+    ("asympt", "--a", "1/4,1/3"),
 ])
 def test_malformed_values_are_usage_errors(run, args):
     res = run(*args)
@@ -151,6 +154,16 @@ def test_range_length_limit(run):
     res = run("jones", "--n", ",".join(["1"] * MAX_VALUES), "--q", "2")
     assert res.exit_code == 0
     assert res.output.count("= 1\n") == MAX_VALUES
+
+
+def test_value_past_the_print_limit_is_an_error(run):
+    # J(86) at q = 2 has more digits than Python prints by default
+    res = run("jones", "--n", "86", "--q", "2")
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: value has more than ")
+    assert "limit" in res.output
+    assert len(res.output.strip().splitlines()) == 1
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_out_file_replaces_atomically(run, tmp_path):

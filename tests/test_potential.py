@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
+from ajlab import potential
 from ajlab.dilog import li2
 from ajlab.elim import ratio_system
 from ajlab.errors import (
@@ -14,6 +16,7 @@ from ajlab.errors import (
     SingularityError,
 )
 from ajlab.potential import (
+    PotentialSpec,
     _rf_at_unit_root,
     asymptotic_check,
     builtin_potential,
@@ -122,6 +125,74 @@ def test_longitude_and_kind_validation():
         saddle_system(builtin_potential(), "cubed")
     with pytest.raises(DomainError, match="builtin potential"):
         builtin_potential("trefoil")
+
+
+def test_specs_are_validated_at_construction():
+    # these used to fall through to the crossing forms and the figure-eight
+    # volume respectively
+    with pytest.raises(DomainError, match="potential kind 'foo'"):
+        PotentialSpec("foo")
+    with pytest.raises(DomainError, match="builtin potential 'trefoil'"):
+        PotentialSpec("builtin", name="trefoil")
+
+
+# -- the per-spec caches ---------------------------------------------------
+
+ALL_SPECS = ([builtin_potential(mirror=m) for m in (False, True)]
+             + [crossing_potential(p, mirror=m)
+                for p in (False, True) for m in (False, True)])
+
+
+@pytest.fixture()
+def uncached(monkeypatch):
+    """Make every cached builder in the module rebuild on each call."""
+    def go():
+        for name in ("_forms", "_newton_system", "_discrete_em_ratio"):
+            monkeypatch.setattr(potential, name,
+                                getattr(potential, name).__wrapped__)
+    return go
+
+
+def test_cached_forms_and_newton_system_equal_fresh_builds():
+    for spec in ALL_SPECS:
+        assert derivative_forms(spec) == dict(
+            potential._forms.__wrapped__(spec))
+        assert (potential._newton_system(spec)
+                == potential._newton_system.__wrapped__(spec))
+    assert (potential._discrete_em_ratio()
+            == potential._discrete_em_ratio.__wrapped__())
+
+
+def test_saddles_are_identical_cold_warm_and_uncached(uncached):
+    rng = random.Random(11)
+    alphas = [cmath.rect(rng.uniform(0.9, 1.1), rng.uniform(2.2, 4.0))
+              for _ in range(4)]
+    potential._forms.cache_clear()
+    potential._newton_system.cache_clear()
+    cold = [solve_saddle(builtin_potential(mirror=m), a, 0.5 + 0.8j)
+            for m in (False, True) for a in alphas]
+    warm = [solve_saddle(builtin_potential(mirror=m), a, 0.5 + 0.8j)
+            for m in (False, True) for a in alphas]
+    uncached()
+    fresh = [solve_saddle(builtin_potential(mirror=m), a, 0.5 + 0.8j)
+             for m in (False, True) for a in alphas]
+    assert cold == warm == fresh
+
+
+def test_derivative_forms_hands_out_a_copy():
+    spec = crossing_potential(True)
+    first = derivative_forms(spec)
+    expected = dict(first)
+    first["w1"] = RationalFunction.one()
+    del first["alpha"]
+    assert derivative_forms(spec) == expected
+    assert derivative_forms(spec) is not derivative_forms(spec)
+
+
+def test_asymptotic_rows_are_unchanged_by_the_caches(uncached):
+    warm = asymptotic_check(big_ns=(100, 300))
+    uncached()
+    assert asymptotic_check(big_ns=(100, 300)) == warm
 
 
 def test_saddle_selection_prefers_positive_imaginary_part():
