@@ -97,40 +97,48 @@ def _parse_rationals(ctx, param, text):
     return vals
 
 
-def _parse_complex(text: str) -> complex:
-    """'re,im' or just 're'."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise DomainError(f"cannot read {text!r} as a complex number")
+def _parse_complex(ctx, param, text: str) -> complex:
+    """Option callback: one complex number 're,im' or just 're'."""
+    parts = text.split(",")
+    try:
+        if len(parts) <= 2:
+            return complex(*(float(p) for p in parts))
+    except ValueError:
+        pass
+    raise click.BadParameter(f"cannot read {text.strip()!r} as a complex "
+                             "number 're,im'")
 
 
-def _parse_start(text: str) -> list[complex]:
-    """Semicolon-separated complex entries, or '@file' with a JSON list
-    of numbers / [re, im] pairs."""
-    if text.startswith("@"):
-        path = pathlib.Path(text[1:])
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise DomainError(f"cannot read start file: {exc}") from exc
-        except ValueError as exc:
-            raise DomainError(f"start file is not JSON: {exc}") from exc
-        if not isinstance(doc, list):
-            raise DomainError("start file must hold a JSON list")
-        out = []
-        for entry in doc:
-            if isinstance(entry, (int, float)):
-                out.append(complex(entry))
-            elif (isinstance(entry, list) and len(entry) == 2
-                  and all(isinstance(v, (int, float)) for v in entry)):
-                out.append(complex(entry[0], entry[1]))
-            else:
-                raise DomainError(f"bad start entry {entry!r}")
-        return out
-    return [_parse_complex(p) for p in text.split(";") if p.strip()]
+def _parse_start(ctx, param, text):
+    """Option callback: semicolon-separated complex entries, or '@file'
+    with a JSON list of numbers / [re, im] pairs."""
+    if text is None:
+        return None
+    if not text.startswith("@"):
+        out = [_parse_complex(ctx, param, p) for p in text.split(";")
+               if p.strip()]
+        if not out:
+            raise click.BadParameter(f"no values in {text!r}")
+        return tuple(out)
+    try:
+        doc = json.loads(pathlib.Path(text[1:]).read_text())
+    except OSError as exc:
+        raise click.BadParameter(f"cannot read start file: {exc}") from None
+    except ValueError as exc:
+        raise click.BadParameter(f"start file is not JSON: {exc}") from None
+    if not isinstance(doc, list):
+        raise click.BadParameter("start file must hold a JSON list")
+    out = []
+    for entry in doc:
+        # type(), not isinstance: a JSON true or false is no number here
+        if type(entry) in (int, float):
+            out.append(complex(entry))
+        elif (isinstance(entry, list) and len(entry) == 2
+              and all(type(v) in (int, float) for v in entry)):
+            out.append(complex(entry[0], entry[1]))
+        else:
+            raise click.BadParameter(f"bad start entry {entry!r}")
+    return tuple(out)
 
 
 def _load_json_descriptor(name_or_path: str) -> dict:
@@ -431,24 +439,22 @@ def ajcheck(ctx, opname, fmt, out):
 @main.command()
 @_knot_option
 @click.option("--alpha", default="-1,0", show_default=True,
-              help="Meridian value as 're,im'.")
-@click.option("--start", default=None,
+              callback=_parse_complex, help="Meridian value as 're,im'.")
+@click.option("--start", default=None, callback=_parse_start,
               help="Initial coordinates: 're,im' entries joined by ';', "
                    "or '@file.json'.  Defaults to the builtin seed.")
 @click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--max-iter", type=int, default=100, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=100,
+              show_default=True)
 @_output_options
 def saddle(knot, alpha, start, tol, max_iter, fmt, out):
     """Newton saddle of the potential at fixed meridian."""
     spec = _load_potential(knot)
-    a = _parse_complex(alpha)
     if start is None:
         if spec.kind != "builtin":
             raise DomainError("crossing potentials need --start")
-        st = [0.5 + 0.8j]
-    else:
-        st = _parse_start(start)
-    res = solve_saddle(spec, a, tuple(st), tol=tol, max_iter=max_iter)
+        start = (0.5 + 0.8j,)
+    res = solve_saddle(spec, alpha, start, tol=tol, max_iter=max_iter)
     lines = [f"{k} = {_fmt_complex(v)}" for k, v in res.coords.items()]
     lines += [
         f"l^2 = {_fmt_complex(res.l_squared)}",
@@ -461,15 +467,13 @@ def saddle(knot, alpha, start, tol, max_iter, fmt, out):
 
 @main.command(name="volume")
 @_knot_option
-@click.option("--alpha", default="-1,0", show_default=True)
-@click.option("--start", default=None)
+@click.option("--alpha", default="-1,0", show_default=True,
+              callback=_parse_complex)
+@click.option("--start", default=None, callback=_parse_start)
 @_output_options
 def volume_cmd(knot, alpha, start, fmt, out):
     """Im of the potential at the selected saddle."""
-    spec = _load_potential(knot)
-    a = _parse_complex(alpha)
-    st = tuple(_parse_start(start)) if start else None
-    v = volume(spec, a, st)
+    v = volume(_load_potential(knot), alpha, start)
     _emit(fmt, out, f"{v:.17g}", {"volume": v})
 
 

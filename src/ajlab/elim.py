@@ -17,8 +17,8 @@ from .poly import (
     _content_and_primitive_wrt,
     exact_divide,
     format_poly,
+    normalized,
     parse_poly,
-    rational_content,
     resultant,
     squarefree_part,
 )
@@ -83,10 +83,7 @@ def cleared_equation(lhs: RationalFunction, rhs: RationalFunction) -> LaurentMPo
     p = p.clear_negative()
     if p.is_zero():
         raise DegeneracyError("equation is identically satisfied")
-    c = rational_content(p)
-    if p.leading()[1] < 0:
-        c = -c
-    return p.map_coeffs(lambda x: x / c)
+    return normalized(p)
 
 
 def ratio_system(term: ProperQHTerm,
@@ -145,20 +142,6 @@ class APolyCandidate:
 
     def __str__(self) -> str:
         return format_poly(self.poly)
-
-
-def _normalize_in_l(p: LaurentMPoly) -> LaurentMPoly:
-    """Integer-primitive, and the coefficient of the top power of l has a
-    positive graded-lex leading coefficient."""
-    c = rational_content(p)
-    if "l" in p.vars:
-        d = max(e[p.vars.index("l")] for e in p.terms)
-        top = p.coeff_of("l", d)
-    else:
-        top = p
-    if top.leading()[1] < 0:
-        c = -c
-    return p.map_coeffs(lambda x: x / c)
 
 
 def eliminate(system: EquationSystem,
@@ -222,7 +205,7 @@ def eliminate(system: EquationSystem,
     if unit:
         mono = LaurentMPoly(tuple(unit), {tuple(unit.values()): 1})
         dropped.append(format_poly(mono))
-    return APolyCandidate(_normalize_in_l(p), tuple(dropped), order)
+    return APolyCandidate(normalized(p, main="l"), tuple(dropped), order)
 
 
 # -- operator comparison ---------------------------------------------------
@@ -249,9 +232,9 @@ def aj_compare(op: OreOperator, candidate) -> OperatorCurveComparison:
     """
     prim, unit = epsilon_eval_with_unit(op)
     mapping = RENAME_FULL if op.meridian == "Q" else RENAME_HALF
-    lhs = _normalize_in_l(rename_exponents(prim, mapping))
+    lhs = normalized(rename_exponents(prim, mapping), main="l")
     rhs = candidate.poly if isinstance(candidate, APolyCandidate) else candidate
-    rhs = _normalize_in_l(rhs.clear_negative())
+    rhs = normalized(rhs.clear_negative(), main="l")
     return OperatorCurveComparison(lhs == rhs, lhs, rhs,
                                    rename_ratfun(unit, mapping))
 

@@ -107,7 +107,7 @@ def cubic_displayed() -> OreOperator:
              " - q^11*Q^2 + q^10*Q^3 - 2*q^11*Q^3 + q^12*Q^4)",
              "q^5*Q*(q + q^3*Q)*(q^5 - q^6*Q^2)")
     c0 = _rf("q^5*Q*(-q^3 + q^3*Q)", "(q^2 + q^3*Q)*(-q^5 + q^6*Q^2)")
-    return OreOperator.from_e_coeffs({3: c3, 2: c2, 1: c1, 0: c0})
+    return OreOperator(0, {(3,): c3, (2,): c2, (1,): c1, (0,): c0})
 
 
 def cubic_operator() -> OreOperator:

@@ -14,6 +14,12 @@ the q-exponent, which keeps every operation exact.
 Operators act on functions of an integer point ``(n, k1..knu)``: ``E``
 advances ``n`` by one, ``Eti`` advances ``ki`` by one, and the meridian
 evaluates to ``q**n`` (lattice coordinates to ``q**ki``).
+
+``epsilon_eval_with_unit`` takes the q -> 1 limit of a lattice-free
+operator with ``poly.limit_at_one`` and fixes its scale with
+``poly.signed_content``: the same limit and the same sign/content rule as
+the summand side (``qhg.epsilon_ratio``, ``elim``), so the two curves
+they produce are compared under one convention.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, ParityError, PoleError
-from .poly import LaurentMPoly, exact_divide, format_poly, normalize_sign, \
-    poly_lcm, primitive_part, rational_content
-from .ratfun import RationalFunction, format_ratfun, ratfun_from_json, \
-    ratfun_to_json
+from .poly import LaurentMPoly, exact_divide, format_poly, limit_at_one, \
+    poly_lcm, signed_content
+from .ratfun import RationalFunction, as_ratfun, format_ratfun, \
+    ratfun_from_json, ratfun_to_json
 
 RFLike = Union[RationalFunction, LaurentMPoly, int, Fraction]
 
@@ -57,10 +63,7 @@ class OreOperator:
             if len(exp) != nu + 1:
                 raise DomainError(
                     f"shift exponent {exp} does not match nu={nu}")
-            if not isinstance(c, RationalFunction):
-                c = RationalFunction(
-                    c if isinstance(c, LaurentMPoly) else LaurentMPoly.const(c),
-                    LaurentMPoly.const(1))
+            c = as_ratfun(c)
             bad = set(c.variables()) - allowed
             if bad:
                 raise DomainError(
@@ -103,12 +106,6 @@ class OreOperator:
         e[which] = 1
         return OreOperator(nu, {tuple(e): 1}, meridian, e0_twist)
 
-    @staticmethod
-    def from_e_coeffs(coeffs: Mapping[int, RFLike], meridian: str = "Q",
-                      e0_twist: int = 1) -> "OreOperator":
-        return OreOperator(0, {(k,): c for k, c in coeffs.items()},
-                           meridian, e0_twist)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -119,11 +116,6 @@ class OreOperator:
 
     def coeff(self, exp: Sequence[int]) -> RationalFunction:
         return self.terms.get(tuple(exp), RationalFunction.zero())
-
-    def e_coeffs(self) -> dict[int, RationalFunction]:
-        if any(any(e[1:]) for e in self.terms):
-            raise DomainError("operator still involves lattice shifts")
-        return {e[0]: c for e, c in self.terms.items()}
 
     def lattice_free(self) -> bool:
         qt = {_lattice_var(i + 1) for i in range(self.nu)}
@@ -187,12 +179,17 @@ class OreOperator:
 
     def scale(self, c: RFLike) -> "OreOperator":
         """Left-multiply by a coefficient (no shifts involved)."""
-        if not isinstance(c, RationalFunction):
-            c = RationalFunction(
-                c if isinstance(c, LaurentMPoly) else LaurentMPoly.const(c),
-                LaurentMPoly.const(1))
+        c = as_ratfun(c)
         return OreOperator(self.nu, {e: c * v for e, v in self.terms.items()},
                            self.meridian, self.e0_twist)
+
+
+def _with_q(p: LaurentMPoly) -> tuple[tuple[str, ...], dict]:
+    """p's variables and terms, with a q column put in front if q is
+    missing, so exponents can be moved into it."""
+    if "q" in p.vars:
+        return p.vars, p.terms
+    return ("q",) + p.vars, {(0,) + e: c for e, c in p.terms.items()}
 
 
 def _twist_poly(p: LaurentMPoly, shift_exp: tuple[int, ...], meridian: str,
@@ -202,7 +199,7 @@ def _twist_poly(p: LaurentMPoly, shift_exp: tuple[int, ...], meridian: str,
     q^(ei)."""
     if p.is_constant() or not any(shift_exp):
         return p
-    names = list(p.vars)
+    names, terms = _with_q(p)
     deltas = []
     for v in names:
         if v == meridian:
@@ -214,21 +211,14 @@ def _twist_poly(p: LaurentMPoly, shift_exp: tuple[int, ...], meridian: str,
             deltas.append(0)
     if not any(deltas):
         return p
-    qi = names.index("q") if "q" in names else None
+    qi = names.index("q")
     out: dict[tuple[int, ...], Fraction] = {}
-    if qi is None:
-        names2 = tuple(["q"] + names)
-        for e, c in p.terms.items():
-            dq = sum(d * x for d, x in zip(deltas, e))
-            out[(dq,) + e] = c
-        return LaurentMPoly(names2, out)
-    for e, c in p.terms.items():
-        dq = sum(d * x for d, x in zip(deltas, e))
+    for e, c in terms.items():
         ne = list(e)
-        ne[qi] += dq
+        ne[qi] += sum(d * x for d, x in zip(deltas, e))
         key = tuple(ne)
         out[key] = out.get(key, Fraction(0)) + c
-    return LaurentMPoly(tuple(names), out)
+    return LaurentMPoly(names, out)
 
 
 def _twist_rf(c: RationalFunction, shift_exp: tuple[int, ...], meridian: str,
@@ -412,41 +402,6 @@ def telescope_sum_check(p0: OreOperator, rs: Sequence[OreOperator],
 
 # -- q -> 1 limit ----------------------------------------------------------
 
-def _q_one(p: LaurentMPoly) -> LaurentMPoly:
-    """Set q = 1 (Laurent powers of q included)."""
-    if "q" not in p.vars:
-        return p
-    i = p.vars.index("q")
-    rest = p.vars[:i] + p.vars[i + 1:]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p.terms.items():
-        key = e[:i] + e[i + 1:]
-        out[key] = out.get(key, Fraction(0)) + c
-    return LaurentMPoly(rest, out)
-
-
-_Q_MINUS_1 = LaurentMPoly(("q",), {(1,): 1, (0,): -1})
-
-
-def _q_valuation(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
-    """Order of vanishing at q = 1 and the cofactor (Laurent units carry
-    through untouched)."""
-    if p.is_zero():
-        raise DomainError("valuation of zero")
-    body, unit = p.clear_laurent()
-    k = 0
-    while _q_one(body).is_zero():
-        body = exact_divide(body, _Q_MINUS_1)
-        k += 1
-    for v, m in unit.items():
-        body = body.shift_var(v, m)
-    return k, body
-
-
-def epsilon_eval(p: OreOperator) -> LaurentMPoly:
-    return epsilon_eval_with_unit(p)[0]
-
-
 def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFunction]:
     """q -> 1 limit of the operator after clearing the common vanishing
     scale, returned as a primitive integer polynomial in (meridian, E)
@@ -463,9 +418,9 @@ def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFuncti
         raise DomainError("limit of the zero operator")
     vals: dict[int, tuple[int, RationalFunction]] = {}
     for e, c in p.terms.items():
-        vn, rn = _q_valuation(c.num)
-        vd, rd = _q_valuation(c.den)
-        vals[e[0]] = (vn - vd, RationalFunction(_q_one(rn), _q_one(rd)))
+        vn, ln = limit_at_one(c.num)
+        vd, ld = limit_at_one(c.den)
+        vals[e[0]] = (vn - vd, RationalFunction(ln, ld))
     mu = min(v for v, _ in vals.values())
     coeffs = {k: u for k, (v, u) in vals.items() if v == mu}
     # clear denominators and content -> primitive integer polynomial
@@ -486,17 +441,11 @@ def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFuncti
         if m != 0:
             body = body.shift_var(v, -m)
             unit_mono = unit_mono.shift_var(v, m)
-    cont = rational_content(body)
-    # sign convention: the coefficient of the highest shift power leads
-    # positive (E is the main variable here, not part of the grading)
-    if "E" in body.vars:
-        d = max(e[body.vars.index("E")] for e in body.terms)
-        top = body.coeff_of("E", d)
-    else:
-        top = body
-    sign = top.leading_sign()
-    prim = body.map_coeffs(lambda c: c / (sign * cont))
-    unit = RationalFunction(unit_mono * (sign * cont), den)
+    # the coefficient of the highest shift power leads positive (E is the
+    # main variable here, not part of the grading)
+    c = signed_content(body, main="E")
+    prim = body.map_coeffs(lambda x: x / c)
+    unit = RationalFunction(unit_mono * c, den)
     return prim, unit
 
 
@@ -505,11 +454,7 @@ def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFuncti
 def homogenize(p0: OreOperator, inhom: RFLike) -> OreOperator:
     """Given  p0 . f = b  with b a rational function of (q, meridian),
     return (E - 1) * b^(-1) * p0, which annihilates f."""
-    if not isinstance(inhom, RationalFunction):
-        inhom = RationalFunction(
-            inhom if isinstance(inhom, LaurentMPoly)
-            else LaurentMPoly.const(inhom),
-            LaurentMPoly.const(1))
+    inhom = as_ratfun(inhom)
     if inhom.is_zero():
         raise DomainError("inhomogeneity is zero; nothing to promote")
     e = OreOperator.shift(0, p0.nu, p0.meridian, p0.e0_twist)
@@ -535,13 +480,10 @@ def substitute_qm(p: OreOperator) -> OreOperator:
     def conv(poly: LaurentMPoly) -> LaurentMPoly:
         if "Qm" not in poly.vars:
             return poly
-        i = poly.vars.index("Qm")
-        names = list(poly.vars)
-        names[i] = "Q"
-        has_q = "q" in poly.vars
-        qi = poly.vars.index("q") if has_q else None
+        names, terms = _with_q(poly)
+        i, qi = names.index("Qm"), names.index("q")
         out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in poly.terms.items():
+        for e, c in terms.items():
             if e[i] % 2:
                 raise ParityError(
                     f"odd meridian power {e[i]} in {format_poly(poly)}; "
@@ -549,22 +491,10 @@ def substitute_qm(p: OreOperator) -> OreOperator:
             k = e[i] // 2
             ne = list(e)
             ne[i] = k
-            if has_q:
-                ne[qi] -= k
-                key = tuple(ne)
-                out[key] = out.get(key, Fraction(0)) + c
-            else:
-                out[tuple(ne)] = c
-        if not has_q and any(e[i] for e in poly.terms):
-            # need a q column for the -k exponents
-            res: dict[tuple[int, ...], Fraction] = {}
-            for e, c in poly.terms.items():
-                k = e[i] // 2
-                ne = list(e)
-                ne[i] = k
-                res[(-k,) + tuple(ne)] = c
-            return LaurentMPoly(tuple(["q"] + names), res)
-        return LaurentMPoly(tuple(names), out)
+            ne[qi] -= k
+            key = tuple(ne)
+            out[key] = out.get(key, Fraction(0)) + c
+        return LaurentMPoly(tuple("Q" if v == "Qm" else v for v in names), out)
 
     terms = {e: RationalFunction(conv(c.num), conv(c.den))
              for e, c in p.terms.items()}

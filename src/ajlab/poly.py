@@ -18,6 +18,12 @@ Geddes & Gonnet 1989: evaluate at a large integer, take an integer gcd,
 interpolate back, check by division) with the primitive PRS as the
 fallback; ``exact_divide`` is one integer long division.
 
+Two conventions the other layers share live here and nowhere else: the
+limit at q = 1 (``limit_at_one``: the order of vanishing and the lowest
+nonzero Taylor coefficient) and the sign/content rule (``signed_content``
+and ``normalized``: coprime integer coefficients, leading coefficient
+positive).
+
 Term order used for leading-term decisions and for text output is graded
 lexicographic (total degree first, then lex on the exponent vector), which
 is only a bookkeeping order for Laurent exponents but is total and fixed.
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
 
@@ -175,9 +181,6 @@ class LaurentMPoly:
         exp = max(self.terms, key=_term_sort_key)
         return exp, self.terms[exp]
 
-    def leading_sign(self) -> int:
-        return 1 if self.leading()[1] > 0 else -1
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -316,13 +319,6 @@ class LaurentMPoly:
             buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
         return {k: LaurentMPoly(rest, t) for k, t in buckets.items()}
 
-    @staticmethod
-    def from_univariate(v: str, coeffs: Mapping[int, "LaurentMPoly"]) -> "LaurentMPoly":
-        acc = LaurentMPoly.zero()
-        for k, p in coeffs.items():
-            acc = acc + p.shift_var(v, k)
-        return acc
-
     def derivative(self, v: str) -> "LaurentMPoly":
         if v not in self.vars:
             return LaurentMPoly.zero()
@@ -390,28 +386,42 @@ class LaurentMPoly:
             total += t
         return total
 
-    def subs_poly(self, bindings: Mapping[str, "LaurentMPoly"]) -> "LaurentMPoly":
-        """Substitute polynomials (only nonnegative occurrences of the bound
-        variables are allowed; rational-function substitution lives one layer
-        up)."""
-        relevant = {v: p for v, p in bindings.items() if v in self.vars}
-        if not relevant:
-            return self
-        for v in relevant:
-            if self.min_degree(v) < 0:
-                raise DomainError(
-                    f"negative power of {v}: polynomial substitution "
-                    "needs a rational-function context")
-        acc = LaurentMPoly.zero()
-        for e, c in self.terms.items():
-            t = LaurentMPoly.const(c)
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                t = t * (relevant[v] ** k if v in relevant
-                         else LaurentMPoly.var(v, k))
-            acc = acc + t
-        return acc
+
+# -- the q -> 1 limit -------------------------------------------------------
+
+def _binom(n: int, j: int) -> int:
+    """n(n-1)...(n-j+1)/j!, for negative n too."""
+    return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
+
+
+def limit_at_one(p: LaurentMPoly, v: str = "q") -> tuple[int, LaurentMPoly]:
+    """(k, c) with p = (v - 1)^k * u and c = u at v = 1, nonzero and free
+    of v; the other variables, Laurent powers included, are kept.
+
+    c is the lowest nonzero Taylor coefficient of p at v = 1.  The j-th one
+    is the sum of c_e * binom(e_v, j) over the terms, with the binomial
+    generalized to negative exponents, so powers of v need no clearing.
+    p = v^a * P with P a polynomial of degree d vanishes to order at most
+    d, so the search ends.
+    """
+    if p.is_zero():
+        raise DomainError(f"limit at {v} = 1 of the zero polynomial")
+    if v not in p.vars:
+        return 0, p
+    i = p.vars.index(v)
+    rest = p.vars[:i] + p.vars[i + 1:]
+    split = [(e[i], e[:i] + e[i + 1:], c) for e, c in p.terms.items()]
+    k = 0
+    while True:
+        out: dict[tuple[int, ...], Fraction] = {}
+        for ev, key, c in split:
+            b = _binom(ev, k)
+            if b:
+                out[key] = out.get(key, 0) + c * b
+        coeff = LaurentMPoly(rest, out)
+        if coeff:
+            return k, coeff
+        k += 1
 
 
 # -- integer-polynomial core -----------------------------------------------
@@ -546,7 +556,7 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
     return None
 
 
-# -- exact division, content, primitive part -------------------------------
+# -- exact division, content and sign -------------------------------------
 
 def exact_divide(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     """Quotient a/b when b divides a exactly; DomainError otherwise.
@@ -594,17 +604,25 @@ def rational_content(p: LaurentMPoly) -> Fraction:
     return Fraction(num, den)
 
 
-def primitive_part(p: LaurentMPoly) -> LaurentMPoly:
-    """p divided by its rational content; sign left untouched."""
+def signed_content(p: LaurentMPoly, main: str | None = None) -> Fraction:
+    """The rational content of p, negated when p's leading coefficient is
+    negative: the graded-lex one, or, with ``main`` given, that of the
+    coefficient of the top power of ``main``.  1 for the zero polynomial.
+
+    This is the one sign/content convention: p divided by it (`normalized`)
+    has coprime integer coefficients and that leading coefficient positive.
+    """
+    if p.is_zero():
+        return Fraction(1)
+    top = p if main is None else p.coeff_of(main, p.degree(main))
     c = rational_content(p)
+    return -c if top.leading()[1] < 0 else c
+
+
+def normalized(p: LaurentMPoly, main: str | None = None) -> LaurentMPoly:
+    """p divided by its `signed_content`."""
+    c = signed_content(p, main)
     return p if c == 1 else p.map_coeffs(lambda x: x / c)
-
-
-def normalize_sign(p: LaurentMPoly) -> LaurentMPoly:
-    """Flip so the graded-lex leading coefficient is positive."""
-    if p.is_zero() or p.leading()[1] > 0:
-        return p
-    return -p
 
 
 def _content_and_primitive_wrt(p: LaurentMPoly, v: str) -> tuple[LaurentMPoly, LaurentMPoly]:
@@ -659,14 +677,14 @@ def poly_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     a, _ = a.clear_laurent()
     b, _ = b.clear_laurent()
     if a.is_zero() or b.is_zero():
-        return normalize_sign(primitive_part(a + b))
+        return normalized(a + b)
     if a.is_constant() or b.is_constant():
         return LaurentMPoly.const(1)
     vars = LaurentMPoly._merge_vars(a, b)
     h = _heu_gcd(_integer_primitive(a, vars)[1], _integer_primitive(b, vars)[1])
     if h is None:
         return _prs_gcd(a, b)
-    return normalize_sign(LaurentMPoly(vars, h))
+    return normalized(LaurentMPoly(vars, h))
 
 
 def _prs_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
@@ -696,16 +714,16 @@ def _prs_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
         _, r = _content_and_primitive_wrt(r, v)
         pa, pb = pb, r
     if g.is_constant():
-        return normalize_sign(primitive_part(cg))
+        return normalized(cg)
     _, g = _content_and_primitive_wrt(g, v)
-    return normalize_sign(primitive_part((cg * g).clear_laurent()[0]))
+    return normalized((cg * g).clear_laurent()[0])
 
 
 def poly_lcm(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     if a.is_zero() or b.is_zero():
         return LaurentMPoly.zero()
     g = poly_gcd(a, b)
-    return normalize_sign(primitive_part(exact_divide(a * b, g)))
+    return normalized(exact_divide(a * b, g))
 
 
 # -- resultants ------------------------------------------------------------
@@ -760,57 +778,6 @@ def resultant(a: LaurentMPoly, b: LaurentMPoly, v: str) -> LaurentMPoly:
     res = exact_divide(lB ** dA, h ** (dA - 1)) if dA > 1 else lB
     out = t * res
     return out if sign > 0 else -out
-
-
-def sylvester_matrix(a: LaurentMPoly, b: LaurentMPoly, v: str) -> list[list[LaurentMPoly]]:
-    da, db = a.degree(v), b.degree(v)
-    au, bu = a.as_univariate(v), b.as_univariate(v)
-    n = da + db
-    rows = []
-    for i in range(db):
-        row = [LaurentMPoly.zero()] * n
-        for k in range(da + 1):
-            row[i + k] = au.get(da - k, LaurentMPoly.zero())
-        rows.append(row)
-    for i in range(da):
-        row = [LaurentMPoly.zero()] * n
-        for k in range(db + 1):
-            row[i + k] = bu.get(db - k, LaurentMPoly.zero())
-        rows.append(row)
-    return rows
-
-
-def sylvester_resultant(a: LaurentMPoly, b: LaurentMPoly, v: str) -> LaurentMPoly:
-    """Resultant as an exact fraction-free (Bareiss) Sylvester determinant.
-
-    Slower than the PRS route; kept as an independent cross-check for
-    small degrees.
-    """
-    a = a.clear_negative()
-    b = b.clear_negative()
-    if a.degree(v) <= 0 or b.degree(v) <= 0:
-        raise DomainError(f"resultant needs positive degree in {v}")
-    m = sylvester_matrix(a, b, v)
-    n = len(m)
-    sign = 1
-    prev = LaurentMPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentMPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = LaurentMPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
 
 
 def squarefree_part(a: LaurentMPoly, v: str) -> LaurentMPoly:

@@ -20,7 +20,10 @@ returns that ratio exactly, over the symbols
 
 with half-integer exponents carried by square-root symbols (q -> s,
 Qm -> Sm, Qmp -> Smp, Qt_i -> St_i).  ``epsilon_ratio`` is the same ratio
-in the q -> 1 limit, with the exponential symbols kept.
+in the q -> 1 limit, with the exponential symbols kept.  The limit is
+``poly.limit_at_one``, the one the operator side (``ore``) takes too; the
+only step added here folds q into s (s^2 = q) when half-integer powers
+occur, and then takes the limit in s.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
-from .poly import LaurentMPoly, exact_divide
+from .poly import LaurentMPoly, limit_at_one
 from .ratfun import RationalFunction
 
 Scalar = Union[int, Fraction]
@@ -406,46 +409,22 @@ def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-_Q_MINUS_1 = LaurentMPoly(("q",), {(1,): 1, (0,): -1})
-_S_MINUS_1 = LaurentMPoly(("s",), {(1,): 1, (0,): -1})
-
-
 def _one_limit(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
-    """Order of vanishing as q -> 1 and the limit of the cofactor, with the
-    exponential symbols kept.  Half-integer powers of q are unified through
-    s (s^2 = q) first."""
-    if p.is_zero():
-        raise DomainError("limit of zero")
-    if "s" in p.vars:
-        si = p.vars.index("s")
-        qi = p.vars.index("q") if "q" in p.vars else None
+    """`limit_at_one` in q, or, when half-integer powers occur, in s after
+    folding q into s (s^2 = q)."""
+    if "s" not in p.vars:
+        return limit_at_one(p)
+    if "q" in p.vars:
+        si, qi = p.vars.index("s"), p.vars.index("q")
         terms: dict[tuple[int, ...], Fraction] = {}
         for e, c in p.terms.items():
             ne = list(e)
-            if qi is not None:
-                ne[si] += 2 * ne[qi]
-                ne[qi] = 0
+            ne[si] += 2 * ne[qi]
+            ne[qi] = 0
             key = tuple(ne)
             terms[key] = terms.get(key, Fraction(0)) + c
         p = LaurentMPoly(p.vars, terms)
-        gauge = _S_MINUS_1
-        gvar = "s"
-    else:
-        gauge = _Q_MINUS_1
-        gvar = "q"
-    body, unit = p.clear_laurent()
-    unit.pop(gvar, None)  # powers of q (or s) tend to 1
-    k = 0
-    while True:
-        at_one = body.subs_poly({gvar: LaurentMPoly.const(1)})
-        if not at_one.is_zero():
-            break
-        body = exact_divide(body, gauge)
-        k += 1
-    limit = body.subs_poly({gvar: LaurentMPoly.const(1)})
-    for v, m in unit.items():
-        limit = limit.shift_var(v, m)
-    return k, limit
+    return limit_at_one(p, "s")
 
 
 def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:

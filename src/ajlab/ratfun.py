@@ -20,14 +20,15 @@ from .poly import (
     poly_from_json,
     poly_gcd,
     poly_to_json,
-    rational_content,
+    signed_content,
 )
 
 Scalar = Union[int, Fraction]
 RFLike = Union["RationalFunction", LaurentMPoly, int, Fraction]
 
 
-def _coerce(x: RFLike) -> "RationalFunction":
+def as_ratfun(x: RFLike) -> "RationalFunction":
+    """x as a rational function; a polynomial or a scalar goes over 1."""
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, LaurentMPoly):
@@ -44,9 +45,7 @@ def _push_units(num: LaurentMPoly,
     den_p, unit = den.clear_laurent()
     for v, m in unit.items():
         num = num.shift_var(v, -m)
-    c = rational_content(den_p)
-    if den_p.leading()[1] < 0:
-        c = -c
+    c = signed_content(den_p)
     if c != 1:
         den_p = den_p.map_coeffs(lambda x: x / c)
         num = num.map_coeffs(lambda x: x / c)
@@ -145,7 +144,7 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentMPoly)):
-            other = _coerce(other)
+            other = as_ratfun(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -166,7 +165,7 @@ class RationalFunction:
         # sum can share with the common denominator divides gcd of the two
         # denominators, so the big-product gcd is never needed
         try:
-            o = _coerce(other)
+            o = as_ratfun(other)
         except TypeError:
             return NotImplemented
         if self.is_zero():
@@ -195,7 +194,7 @@ class RationalFunction:
 
     def __sub__(self, other) -> "RationalFunction":
         try:
-            o = _coerce(other)
+            o = as_ratfun(other)
         except TypeError:
             return NotImplemented
         return self + (-o)
@@ -207,7 +206,7 @@ class RationalFunction:
         # cross-cancellation: each numerator only shares factors with the
         # opposite denominator, and both of those gcds are small
         try:
-            o = _coerce(other)
+            o = as_ratfun(other)
         except TypeError:
             return NotImplemented
         if self.is_zero() or o.is_zero():
@@ -226,7 +225,7 @@ class RationalFunction:
 
     def __truediv__(self, other) -> "RationalFunction":
         try:
-            o = _coerce(other)
+            o = as_ratfun(other)
         except TypeError:
             return NotImplemented
         if o.is_zero():
@@ -234,7 +233,7 @@ class RationalFunction:
         return self * o.inverse()
 
     def __rtruediv__(self, other) -> "RationalFunction":
-        return _coerce(other) / self
+        return as_ratfun(other) / self
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -257,12 +256,12 @@ class RationalFunction:
         """Substitute rational functions for variables; unbound variables
         stay symbolic.  Raises DomainError if a denominator vanishes under
         the substitution."""
-        bound = {v: _coerce(x) for v, x in bindings.items()}
+        bound = {v: as_ratfun(x) for v, x in bindings.items()}
 
         def through(p: LaurentMPoly) -> RationalFunction:
             relevant = [v for v in p.vars if v in bound]
             if not relevant:
-                return _coerce(p)
+                return as_ratfun(p)
             acc = RationalFunction.zero()
             for e, c in p.terms.items():
                 t = RationalFunction.const(c)

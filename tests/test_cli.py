@@ -133,12 +133,34 @@ def test_exit_codes(run):
     ("asympt", "--a", "x"),
     ("asympt", "--u", "1/0"),
     ("asympt", "--a", "1/4,1/3"),
+    ("saddle", "--alpha", "x"),
+    ("saddle", "--alpha", "1,2,3"),
+    ("saddle", "--start", "1,x"),
+    ("saddle", "--start", ";"),
+    ("saddle", "--start", "@no-such-start-file.json"),
+    ("saddle", "--max-iter", "0"),
+    ("volume", "--alpha", "-1,x"),
+    ("volume", "--start", "0.5;1,2,3"),
 ])
 def test_malformed_values_are_usage_errors(run, args):
     res = run(*args)
     assert res.exit_code == 2
     assert "Invalid value for" in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_start_file(run, tmp_path):
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps([[0.5, 0.8]]))
+    res = run("saddle", "--start", f"@{start}", "--format", "json")
+    assert res.exit_code == 0
+    assert float(json.loads(res.output)["im_phi"]) == pytest.approx(
+        2.029883212819307)
+    for bad in ("{}", "[[1, 2, 3]]", "not json", "[true]", "[[0.5, false]]"):
+        start.write_text(bad)
+        res = run("saddle", "--start", f"@{start}")
+        assert res.exit_code == 2
+        assert "Invalid value for '--start'" in res.output
 
 
 def test_range_length_limit(run):

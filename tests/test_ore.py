@@ -24,7 +24,6 @@ from ajlab.figure8 import (
 from ajlab.ore import (
     DiscreteEvaluator,
     OreOperator,
-    epsilon_eval,
     epsilon_eval_with_unit,
     expand_at_one,
     homogenize,
@@ -273,7 +272,7 @@ class TestLimit:
 
     def test_lattice_operators_rejected(self):
         with pytest.raises(DomainError):
-            epsilon_eval(p_full())
+            epsilon_eval_with_unit(p_full())
 
     def test_sign_and_content_in_unit(self):
         op = OreOperator(0, {(1,): rf("-4*Q^3", "3"), (0,): rf("-2*Q")})

@@ -1,30 +1,40 @@
 """Exact polynomial layer: arithmetic, gcd, resultants, serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from ajlab import ore as ore_module, poly as poly_module, qhg as qhg_module
 from ajlab.errors import DomainError, PoleError
-from ajlab import poly as poly_module
+from ajlab.figure8 import cubic_operator, p0_operator
+from ajlab.ore import OreOperator, epsilon_eval_with_unit, ore_mul
 from ajlab.poly import (
     LaurentMPoly,
     _prs_gcd,
     exact_divide,
     divides,
     format_poly,
-    normalize_sign,
+    limit_at_one,
+    normalized,
     parse_poly,
     poly_from_json,
     poly_gcd,
     poly_to_json,
-    primitive_part,
     rational_content,
     resultant,
+    signed_content,
     squarefree_part,
-    sylvester_resultant,
     var_sort_key,
 )
+from ajlab.qhg import (
+    build_crossing,
+    epsilon_ratio,
+    habiro_figure_eight,
+    shift_ratio,
+)
+from ajlab.ratfun import RationalFunction
 
 P = parse_poly
 
@@ -96,10 +106,11 @@ class TestArithmetic:
         s = a * b
         assert isinstance(s, LaurentMPoly)
         if not a.is_zero() and not b.is_zero():
-            assert s.total_degree() == a.total_degree() + b.total_degree() or True
-            # degrees add in each variable for the extreme exponents
-            for v in s.vars:
-                assert s.degree(v) <= a.degree(v) + b.degree(v)
+            # an integral domain: the extreme parts multiply to nonzero
+            assert s.total_degree() == a.total_degree() + b.total_degree()
+            for v in set(a.vars) | set(b.vars):
+                assert s.degree(v) == a.degree(v) + b.degree(v)
+                assert s.min_degree(v) == a.min_degree(v) + b.min_degree(v)
 
     def test_pow(self):
         assert P("Q + 1") ** 3 == P("Q^3 + 3*Q^2 + 3*Q + 1")
@@ -134,11 +145,6 @@ class TestArithmetic:
         assert p.derivative("E") == P("Q^3 + 4*Q*E")
         assert p.derivative("x") == LaurentMPoly.zero()
 
-    def test_subs_poly(self):
-        p = P("E^2 - Q")
-        out = p.subs_poly({"E": P("Q + 1")})
-        assert out == P("Q^2 + Q + 1")
-
 
 class TestDivision:
     def test_exact_quotient(self):
@@ -170,7 +176,34 @@ class TestContentGcd:
     def test_rational_content(self):
         p = P("4*Q/6 + 2*E/3")  # 2/3 * (Q + E)
         assert rational_content(p) == Fraction(2, 3)
-        assert primitive_part(p) == P("Q + E")
+        assert normalized(p) == P("Q + E")
+        assert normalized(-p) == P("Q + E")
+        assert signed_content(-p) == Fraction(-2, 3)
+
+    def test_signed_content_in_a_main_variable(self):
+        # graded-lex the leading term is -2*E^3; the top power of Q
+        # carries +4*Q*E
+        p = P("4*Q*E - 2*E^3 + 6")
+        assert signed_content(p) == -2
+        assert signed_content(p, main="Q") == 2
+        assert normalized(p, main="Q") == P("2*Q*E - E^3 + 3")
+        # a main variable that does not occur falls back to graded-lex
+        assert normalized(p, main="l") == normalized(p)
+        assert signed_content(LaurentMPoly.zero(), main="Q") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys2_laurent, st.fractions(min_value=-9, max_value=9,
+                                        max_denominator=5).filter(bool),
+           st.sampled_from([None, "Q", "E"]))
+    def test_normalized_is_the_class_representative(self, p, c, main):
+        if p.is_zero():
+            return
+        n = normalized(p, main)
+        assert rational_content(n) == 1
+        top = n if main is None else n.coeff_of(main, n.degree(main))
+        assert top.leading()[1] > 0
+        assert normalized(p * c, main) == n
+        assert n * signed_content(p, main) == p
 
     def test_gcd_simple(self):
         a = P("Q^2 - 1")
@@ -191,7 +224,7 @@ class TestContentGcd:
         b = P("4*Q - 4")
         g = poly_gcd(a, b)
         assert g == P("Q - 1")
-        assert g.leading_sign() == 1
+        assert g.leading()[1] > 0
 
     @settings(max_examples=60, deadline=None)
     @given(polys2, polys2, polys2)
@@ -205,7 +238,7 @@ class TestContentGcd:
             return
         assert divides(d, ga) and divides(d, gb)
         # the planted factor's primitive part must divide the gcd
-        gp = normalize_sign(primitive_part(g.clear_laurent()[0]))
+        gp = normalized(g.clear_laurent()[0])
         assert divides(gp, d)
 
     def test_gcd_has_no_monomial_content(self):
@@ -259,13 +292,13 @@ def sympy_gcd(a, b):
     gens = sympy.symbols(names)
 
     def to_sympy(p):
-        terms = primitive_part(p)._embedded(names)
+        terms = normalized(p)._embedded(names)
         return sympy.Poly.from_dict({e: int(c) for e, c in terms.items()},
                                     *gens, domain=sympy.ZZ)
 
     h = to_sympy(a).gcd(to_sympy(b))
-    return normalize_sign(primitive_part(LaurentMPoly(
-        names, {e: int(c) for e, c in h.as_dict().items()})))
+    return normalized(LaurentMPoly(
+        names, {e: int(c) for e, c in h.as_dict().items()}))
 
 
 class TestGcdDifferential:
@@ -278,7 +311,7 @@ class TestGcdDifferential:
         a, b, g = pair
         d = poly_gcd(a, b)
         assert d == prs_reference(a, b)
-        gp = normalize_sign(primitive_part(g.clear_laurent()[0]))
+        gp = normalized(g.clear_laurent()[0])
         assert divides(gp, d)
 
     @settings(max_examples=40, deadline=None)
@@ -305,6 +338,51 @@ class TestGcdDifferential:
             mp.setattr(poly_module, "_heu_gcd", lambda f, g: None)
             d = poly_gcd(a, b)
         assert d == prs_reference(a, b)
+
+
+def sylvester_matrix(a, b, v):
+    da, db = a.degree(v), b.degree(v)
+    au, bu = a.as_univariate(v), b.as_univariate(v)
+    zero = LaurentMPoly.zero()
+    rows = []
+    for i in range(db):
+        row = [zero] * (da + db)
+        for k in range(da + 1):
+            row[i + k] = au.get(da - k, zero)
+        rows.append(row)
+    for i in range(da):
+        row = [zero] * (da + db)
+        for k in range(db + 1):
+            row[i + k] = bu.get(db - k, zero)
+        rows.append(row)
+    return rows
+
+
+def sylvester_resultant(a, b, v):
+    """The resultant as a fraction-free (Bareiss) Sylvester determinant:
+    slow, but independent of the subresultant PRS in `resultant`."""
+    a, b = a.clear_negative(), b.clear_negative()
+    m = sylvester_matrix(a, b, v)
+    n = len(m)
+    sign = 1
+    prev = LaurentMPoly.const(1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero():
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentMPoly.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = exact_divide(num, prev)
+            m[i][k] = LaurentMPoly.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else -det
 
 
 class TestResultant:
@@ -371,7 +449,7 @@ class TestSquarefree:
     def test_keeps_distinct_factors(self):
         p = P("l - 1") * P("l + 1") * P("l + 1")
         sf = squarefree_part(p, "l")
-        assert normalize_sign(primitive_part(sf)) == P("l^2 - 1")
+        assert normalized(sf) == P("l^2 - 1")
 
     def test_other_variable_content_untouched(self):
         p = P("Q^2") * P("l - 1") ** 2
@@ -381,6 +459,115 @@ class TestSquarefree:
     def test_var_absent(self):
         p = P("Q^2 + 1")
         assert squarefree_part(p, "l") == p
+
+
+def _set_one(p, v):
+    """p with v set to 1, by adding up the coefficients."""
+    if v not in p.vars:
+        return p
+    i = p.vars.index(v)
+    out = {}
+    for e, c in p.terms.items():
+        out[e[:i] + e[i + 1:]] = out.get(e[:i] + e[i + 1:], 0) + c
+    return LaurentMPoly(p.vars[:i] + p.vars[i + 1:], out)
+
+
+def divide_loop_limit(p, v="q"):
+    """The limit at v = 1 as it was first defined, kept as the oracle for
+    `limit_at_one`: clear the Laurent unit, divide by (v - 1) while the
+    value at v = 1 vanishes, then set v = 1 with the unit put back."""
+    if p.is_zero():
+        raise DomainError("limit of zero")
+    body, unit = p.clear_laurent()
+    gauge = LaurentMPoly((v,), {(1,): 1, (0,): -1})
+    k = 0
+    while _set_one(body, v).is_zero():
+        body = exact_divide(body, gauge)
+        k += 1
+    return k, _set_one(LaurentMPoly.monomial(1, unit) * body, v)
+
+
+laurent3 = poly_terms(("q", "Q", "E"), max_deg=3, max_terms=4, laurent=True,
+                      min_terms=1)
+
+#: every summand the package builds, with every shift it accepts
+BUILTIN_SHIFTS = (
+    (habiro_figure_eight(), ("E", "Em", "Et1")),
+    (build_crossing(True), ("Em", "Et1", "Et2", "Et3", "Et4")),
+    (build_crossing(False), ("Em", "Et1", "Et2", "Et3", "Et4")),
+    (build_crossing(True, "two-color"),
+     ("Em", "Emp", "Et1", "Et2", "Et3", "Et4")),
+    (build_crossing(False, "two-color"),
+     ("Em", "Emp", "Et1", "Et2", "Et3", "Et4")),
+)
+
+
+def _random_times_p0(seed):
+    """L * P0 for a seeded random L of E-degree at most 2 over (q, Q)."""
+    rng = random.Random(seed)
+    coeffs = {}
+    for k in range(rng.randint(1, 3)):
+        num = LaurentMPoly(("q", "Q"), {
+            (rng.randint(-2, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+            for _ in range(rng.randint(1, 3))})
+        den = LaurentMPoly(("q", "Q"), {(1, 0): 1, (0, rng.randint(0, 1)): -1})
+        coeffs[(k,)] = RationalFunction(num, den) if num else 1
+    return ore_mul(OreOperator(0, coeffs), p0_operator())
+
+
+class TestLimitAtOne:
+    def test_known_cases(self):
+        assert limit_at_one(P("q^2 - 2*q + 1")) == (2, P("1"))
+        assert limit_at_one(P("q*Q - Q")) == (1, P("Q"))
+        assert limit_at_one(P("Q - Qt1")) == (0, P("Q - Qt1"))
+        # Laurent powers of q need no clearing: q^-1 - 1 = -(q - 1)/q
+        assert limit_at_one(P("q^-1 - 1")) == (1, P("-1"))
+        assert limit_at_one(P("q^-2*Q^-1 - 2*q^-1*Q^-1 + Q^-1")) == (
+            2, P("Q^-1"))
+        assert limit_at_one(P("s^3 - 1"), "s") == (1, P("3"))
+        with pytest.raises(DomainError):
+            limit_at_one(LaurentMPoly.zero())
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent3, st.integers(0, 4), st.sampled_from(["q", "E"]))
+    def test_planted_order(self, p, k, v):
+        at_one = RationalFunction(p, LaurentMPoly.const(1)).subst(
+            {v: 1}).as_polynomial()
+        assume(not at_one.is_zero())
+        gauge = LaurentMPoly((v,), {(1,): 1, (0,): -1})
+        assert limit_at_one(gauge ** k * p, v) == (k, at_one)
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent3, laurent3, st.integers(0, 3))
+    def test_matches_divide_loop(self, p, r, k):
+        # r - r(q=1) vanishes at q = 1, so sums of both kinds mix orders
+        f = P("q - 1") ** k * p + (r - _set_one(r, "q"))
+        assume(not f.is_zero())
+        assert limit_at_one(f) == divide_loop_limit(f)
+
+    def test_shift_ratios_match_the_oracle(self):
+        for term, shifts in BUILTIN_SHIFTS:
+            for which in shifts:
+                r = shift_ratio(term, which)
+                fast = [qhg_module._one_limit(p) for p in (r.num, r.den)]
+                fast_ratio = epsilon_ratio(term, which)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(qhg_module, "limit_at_one", divide_loop_limit)
+                    slow = [qhg_module._one_limit(p) for p in (r.num, r.den)]
+                    assert epsilon_ratio(term, which) == fast_ratio
+                assert fast == slow
+
+    @pytest.mark.parametrize("op", [
+        p0_operator(), cubic_operator(),
+        *(_random_times_p0(seed) for seed in range(4))])
+    def test_operator_limits_match_the_oracle(self, op):
+        for c in op.terms.values():
+            for p in (c.num, c.den):
+                assert limit_at_one(p) == divide_loop_limit(p)
+        fast = epsilon_eval_with_unit(op)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ore_module, "limit_at_one", divide_loop_limit)
+            assert epsilon_eval_with_unit(op) == fast
 
 
 class TestTextFormat:

@@ -489,6 +489,12 @@ class TestLimitRatios:
         assert _one_limit(P("q^2 - 2*q + 1")) == (2, P("1"))
         assert _one_limit(P("q*Q - Q")) == (1, P("Q"))
         assert _one_limit(P("Q - Qt1")) == (0, P("Q - Qt1"))
+        # half-integer powers: q folds into s (s^2 = q), the limit is in s
+        assert _one_limit(P("s*q - 1")) == (1, P("3"))
+        assert _one_limit(P("q^-1*Q - s^-2*Qm")) == (0, P("Q - Qm"))
+        # a fold that cancels every term leaves zero, which has no limit
+        with pytest.raises(DomainError):
+            _one_limit(P("s^2 - q"))
 
 
 class TestLatticeSummation:
