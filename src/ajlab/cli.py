@@ -141,7 +141,12 @@ def _parse_start(ctx, param, text):
     return tuple(out)
 
 
-def _load_json_descriptor(name_or_path: str) -> dict:
+def _read_descriptor(name_or_path: str) -> tuple[str, bool, str, bool]:
+    """--knot as (kind, positive, normalization, mirror), kind a builtin's
+    name or 'crossing': a builtin name, or a JSON file {'builtin': name} or
+    {'crossing': {'positive': b, 'normalization': s}}, 'mirror' optional."""
+    if name_or_path in builtin_names():
+        return name_or_path, True, "so3", False
     path = pathlib.Path(name_or_path)
     if not path.exists():
         raise DomainError(
@@ -153,39 +158,30 @@ def _load_json_descriptor(name_or_path: str) -> dict:
         raise DomainError(f"knot file is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or not ({"builtin", "crossing"} & set(doc)):
         raise DomainError("knot descriptor needs a 'builtin' or 'crossing' key")
-    return doc
-
-
-def _load_term(name_or_path: str):
-    """Resolve --knot to a summand: builtin name, or JSON descriptor
-    {'builtin': name} / {'crossing': {'positive': bool, 'normalization': s}}."""
-    if name_or_path in builtin_names():
-        return habiro_figure_eight()
-    doc = _load_json_descriptor(name_or_path)
+    mirror = bool(doc.get("mirror", False))
     if "builtin" in doc:
         if doc["builtin"] not in builtin_names():
             raise DomainError(f"unknown built-in knot {doc['builtin']!r}")
-        return habiro_figure_eight()
+        return doc["builtin"], True, "so3", mirror
     c = doc["crossing"]
     if not isinstance(c, dict):
         raise DomainError("'crossing' must be an object")
-    return build_crossing(bool(c.get("positive", True)),
-                          c.get("normalization", "so3"))
+    return ("crossing", bool(c.get("positive", True)),
+            c.get("normalization", "so3"), bool(c.get("mirror", mirror)))
+
+
+def _load_term(name_or_path: str):
+    """Resolve --knot to a summand."""
+    kind, positive, normalization, _ = _read_descriptor(name_or_path)
+    return (build_crossing(positive, normalization) if kind == "crossing"
+            else habiro_figure_eight())
 
 
 def _load_potential(name_or_path: str):
     """Resolve --knot to a potential (for saddle / volume)."""
-    if name_or_path in builtin_names():
-        return builtin_potential(name_or_path)
-    doc = _load_json_descriptor(name_or_path)
-    mirror = bool(doc.get("mirror", False))
-    if "builtin" in doc:
-        return builtin_potential(doc["builtin"], mirror=mirror)
-    c = doc["crossing"]
-    if not isinstance(c, dict):
-        raise DomainError("'crossing' must be an object")
-    return crossing_potential(bool(c.get("positive", True)),
-                              mirror=bool(c.get("mirror", mirror)))
+    kind, positive, _, mirror = _read_descriptor(name_or_path)
+    return (crossing_potential(positive, mirror=mirror) if kind == "crossing"
+            else builtin_potential(kind, mirror=mirror))
 
 
 # -- output ----------------------------------------------------------------

@@ -45,10 +45,8 @@ def rename_exponents(p: LaurentMPoly,
         if name in new_names:
             raise DomainError(f"rename collides on {name}")
         new_names.append(name)
-    mults = [mapping.get(v, (v, 1))[1] for v in p.vars]
-    terms = {tuple(m * k for m, k in zip(mults, e)): c
-             for e, c in p.terms.items()}
-    return LaurentMPoly(tuple(new_names), terms)
+    return p.subst_monomials({v: LaurentMPoly.var(*mapping[v])
+                              for v in p.vars if v in mapping})
 
 
 def rename_ratfun(r: RationalFunction,

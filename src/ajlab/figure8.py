@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .ore import DiscreteEvaluator, OreOperator, ore_apply, ore_mul
-from .poly import LaurentMPoly, exact_divide, parse_poly, poly_lcm
+from .poly import LaurentMPoly, parse_poly, poly_lcm
 from .qhg import habiro_figure_eight, jones_eval, jones_symbolic
 from .ratfun import RationalFunction, parse_ratfun as _rf
 
@@ -66,12 +66,19 @@ def alpha_operator(nu: int = 0) -> OreOperator:
     return braces.scale(_rf("1", "q*Q + 1"))
 
 
-def p0_operator(nu: int = 0) -> OreOperator:
-    """P0(E,Q) = (1+qQ) alpha(q,E,Q) (Q-1): the operator whose action on
-    the full sum is inhomogeneous with right side -(q^(n+1)+1)."""
+@lru_cache(maxsize=None)
+def _p0_operator(nu: int) -> OreOperator:
     pre = OreOperator.scalar(_rf("q*Q + 1"), nu)
     post = OreOperator.scalar(_rf("Q - 1"), nu)
     return ore_mul(ore_mul(pre, alpha_operator(nu)), post)
+
+
+def p0_operator(nu: int = 0) -> OreOperator:
+    """P0(E,Q) = (1+qQ) alpha(q,E,Q) (Q-1): the operator whose action on
+    the full sum is inhomogeneous with right side -(q^(n+1)+1).  Built
+    once per nu; each call hands out its own copy of the term dict."""
+    p = _p0_operator(nu)
+    return OreOperator(nu, p.terms)
 
 
 def p0_inhomogeneity() -> RationalFunction:
@@ -159,12 +166,8 @@ SAMPLE_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7),
              Fraction(11))
 
 
-def _q_span(p: LaurentMPoly) -> int:
-    if p.is_zero() or "q" not in p.vars:
-        return 0
-    k = p.vars.index("q")
-    exps = [e[k] for e in p.terms]
-    return max(exps) - min(exps)
+def _q_span(p: LaurentMPoly) -> int:  # p nonzero
+    return p.degree("q") - p.min_degree("q")
 
 
 def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
@@ -175,9 +178,11 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
     Each row records the q-degree span of the cleared identity next to
     the sample count: a sample-only certificate would need more points
     than that span, so the symbolic pass is the one that proves the
-    identity; the samples cross-check the evaluators.
+    identity; the samples cross-check the evaluators.  Every part is
+    univariate in q, so a part's cleared span is additive:
+    span(num) + span(common denominator) - span(den), nothing multiplied.
     """
-    p0 = p0_operator()
+    p0 = _p0_operator(0)
     jev = jones_evaluator()
     jones: dict[int, RationalFunction] = {}  # colors overlap across n
     rows = []
@@ -205,8 +210,8 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
         common = LaurentMPoly.const(1)
         for t in parts:
             common = poly_lcm(common, t.den)
-        span = max(_q_span(t.num * exact_divide(common, t.den))
-                   for t in parts)
+        span = max(_q_span(t.num) + _q_span(common) - _q_span(t.den)
+                   if t else 0 for t in parts)
         rows.append({
             "n": n,
             "samples": len(qvals),

@@ -184,47 +184,18 @@ class OreOperator:
                            self.meridian, self.e0_twist)
 
 
-def _with_q(p: LaurentMPoly) -> tuple[tuple[str, ...], dict]:
-    """p's variables and terms, with a q column put in front if q is
-    missing, so exponents can be moved into it."""
-    if "q" in p.vars:
-        return p.vars, p.terms
-    return ("q",) + p.vars, {(0,) + e: c for e, c in p.terms.items()}
-
-
-def _twist_poly(p: LaurentMPoly, shift_exp: tuple[int, ...], meridian: str,
-                twist: int) -> LaurentMPoly:
-    """Push the shift monomial E^e0*Et^e past the coefficient p: every
-    meridian power picks up q^(twist*e0) and every Qti power picks up
-    q^(ei)."""
-    if p.is_constant() or not any(shift_exp):
-        return p
-    names, terms = _with_q(p)
-    deltas = []
-    for v in names:
-        if v == meridian:
-            deltas.append(twist * shift_exp[0])
-        elif v.startswith("Qt") and v[2:].isdigit():
-            idx = int(v[2:])
-            deltas.append(shift_exp[idx] if idx < len(shift_exp) else 0)
-        else:
-            deltas.append(0)
-    if not any(deltas):
-        return p
-    qi = names.index("q")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in terms.items():
-        ne = list(e)
-        ne[qi] += sum(d * x for d, x in zip(deltas, e))
-        key = tuple(ne)
-        out[key] = out.get(key, Fraction(0)) + c
-    return LaurentMPoly(names, out)
-
-
 def _twist_rf(c: RationalFunction, shift_exp: tuple[int, ...], meridian: str,
               twist: int) -> RationalFunction:
-    return RationalFunction(_twist_poly(c.num, shift_exp, meridian, twist),
-                            _twist_poly(c.den, shift_exp, meridian, twist))
+    """Push the shift monomial E^e0*Et^e past the coefficient c: the
+    meridian goes to meridian*q^(twist*e0) and each Qti to Qti*q^(ei)."""
+    shifts = {meridian: twist * shift_exp[0]}
+    shifts.update((_lattice_var(i), k) for i, k in enumerate(shift_exp[1:], 1))
+    images = {v: LaurentMPoly.monomial(1, {v: 1, "q": k})
+              for v, k in shifts.items() if k}
+    if not images:
+        return c
+    return RationalFunction(c.num.subst_monomials(images),
+                            c.den.subst_monomials(images))
 
 
 def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
@@ -478,23 +449,15 @@ def substitute_qm(p: OreOperator) -> OreOperator:
                           "over Qm")
 
     def conv(poly: LaurentMPoly) -> LaurentMPoly:
-        if "Qm" not in poly.vars:
-            return poly
-        names, terms = _with_q(poly)
-        i, qi = names.index("Qm"), names.index("q")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in terms.items():
-            if e[i] % 2:
+        out = LaurentMPoly.zero()
+        for k, c in poly.as_univariate("Qm").items():
+            if k % 2:
                 raise ParityError(
-                    f"odd meridian power {e[i]} in {format_poly(poly)}; "
+                    f"odd meridian power {k} in {format_poly(poly)}; "
                     "no half-lattice image")
-            k = e[i] // 2
-            ne = list(e)
-            ne[i] = k
-            ne[qi] -= k
-            key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentMPoly(tuple("Q" if v == "Qm" else v for v in names), out)
+            out = out + c * LaurentMPoly.monomial(1, {"Q": k // 2,
+                                                      "q": -(k // 2)})
+        return out
 
     terms = {e: RationalFunction(conv(c.num), conv(c.den))
              for e, c in p.terms.items()}

@@ -297,6 +297,46 @@ class LaurentMPoly:
     def map_coeffs(self, f) -> "LaurentMPoly":
         return LaurentMPoly(self.vars, {e: f(c) for e, c in self.terms.items()})
 
+    def subst_monomials(self, images: Mapping[str, "LaurentMPoly"]
+                        ) -> "LaurentMPoly":
+        """Substitute for each variable v in images the monomial
+        images[v] = c * x^a, or zero, all at once.  Exponent vectors map
+        linearly (v^k -> x^(k*a)) and a term's coefficient picks up c^k;
+        v^k with v bound to zero drops the term for k > 0 and raises
+        DomainError for k < 0, as does an image with two or more terms."""
+        if not any(v in images for v in self.vars):
+            return self
+        names = list(dict.fromkeys([v for v in self.vars if v not in images] + [
+            u for v in self.vars if v in images for u in images[v].vars]))
+        col = {u: i for i, u in enumerate(names)}
+        rows = []  # per variable: (image coefficient, [(column, power)])
+        for v in self.vars:
+            img = images.get(v)
+            if img is None:
+                rows.append((1, [(col[v], 1)]))
+            elif len(img.terms) > 1:
+                raise DomainError(
+                    f"{v} is bound to {format_poly(img)}, not a monomial")
+            else:
+                (e, c), = img.terms.items() or [((), 0)]
+                rows.append((c, [(col[u], a) for u, a in zip(img.vars, e)]))
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, c in self.terms.items():
+            ne = [0] * len(names)
+            for v, k, (f, row) in zip(self.vars, e, rows):
+                if not k:
+                    continue
+                if not f and k < 0:
+                    raise DomainError(
+                        f"negative power of {v} with {v} bound to zero")
+                if f != 1:
+                    c = c * f ** k  # zero for v bound to zero
+                for j, a in row:
+                    ne[j] += a * k
+            key = tuple(ne)
+            out[key] = out[key] + c if key in out else c
+        return LaurentMPoly(names, out)
+
     # -- structure ---------------------------------------------------------
 
     def coeff_of(self, v: str, k: int) -> "LaurentMPoly":

@@ -5,12 +5,13 @@ integer arguments, and finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L)
 whose lengths L are integer linear forms.  The arguments are one or two
 colors (``n``; or ``m``, ``mp``) plus lattice indices ``k1..k_nu``.
 
-At a point, the Pochhammer factors cancel by index range before anything
-is multiplied: (1 - q^j) occurs to the net power m_j = #{numerator lengths
->= j} - #{denominator lengths >= j}, and ``eval_symbolic``/``eval_exact``
-multiply only the factors with m_j != 0, on the side its sign picks.  For
-Habiro's figure-eight summand every m_j >= 0, so its value is built as a
-polynomial with nothing left to cancel.
+At a point, each form is evaluated once and the Pochhammer factors cancel
+by index range before anything is multiplied: (1 - q^j) occurs to the net
+power m_j = #{numerator lengths >= j} - #{denominator lengths >= j}, and
+``eval_symbolic``/``eval_exact`` multiply only the factors with m_j != 0,
+on the side its sign picks; ``eval_exact`` does it in integers, as
+(b^j - a^j)^m_j for q = a/b, and builds one Fraction at the end.  For
+Habiro's figure-eight summand every m_j >= 0: nothing is left to cancel.
 
 Shifting one argument by an integer multiplies the summand by a rational
 function of q and of the exponentials of the arguments; ``shift_ratio``
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
@@ -242,18 +244,24 @@ class ProperQHTerm:
         return tuple(f.length for f in self.poch) + self.constraints
 
     def in_support(self, point: Sequence[int]) -> bool:
-        env = self._env(point)
-        return all(f.value(env) >= 0 for f in self.support_forms())
+        return self._support_lengths(self._env(point)) is not None
+
+    def _support_lengths(self, env: Mapping[str, int]) -> Optional[list]:
+        """The (length, under the bar) pair of every Pochhammer factor, or
+        None out of support; each support form is evaluated once."""
+        lengths = [(int(f.length.value(env)), f.denom) for f in self.poch]
+        if (any(ln < 0 for ln, _ in lengths)
+                or any(c.value(env) < 0 for c in self.constraints)):
+            return None
+        return lengths
 
     # -- evaluation --------------------------------------------------------
 
-    def _net_multiplicities(self, env: Mapping[str, int]
-                            ) -> tuple[list[tuple[int, bool]], dict[int, int]]:
-        """The (length, under the bar) pair of every Pochhammer factor, and
-        {j: m_j} for the nonzero net powers of (1 - q^j) in their product,
-        m_j = #{numerator lengths >= j} - #{denominator lengths >= j};
-        exact because (q)_L = prod_{j=1..L} (1 - q^j)."""
-        lengths = [(int(f.length.value(env)), f.denom) for f in self.poch]
+    @staticmethod
+    def _net_multiplicities(lengths: Sequence[tuple[int, bool]]
+                            ) -> dict[int, int]:
+        """{j: m_j != 0}, the net power of (1 - q^j) in the Pochhammer
+        product: #{numerator lengths >= j} - #{denominator lengths >= j}."""
         step: dict[int, int] = {}
         for ln, denom in lengths:
             step[ln] = step.get(ln, 0) + (-1 if denom else 1)
@@ -263,52 +271,59 @@ class ProperQHTerm:
             m += step.get(j, 0)
             if m:
                 net[j] = m
-        return lengths, net
+        return net
 
     def eval_with_support(self, point: Sequence[int], qval: Scalar,
                           sval: Optional[Scalar] = None
                           ) -> tuple[Fraction, bool]:
+        """(`eval_exact`, whether the point is in support)."""
         env = self._env(point)
-        if not self.in_support(point):
+        lengths = self._support_lengths(env)
+        if lengths is None:
             return Fraction(0), False
         qval = _frac(qval)
         e = self.quad.value(env)
         if qval == 0 and e < 0:
             raise DomainError("q = 0 under a negative exponent")
         if e.denominator == 1:
-            total = qval ** int(e)
+            x, k = qval, int(e)
         else:
             if sval is None:
                 raise DomainError(
                     f"half-integer exponent {e} needs a square root of q")
-            sval = _frac(sval)
-            if sval * sval != qval:
-                raise DomainError(f"{sval} is not a square root of {qval}")
-            total = sval ** int(2 * e)
+            x, k = _frac(sval), int(2 * e)
+            if x * x != qval:
+                raise DomainError(f"{x} is not a square root of {qval}")
+        if k < 0:  # x = 0 only with k >= 0
+            x, k = 1 / x, -k
+        num, den = x.numerator ** k, x.denominator ** k
         if int(self.sign.value(env)) % 2:
-            total = -total
+            num = -num
         # a rational q is a root of some 1 - q^j (j >= 1) only at q = 1, or
         # at q = -1 with j even; any such factor under the bar is a pole,
         # even where the numerator would cancel it
-        lengths, net = self._net_multiplicities(env)
         for ln, denom in lengths:
             if denom and ((qval == 1 and ln >= 1) or (qval == -1 and ln >= 2)):
                 raise PoleError(
                     f"(q)_{ln} vanishes at q = {qval} under the bar")
-        num = den = Fraction(1)
-        for j, m in net.items():
+        # with q = a/b, (1 - q^j)^m = (b^j - a^j)^m / b^(j*m)
+        a, b = qval.numerator, qval.denominator
+        bpow = 0
+        for j, m in self._net_multiplicities(lengths).items():
             if m > 0:
-                num *= (1 - qval ** j) ** m
+                num *= (b ** j - a ** j) ** m
             else:
-                den *= (1 - qval ** j) ** -m
-        return total * num / den, True
+                den *= (b ** j - a ** j) ** -m
+            bpow += j * m
+        return Fraction(num * b ** max(-bpow, 0),
+                        den * b ** max(bpow, 0)), True
 
     def eval_exact(self, point: Sequence[int], qval: Scalar,
                    sval: Optional[Scalar] = None) -> Fraction:
         """Exact value at q = qval (and s = sval for a half-integer
-        exponent); zero out of support.  Only the net powers of
-        (1 - q^j) are multiplied, after every denominator factor (q)_L
-        has been checked for a zero, which raises PoleError."""
+        exponent); zero out of support.  Once every (q)_L under the bar is
+        checked for a zero (PoleError), the net powers of (1 - q^j) are
+        multiplied as integers (b^j - a^j)^m_j, q = a/b, into one Fraction."""
         return self.eval_with_support(point, qval, sval)[0]
 
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
@@ -317,10 +332,11 @@ class ProperQHTerm:
         net powers of (1 - q^j) are multiplied, as dense integer
         coefficient lists, one per side of the fraction bar."""
         env = self._env(point)
-        if not self.in_support(point):
+        lengths = self._support_lengths(env)
+        if lengths is None:
             return RationalFunction.zero()
         num, den = [1], [1]
-        for j, m in self._net_multiplicities(env)[1].items():
+        for j, m in self._net_multiplicities(lengths).items():
             side = num if m > 0 else den
             for _ in range(abs(m)):  # side *= 1 - q^j
                 side.extend([0] * j)
@@ -414,17 +430,8 @@ def _one_limit(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
     folding q into s (s^2 = q)."""
     if "s" not in p.vars:
         return limit_at_one(p)
-    if "q" in p.vars:
-        si, qi = p.vars.index("s"), p.vars.index("q")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in p.terms.items():
-            ne = list(e)
-            ne[si] += 2 * ne[qi]
-            ne[qi] = 0
-            key = tuple(ne)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        p = LaurentMPoly(p.vars, terms)
-    return limit_at_one(p, "s")
+    return limit_at_one(p.subst_monomials({"q": LaurentMPoly.var("s", 2)}),
+                        "s")
 
 
 def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
@@ -516,6 +523,7 @@ def build_crossing(positive: bool, normalization: str = "so3") -> ProperQHTerm:
     return ProperQHTerm(colors=colors, nu=4, poch=poch, quad=quad, sign=sign)
 
 
+@cache
 def habiro_figure_eight() -> ProperQHTerm:
     """Summand F(n, i) with  J_n = sum_{i=0}^{n-1} F(n, i):
 
@@ -523,7 +531,8 @@ def habiro_figure_eight() -> ProperQHTerm:
 
     the length-i ascending/descending Pochhammer pair written over plain
     (q)_* factors; the i >= 0 constraint survives as an explicit support
-    condition.
+    condition.  Built once per process; the summand is frozen data, so
+    every caller shares it.
     """
     i = _lattice_sym(1)
     return ProperQHTerm(
@@ -542,22 +551,19 @@ def habiro_figure_eight() -> ProperQHTerm:
 
 # -- lattice summation -----------------------------------------------------
 
+_SUPPORT_ROUNDS = 200  # cap on support_box's propagation rounds
+
 def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
                 free: Sequence[str],
                 max_width: int = 100000) -> list[tuple[int, int]]:
     """Finite bounds [lo, hi] per free symbol for the region where every
     form is nonnegative, by interval propagation; SupportError when the
-    region is not certified bounded."""
-
+    region is not certified bounded or the bounds still move after
+    _SUPPORT_ROUNDS rounds."""
     lo: dict[str, Optional[Fraction]] = {s: None for s in free}
     hi: dict[str, Optional[Fraction]] = {s: None for s in free}
-    changed = True
-    rounds = 0
-    while changed:
+    for _ in range(_SUPPORT_ROUNDS):
         changed = False
-        rounds += 1
-        if rounds > 200:
-            break
         for form in forms:
             base = form.const + sum(c * fixed[s] for s, c in form.coeffs
                                     if s in fixed)
@@ -585,6 +591,11 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
                     if hi[s] is None or bound < hi[s]:
                         hi[s] = bound
                         changed = True
+        if not changed:
+            break
+    else:
+        raise SupportError(f"support bounds still move after "
+                           f"{_SUPPORT_ROUNDS} rounds of propagation")
     out = []
     import math
     for s in free:

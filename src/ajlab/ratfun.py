@@ -103,10 +103,6 @@ class RationalFunction:
         return RationalFunction(LaurentMPoly.const(1), LaurentMPoly.const(1))
 
     @staticmethod
-    def const(c: Scalar) -> "RationalFunction":
-        return RationalFunction(LaurentMPoly.const(c), LaurentMPoly.const(1))
-
-    @staticmethod
     def var(name: str, power: int = 1) -> "RationalFunction":
         return RationalFunction(LaurentMPoly.var(name, power),
                                 LaurentMPoly.const(1))
@@ -253,38 +249,25 @@ class RationalFunction:
     # -- substitution and evaluation ---------------------------------------
 
     def subst(self, bindings: Mapping[str, RFLike]) -> "RationalFunction":
-        """Substitute rational functions for variables; unbound variables
-        stay symbolic.  Raises DomainError if a denominator vanishes under
-        the substitution."""
-        bound = {v: as_ratfun(x) for v, x in bindings.items()}
-
-        def through(p: LaurentMPoly) -> RationalFunction:
-            relevant = [v for v in p.vars if v in bound]
-            if not relevant:
-                return as_ratfun(p)
-            acc = RationalFunction.zero()
-            for e, c in p.terms.items():
-                t = RationalFunction.const(c)
-                for v, k in zip(p.vars, e):
-                    if k == 0:
-                        continue
-                    f = bound.get(v)
-                    if f is None:
-                        t = t * RationalFunction.var(v, k)
-                    else:
-                        if f.is_zero() and k < 0:
-                            raise DomainError(
-                                f"negative power of {v} with {v} bound to zero")
-                        t = t * f ** k
-                acc = acc + t
-            return acc
-
-        dn = through(self.den)
+        """Substitute a monomial c * x^a, or a constant (zero included),
+        for each bound variable; unbound variables stay symbolic.  Both
+        sides go through one exponent map (`LaurentMPoly.subst_monomials`)
+        and the pair is reduced once.  Raises DomainError for any other
+        binding, for a negative power of a variable bound to zero, and
+        when the denominator vanishes under the substitution."""
+        images = {}
+        for v, x in bindings.items():
+            f = as_ratfun(x)
+            if not f.is_polynomial() or len(f.num.terms) > 1:
+                raise DomainError(
+                    f"{v} is bound to {format_ratfun(f)}, not a monomial")
+            images[v] = f.num
+        dn = self.den.subst_monomials(images)
         if dn.is_zero():
-            names = ", ".join(sorted(set(self.den.vars) & set(bound)))
+            names = ", ".join(sorted(set(self.den.vars) & set(images)))
             raise DomainError(
                 f"denominator vanishes under the substitution of {names}")
-        return through(self.num) / dn
+        return RationalFunction(self.num.subst_monomials(images), dn)
 
     def eval_exact(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval_exact(point)

@@ -214,6 +214,22 @@ def test_knot_descriptor_files(run, tmp_path):
     assert float(res.output) == pytest.approx(2.029883212819307, abs=1e-9)
 
 
+def test_bad_knot_descriptors(run, tmp_path):
+    # the summand and the potential readers share one descriptor reader
+    cases = [({"crossing": 5}, "'crossing' must be an object"),
+             ({"crossing": [True]}, "'crossing' must be an object"),
+             ({"builtin": "trefoil"}, "unknown built-in knot 'trefoil'"),
+             ({"builtin": "crossing"}, "unknown built-in knot 'crossing'"),
+             ({"mirror": True}, "needs a 'builtin' or 'crossing' key")]
+    for i, (doc, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        for args in (("ratio", "--which", "Et1"), ("volume",)):
+            res = run(*args, "--knot", str(path))
+            assert res.exit_code == 1, (doc, args)
+            assert message in res.output, (doc, args)
+
+
 def test_version_flag(run):
     res = run("--version")
     assert res.exit_code == 0

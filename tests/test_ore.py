@@ -34,7 +34,7 @@ from ajlab.ore import (
     substitute_qm,
     telescope_sum_check,
 )
-from ajlab.poly import LaurentMPoly, parse_poly
+from ajlab.poly import LaurentMPoly, exact_divide, parse_poly, poly_lcm
 from ajlab.qhg import jones_symbolic
 from ajlab.ratfun import RationalFunction
 
@@ -238,6 +238,66 @@ class TestCertificate:
     def test_recurrence_report_rejects_bad_colors(self):
         with pytest.raises(DomainError):
             recurrence_report(ns=(0,))
+
+    def test_recurrence_report_matches_multiplied_out_oracle(self):
+        qs = (Fraction(2), Fraction(-5, 3))
+        assert recurrence_report(ns=range(1, 13), qs=qs) == [
+            multiplied_out_row(n, qs) for n in range(1, 13)]
+
+    def test_cached_p0_cannot_be_changed_by_a_caller(self):
+        for nu in (0, 1):
+            first = p0_operator(nu)
+            want = {e: (c.num, c.den) for e, c in first.terms.items()}
+            first.terms.clear()
+            p0_operator(nu).terms[(9,) + (0,) * nu] = RationalFunction.one()
+            again = p0_operator(nu)
+            assert {e: (c.num, c.den)
+                    for e, c in again.terms.items()} == want
+        rows = recurrence_report(ns=(1, 2), qs=(Fraction(3),))
+        assert all(r["sampled_ok"] and r["symbolic_ok"] for r in rows)
+
+
+def _q_to_the(p, n):
+    """p with Q = q^n, by expanding every term on its own."""
+    out = LaurentMPoly.zero()
+    for e, c in p.terms.items():
+        powers = dict(zip(p.vars, e))
+        out = out + LaurentMPoly.monomial(
+            c, {"q": powers.get("q", 0) + n * powers.get("Q", 0)})
+    return out
+
+
+def _habiro(n, q):
+    total, prod = Fraction(0), Fraction(1)
+    for i in range(n):
+        if i:
+            prod *= (1 - q ** (n - i)) * (1 - q ** (n + i))
+        total += prod / q ** (n * i)
+    return total
+
+
+def multiplied_out_row(n, qs):
+    """Oracle for one `recurrence_report` row: P0's coefficients taken to
+    Q = q^n term by term and the identity's parts cleared to the common
+    denominator by multiplying them out; the samples use Habiro's sum."""
+    coeffs = {e[0]: (_q_to_the(c.num, n), _q_to_the(c.den, n))
+              for e, c in p0_operator().terms.items()}
+    sampled = all(
+        sum(num.eval_exact({"q": q}) / den.eval_exact({"q": q})
+            * _habiro(n + a, q) for a, (num, den) in coeffs.items())
+        == -(q ** (n + 1) + 1) for q in qs)
+    parts = [RationalFunction(LaurentMPoly.var("q", n + 1) + 1,
+                              LaurentMPoly.const(1))]
+    parts += [RationalFunction(num * jones_symbolic(n + a), den)
+              for a, (num, den) in coeffs.items()]
+    common = LaurentMPoly.const(1)
+    for t in parts:
+        common = poly_lcm(common, t.den)
+    cleared = [t.num * exact_divide(common, t.den) for t in parts]
+    spans = [p.degree("q") - p.min_degree("q") if p else 0 for p in cleared]
+    return {"n": n, "samples": len(qs), "sampled_ok": sampled,
+            "symbolic_ok": sum(cleared, LaurentMPoly.zero()).is_zero(),
+            "degree_span": max(spans)}
 
 
 class TestLimit:

@@ -12,6 +12,7 @@ from ajlab.figure8 import cubic_operator, p0_operator
 from ajlab.ore import OreOperator, epsilon_eval_with_unit, ore_mul
 from ajlab.poly import (
     LaurentMPoly,
+    _content_and_primitive_wrt,
     _prs_gcd,
     exact_divide,
     divides,
@@ -459,6 +460,103 @@ class TestSquarefree:
     def test_var_absent(self):
         p = P("Q^2 + 1")
         assert squarefree_part(p, "l") == p
+
+
+class TestSubstMonomials:
+    @settings(max_examples=100, deadline=None)
+    @given(poly_terms(("q", "Q", "E"), max_deg=3, max_terms=4, laurent=True),
+           st.dictionaries(
+               st.sampled_from(["q", "Q", "E"]),
+               st.tuples(st.fractions(-3, 3, max_denominator=3).filter(bool),
+                         st.dictionaries(st.sampled_from(["q", "Q", "E", "s"]),
+                                         st.integers(-2, 2), max_size=2))))
+    def test_commutes_with_evaluation(self, p, spec):
+        images = {v: LaurentMPoly.monomial(c, powers)
+                  for v, (c, powers) in spec.items()}
+        point = {"q": Fraction(2), "Q": Fraction(-3, 2), "E": Fraction(5, 7),
+                 "s": Fraction(-1, 3)}
+        moved = {v: images[v].eval_exact(point) if v in images else x
+                 for v, x in point.items()}
+        assert (p.subst_monomials(images).eval_exact(point)
+                == p.eval_exact(moved))
+
+    def test_zero_images(self):
+        p = P("q^2*Q + Q^-1*E + 3")
+        assert p.subst_monomials({"q": LaurentMPoly.zero()}) == P(
+            "Q^-1*E + 3")
+        with pytest.raises(DomainError, match="bound to zero"):
+            p.subst_monomials({"Q": LaurentMPoly.zero()})
+        assert p.subst_monomials({"x": P("q")}) is p
+        with pytest.raises(DomainError, match="not a monomial"):
+            p.subst_monomials({"q": P("Q + 1")})
+
+
+def to_sympy(p, names):
+    """p (an honest polynomial) as a sympy Poly over QQ in names."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in p._embedded(names).items()} or {(0,) * len(names): 0},
+        *sympy.symbols(names), domain=sympy.QQ)
+
+
+def from_sympy(expr, names):
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(expr, *sympy.symbols(names), domain=sympy.QQ)
+    return LaurentMPoly(names, {
+        e: Fraction(int(c.p), int(c.q)) for e, c in poly.as_dict().items()})
+
+
+bivariate = poly_terms(("Q", "x"), max_deg=3, max_terms=4, coeff_range=4)
+trivariate = poly_terms(("Q", "E", "x"), max_deg=2, max_terms=4,
+                        coeff_range=4, laurent=True)
+
+
+class TestAgainstSympy:
+    """resultant and squarefree_part against sympy (skipped without it)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.tuples(bivariate, bivariate),
+                     st.tuples(trivariate, trivariate)))
+    def test_resultant(self, pair):
+        sympy = pytest.importorskip("sympy")
+        a, b = (p.clear_negative() for p in pair)
+        da, db = a.degree("x"), b.degree("x")
+        assume(da > 0 and db > 0)
+        names = ("Q", "E", "x")
+        # sympy 1.14 returns res(b, a) = (-1)^(da*db) res(a, b) when
+        # da < db (res(x + 1, x^3) comes back as 1, not the Sylvester
+        # determinant -1), so it gets the higher degree first
+        first, second, sign = ((a, b, 1) if da >= db
+                               else (b, a, (-1) ** (da * db)))
+        want = sign * from_sympy(sympy.resultant(
+            to_sympy(first, names).as_expr(),
+            to_sympy(second, names).as_expr(), sympy.Symbol("x")), names)
+        assert resultant(*pair, "x") == want
+        assert sylvester_resultant(a, b, "x") == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_terms(("Q", "l"), max_deg=2, max_terms=3, coeff_range=3,
+                      min_terms=1),
+           poly_terms(("Q", "l"), max_deg=2, max_terms=3, coeff_range=3,
+                      min_terms=1),
+           poly_terms(("Q", "l"), max_deg=1, max_terms=2, coeff_range=3,
+                      laurent=True, min_terms=1),
+           st.integers(1, 3), st.integers(1, 2))
+    def test_squarefree_part(self, f, g, h, j, k):
+        # repeated factors planted in l, with Laurent monomials and content
+        pytest.importorskip("sympy")
+        a = f ** j * g ** k * h
+        assume(not a.is_zero() and a.degree("l") > 0)
+        names = ("Q", "l")
+        got = squarefree_part(a, "l")
+        # the l-free content passes through; up to units it is a's
+        cont_a, pp_a = _content_and_primitive_wrt(a.clear_laurent()[0], "l")
+        cont_g, pp_g = _content_and_primitive_wrt(got.clear_laurent()[0], "l")
+        assert normalized(cont_g) == normalized(cont_a)
+        # the l-primitive part is sympy's square-free part, up to units
+        want = from_sympy(to_sympy(pp_a, names).sqf_part().as_expr(), names)
+        assert normalized(pp_g) == normalized(want)
 
 
 def _set_one(p, v):

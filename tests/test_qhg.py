@@ -67,9 +67,15 @@ def so3_minus_literal(m, k1, k2, k3, k4, qv):
     return val
 
 
+def literal_in_support(term, point):
+    """Every Pochhammer length and every constraint is nonnegative."""
+    env = dict(zip(term.symbols(), point))
+    return all(f.value(env) >= 0 for f in term.support_forms())
+
+
 def literal_symbolic(term, point):
     """Per-factor oracle: every (q)_L multiplied out on its own side."""
-    if not term.in_support(point):
+    if not literal_in_support(term, point):
         return RationalFunction.zero()
     env = dict(zip(term.symbols(), point))
     e = term.quad.value(env)
@@ -90,7 +96,7 @@ def literal_symbolic(term, point):
 def literal_exact(term, point, qv, sv):
     """Per-factor oracle at q = qv (s = sv): a vanishing (q)_L under the
     bar is a pole even where the numerator vanishes too."""
-    if not term.in_support(point):
+    if not literal_in_support(term, point):
         return Fraction(0)
     env = dict(zip(term.symbols(), point))
     e = term.quad.value(env)
@@ -99,7 +105,7 @@ def literal_exact(term, point, qv, sv):
     if e.denominator == 1:
         val = qv ** int(e)
     else:
-        if sv * sv != qv:
+        if sv is None or sv * sv != qv:
             raise DomainError("not a square root")
         val = sv ** int(2 * e)
     if int(term.sign.value(env)) % 2:
@@ -136,6 +142,21 @@ def random_support_points(term, rng, count, lo=-1, hi=6):
     return out
 
 
+def constraint_only_points(term, rng, count, lo=-3, hi=6):
+    """Points where every Pochhammer length is nonnegative but some extra
+    constraint is not (none for a summand without constraints)."""
+    out = []
+    for _ in range(2000 if term.constraints else 0):
+        pt = tuple(rng.randint(lo, hi) for _ in term.symbols())
+        env = dict(zip(term.symbols(), pt))
+        if (all(f.length.value(env) >= 0 for f in term.poch)
+                and not literal_in_support(term, pt)):
+            out.append(pt)
+            if len(out) == count:
+                break
+    return out
+
+
 def random_rational(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -167,13 +188,25 @@ class TestAgainstPerFactorProduct:
     def test_exact_matches_oracle(self, idx):
         term = ALL_SUMMANDS[idx]
         rng = random.Random(2000 + idx)
-        for pt in random_support_points(term, rng, 40):
+        points = (random_support_points(term, rng, 40)
+                  + constraint_only_points(term, rng, 10))
+        one, zero = Fraction(1), Fraction(0)
+        for pt in points:
             sv = random_rational(rng)
-            for qv in (random_rational(rng), sv * sv, Fraction(1),
-                       Fraction(-1)):
-                got = outcome(term.eval_exact, pt, qv, sv)
-                want = outcome(literal_exact, term, pt, qv, sv)
-                assert got == want, (pt, qv, sv)
+            for qv, s in ((random_rational(rng), sv), (sv * sv, sv),
+                          (one, sv), (one, one), (one, -one), (-one, sv),
+                          (-one, None), (zero, zero), (zero, sv),
+                          (zero, None), (sv * sv, None)):
+                got = outcome(term.eval_exact, pt, qv, s)
+                want = outcome(literal_exact, term, pt, qv, s)
+                assert got == want, (pt, qv, s)
+
+    def test_constraint_only_points_exist(self):
+        # the figure-eight summand's i >= 0 is its one extra constraint
+        pts = constraint_only_points(habiro_figure_eight(),
+                                     random.Random(7), 10)
+        assert len(pts) == 10
+        assert all(pt[1] < 0 for pt in pts)
 
 
 class TestPoleContract:
@@ -519,8 +552,35 @@ class TestLatticeSummation:
             support_box(r.support_forms(), {"m": 2},
                         ["k1", "k2", "k3", "k4"])
 
+    def test_propagation_that_never_settles_is_an_error(self):
+        # k1, k2 >= 0, k1 >= k2 + 1 and k2 >= k1: empty, and each round
+        # moves the bounds by one, so propagation never settles; with
+        # k1 <= 1000 every bound is finite when the round cap is hit,
+        # which used to end the loop silently and return a box
+        chase = [LinearForm.make({"k1": 1}), LinearForm.make({"k2": 1}),
+                 LinearForm.make({"k1": 1, "k2": -1}, -1),
+                 LinearForm.make({"k2": 1, "k1": -1})]
+        for forms in (chase + [LinearForm.make({"k1": -1}, 1000)], chase):
+            with pytest.raises(SupportError, match="after 200 rounds"):
+                support_box(forms, {}, ["k1", "k2"])
+
 
 class TestAlgebra:
+    def test_builtin_summand_is_shared_and_frozen(self):
+        f = habiro_figure_eight()
+        assert habiro_figure_eight() is f
+        before = (f.poch, f.quad, f.sign, f.constraints)
+        for name, value in (("nu", 2), ("poch", ()), ("constraints", ())):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        with pytest.raises(AttributeError):
+            f.poch[0].length.const = Fraction(5)
+        with pytest.raises(TypeError):
+            f.poch[0] = f.poch[1]
+        g = habiro_figure_eight()
+        assert (g.poch, g.quad, g.sign, g.constraints) == before
+        assert g.eval_exact((2, 1), 4) == Fraction(189, 16)
+
     def test_mul_concatenates(self):
         a = habiro_figure_eight()
         b = habiro_figure_eight()

@@ -9,6 +9,7 @@ from ajlab.errors import DomainError, PoleError
 from ajlab.poly import LaurentMPoly, parse_poly
 from ajlab.ratfun import (
     RationalFunction,
+    as_ratfun,
     format_ratfun,
     ratfun_from_json,
     ratfun_to_json,
@@ -71,7 +72,7 @@ class TestCanonicalForm:
     def test_hash_agrees_with_equality(self):
         for x in (0, 1, 3, Fraction(-5, 7)):
             same = [x, Fraction(x), LaurentMPoly.const(x),
-                    RationalFunction.const(x)]
+                    as_ratfun(x)]
             assert all(y == same[0] for y in same)
             assert len(set(same)) == 1
         poly = P("Q^2 - q")
@@ -122,7 +123,116 @@ class TestArithmetic:
         assert a - Fraction(1, 2) == rf("Q - 1", "2*Q + 2")
 
 
+def term_by_term_subst(f, bindings):
+    """Oracle: the substitution written term by term, each term rebuilt
+    through RationalFunction products and the terms summed, for any
+    rational-function bindings."""
+    bound = {v: as_ratfun(x) for v, x in bindings.items()}
+
+    def through(p):
+        acc = RationalFunction.zero()
+        for e, c in p.terms.items():
+            t = as_ratfun(c)
+            for v, k in zip(p.vars, e):
+                g = bound.get(v)
+                if k == 0:
+                    continue
+                if g is None:
+                    t = t * RationalFunction.var(v, k)
+                elif g.is_zero() and k < 0:
+                    raise DomainError(
+                        f"negative power of {v} with {v} bound to zero")
+                else:
+                    t = t * g ** k
+            acc = acc + t
+        return acc
+
+    dn = through(f.den)
+    if dn.is_zero():
+        names = ", ".join(sorted(set(f.den.vars) & set(bound)))
+        raise DomainError(
+            f"denominator vanishes under the substitution of {names}")
+    return through(f.num) / dn
+
+
+def subst_outcome(fn, f, bindings):
+    try:
+        out = fn(f, bindings)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+    return (out.num, out.den)
+
+
+SUBST_VARS = ("q", "Q", "Qt1")
+
+
+@st.composite
+def monomial_bindings(draw):
+    """Bindings of some of q, Q, Qt1 to zero, a rational constant, or a
+    rational multiple of a Laurent monomial, as int, Fraction,
+    LaurentMPoly or RationalFunction (a monomial over a monomial
+    included)."""
+    out = {}
+    for v in draw(st.sets(st.sampled_from(SUBST_VARS), min_size=1)):
+        kind = draw(st.sampled_from(["zero", "const", "mono", "ratio"]))
+        c = Fraction(draw(st.integers(-4, 4).filter(bool)),
+                     draw(st.integers(1, 3)))
+        powers = {u: draw(st.integers(-2, 2)) for u in
+                  draw(st.sets(st.sampled_from(SUBST_VARS), max_size=2))}
+        mono = LaurentMPoly.monomial(c, powers)
+        if kind == "zero":
+            out[v] = draw(st.sampled_from([0, Fraction(0),
+                                           LaurentMPoly.zero()]))
+        elif kind == "const":
+            out[v] = draw(st.sampled_from([c, as_ratfun(c)]))
+        elif kind == "mono":
+            out[v] = draw(st.sampled_from([mono, as_ratfun(mono)]))
+        else:
+            out[v] = RationalFunction(mono, LaurentMPoly.monomial(
+                draw(st.integers(1, 3)), {draw(st.sampled_from(SUBST_VARS)):
+                                          draw(st.integers(0, 2))}))
+    return out
+
+
 class TestSubstitution:
+    @given(num=small_polys(SUBST_VARS),
+           den=small_polys(SUBST_VARS, allow_zero=False),
+           bindings=monomial_bindings())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term(self, num, den, bindings):
+        f = RationalFunction(num, den if den else LaurentMPoly.const(1))
+        assert (subst_outcome(RationalFunction.subst, f, bindings)
+                == subst_outcome(term_by_term_subst, f, bindings))
+
+    def test_oracle_cases(self):
+        # zero bindings: positive powers vanish, negative ones raise, a
+        # denominator that vanishes is reported before the numerator
+        cases = [
+            (rf("q^2*Q + Q^-1*Qt1", "Q + 2"), {"Q": 0}),
+            (rf("q*Q + 1", "q + 1"), {"Q": 0}),
+            (rf("q", "Q"), {"Q": rf("2", "q")}),
+            (rf("q^-1*Q", "Q - q"), {"Q": rf("q"), "q": 0}),
+            (rf("1 - q*Q*Qt1", "Qt1 - Q"), {"Qt1": rf("q*Qt1"),
+                                            "Q": Fraction(-1, 3)}),
+            (rf("Q^-2 + q", "1 + q*Q"), {"Q": P("-1/2*q^-1*Qt1^2")}),
+        ]
+        for f, b in cases:
+            assert (subst_outcome(RationalFunction.subst, f, b)
+                    == subst_outcome(term_by_term_subst, f, b)), (f, b)
+        with pytest.raises(DomainError, match="bound to zero"):
+            rf("Q^-1 + q").subst({"Q": 0})
+        with pytest.raises(DomainError, match="denominator vanishes"):
+            rf("Q^-1", "q + 1").subst({"Q": 0, "q": -1})
+
+    def test_non_monomial_binding_rejected(self):
+        a = rf("q*Q + 1", "Q - q")
+        for image in (rf("q + 1"), rf("1", "q + 1"), P("Q^2 - q"),
+                      rf("q", "1 - Qt1")):
+            with pytest.raises(DomainError, match="not a monomial"):
+                a.subst({"Q": image})
+        with pytest.raises(DomainError, match="not a monomial"):
+            a.subst({"Qt1": rf("q + 1")})  # checked even where unused
+
     def test_polynomial_binding(self):
         a = rf("1 - q*Q*Qt1", "Qt1 - Q")
         out = a.subst({"Qt1": rf("q*Qt1")})
