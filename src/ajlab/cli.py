@@ -7,6 +7,7 @@ fails, so they can gate scripts.
 """
 
 import json
+import math
 import os
 import pathlib
 import sys
@@ -222,14 +223,31 @@ def _json_complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _too_long() -> DomainError:
+    return DomainError(
+        f"value has more than {sys.get_int_max_str_digits()} digits, "
+        "Python's limit for printing an integer")
+
+
 def _fmt_exact(v: Fraction) -> str:
     try:
         return str(v)
     except ValueError:
         # Python refuses to print integers past a fixed number of digits
-        raise DomainError(
-            f"value has more than {sys.get_int_max_str_digits()} digits, "
-            "Python's limit for printing an integer") from None
+        raise _too_long() from None
+
+
+def _jones_too_long(n: int, qv: Fraction) -> bool:
+    """Whether J_n(a/b) surely has more digits than Python prints.
+
+    Habiro's top term gives J_n its extreme powers q^(+-d), d = n(n-1),
+    each with coefficient 1, so the reduced denominator of J_n(a/b) is
+    exactly |ab|^d for q outside {0, +-1}.  Compared in logs, since n is
+    unbounded; a borderline value is left to the check after evaluation.
+    """
+    limit = sys.get_int_max_str_digits()
+    return (limit > 0 and n > 1 and qv not in (0, 1, -1) and n * (n - 1)
+            * math.log10(abs(qv.numerator * qv.denominator)) > limit + 1)
 
 
 def _output_options(f):
@@ -281,6 +299,8 @@ def jones(ns, qs, fmt, out):
         lines = [r["poly"] if len(rows) == 1
                  else f"J({r['n']}) = {r['poly']}" for r in rows]
     else:
+        if any(_jones_too_long(n, qv) for n in ns for qv in qs):
+            raise _too_long()
         for n in ns:
             for qv in qs:
                 rows.append({"n": n, "q": str(qv),

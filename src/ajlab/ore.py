@@ -184,18 +184,25 @@ class OreOperator:
                            self.meridian, self.e0_twist)
 
 
-def _twist_rf(c: RationalFunction, shift_exp: tuple[int, ...], meridian: str,
-              twist: int) -> RationalFunction:
-    """Push the shift monomial E^e0*Et^e past the coefficient c: the
-    meridian goes to meridian*q^(twist*e0) and each Qti to Qti*q^(ei)."""
+def _twist_images(shift_exp: tuple[int, ...], meridian: str,
+                  twist: int) -> dict[str, LaurentMPoly]:
+    """The substitution that pushes the shift monomial E^e0*Et^e past a
+    coefficient: the meridian goes to meridian*q^(twist*e0) and each Qti
+    to Qti*q^(ei)."""
     shifts = {meridian: twist * shift_exp[0]}
     shifts.update((_lattice_var(i), k) for i, k in enumerate(shift_exp[1:], 1))
-    images = {v: LaurentMPoly.monomial(1, {v: 1, "q": k})
-              for v, k in shifts.items() if k}
+    return {v: LaurentMPoly.monomial(1, {v: 1, "q": k})
+            for v, k in shifts.items() if k}
+
+
+def _twist_rf(c: RationalFunction,
+              images: Mapping[str, LaurentMPoly]) -> RationalFunction:
+    """c under `_twist_images`.  v -> v*q^k is an automorphism of the
+    Laurent ring, so the reduced pair stays reduced; only its units move."""
     if not images:
         return c
-    return RationalFunction(c.num.subst_monomials(images),
-                            c.den.subst_monomials(images))
+    return RationalFunction._reduced(c.num.subst_monomials(images),
+                                     c.den.subst_monomials(images))
 
 
 def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
@@ -203,8 +210,9 @@ def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
     a._compatible(b)
     out: dict[tuple[int, ...], RationalFunction] = {}
     for ea, ca in a.terms.items():
+        images = _twist_images(ea, a.meridian, a.e0_twist)
         for eb, cb in b.terms.items():
-            c = ca * _twist_rf(cb, ea, a.meridian, a.e0_twist)
+            c = ca * _twist_rf(cb, images)
             e = tuple(x + y for x, y in zip(ea, eb))
             s = out.get(e)
             nc = c if s is None else s + c

@@ -13,16 +13,17 @@ Laurent units first; see the individual functions for what is and is not
 reapplied.
 
 gcd and exact division also split off the rational content and work on
-integer coefficients.  ``poly_gcd`` runs the heuristic GCDHEU first (Char,
-Geddes & Gonnet 1989: evaluate at a large integer, take an integer gcd,
-interpolate back, check by division) with the primitive PRS as the
-fallback; ``exact_divide`` is one integer long division.
+integer coefficients.  ``gcd_cofactors`` runs the heuristic GCDHEU first
+(Char, Geddes & Gonnet 1989: evaluate at a large integer, take an integer
+gcd, interpolate back, check by division, whose quotients are the
+cofactors) with the primitive PRS as the fallback; ``exact_divide`` is one
+integer long division.
 
-Two conventions the other layers share live here and nowhere else: the
+Three conventions the other layers share live here and nowhere else: the
 limit at q = 1 (``limit_at_one``: the order of vanishing and the lowest
-nonzero Taylor coefficient) and the sign/content rule (``signed_content``
+nonzero Taylor coefficient), the sign/content rule (``signed_content``
 and ``normalized``: coprime integer coefficients, leading coefficient
-positive).
+positive) and cancellation of a pair by its gcd (``gcd_cofactors``).
 
 Term order used for leading-term decisions and for text output is graded
 lexicographic (total degree first, then lex on the exponent vector), which
@@ -562,36 +563,40 @@ def _interpolate(h: dict, xi: int) -> dict:
 _HEU_TRIES = 6
 
 
-def _heu_gcd(f: dict, g: dict) -> dict | None:
-    """gcd of two nonzero integer polynomials, up to sign, by GCDHEU
-    (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989); None when it gives up.
+def _heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """(h, f/h, g/h), h the gcd of two nonzero integer polynomials up to
+    sign, by GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989); None
+    when it gives up.
 
     Setting the last variable to an integer xi reduces the problem by one
     variable, down to an integer gcd; the image gcd is lifted back by
     xi-adic interpolation.  Because xi starts above 2*min(|f|, |g|) + 2
     (max norms), a primitive candidate that divides both inputs is the gcd
-    itself, not merely a common divisor.
+    itself, not merely a common divisor, and the check's quotients are the
+    cofactors.
     """
     if not f or not g:  # xi was a root of an input one level up
         return None
     if not next(iter(f)):  # no variables left: two integers
-        return {(): math.gcd(f[()], g[()])}
+        h = math.gcd(f[()], g[()])
+        return {(): h}, {(): f[()] // h}, {(): g[()] // h}
     cont = math.gcd(*f.values(), *g.values())
     if cont != 1:
         f = {e: c // cont for e, c in f.items()}
         g = {e: c // cont for e, c in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_TRIES):
-        h = _heu_gcd(_eval_last(f, xi), _eval_last(g, xi))
-        if h is None:
+        image = _heu_gcd(_eval_last(f, xi), _eval_last(g, xi))
+        if image is None:
             return None
-        h = _interpolate(h, xi)
+        h = _interpolate(image[0], xi)
         if len(h) == 1 and not any(next(iter(h))):
-            return {next(iter(h)): cont}
+            return {next(iter(h)): cont}, f, g
         hc = math.gcd(*h.values())
         h = {e: c // hc for e, c in h.items()}
-        if _zz_divide(f, h) is not None and _zz_divide(g, h) is not None:
-            return {e: c * cont for e, c in h.items()} if cont != 1 else h
+        qf = _zz_divide(f, h)
+        if qf is not None and (qg := _zz_divide(g, h)) is not None:
+            return {e: c * cont for e, c in h.items()}, qf, qg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
@@ -617,19 +622,17 @@ def exact_divide(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     quot = _zz_divide(fa, fb)
     if quot is None:
         raise DomainError("polynomials do not divide exactly")
-    scale = ca / cb
+    return _with_units(vars, quot, ca / cb, {
+        v: ua.get(v, 0) - ub.get(v, 0) for v in set(ua) | set(ub)})
+
+
+def _with_units(vars: tuple[str, ...], quot: dict, scale: Fraction,
+                unit: Mapping[str, int]) -> LaurentMPoly:
+    """quot over vars times scale and the monomial with powers unit: an
+    integer quotient with the units its division split off put back."""
     q = LaurentMPoly(vars, {e: c * scale for e, c in quot.items()}
                      if scale != 1 else quot)
-    unit = {v: ua.get(v, 0) - ub.get(v, 0) for v in set(ua) | set(ub)}
     return q._times_monomial(unit) if any(unit.values()) else q
-
-
-def divides(b: LaurentMPoly, a: LaurentMPoly) -> bool:
-    try:
-        exact_divide(a, b)
-        return True
-    except DomainError:
-        return False
 
 
 def rational_content(p: LaurentMPoly) -> Fraction:
@@ -707,24 +710,45 @@ def _pseudo_rem(a: LaurentMPoly, b: LaurentMPoly, v: str) -> LaurentMPoly:
 
 
 def poly_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
-    """GCD in the polynomial ring after clearing Laurent units.
+    """GCD in the polynomial ring after clearing Laurent units: primitive,
+    with positive graded-lex leading coefficient and no monomial content;
+    constants collapse to 1 (rationals are units)."""
+    return gcd_cofactors(a, b)[0]
 
-    Primitive, with positive graded-lex leading coefficient and no
-    monomial content; constants collapse to 1 (rationals are units).
-    GCDHEU on the integer-primitive inputs first, the primitive PRS
-    (`_prs_gcd`) as the fallback when the heuristic gives up.
-    """
-    a, _ = a.clear_laurent()
-    b, _ = b.clear_laurent()
-    if a.is_zero() or b.is_zero():
-        return normalized(a + b)
-    if a.is_constant() or b.is_constant():
-        return LaurentMPoly.const(1)
-    vars = LaurentMPoly._merge_vars(a, b)
-    h = _heu_gcd(_integer_primitive(a, vars)[1], _integer_primitive(b, vars)[1])
-    if h is None:
-        return _prs_gcd(a, b)
-    return normalized(LaurentMPoly(vars, h))
+
+def gcd_cofactors(a: LaurentMPoly, b: LaurentMPoly
+                  ) -> tuple[LaurentMPoly, LaurentMPoly, LaurentMPoly]:
+    """(g, a/g, b/g) with g = `poly_gcd`(a, b), the one way to cancel a pair
+    by its gcd; each cofactor keeps its input's Laurent unit and rational
+    content.  GCDHEU first, whose divisibility check leaves the cofactors;
+    the PRS (`_prs_gcd`) and `exact_divide` when it gives up.  A coprime
+    pair, and a zero input, come back as they went in."""
+    pa, ua = a.clear_laurent()
+    pb, ub = b.clear_laurent()
+    if pa.is_zero() or pb.is_zero():
+        g = normalized(pa + pb)
+        # a nonzero input is g times its sign, content and Laurent unit
+        if g.is_zero():
+            return g, a, b
+        if pb.is_zero():
+            return g, LaurentMPoly.monomial(signed_content(pa), ua), b
+        return g, a, LaurentMPoly.monomial(signed_content(pb), ub)
+    if pa.is_constant() or pb.is_constant():
+        return LaurentMPoly.const(1), a, b
+    vars = LaurentMPoly._merge_vars(pa, pb)
+    ca, fa = _integer_primitive(pa, vars)
+    cb, fb = _integer_primitive(pb, vars)
+    heu = _heu_gcd(fa, fb)
+    if heu is None:
+        g = _prs_gcd(pa, pb)
+        return g, exact_divide(a, g), exact_divide(b, g)
+    h, qa, qb = heu
+    if len(h) == 1 and not any(next(iter(h))):
+        return LaurentMPoly.const(1), a, b
+    g = LaurentMPoly(vars, h)
+    s = signed_content(g)  # +-1, as h is primitive
+    return (g if s == 1 else -g, _with_units(vars, qa, ca * s, ua),
+            _with_units(vars, qb, cb * s, ub))
 
 
 def _prs_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
@@ -762,8 +786,7 @@ def _prs_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
 def poly_lcm(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     if a.is_zero() or b.is_zero():
         return LaurentMPoly.zero()
-    g = poly_gcd(a, b)
-    return normalized(exact_divide(a * b, g))
+    return normalized(gcd_cofactors(a, b)[1] * b)
 
 
 # -- resultants ------------------------------------------------------------
@@ -829,9 +852,7 @@ def squarefree_part(a: LaurentMPoly, v: str) -> LaurentMPoly:
     if p.degree(v) <= 0:
         return a
     cont, pp = _content_and_primitive_wrt(p, v)
-    g = poly_gcd(pp, pp.derivative(v))
-    sf = exact_divide(pp, g) if not g.is_constant() else pp
-    out = cont * sf
+    out = cont * gcd_cofactors(pp, pp.derivative(v))[1]
     for w, k in unit.items():
         if w != v:  # the unit in v itself is a repeated-factor artifact
             out = out.shift_var(w, k)

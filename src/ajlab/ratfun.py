@@ -4,6 +4,7 @@ Canonical form: the denominator is an honest polynomial, integer-primitive
 with positive leading coefficient and no monomial content — every rational,
 sign, and monomial unit is pushed into the numerator, and the pair is
 gcd-reduced.  Two equal rational functions are therefore structurally equal.
+Every cancellation is one `poly.gcd_cofactors` call; nothing here divides.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from typing import Mapping, Union
 from .errors import DomainError, PoleError
 from .poly import (
     LaurentMPoly,
-    exact_divide,
     format_poly,
+    gcd_cofactors,
     parse_poly,
     poly_from_json,
-    poly_gcd,
     poly_to_json,
     signed_content,
 )
 
 Scalar = Union[int, Fraction]
 RFLike = Union["RationalFunction", LaurentMPoly, int, Fraction]
+_ONE = LaurentMPoly.const(1)
 
 
 def as_ratfun(x: RFLike) -> "RationalFunction":
@@ -60,21 +61,17 @@ class RationalFunction:
     def __init__(self, num: LaurentMPoly, den: LaurentMPoly):
         if den.is_zero():
             raise DomainError("rational function with zero denominator")
-        if num.is_zero():
-            object.__setattr__(self, "num", LaurentMPoly.zero())
-            object.__setattr__(self, "den", LaurentMPoly.const(1))
-            return
-        num, den_p = _push_units(num, den)
-        g = poly_gcd(num, den_p)
-        if not g.is_constant():
-            num = exact_divide(num, g)
-            den_p = exact_divide(den_p, g)
-            num, den_p = _push_units(num, den_p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den_p)
+        if not num.is_zero():
+            _, num, den = gcd_cofactors(num, den)
+        self._assemble(num, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
+
+    def _assemble(self, num: LaurentMPoly, den: LaurentMPoly) -> None:
+        num, den = _push_units(num, den) if num else (num, _ONE)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _reduced(cls, num: LaurentMPoly,
@@ -83,13 +80,7 @@ class RationalFunction:
         expensive gcd; cross-cancellation in the arithmetic below keeps
         reduced operands reduced."""
         self = cls.__new__(cls)
-        if num.is_zero():
-            object.__setattr__(self, "num", LaurentMPoly.zero())
-            object.__setattr__(self, "den", LaurentMPoly.const(1))
-            return self
-        num, den = _push_units(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._assemble(num, den)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -168,20 +159,13 @@ class RationalFunction:
             return o
         if o.is_zero():
             return self
-        g = self.den if self.den == o.den else poly_gcd(self.den, o.den)
-        if g.is_constant():
-            return RationalFunction._reduced(
-                self.num * o.den + o.num * self.den, self.den * o.den)
-        db = exact_divide(self.den, g)
-        dd = exact_divide(o.den, g)
+        g, db, dd = ((self.den, _ONE, _ONE) if self.den == o.den
+                     else gcd_cofactors(self.den, o.den))
         t = self.num * dd + o.num * db
-        if t.is_zero():
-            return RationalFunction.zero()
-        g2 = poly_gcd(t, g)
-        if g2.is_constant():
-            return RationalFunction._reduced(t, db * o.den)
-        return RationalFunction._reduced(
-            exact_divide(t, g2), db * exact_divide(o.den, g2))
+        if g.is_constant() or t.is_zero():
+            return RationalFunction._reduced(t, db * dd)
+        _, t, g = gcd_cofactors(t, g)
+        return RationalFunction._reduced(t, db * dd * g)
 
     __radd__ = __add__
 
@@ -207,14 +191,8 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return RationalFunction.zero()
-        n1, d2 = self.num, o.den
-        g1 = poly_gcd(n1, d2)
-        if not g1.is_constant():
-            n1, d2 = exact_divide(n1, g1), exact_divide(d2, g1)
-        n2, d1 = o.num, self.den
-        g2 = poly_gcd(n2, d1)
-        if not g2.is_constant():
-            n2, d1 = exact_divide(n2, g2), exact_divide(d1, g2)
+        _, n1, d2 = gcd_cofactors(self.num, o.den)
+        _, n2, d1 = gcd_cofactors(o.num, self.den)
         return RationalFunction._reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__

@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -8,6 +10,7 @@ from click.testing import CliRunner
 from ajlab.cli import MAX_VALUES, main
 from ajlab.figure8 import a_polynomial_nonabelian
 from ajlab.poly import format_poly
+from ajlab.qhg import jones_eval
 
 
 @pytest.fixture()
@@ -186,6 +189,30 @@ def test_value_past_the_print_limit_is_an_error(run):
     assert "limit" in res.output
     assert len(res.output.strip().splitlines()) == 1
     assert isinstance(res.exception, SystemExit)
+
+
+def test_value_surely_past_the_print_limit_fails_fast(run):
+    # J(400) at q = 2 takes about a minute to compute; its denominator
+    # alone, 2^(400*399), is far past the limit, so it is refused first
+    start = time.perf_counter()
+    res = run("jones", "--n", "400", "--q", "2")
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: value has more than ")
+    assert len(res.output.strip().splitlines()) == 1
+    res = run("jones", "--n", "85", "--q", "2")
+    assert res.exit_code == 0
+    assert len(res.output.strip()) > 4000
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(-3, 2), Fraction(5, 7),
+                               Fraction(-1, 4)])
+def test_jones_denominator_is_the_height_power(q):
+    # the premise of the fail-fast bound: J_n(a/b) has reduced
+    # denominator exactly |ab|^(n(n-1))
+    for n in range(1, 13):
+        v = jones_eval(n, q)
+        assert v.denominator == abs(q.numerator * q.denominator) ** (n * (n - 1))
 
 
 def test_out_file_replaces_atomically(run, tmp_path):

@@ -24,6 +24,8 @@ from ajlab.figure8 import (
 from ajlab.ore import (
     DiscreteEvaluator,
     OreOperator,
+    _twist_images,
+    _twist_rf,
     epsilon_eval_with_unit,
     expand_at_one,
     homogenize,
@@ -112,6 +114,37 @@ class TestProduct:
         b = OreOperator(0, {(2,): rf("1", "Q - 1")})
         c = OreOperator(0, {(0,): rf("Q + 1")})
         assert ore_mul(a, b + c) == ore_mul(a, b) + ore_mul(a, c)
+
+    def test_twist_needs_no_gcd(self):
+        # v -> v*q^k is an automorphism of the Laurent ring, so a twisted
+        # reduced pair only has its units moved; check that against the
+        # full reduction for every shift and coefficient of the built-in
+        # operators, plus shifts and coefficients whose twists move a
+        # sign or a monomial onto the numerator
+        ops = [p_full(), cubic_operator(), cubic_displayed()] + [
+            f(nu) for nu in (0, 1) for f in (x_cofactor, r_certificate,
+                                             alpha_operator, p0_operator)]
+        extra = [rf("1", "q^3 - Q"), rf("Q + 2", "q*Q + 3")]
+        checked = moved = 0
+        for nu in (0, 1):
+            same = [op for op in ops if op.nu == nu]
+            coeffs = [c for op in same for c in op.terms.values()] + extra
+            if nu:
+                coeffs.append(rf("Qt1", "q^2 - Q*Qt1"))
+            shifts = {e for op in same for e in op.terms}
+            shifts |= {(-1,) + (2,) * nu, (3,) + (-1,) * nu}
+            for ea in shifts:
+                for twist in (1, 2):
+                    images = _twist_images(ea, "Q", twist)
+                    for c in coeffs:
+                        got = _twist_rf(c, images)
+                        num = c.num.subst_monomials(images)
+                        den = c.den.subst_monomials(images)
+                        full = RationalFunction(num, den)
+                        assert (got.num, got.den) == (full.num, full.den)
+                        checked += 1
+                        moved += (num, den) != (full.num, full.den)
+        assert (checked, moved) == (524, 90)
 
     def test_cofactor_factorizations(self):
         x = x_cofactor()

@@ -15,7 +15,7 @@ from ajlab.poly import (
     _content_and_primitive_wrt,
     _prs_gcd,
     exact_divide,
-    divides,
+    gcd_cofactors,
     format_poly,
     limit_at_one,
     normalized,
@@ -38,6 +38,14 @@ from ajlab.qhg import (
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
+
+
+def divides(b, a):
+    try:
+        exact_divide(a, b)
+        return True
+    except DomainError:
+        return False
 
 
 def poly_terms(varnames, max_deg=4, max_terms=5, coeff_range=6, laurent=False,
@@ -339,6 +347,98 @@ class TestGcdDifferential:
             mp.setattr(poly_module, "_heu_gcd", lambda f, g: None)
             d = poly_gcd(a, b)
         assert d == prs_reference(a, b)
+
+
+@st.composite
+def cofactor_pairs(draw):
+    """(a, b): a planted pair, or one with a zero input or an input that
+    is constant up to a Laurent monomial on either side."""
+    a, b, _ = draw(planted_pairs())
+    special = st.sampled_from([None, P("0"), P("-3/2"), P("2*q^-1*Q^2")])
+    x, y = draw(special), draw(special)
+    return (a if x is None else x), (b if y is None else y)
+
+
+def gcd_reference(a, b):
+    """poly_gcd's contract from the PRS, or from normalization when an
+    input is zero."""
+    if a.is_zero() or b.is_zero():
+        return normalized((a + b).clear_laurent()[0])
+    return prs_reference(a, b)
+
+
+class TestGcdCofactors:
+    """gcd_cofactors is the one cancellation rule: its gcd is the PRS
+    gcd, its cofactors multiply back to the inputs, and the GCDHEU check
+    leaves the cofactors so that rational-function arithmetic never
+    divides."""
+
+    @staticmethod
+    def check(a, b, triple):
+        g, qa, qb = triple
+        assert g * qa == a and g * qb == b
+        assert g == gcd_reference(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cofactor_pairs())
+    def test_cofactors_multiply_back(self, pair):
+        a, b = pair
+        triple = gcd_cofactors(a, b)
+        self.check(a, b, triple)
+        assert triple[0] == poly_gcd(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cofactor_pairs())
+    def test_same_triple_when_heuristic_gives_up(self, pair):
+        a, b = pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly_module, "_heu_gcd", lambda f, g: None)
+            fallback = gcd_cofactors(a, b)
+        self.check(a, b, fallback)
+        assert fallback == gcd_cofactors(a, b)
+
+    def test_coprime_and_zero_inputs_come_back_untouched(self):
+        a, b = P("q^-1*Q + 3/2"), P("2*Q^2 - q")
+        _, qa, qb = gcd_cofactors(a, b)
+        assert qa is a and qb is b
+        zero = LaurentMPoly.zero()
+        assert gcd_cofactors(zero, b)[1] is zero
+        assert gcd_cofactors(zero, zero) == (zero, zero, zero)
+        assert gcd_cofactors(zero, P("-4*q^-2*Q^2 + 2")) == (
+            P("q^2 - 2*Q^2"), zero, P("2*q^-2"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_pairs(), poly_terms(("q", "Q"), max_deg=2, max_terms=3,
+                                       coeff_range=4, laurent=True,
+                                       min_terms=1))
+    def test_ratfun_arithmetic_never_divides(self, pair, c):
+        a, b, _ = pair
+        gave_up, divided = [], []
+        heu = poly_module._heu_gcd
+
+        def spy_heu(f, g):
+            out = heu(f, g)
+            gave_up.append(out is None)
+            return out
+
+        def spy_divide(x, y):
+            divided.append((x, y))
+            return exact_divide(x, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly_module, "_heu_gcd", spy_heu)
+            mp.setattr(poly_module, "exact_divide", spy_divide)
+            x = RationalFunction(a, b)  # cancels the planted factor
+            y = RationalFunction(c, a)
+            z = RationalFunction(c + 1, b)
+            total = y + z  # the denominators share the planted factor
+            prod = y * RationalFunction(b, c)  # cross-cancels it
+        assume(not any(gave_up))
+        assert not divided
+        assert x * y == RationalFunction(c, b)
+        assert total * RationalFunction(a * b, P("1")) == RationalFunction(
+            c * b + (c + 1) * a, P("1"))
+        assert prod == RationalFunction(b, a)
 
 
 def sylvester_matrix(a, b, v):

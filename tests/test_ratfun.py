@@ -1,5 +1,6 @@
 """Canonical rational functions: reduction, arithmetic, substitution."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,62 @@ class TestArithmetic:
         assert a + 1 == rf("2*Q + 1", "Q + 1")
         assert 2 * a == rf("2*Q", "Q + 1")
         assert a - Fraction(1, 2) == rf("Q - 1", "2*Q + 2")
+
+
+def to_sympy(p, gens):
+    """p as a sympy expression in the symbols gens, Laurent powers
+    included."""
+    import sympy
+
+    out = 0
+    for e, c in p.terms.items():
+        t = sympy.Rational(c.numerator, c.denominator)
+        for v, k in zip(p.vars, e):
+            t *= gens[v] ** k
+        out += t
+    return out
+
+
+class TestSympyReferee:
+    """The canonical form against sympy's `cancel`, an independent
+    reduction: the same pair up to a rational and monomial unit, with the
+    denominator honest, integer-primitive, free of monomial content and
+    positive in its leading coefficient."""
+
+    @staticmethod
+    def check(f, expr):
+        sympy = pytest.importorskip("sympy")
+        gens = {v: sympy.Symbol(v) for v in ("q", "Q")}
+        num, den = sympy.fraction(sympy.cancel(expr(gens)))
+        fn, fd = to_sympy(f.num, gens), to_sympy(f.den, gens)
+        assert sympy.cancel(fn / fd - num / den) == 0
+        for part in sympy.fraction(sympy.cancel(den / fd)):
+            assert sympy.Poly(part, gens["q"], gens["Q"]).is_monomial
+        d = f.den
+        assert all(k >= 0 for e in d.terms for k in e)
+        assert all(d.min_degree(v) == 0 for v in d.vars)
+        assert all(c.denominator == 1 for c in d.terms.values())
+        assert math.gcd(*(c.numerator for c in d.terms.values())) == 1
+        assert d.leading()[1] > 0
+
+    @given(num=small_polys(), den=small_polys(allow_zero=False),
+           mul=small_polys(allow_zero=False))
+    @settings(max_examples=40, deadline=None)
+    def test_construction(self, num, den, mul):
+        if den.is_zero() or mul.is_zero():
+            return
+        n, d = num * mul, den * mul
+        self.check(RationalFunction(n, d),
+                   lambda g: to_sympy(n, g) / to_sympy(d, g))
+
+    @given(a=ratfuns(), b=ratfuns())
+    @settings(max_examples=40, deadline=None)
+    def test_sum_and_product(self, a, b):
+        def value(f, g):
+            return to_sympy(f.num, g) / to_sympy(f.den, g)
+
+        self.check(a + b, lambda g: value(a, g) + value(b, g))
+        self.check(a * b, lambda g: value(a, g) * value(b, g))
 
 
 def term_by_term_subst(f, bindings):
