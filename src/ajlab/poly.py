@@ -1,11 +1,14 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
-A polynomial is a mapping from integer exponent vectors to ``Fraction``
+A polynomial is a mapping from integer exponent vectors to exact rational
 coefficients together with the tuple of variable names the exponents refer
 to.  Construction canonicalizes: zero coefficients are dropped, variables
-that appear in no term are pruned, and the survivors are put into one fixed
-global order — so mathematically equal polynomials are structurally equal,
-whatever route built them.
+that appear in no term are pruned, the survivors are put into one fixed
+global order, and each coefficient is an ``int`` when integral and a
+``Fraction`` only when not — so mathematically equal polynomials are
+structurally equal, whatever route built them, and integer polynomials
+compute in Python integers.  Numbers returned (``constant_value``,
+``eval_exact``) are ``Fraction``s.
 
 Negative exponents are legal everywhere.  The classical algorithms (gcd,
 resultant, square-free part) require honest polynomials, so they clear
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
@@ -67,11 +71,13 @@ def var_sort_key(name: str) -> tuple[int, int, str]:
     return (fam, idx, name)
 
 
-def _as_fraction(c: Coeff) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _coeff(c: Coeff) -> Coeff:
+    """c in the canonical coefficient form: an int when integral, else a
+    Fraction (whose denominator is then not 1)."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -81,7 +87,12 @@ def _term_sort_key(exp: tuple[int, ...]) -> tuple:
 
 
 class LaurentMPoly:
-    """Immutable sparse Laurent polynomial with Fraction coefficients."""
+    """Immutable sparse Laurent polynomial with int-or-Fraction canonical
+    coefficients.  The public constructor checks and canonicalizes input
+    from outside; results canonical by construction (variables in the
+    global order, one entry per exponent vector) go through the trusted
+    `_build`, which only drops zeros, turns integral Fractions into ints
+    and prunes variables that no longer occur."""
 
     __slots__ = ("vars", "terms")
 
@@ -89,31 +100,42 @@ class LaurentMPoly:
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise DomainError(f"duplicate variable in context {vars}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Coeff] = {}
         for exp, c in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != len(vars):
                 raise DomainError(
                     f"exponent vector {exp} does not match context {vars}")
-            c = _as_fraction(c)
-            if c:
-                acc = clean.get(exp)
-                clean[exp] = c if acc is None else acc + c
-                if not clean[exp]:
-                    del clean[exp]
-        # prune variables that never occur
-        used = [i for i in range(len(vars))
-                if any(e[i] for e in clean)]
-        if len(used) != len(vars):
-            vars = tuple(vars[i] for i in used)
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
+            c = _coeff(c)
+            clean[exp] = clean[exp] + c if exp in clean else c
         # enforce canonical variable order
         order = sorted(range(len(vars)), key=lambda i: var_sort_key(vars[i]))
         if order != list(range(len(vars))):
             vars = tuple(vars[i] for i in order)
             clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
+        self._fill(vars, clean)
+
+    @classmethod
+    def _build(cls, vars: tuple[str, ...],
+               terms: Mapping[tuple[int, ...], Coeff]) -> "LaurentMPoly":
+        """The trusted constructor: vars must be in canonical order and
+        every key an exponent vector over them, each once."""
+        self = object.__new__(cls)
+        self._fill(vars, terms)
+        return self
+
+    def _fill(self, vars: tuple[str, ...],
+              terms: Mapping[tuple[int, ...], Coeff]) -> None:
+        terms = {e: c if type(c) is int
+                 else c.numerator if c.denominator == 1 else c
+                 for e, c in terms.items() if c}
+        # prune variables that never occur
+        if vars and not (terms and all(map(any, zip(*terms)))):
+            used = [i for i, col in enumerate(zip(*terms)) if any(col)]
+            vars = tuple(vars[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LaurentMPoly is immutable")
@@ -122,21 +144,21 @@ class LaurentMPoly:
 
     @staticmethod
     def zero() -> "LaurentMPoly":
-        return LaurentMPoly((), {})
+        return LaurentMPoly._build((), {})
 
     @staticmethod
     def const(c: Coeff) -> "LaurentMPoly":
-        c = _as_fraction(c)
-        return LaurentMPoly((), {(): c} if c else {})
+        return LaurentMPoly._build((), {(): _coeff(c)})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "LaurentMPoly":
-        return LaurentMPoly((name,), {(power,): Fraction(1)})
+        return LaurentMPoly._build((name,), {(power,): 1})
 
     @staticmethod
     def monomial(c: Coeff, powers: Mapping[str, int]) -> "LaurentMPoly":
-        names = tuple(powers)
-        return LaurentMPoly(names, {tuple(powers[n] for n in names): c})
+        names = tuple(sorted(powers, key=var_sort_key))
+        return LaurentMPoly._build(
+            names, {tuple(powers[n] for n in names): _coeff(c)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -149,7 +171,7 @@ class LaurentMPoly:
     def constant_value(self) -> Fraction:
         if self.vars:
             raise DomainError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree(self, v: str) -> int:
         """Maximum exponent of v (0 if absent; -1 for the zero polynomial
@@ -172,11 +194,11 @@ class LaurentMPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         return sorted(self.terms.items(), key=lambda t: _term_sort_key(t[0]),
                       reverse=True)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Coeff]:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading term")
         exp = max(self.terms, key=_term_sort_key)
@@ -193,9 +215,9 @@ class LaurentMPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        # a constant equals its Fraction value, so it must hash like it
+        # a constant equals its value, so it must hash like it
         if not self.vars:
-            return hash(self.constant_value())
+            return hash(self.terms.get((), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
@@ -203,8 +225,11 @@ class LaurentMPoly:
 
     # -- context merging ---------------------------------------------------
 
-    def _embedded(self, vars: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
-        """Exponent dict re-indexed into the larger context ``vars``."""
+    def _embedded(self, vars: tuple[str, ...]) -> Mapping[tuple[int, ...], Coeff]:
+        """Exponent dict re-indexed into the larger context ``vars``; the
+        terms themselves, not a copy, when the contexts are equal."""
+        if vars == self.vars:
+            return self.terms
         pos = [vars.index(v) for v in self.vars]
         n = len(vars)
         out = {}
@@ -217,6 +242,10 @@ class LaurentMPoly:
 
     @staticmethod
     def _merge_vars(a: "LaurentMPoly", b: "LaurentMPoly") -> tuple[str, ...]:
+        if a.vars == b.vars or not b.vars:
+            return a.vars
+        if not a.vars:
+            return b.vars
         return tuple(sorted(set(a.vars) | set(b.vars), key=var_sort_key))
 
     # -- arithmetic --------------------------------------------------------
@@ -227,15 +256,16 @@ class LaurentMPoly:
         if not isinstance(other, LaurentMPoly):
             return NotImplemented
         vars = self._merge_vars(self, other)
-        terms = self._embedded(vars)
+        terms = dict(self._embedded(vars))
         for e, c in other._embedded(vars).items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return LaurentMPoly(vars, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return LaurentMPoly._build(vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentMPoly":
-        return LaurentMPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentMPoly._build(self.vars,
+                                   {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentMPoly":
         if isinstance(other, (int, Fraction)):
@@ -249,21 +279,21 @@ class LaurentMPoly:
 
     def __mul__(self, other) -> "LaurentMPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return LaurentMPoly(self.vars,
-                                {e: c * v for e, v in self.terms.items()})
+            c = _coeff(other)
+            return LaurentMPoly._build(self.vars,
+                                       {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, LaurentMPoly):
             return NotImplemented
         vars = self._merge_vars(self, other)
         at = self._embedded(vars)
         bt = other._embedded(vars)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         for ea, ca in at.items():
             for eb, cb in bt.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 acc = out.get(e)
                 out[e] = ca * cb if acc is None else acc + ca * cb
-        return LaurentMPoly(vars, out)
+        return LaurentMPoly._build(vars, out)
 
     __rmul__ = __mul__
 
@@ -288,12 +318,15 @@ class LaurentMPoly:
     def _times_monomial(self, powers: Mapping[str, int]) -> "LaurentMPoly":
         """Multiply by the product of v**k over powers, by shifting
         exponents rather than multiplying coefficients."""
-        vars = self.vars + tuple(v for v in powers if v not in self.vars)
-        pad = (0,) * (len(vars) - len(self.vars))
+        new = tuple(v for v, k in powers.items() if k and v not in self.vars)
+        vars = self.vars + new
+        pad = (0,) * len(new)
         shift = [powers.get(v, 0) for v in vars]
-        return LaurentMPoly(vars, {
-            tuple(x + s for x, s in zip(e + pad, shift)): c
-            for e, c in self.terms.items()})
+        terms = {tuple(map(add, e + pad, shift)): c
+                 for e, c in self.terms.items()}
+        # appended variables break the canonical order: re-sort them
+        return (LaurentMPoly(vars, terms) if new
+                else LaurentMPoly._build(vars, terms))
 
     def map_coeffs(self, f) -> "LaurentMPoly":
         return LaurentMPoly(self.vars, {e: f(c) for e, c in self.terms.items()})
@@ -307,8 +340,9 @@ class LaurentMPoly:
         DomainError for k < 0, as does an image with two or more terms."""
         if not any(v in images for v in self.vars):
             return self
-        names = list(dict.fromkeys([v for v in self.vars if v not in images] + [
-            u for v in self.vars if v in images for u in images[v].vars]))
+        names = tuple(sorted({v for v in self.vars if v not in images} | {
+            u for v in self.vars if v in images for u in images[v].vars},
+            key=var_sort_key))
         col = {u: i for i, u in enumerate(names)}
         rows = []  # per variable: (image coefficient, [(column, power)])
         for v in self.vars:
@@ -321,7 +355,7 @@ class LaurentMPoly:
             else:
                 (e, c), = img.terms.items() or [((), 0)]
                 rows.append((c, [(col[u], a) for u, a in zip(img.vars, e)]))
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             ne = [0] * len(names)
             for v, k, (f, row) in zip(self.vars, e, rows):
@@ -330,13 +364,13 @@ class LaurentMPoly:
                 if not f and k < 0:
                     raise DomainError(
                         f"negative power of {v} with {v} bound to zero")
-                if f != 1:
-                    c = c * f ** k  # zero for v bound to zero
+                if f != 1:  # zero for v bound to zero; int ** -k is a float
+                    c = c * f ** k if k > 0 else Fraction(c, f ** -k)
                 for j, a in row:
                     ne[j] += a * k
             key = tuple(ne)
             out[key] = out[key] + c if key in out else c
-        return LaurentMPoly(names, out)
+        return LaurentMPoly._build(names, out)
 
     # -- structure ---------------------------------------------------------
 
@@ -347,7 +381,7 @@ class LaurentMPoly:
         i = self.vars.index(v)
         rest = self.vars[:i] + self.vars[i + 1:]
         terms = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k}
-        return LaurentMPoly(rest, terms)
+        return LaurentMPoly._build(rest, terms)
 
     def as_univariate(self, v: str) -> dict[int, "LaurentMPoly"]:
         """Map exponent-of-v -> coefficient polynomial (v removed)."""
@@ -355,22 +389,22 @@ class LaurentMPoly:
             return {0: self} if self.terms else {}
         i = self.vars.index(v)
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
         for e, c in self.terms.items():
             buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
-        return {k: LaurentMPoly(rest, t) for k, t in buckets.items()}
+        return {k: LaurentMPoly._build(rest, t) for k, t in buckets.items()}
 
     def derivative(self, v: str) -> "LaurentMPoly":
         if v not in self.vars:
             return LaurentMPoly.zero()
         i = self.vars.index(v)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return LaurentMPoly(self.vars, out)
+            out[ne] = out.get(ne, 0) + c * e[i]
+        return LaurentMPoly._build(self.vars, out)
 
     def laurent_unit(self) -> dict[str, int]:
         """Per-variable minimum exponent (the monomial content's powers)."""
@@ -392,23 +426,36 @@ class LaurentMPoly:
         return self._times_monomial(neg) if neg else self
 
     def eval_exact(self, point: Mapping[str, Coeff]) -> Fraction:
-        """Evaluate at exact rational values for every variable."""
+        """Evaluate at exact rational values for every variable.
+
+        The sum runs in integers: with x = a/b and the exponents of x in
+        [lo, hi], x^k = a^(k-lo) * b^(hi-k) * a^lo / b^hi, so each term is
+        an integer over one common denominator, and one Fraction is built
+        at the end."""
         for v in self.vars:
             if v not in point:
                 raise DomainError(f"no value supplied for variable {v}")
-        vals = [_as_fraction(point[v]) for v in self.vars]
-        total = Fraction(0)
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        num, den = 1, cden
+        weights = []  # per variable: exponent -> a^(k-lo) * b^(hi-k)
+        for i, v in enumerate(self.vars):
+            x = _coeff(point[v])
+            a, b = x.numerator, x.denominator
+            ks = {e[i] for e in self.terms}
+            lo, hi = min(ks), max(ks)
+            if lo < 0 and not a:
+                raise DomainError("zero raised to a negative power "
+                                  "during evaluation")
+            weights.append({k: a ** (k - lo) * b ** (hi - k) for k in ks})
+            num *= a ** max(lo, 0) * b ** max(-hi, 0)
+            den *= a ** max(-lo, 0) * b ** max(hi, 0)
+        total = 0
         for e, c in self.terms.items():
-            t = c
-            for val, k in zip(vals, e):
-                if k == 0:
-                    continue
-                if val == 0 and k < 0:
-                    raise DomainError("zero raised to a negative power "
-                                      "during evaluation")
-                t *= val ** k
+            t = c.numerator * (cden // c.denominator) if cden != 1 else c
+            for w, k in zip(weights, e):
+                t *= w[k]
             total += t
-        return total
+        return Fraction(total * num, den)
 
     def eval_complex(self, point: Mapping[str, complex]) -> complex:
         for v in self.vars:
@@ -454,12 +501,12 @@ def limit_at_one(p: LaurentMPoly, v: str = "q") -> tuple[int, LaurentMPoly]:
     split = [(e[i], e[:i] + e[i + 1:], c) for e, c in p.terms.items()]
     k = 0
     while True:
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         for ev, key, c in split:
             b = _binom(ev, k)
             if b:
                 out[key] = out.get(key, 0) + c * b
-        coeff = LaurentMPoly(rest, out)
+        coeff = LaurentMPoly._build(rest, out)
         if coeff:
             return k, coeff
         k += 1
@@ -474,8 +521,10 @@ def _integer_primitive(p: LaurentMPoly,
                        vars: tuple[str, ...]) -> tuple[Fraction, dict]:
     """(rational_content(p), p / content as an integer dict over vars)."""
     cont = rational_content(p)
+    terms = p._embedded(vars)
+    if cont == 1:  # integral coefficients already; the dicts are read-only
+        return cont, terms
     n, d = cont.numerator, cont.denominator
-    terms = p.terms if p.vars == vars else p._embedded(vars)
     return cont, {e: c.numerator // n * (d // c.denominator)
                   for e, c in terms.items()}
 
@@ -630,8 +679,8 @@ def _with_units(vars: tuple[str, ...], quot: dict, scale: Fraction,
                 unit: Mapping[str, int]) -> LaurentMPoly:
     """quot over vars times scale and the monomial with powers unit: an
     integer quotient with the units its division split off put back."""
-    q = LaurentMPoly(vars, {e: c * scale for e, c in quot.items()}
-                     if scale != 1 else quot)
+    q = LaurentMPoly._build(vars, {e: c * scale for e, c in quot.items()}
+                            if scale != 1 else quot)
     return q._times_monomial(unit) if any(unit.values()) else q
 
 
@@ -665,26 +714,27 @@ def signed_content(p: LaurentMPoly, main: str | None = None) -> Fraction:
 def normalized(p: LaurentMPoly, main: str | None = None) -> LaurentMPoly:
     """p divided by its `signed_content`."""
     c = signed_content(p, main)
-    return p if c == 1 else p.map_coeffs(lambda x: x / c)
+    return p if c == 1 else p * (1 / c)
 
 
 def _content_and_primitive_wrt(p: LaurentMPoly, v: str) -> tuple[LaurentMPoly, LaurentMPoly]:
     """Content = gcd of the v-coefficients (a polynomial without v)."""
     coeffs = list(p.as_univariate(v).values())
-    cont = LaurentMPoly.zero()
-    for c in coeffs:
-        cont = poly_gcd(cont, c)
-        if cont.is_constant() and not cont.is_zero():
-            cont = LaurentMPoly.const(1)
-            break
-    if cont.is_zero():
+    if not coeffs:
         return LaurentMPoly.zero(), LaurentMPoly.zero()
+    # the fold starts at the first coefficient, which is poly_gcd(0, c);
+    # a constant gcd is 1 and ends it
+    cont = normalized(coeffs[0].clear_laurent()[0])
+    for c in coeffs[1:]:
+        if cont.is_constant():
+            break
+        cont = poly_gcd(cont, c)
     pp = exact_divide(p, cont)
     # also strip the rational scale, keeping cont * pp == p exact; without
     # this the PRS coefficients compound geometrically across steps
     rc = rational_content(pp)
     if rc != 1:
-        pp = pp.map_coeffs(lambda x: x / rc)
+        pp = pp * (1 / rc)
         cont = cont * rc
     return cont, pp
 
@@ -745,7 +795,7 @@ def gcd_cofactors(a: LaurentMPoly, b: LaurentMPoly
     h, qa, qb = heu
     if len(h) == 1 and not any(next(iter(h))):
         return LaurentMPoly.const(1), a, b
-    g = LaurentMPoly(vars, h)
+    g = LaurentMPoly._build(vars, h)
     s = signed_content(g)  # +-1, as h is primitive
     return (g if s == 1 else -g, _with_units(vars, qa, ca * s, ua),
             _with_units(vars, qb, cb * s, ub))
@@ -864,7 +914,7 @@ def squarefree_part(a: LaurentMPoly, v: str) -> LaurentMPoly:
 _TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\d+|[\^\*\+\-/()])")
 
 
-def format_coeff(c: Fraction) -> str:
+def format_coeff(c: Coeff) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -1023,6 +1073,6 @@ def poly_from_json(obj: dict) -> LaurentMPoly:
                 Fraction(int(t["num"]), int(t.get("den", "1")))
             for t in obj["terms"]
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed polynomial JSON: {exc}") from exc
     return LaurentMPoly(vars, terms)

@@ -48,8 +48,8 @@ def _push_units(num: LaurentMPoly,
         num = num.shift_var(v, -m)
     c = signed_content(den_p)
     if c != 1:
-        den_p = den_p.map_coeffs(lambda x: x / c)
-        num = num.map_coeffs(lambda x: x / c)
+        den_p = den_p * (1 / c)
+        num = num * (1 / c)
     return num, den_p
 
 
@@ -104,10 +104,10 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num == LaurentMPoly.const(1) and self.den == LaurentMPoly.const(1)
+        return self.num == _ONE and self.den == _ONE
 
     def is_polynomial(self) -> bool:
-        return self.den == LaurentMPoly.const(1)
+        return self.den == _ONE
 
     def as_polynomial(self) -> LaurentMPoly:
         if not self.is_polynomial():

@@ -155,6 +155,12 @@ class TestProduct:
         for op in (p0_operator(), p_full(), cubic_displayed()):
             assert operator_from_json(operator_to_json(op)) == op
 
+    def test_json_zero_denominator_is_a_domain_error(self):
+        obj = operator_to_json(p0_operator())
+        obj["terms"][0]["coeff"]["num"]["terms"][0]["den"] = "0"
+        with pytest.raises(DomainError, match="malformed polynomial JSON"):
+            operator_from_json(obj)
+
 
 class TestApply:
     def test_shift_action(self):

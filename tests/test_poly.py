@@ -813,3 +813,266 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(DomainError):
             poly_from_json({"vars": ["Q"], "terms": [{"exp": [1]}]})
+
+    def test_zero_denominator_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="malformed polynomial JSON"):
+            poly_from_json({"vars": ["Q"],
+                            "terms": [{"exp": [1], "num": "1", "den": "0"}]})
+
+    def test_integer_round_trip_keeps_int_terms(self):
+        p = P("3*Q^2*E^-1 - 7*E + 12")
+        back = poly_from_json(poly_to_json(p))
+        assert back.vars == p.vars and back.terms == p.terms
+        assert all(type(c) is int for c in back.terms.values())
+
+
+# -- canonical coefficients: int when integral, Fraction only when not -------
+
+def assert_canonical(p):
+    """The stored form: each coefficient an int, or a Fraction whose
+    denominator is not 1; variables used and in canonical order."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
+    assert list(p.vars) == sorted(p.vars, key=var_sort_key)
+    assert all(any(e[i] for e in p.terms) for i in range(len(p.vars)))
+
+
+class TestIntegerCoefficientsStayExact:
+    """Python's int / int and int ** negative give floats; every path that
+    can meet them on int coefficients keeps an exact Fraction."""
+
+    def test_eval_at_an_integral_point(self):
+        p = P("x^-1")
+        for x in (2, Fraction(2)):
+            v = p.eval_exact({"x": x})
+            assert type(v) is Fraction and v == Fraction(1, 2)
+        v = P("3*x^-2*y + y^-1").eval_exact({"x": 2, "y": -1})
+        assert type(v) is Fraction and v == Fraction(-7, 4)
+        v = P("x^-1 + 2*x^-2").eval_exact({"x": Fraction(-2, 3)})
+        assert v == Fraction(-3, 2) + Fraction(9, 2)
+        assert type(P("5").eval_exact({})) is Fraction
+
+    def test_subst_under_a_negative_power(self):
+        p = P("x^-1 + 3*x^-2*y").subst_monomials(
+            {"x": LaurentMPoly.monomial(2, {"z": 1})})
+        assert p.terms == {(1, -2): Fraction(3, 4), (0, -1): Fraction(1, 2)}
+        assert_canonical(p)
+
+    def test_constant_values_are_fractions(self):
+        r = RationalFunction(LaurentMPoly.const(3), LaurentMPoly.const(2))
+        assert type(r.constant_value()) is Fraction
+        assert r.constant_value() == Fraction(3, 2)
+        one = RationalFunction(LaurentMPoly.const(3), LaurentMPoly.const(1))
+        assert type(one.constant_value()) is Fraction
+        assert type(LaurentMPoly.const(4).constant_value()) is Fraction
+        assert type(LaurentMPoly.zero().constant_value()) is Fraction
+        v = RationalFunction(P("x"), P("x + 1")).eval_exact({"x": 1})
+        assert type(v) is Fraction and v == Fraction(1, 2)
+
+    def test_scalars_and_normalized_keep_the_form(self):
+        p = P("2*x + 4")
+        assert (p * 2).terms == {(1,): 4, (0,): 8}
+        half = p * Fraction(1, 2)
+        assert half.terms == {(1,): 1, (0,): 2}
+        assert (p * Fraction(1, 3)).terms == {(1,): Fraction(2, 3),
+                                              (0,): Fraction(4, 3)}
+        assert normalized(P("1/2*x + 1/3")).terms == {(1,): 3, (0,): 2}
+        assert normalized(p).terms == {(1,): 1, (0,): 2}
+        assert LaurentMPoly.const(Fraction(4, 2)).terms == {(): 2}
+        for q in (p * 2, half, p * Fraction(1, 3), normalized(p),
+                  LaurentMPoly.const(Fraction(4, 2)),
+                  LaurentMPoly.monomial(Fraction(6, 3), {"y": 1, "x": 2})):
+            assert_canonical(q)
+
+
+def old_canon(vars, terms):
+    """The canonical form by the rules of the Fraction-only constructor,
+    on plain {exponent: Fraction} dicts: the test-side oracle."""
+    vars = tuple(vars)
+    clean = {}
+    for e, c in terms.items():
+        e = tuple(int(x) for x in e)
+        clean[e] = clean.get(e, Fraction(0)) + Fraction(c)
+    clean = {e: c for e, c in clean.items() if c}
+    used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
+    order = sorted(used, key=lambda i: var_sort_key(vars[i]))
+    return (tuple(vars[i] for i in order),
+            {tuple(e[i] for i in order): c for e, c in clean.items()})
+
+
+def oracle(p):
+    return p.vars, {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def o_embed(o, vars):
+    return {tuple(e[o[0].index(v)] if v in o[0] else 0 for v in vars): c
+            for e, c in o[1].items()}
+
+
+def o_add(a, b):
+    vars = tuple(dict.fromkeys(a[0] + b[0]))
+    out = dict(o_embed(a, vars))
+    for e, c in o_embed(b, vars).items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return old_canon(vars, out)
+
+
+def o_mul(a, b):
+    vars = tuple(dict.fromkeys(a[0] + b[0]))
+    out = {}
+    for ea, ca in o_embed(a, vars).items():
+        for eb, cb in o_embed(b, vars).items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return old_canon(vars, out)
+
+
+def o_scale(a, c):
+    return old_canon(a[0], {e: x * Fraction(c) for e, x in a[1].items()})
+
+
+def o_eval(a, point):
+    total = Fraction(0)
+    for e, c in a[1].items():
+        for v, k in zip(a[0], e):
+            x = Fraction(point[v])
+            if k < 0 and x == 0:
+                raise DomainError("zero to a negative power")
+            c *= x ** k
+        total += c
+    return total
+
+
+NAMES = ("q", "Q", "x")
+coeffs = st.one_of(st.integers(-6, 6),
+                   st.fractions(-6, 6, max_denominator=4),
+                   st.integers(-6, 6).map(Fraction))
+
+
+@st.composite
+def raw_polys(draw, max_terms=4):
+    """(vars, terms): 1-3 variables in any order, Laurent exponents, int,
+    integral Fraction and non-integral Fraction coefficients."""
+    vars = draw(st.permutations(NAMES))[:draw(st.integers(1, 3))]
+    exps = st.tuples(*[st.integers(-2, 3) for _ in vars])
+    return tuple(vars), draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+
+
+def built(raw):
+    p = LaurentMPoly(*raw)
+    assert_canonical(p)
+    assert oracle(p) == old_canon(*raw)
+    return p
+
+
+def check(p, want):
+    assert_canonical(p)
+    assert oracle(p) == want
+
+
+class TestAgainstFractionOracle:
+    """Every operation against plain Fraction dicts canonicalized by the
+    old rules, with the int-or-Fraction invariant after each one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_polys(), coeffs)
+    def test_construction_parse_json_and_maps(self, raw, c):
+        p = built(raw)
+        check(parse_poly(format_poly(p)), oracle(p))
+        check(poly_from_json(poly_to_json(p)), oracle(p))
+        check(p.map_coeffs(lambda x: x * Fraction(c)), o_scale(oracle(p), c))
+        want = old_canon(p.vars, {e: x / signed_content(p)
+                                  for e, x in oracle(p)[1].items()})
+        check(normalized(p), want)
+        check(LaurentMPoly.const(c), old_canon((), {(): c}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_polys(), raw_polys(), coeffs, st.integers(0, 3))
+    def test_ring_operations(self, ra, rb, c, n):
+        a, b = built(ra), built(rb)
+        oa, ob = oracle(a), oracle(b)
+        check(a + b, o_add(oa, ob))
+        check(a - b, o_add(oa, o_scale(ob, -1)))
+        check(-a, o_scale(oa, -1))
+        check(a * b, o_mul(oa, ob))
+        check(a * c, o_scale(oa, c))
+        check(c + a, o_add(oa, old_canon((), {(): c})))
+        want = old_canon((), {(): 1})
+        for _ in range(n):
+            want = o_mul(want, oa)
+        check(a ** n, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_polys(), st.sampled_from(NAMES), st.integers(-2, 3),
+           st.dictionaries(st.sampled_from(NAMES),
+                           st.tuples(coeffs.filter(bool),
+                                     st.dictionaries(st.sampled_from(NAMES),
+                                                     st.integers(-2, 2),
+                                                     max_size=2)),
+                           max_size=2))
+    def test_structure_and_substitution(self, raw, v, k, spec):
+        p = built(raw)
+        vars, terms = oracle(p)
+        i = vars.index(v) if v in vars else None
+        rest = vars if i is None else vars[:i] + vars[i + 1:]
+        by_power = {}  # exponent of v -> the terms without v
+        for e, c in terms.items():
+            j, r = (0, e) if i is None else (e[i], e[:i] + e[i + 1:])
+            by_power.setdefault(j, {})[r] = c
+        check(p.coeff_of(v, k), old_canon(rest, by_power.get(k, {})))
+        buckets = p.as_univariate(v)
+        assert set(buckets) == set(by_power)
+        for j, c in buckets.items():
+            check(c, old_canon(rest, by_power[j]))
+        check(p.derivative(v), old_canon(vars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in terms.items()} if i is not None else {}))
+        cleared, unit = p.clear_laurent()
+        lows = {u: min(e[j] for e in terms) for j, u in enumerate(vars)}
+        assert unit == {u: m for u, m in lows.items() if m}
+        check(cleared, old_canon(vars, {
+            tuple(x - lows[u] for u, x in zip(vars, e)): c
+            for e, c in terms.items()}))
+        # each bound variable v -> c * prod u^a, term by term in Fractions
+        images = {u: LaurentMPoly.monomial(c, powers)
+                  for u, (c, powers) in spec.items()}
+        names = tuple(dict.fromkeys(vars + NAMES))
+        out = {}
+        for e, c in terms.items():
+            ne = dict.fromkeys(names, 0)
+            for u, x in zip(vars, e):
+                if u in spec:
+                    c *= Fraction(spec[u][0]) ** x
+                    for w, a in spec[u][1].items():
+                        ne[w] += a * x
+                else:
+                    ne[u] += x
+            key = tuple(ne.values())
+            out[key] = out.get(key, Fraction(0)) + c
+        check(p.subst_monomials(images), old_canon(names, out))
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_polys(), st.tuples(*[coeffs for _ in NAMES]))
+    def test_eval_exact(self, raw, values):
+        p = built(raw)
+        point = dict(zip(NAMES, values))
+        try:
+            want = o_eval(oracle(p), point)
+        except DomainError:
+            with pytest.raises(DomainError):
+                p.eval_exact(point)
+            return
+        got = p.eval_exact(point)
+        assert type(got) is Fraction and got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_polys(), raw_polys(), raw_polys(max_terms=3))
+    def test_gcd_cofactors(self, ra, rb, rg):
+        g0 = built(rg)
+        a, b = built(ra) * g0, built(rb) * g0
+        g, qa, qb = gcd_cofactors(a, b)
+        for p in (g, qa, qb):
+            assert_canonical(p)
+        assert o_mul(oracle(g), oracle(qa)) == oracle(a)
+        assert o_mul(oracle(g), oracle(qb)) == oracle(b)

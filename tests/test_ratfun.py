@@ -326,3 +326,9 @@ class TestTextAndJson:
     @settings(max_examples=80, deadline=None)
     def test_json_round_trip(self, a):
         assert ratfun_from_json(ratfun_to_json(a)) == a
+
+    def test_json_zero_denominator_is_a_domain_error(self):
+        obj = ratfun_to_json(rf("Q + 1", "Q - 2"))
+        obj["den"]["terms"][0]["den"] = "0"
+        with pytest.raises(DomainError, match="malformed polynomial JSON"):
+            ratfun_from_json(obj)
