@@ -7,7 +7,6 @@ selects the side, a plain real argument on the cut is refused.
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import BranchCutError, ConvergenceError, DomainError
 
@@ -17,22 +16,26 @@ _EPS = 1e-16
 _MAX_TERMS = 300
 
 
-def _bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n with B_1 = -1/2, by the defining recurrence."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        c = 1  # binomial(m+1, k), updated incrementally
-        for k in range(m):
-            acc += c * b[k]
-            c = c * (m + 1 - k) // (k + 1)
-        b.append(-acc / (m + 1))
-    return b
-
-
+# B_n / (n+1)! for n = 0..64 (B_1 = -1/2; odd n > 1 give zero), the
 # coefficients of the series  Li2(1 - e^-w) = sum B_n w^(n+1) / (n+1)!
-_B = _bernoulli_numbers(64)
-_BERN_COEFF = [float(_B[n] / math.factorial(n + 1)) for n in range(len(_B))]
+_BERN_COEFF = [
+    1.0, -0.25, 0.027777777777777776, 0.0, -0.0002777777777777778, 0.0,
+    4.72411186696901e-06, 0.0, -9.185773074661964e-08, 0.0,
+    1.8978869988971e-09, 0.0, -4.0647616451442256e-11, 0.0,
+    8.921691020456452e-13, 0.0, -1.9939295860721074e-14, 0.0,
+    4.518980029619918e-16, 0.0, -1.0356517612181247e-17, 0.0,
+    2.395218621026187e-19, 0.0, -5.581785874325009e-21, 0.0,
+    1.3091507554183213e-22, 0.0, -3.0874198024267403e-24, 0.0,
+    7.315975652702203e-26, 0.0, -1.740845657234001e-27, 0.0,
+    4.1576356446139e-29, 0.0, -9.962148488284622e-31, 0.0,
+    2.3940344248961652e-32, 0.0, -5.76834735536739e-34, 0.0,
+    1.393179479647008e-35, 0.0, -3.3721219654850894e-37, 0.0,
+    8.178208777562102e-39, 0.0, -1.987010831152386e-40, 0.0,
+    4.8357785180405507e-42, 0.0, -1.1786937248718384e-43, 0.0,
+    2.877096408117257e-45, 0.0, -7.032059098156028e-47, 0.0,
+    1.7208603145033145e-48, 0.0, -4.2160723905604456e-50, 0.0,
+    1.0340406405133039e-51, 0.0, -2.538663062599465e-53,
+]
 
 
 def _kahan_add(total, comp, term):

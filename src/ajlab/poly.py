@@ -20,7 +20,7 @@ integer coefficients.  ``gcd_cofactors`` runs the heuristic GCDHEU first
 (Char, Geddes & Gonnet 1989: evaluate at a large integer, take an integer
 gcd, interpolate back, check by division, whose quotients are the
 cofactors) with the primitive PRS as the fallback; ``exact_divide`` is one
-integer long division.
+integer long division, or a scaled shift when the divisor is a monomial.
 
 Three conventions the other layers share live here and nowhere else: the
 limit at q = 1 (``limit_at_one``: the order of vanishing and the lowest
@@ -278,8 +278,14 @@ class LaurentMPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentMPoly":
+        if isinstance(other, LaurentMPoly) and not self.vars:
+            self, other = other, self  # a constant multiplies as a scalar
+        if isinstance(other, LaurentMPoly) and not other.vars:
+            other = other.terms.get((), 0)
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
+            if c == 1:
+                return self
             return LaurentMPoly._build(self.vars,
                                        {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, LaurentMPoly):
@@ -657,14 +663,18 @@ def exact_divide(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
 
     Laurent units and rational contents are split off both inputs; the
     integer parts go through one integer long division, and the net unit
-    and content are put back on the quotient.
+    and content are put back on the quotient.  A monomial b needs no
+    division: a is scaled and shifted.
     """
     if b.is_zero():
         raise DomainError("division by the zero polynomial")
     if a.is_zero():
         return a
-    pa, ua = a.clear_laurent()
     pb, ub = b.clear_laurent()
+    if not pb.vars:
+        q = a * (1 / pb.constant_value())
+        return q._times_monomial({v: -k for v, k in ub.items()}) if ub else q
+    pa, ua = a.clear_laurent()
     vars = LaurentMPoly._merge_vars(pa, pb)
     ca, fa = _integer_primitive(pa, vars)
     cb, fb = _integer_primitive(pb, vars)

@@ -12,6 +12,8 @@ power m_j = #{numerator lengths >= j} - #{denominator lengths >= j}, and
 on the side its sign picks; ``eval_exact`` does it in integers, as
 (b^j - a^j)^m_j for q = a/b, and builds one Fraction at the end.  For
 Habiro's figure-eight summand every m_j >= 0: nothing is left to cancel.
+Form coefficients are int-or-Fraction canonical, owned by `poly._coeff`
+(an int when integral), so integral forms evaluate in integers.
 
 Shifting one argument by an integer multiplies the summand by a rational
 function of q and of the exponentials of the arguments; ``shift_ratio``
@@ -29,13 +31,15 @@ occur, and then takes the limit in s.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
-from .poly import LaurentMPoly, limit_at_one
+from .poly import LaurentMPoly, _coeff, limit_at_one
 from .ratfun import RationalFunction
 
 Scalar = Union[int, Fraction]
@@ -66,30 +70,23 @@ def _sym_half_var(sym: str) -> str:
         f"half-integer exponent on {sym!r} has no square-root symbol")
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class LinearForm:
-    """sum coeffs[sym] * sym + const, with exact rational coefficients."""
+    """sum coeffs[sym] * sym + const, each coefficient in the canonical
+    form of `poly._coeff`: an int when integral, else a Fraction."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction = Fraction(0)
+    coeffs: tuple[tuple[str, Scalar], ...]
+    const: Scalar = 0
 
     @staticmethod
     def make(coeffs: Mapping[str, Scalar], const: Scalar = 0) -> "LinearForm":
-        items = tuple(sorted((s, _frac(c)) for s, c in coeffs.items()
-                             if _frac(c) != 0))
-        return LinearForm(items, _frac(const))
+        items = tuple(sorted((s, _coeff(c)) for s, c in coeffs.items() if c))
+        return LinearForm(items, _coeff(const))
 
-    def coeff(self, sym: str) -> Fraction:
-        for s, c in self.coeffs:
-            if s == sym:
-                return c
-        return Fraction(0)
+    def coeff(self, sym: str) -> Scalar:
+        return dict(self.coeffs).get(sym, 0)
 
-    def value(self, env: Mapping[str, int]) -> Fraction:
+    def value(self, env: Mapping[str, int]) -> Scalar:
         total = self.const
         for s, c in self.coeffs:
             if s not in env:
@@ -104,11 +101,11 @@ class LinearForm:
     def __add__(self, other: "LinearForm") -> "LinearForm":
         d = dict(self.coeffs)
         for s, c in other.coeffs:
-            d[s] = d.get(s, Fraction(0)) + c
+            d[s] = d.get(s, 0) + c
         return LinearForm.make(d, self.const + other.const)
 
 
-def _affine_monomial(coeffs: Mapping[str, Fraction], const: Fraction,
+def _affine_monomial(coeffs: Mapping[str, Scalar], const: Scalar,
                      q_extra: int = 0) -> LaurentMPoly:
     """q**(const + extra) * prod exp(sym)**coeff as a Laurent monomial,
     using square-root symbols for half-integer parts."""
@@ -140,7 +137,8 @@ def _affine_monomial(coeffs: Mapping[str, Fraction], const: Fraction,
 
 def _dense_q(coeffs: Sequence[int]) -> LaurentMPoly:
     """sum coeffs[k] * q^k."""
-    return LaurentMPoly(("q",), {(k,): c for k, c in enumerate(coeffs) if c})
+    return LaurentMPoly._build(("q",),
+                               {(k,): c for k, c in enumerate(coeffs)})
 
 
 @dataclass(frozen=True)
@@ -151,38 +149,38 @@ class QuadForm:
     {(s,s): a} contributes a*s^2, {(s,t): b} contributes b*s*t.
     """
 
-    quad: tuple[tuple[tuple[str, str], Fraction], ...]
+    quad: tuple[tuple[tuple[str, str], Scalar], ...]
     lin: LinearForm
 
     @staticmethod
     def make(quad: Mapping[tuple[str, str], Scalar],
              lin: Optional[Mapping[str, Scalar]] = None,
              const: Scalar = 0) -> "QuadForm":
-        items: dict[tuple[str, str], Fraction] = {}
+        items: dict[tuple[str, str], Scalar] = {}
         for (a, b), c in quad.items():
             key = (a, b) if a <= b else (b, a)
-            items[key] = items.get(key, Fraction(0)) + _frac(c)
-        qt = tuple(sorted((k, v) for k, v in items.items() if v != 0))
+            items[key] = items.get(key, 0) + c
+        qt = tuple(sorted((k, _coeff(v)) for k, v in items.items() if v))
         return QuadForm(qt, LinearForm.make(lin or {}, const))
 
-    def value(self, env: Mapping[str, int]) -> Fraction:
+    def value(self, env: Mapping[str, int]) -> Scalar:
         total = self.lin.value(env)
         for (a, b), c in self.quad:
             total += c * env[a] * env[b]
         return total
 
-    def shift_delta(self, sym: str, step: int) -> tuple[dict[str, Fraction], Fraction]:
+    def shift_delta(self, sym: str, step: int) -> tuple[dict[str, Scalar], Scalar]:
         """Affine form  value(x + step*e_sym) - value(x)  as (coeffs, const)."""
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, Scalar] = {}
         const = self.lin.coeff(sym) * step
         for (a, b), c in self.quad:
             if a == b == sym:
-                coeffs[sym] = coeffs.get(sym, Fraction(0)) + 2 * c * step
+                coeffs[sym] = coeffs.get(sym, 0) + 2 * c * step
                 const += c * step * step
             elif a == sym:
-                coeffs[b] = coeffs.get(b, Fraction(0)) + c * step
+                coeffs[b] = coeffs.get(b, 0) + c * step
             elif b == sym:
-                coeffs[a] = coeffs.get(a, Fraction(0)) + c * step
+                coeffs[a] = coeffs.get(a, 0) + c * step
         return coeffs, const
 
 
@@ -236,7 +234,7 @@ class ProperQHTerm:
         if len(point) != len(syms):
             raise DomainError(
                 f"point {tuple(point)} does not match arguments {syms}")
-        return dict(zip(syms, (int(x) for x in point)))
+        return dict(zip(syms, map(int, point)))
 
     # -- support -----------------------------------------------------------
 
@@ -281,9 +279,11 @@ class ProperQHTerm:
         lengths = self._support_lengths(env)
         if lengths is None:
             return Fraction(0), False
-        qval = _frac(qval)
+        if type(qval) is not Fraction:
+            qval = Fraction(qval)
+        a, b = qval.numerator, qval.denominator
         e = self.quad.value(env)
-        if qval == 0 and e < 0:
+        if not a and e < 0:
             raise DomainError("q = 0 under a negative exponent")
         if e.denominator == 1:
             x, k = qval, int(e)
@@ -291,23 +291,24 @@ class ProperQHTerm:
             if sval is None:
                 raise DomainError(
                     f"half-integer exponent {e} needs a square root of q")
-            x, k = _frac(sval), int(2 * e)
+            x, k = Fraction(sval), int(2 * e)
             if x * x != qval:
                 raise DomainError(f"{x} is not a square root of {qval}")
-        if k < 0:  # x = 0 only with k >= 0
-            x, k = 1 / x, -k
-        num, den = x.numerator ** k, x.denominator ** k
+        num, den = x.numerator, x.denominator
+        if k < 0:  # x = 0 only with k >= 0; Fraction fixes the sign of den
+            num, den, k = den, num, -k
+        num, den = num ** k, den ** k
         if int(self.sign.value(env)) % 2:
             num = -num
         # a rational q is a root of some 1 - q^j (j >= 1) only at q = 1, or
         # at q = -1 with j even; any such factor under the bar is a pole,
         # even where the numerator would cancel it
-        for ln, denom in lengths:
-            if denom and ((qval == 1 and ln >= 1) or (qval == -1 and ln >= 2)):
-                raise PoleError(
-                    f"(q)_{ln} vanishes at q = {qval} under the bar")
+        if b == 1 and a in (1, -1):
+            for ln, denom in lengths:
+                if denom and ln >= (1 if a == 1 else 2):
+                    raise PoleError(
+                        f"(q)_{ln} vanishes at q = {qval} under the bar")
         # with q = a/b, (1 - q^j)^m = (b^j - a^j)^m / b^(j*m)
-        a, b = qval.numerator, qval.denominator
         bpow = 0
         for j, m in self._net_multiplicities(lengths).items():
             if m > 0:
@@ -321,9 +322,8 @@ class ProperQHTerm:
     def eval_exact(self, point: Sequence[int], qval: Scalar,
                    sval: Optional[Scalar] = None) -> Fraction:
         """Exact value at q = qval (and s = sval for a half-integer
-        exponent); zero out of support.  Once every (q)_L under the bar is
-        checked for a zero (PoleError), the net powers of (1 - q^j) are
-        multiplied as integers (b^j - a^j)^m_j, q = a/b, into one Fraction."""
+        exponent); zero out of support.  A (q)_L under the bar that vanishes
+        is a PoleError; the rest is integer products, as described above."""
         return self.eval_with_support(point, qval, sval)[0]
 
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
@@ -354,10 +354,10 @@ class ProperQHTerm:
             raise DomainError("summands have different arguments")
         quad = dict(self.quad.quad)
         for k, c in other.quad.quad:
-            quad[k] = quad.get(k, Fraction(0)) + c
+            quad[k] = quad.get(k, 0) + c
         lin = dict(self.quad.lin.coeffs)
         for s, c in other.quad.lin.coeffs:
-            lin[s] = lin.get(s, Fraction(0)) + c
+            lin[s] = lin.get(s, 0) + c
         return ProperQHTerm(
             colors=self.colors,
             nu=self.nu,
@@ -405,8 +405,7 @@ def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     # quadratic exponent change -> monomial
     dcoeffs, dconst = term.quad.shift_delta(sym, step)
     num = _affine_monomial(dcoeffs, dconst) * sign
-    den = LaurentMPoly.const(1)
-    one = LaurentMPoly.const(1)
+    den = one = LaurentMPoly.const(1)
     for f in term.poch:
         d = int(f.length.coeff(sym) * step)
         if d == 0:
@@ -489,13 +488,12 @@ def build_crossing(positive: bool, normalization: str = "so3") -> ProperQHTerm:
             sign = LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1})
         colors = ("m",)
     elif normalization == "two-color":
+        h = Fraction(1, 2)
         if positive:
             quad = QuadForm.make(
                 {(k2, k2): 1, (k1, k2): -1, (k2, k3): -1, (k1, k3): 1,
-                 ("m", k2): Fraction(-1, 2), ("m", k4): Fraction(-1, 2),
-                 ("m", k1): Fraction(1, 2), ("m", k3): Fraction(1, 2),
-                 ("mp", k2): Fraction(-1, 2), ("mp", k4): Fraction(-1, 2),
-                 ("mp", k1): Fraction(1, 2), ("mp", k3): Fraction(1, 2)})
+                 ("m", k2): -h, ("m", k4): -h, ("m", k1): h, ("m", k3): h,
+                 ("mp", k2): -h, ("mp", k4): -h, ("mp", k1): h, ("mp", k3): h})
             num = [LinearForm.make({"m": 1, k4: 1, k3: -1}),
                    LinearForm.make({"mp": 1, k4: 1, k1: -1})]
             den = [LinearForm.make({k2: 1, k4: 1, k1: -1, k3: -1}),
@@ -505,10 +503,8 @@ def build_crossing(positive: bool, normalization: str = "so3") -> ProperQHTerm:
         else:
             quad = QuadForm.make(
                 {(k3, k4): 1, (k4, k4): -1, (k1, k4): 1, (k1, k3): -1,
-                 ("m", k1): Fraction(-1, 2), ("m", k3): Fraction(-1, 2),
-                 ("m", k2): Fraction(1, 2), ("m", k4): Fraction(1, 2),
-                 ("mp", k1): Fraction(-1, 2), ("mp", k3): Fraction(-1, 2),
-                 ("mp", k2): Fraction(1, 2), ("mp", k4): Fraction(1, 2)})
+                 ("m", k1): -h, ("m", k3): -h, ("m", k2): h, ("m", k4): h,
+                 ("mp", k1): -h, ("mp", k3): -h, ("mp", k2): h, ("mp", k4): h})
             num = [LinearForm.make({"m": 1, k1: 1, k4: -1}),
                    LinearForm.make({"mp": 1, k3: 1, k4: -1})]
             den = [LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1}),
@@ -569,7 +565,8 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
                                     if s in fixed)
             fc = [(s, c) for s, c in form.coeffs if s in free and c != 0]
             for s, c in fc:
-                # c*s >= -base - sum of the other free parts' best case
+                # c*s >= -base - sum of the other free parts' best case;
+                # a Fraction, so that the bound below is not int / int
                 rest = Fraction(0)
                 ok = True
                 for s2, c2 in fc:
@@ -597,7 +594,6 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
         raise SupportError(f"support bounds still move after "
                            f"{_SUPPORT_ROUNDS} rounds of propagation")
     out = []
-    import math
     for s in free:
         if lo[s] is None or hi[s] is None:
             raise SupportError(
@@ -620,20 +616,10 @@ def lattice_sum(term: ProperQHTerm, color_values: Sequence[int],
         raise DomainError("wrong number of colors")
     free = [_lattice_sym(i + 1) for i in range(term.nu)]
     box = support_box(term.support_forms(), fixed, free)
-
-    def rec(idx: int, point: list[int]) -> Fraction:
-        if idx == len(free):
-            return term.eval_exact(tuple(color_values) + tuple(point),
-                                   qval, sval)
-        total = Fraction(0)
-        a, b = box[idx]
-        for k in range(a, b + 1):
-            point.append(k)
-            total += rec(idx + 1, point)
-            point.pop()
-        return total
-
-    return rec(0, [])
+    colors = tuple(color_values)
+    return sum((term.eval_exact(colors + point, qval, sval) for point in
+                itertools.product(*(range(a, b + 1) for a, b in box))),
+               Fraction(0))
 
 
 def jones_symbolic(n: int) -> LaurentMPoly:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ajlab.dilog import li2
+from ajlab.dilog import _BERN_COEFF, li2
 from ajlab.errors import BranchCutError, DomainError
 
 CATALAN = 0.915965594177219015054603514932
@@ -17,6 +17,30 @@ def ref(z):
     mpmath.mp.dps = 40
     v = mpmath.polylog(2, mpmath.mpc(z))
     return complex(float(v.real), float(v.imag))
+
+
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0 .. B_n with B_1 = -1/2, by the defining recurrence."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        c = 1  # binomial(m+1, k), updated incrementally
+        for k in range(m):
+            acc += c * b[k]
+            c = c * (m + 1 - k) // (k + 1)
+        b.append(-acc / (m + 1))
+    return b
+
+
+def test_bernoulli_table_matches_the_recurrence():
+    # the series coefficients B_n / (n+1)! are a literal table; each must
+    # be the correctly rounded float of the exact value
+    b = _bernoulli_numbers(64)
+    assert b[:5] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
+    want = [float(b[n] / math.factorial(n + 1)) for n in range(65)]
+    assert len(_BERN_COEFF) == 65
+    assert all(type(x) is float for x in _BERN_COEFF)
+    assert _BERN_COEFF == want
 
 
 class TestClosedForms:

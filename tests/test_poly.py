@@ -1076,3 +1076,65 @@ class TestAgainstFractionOracle:
             assert_canonical(p)
         assert o_mul(oracle(g), oracle(qa)) == oracle(a)
         assert o_mul(oracle(g), oracle(qb)) == oracle(b)
+
+
+# -- constant factors and monomial divisors take the scalar path ------------
+
+CONSTANTS = (1, -1, 0, 3, Fraction(2, 3))
+any_polys = st.one_of(raw_polys(), st.just(((), {})),
+                      coeffs.map(lambda c: ((), {(): c})))
+
+
+class TestScalarPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(any_polys)
+    def test_constant_products_match_the_generic_product(self, raw):
+        p = built(raw)
+        for c in CONSTANTS:
+            k = LaurentMPoly.const(c)
+            want = o_mul(oracle(p), oracle(k))
+            check(p * k, want)
+            check(k * p, want)
+            check(p * c, want)
+
+    def test_multiplying_by_one_returns_the_operand(self):
+        one = LaurentMPoly.const(1)
+        for p in (P("2*x - y/3 + x^-1"), P("q")):
+            assert p * one is p
+            assert one * p is p
+            assert p * 1 is p
+        for p in (LaurentMPoly.const(Fraction(5, 7)), LaurentMPoly.zero()):
+            assert p * one == p and one * p == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_polys(), coeffs.filter(bool),
+           st.dictionaries(st.sampled_from(NAMES), st.integers(-2, 2),
+                           max_size=2))
+    def test_monomial_divisor_skips_the_long_division(self, raw, c, powers):
+        def refuse(a, b):
+            raise AssertionError("integer long division reached")
+
+        p = built(raw)
+        b = LaurentMPoly.monomial(c, powers)
+        want = o_mul(oracle(p), oracle(LaurentMPoly.monomial(
+            1 / Fraction(c), {v: -k for v, k in powers.items()})))
+        original = poly_module._zz_divide
+        poly_module._zz_divide = refuse
+        try:
+            got = exact_divide(p, b)
+            with pytest.raises(DomainError):
+                exact_divide(p, LaurentMPoly.zero())
+        finally:
+            poly_module._zz_divide = original
+        check(got, want)
+        assert got * b == p
+
+    def test_other_divisors_still_divide(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("integer long division reached")
+
+        monkeypatch.setattr(poly_module, "_zz_divide", refuse)
+        assert exact_divide(P("2*q^2*Q"), P("4*q^-1")) == P("q^3*Q/2")
+        assert exact_divide(P("q - 1"), P("-1")) == P("1 - q")
+        with pytest.raises(AssertionError, match="long division"):
+            exact_divide(P("q^2 - 1"), P("q + 1"))

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ajlab.errors import DomainError, PoleError, SupportError
 from ajlab.poly import LaurentMPoly, parse_poly
 from ajlab.qhg import (
     LinearForm,
+    _dense_q,
     PochFactor,
     ProperQHTerm,
     QuadForm,
@@ -595,3 +597,157 @@ class TestAlgebra:
     def test_point_arity_checked(self):
         with pytest.raises(DomainError):
             habiro_figure_eight().eval_exact((3,), 2)
+
+
+# -- form coefficients: int when integral, Fraction only when not ----------
+
+def assert_canonical_form(form):
+    """Each stored coefficient an int, or a Fraction whose denominator is
+    not 1 (the rule of `poly._coeff`)."""
+    if isinstance(form, QuadForm):
+        stored = [c for _, c in form.quad] + [c for _, c in form.lin.coeffs]
+        stored.append(form.lin.const)
+    else:
+        stored = [c for _, c in form.coeffs] + [form.const]
+    for c in stored:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    assert all(c for c in stored[:-1])
+
+
+SYMS = ("n", "k1", "k2")
+# int, integral Fraction and half-integer inputs
+scalars = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(Fraction),
+                    st.integers(-13, 13).map(lambda k: Fraction(k, 2)))
+lin_inputs = st.tuples(
+    st.dictionaries(st.sampled_from(SYMS), scalars, max_size=3), scalars)
+quad_inputs = st.tuples(
+    st.dictionaries(st.tuples(st.sampled_from(SYMS), st.sampled_from(SYMS)),
+                    scalars, max_size=4), lin_inputs)
+envs = st.fixed_dictionaries({s: st.integers(-9, 9) for s in SYMS})
+
+
+def as_fractions(d):
+    return {k: Fraction(c) for k, c in d.items()}
+
+
+def lin_oracle(coeffs, const, env):
+    return sum((Fraction(c) * env[s] for s, c in coeffs.items()),
+               Fraction(const))
+
+
+def quad_oracle(quad, lin, env):
+    return lin_oracle(*lin, env) + sum(
+        (Fraction(c) * env[a] * env[b] for (a, b), c in quad.items()),
+        Fraction(0))
+
+
+class TestFormCoefficients:
+    @settings(max_examples=200, deadline=None)
+    @given(lin_inputs, lin_inputs, envs)
+    def test_linear_forms(self, inp, other, env):
+        coeffs, const = inp
+        f = LinearForm.make(coeffs, const)
+        assert_canonical_form(f)
+        v = f.value(env)
+        assert v == lin_oracle(coeffs, const, env)
+        assert type(v) is (int if f.is_integral() else Fraction)
+        for s in SYMS:
+            assert f.coeff(s) == Fraction(coeffs.get(s, 0))
+        # the same form from Fraction inputs: equal and hashed alike
+        g = LinearForm.make(as_fractions(coeffs), Fraction(const))
+        assert f == g and hash(f) == hash(g)
+        h = f + LinearForm.make(*other)
+        assert_canonical_form(h)
+        assert h.value(env) == v + lin_oracle(*other, env)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quad_inputs, envs)
+    def test_quadratic_forms(self, inp, env):
+        quad, (lin, const) = inp
+        f = QuadForm.make(quad, lin, const)
+        assert_canonical_form(f)
+        v = f.value(env)
+        assert v == quad_oracle(quad, (lin, const), env)
+        assert type(v) in (int, Fraction)
+        g = QuadForm.make(as_fractions(quad), as_fractions(lin),
+                          Fraction(const))
+        assert f == g and hash(f) == hash(g)
+        for sym in SYMS:
+            coeffs, c0 = f.shift_delta(sym, 1)
+            shifted = dict(env, **{sym: env[sym] + 1})
+            assert lin_oracle(coeffs, c0, env) == f.value(shifted) - v
+
+    def test_int_and_integral_fraction_inputs_agree(self):
+        a = LinearForm.make({"n": 3, "k1": Fraction(4, 2)}, 3)
+        b = LinearForm.make({"n": Fraction(3), "k1": 2}, Fraction(3))
+        assert a == b and hash(a) == hash(b)
+        assert a.coeffs == (("k1", 2), ("n", 3))
+        assert all(type(c) is int for _, c in a.coeffs)
+        assert type(a.const) is int and type(a.value({"n": 1, "k1": 1})) is int
+        # two half-integer entries on one unordered pair sum to an int
+        q1 = QuadForm.make({("n", "k1"): Fraction(1, 2),
+                            ("k1", "n"): Fraction(5, 2)}, {"n": 3}, 3)
+        q2 = QuadForm.make({("k1", "n"): Fraction(3)}, {"n": Fraction(3)},
+                           Fraction(3))
+        assert q1 == q2 and hash(q1) == hash(q2)
+        assert q1.quad == ((("k1", "n"), 3),) and type(q1.quad[0][1]) is int
+        assert LinearForm.make({"n": 0, "k1": Fraction(0)}).coeffs == ()
+
+    def test_builtin_summands_store_canonical_forms(self):
+        for term in ALL_SUMMANDS:
+            for form in ([f.length for f in term.poch] + [term.sign, term.quad]
+                         + list(term.constraints)):
+                assert_canonical_form(form)
+        f = habiro_figure_eight()
+        assert all(type(c) is int for _, c in f.quad.quad)
+        assert type(f.eval_exact((3, 1), 2)) is Fraction
+        half = build_crossing(True, "two-color").quad
+        assert {c for _, c in half.quad} >= {Fraction(1, 2), Fraction(-1, 2)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-10 ** 18, 10 ** 18), st.integers(0, 50),
+           st.integers(1, 7), st.integers(1, 7), st.integers(0, 6),
+           st.integers(0, 6))
+    @example(10 ** 16 - 5, 4, 1, 3, 0, 2)
+    def test_support_box_bounds_are_exact(self, lo, width, c1, c2, r1, r2):
+        # c1*k >= c1*lo - r1 and c2*k <= c2*(lo + width) + r2, 0 <= r < c:
+        # exactly lo <= k <= lo + width; a float quotient rounds large
+        # bounds to the wrong integer
+        r1, r2 = r1 % c1, r2 % c2
+        forms = [LinearForm.make({"k1": c1}, r1 - c1 * lo),
+                 LinearForm.make({"k1": -c2}, c2 * (lo + width) + r2)]
+        box = support_box(forms, {}, ["k1"])
+        assert box == [(lo, lo + width)]
+        assert all(type(x) is int for x in box[0])
+
+    def test_support_box_with_half_integer_coefficients(self):
+        forms = [LinearForm.make({"k1": Fraction(1, 2)}, Fraction(-3, 2)),
+                 LinearForm.make({"k1": Fraction(-1, 2), "n": 1},
+                                 Fraction(1, 2))]
+        assert support_box(forms, {"n": 4}, ["k1"]) == [(3, 9)]
+
+    def test_dense_q_is_canonical(self):
+        assert _dense_q([1]) == LaurentMPoly.const(1)
+        assert _dense_q([1]).vars == ()
+        assert _dense_q([0, 0]).is_zero() and _dense_q([0, 0]).vars == ()
+        assert _dense_q([1, -1, 0, 2]) == P("1 - q + 2*q^3")
+        assert _dense_q([0, 3]).terms == {(1,): 3}
+        # the figure-eight summand has nothing under the bar
+        assert habiro_figure_eight().eval_symbolic((4, 2)).den.vars == ()
+
+    @pytest.mark.parametrize("positive", (True, False))
+    def test_half_integer_exponents_match_the_oracle(self, positive):
+        term = build_crossing(positive, "two-color")
+        rng = random.Random(3000 + positive)
+        pts = [pt for pt in random_support_points(term, rng, 120)
+               if term.quad.value(dict(zip(term.symbols(), pt))) % 1]
+        assert len(pts) >= 10
+        for pt in pts:
+            got = term.eval_symbolic(pt)
+            want = literal_symbolic(term, pt)
+            assert (got.num, got.den) == (want.num, want.den), pt
+            sv = random_rational(rng) or Fraction(1, 3)
+            for qv, s in ((sv * sv, sv), (sv * sv, -sv), (sv * sv, None),
+                          (sv * sv + 1, sv), (1, 1), (1, -1), (0, 0)):
+                assert (outcome(term.eval_exact, pt, qv, s)
+                        == outcome(literal_exact, term, pt, qv, s)), (pt, qv)
