@@ -7,12 +7,12 @@ resultants leaves a single polynomial in (alpha, l) — the candidate curve
 the annihilating operator is compared against.
 """
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import DegeneracyError, DomainError
 from .ore import OreOperator, epsilon_eval_with_unit
 from .poly import (
+    Immutable,
     LaurentMPoly,
     _content_and_primitive_wrt,
     exact_divide,
@@ -57,14 +57,19 @@ def rename_ratfun(r: RationalFunction,
 
 # -- equation systems ------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Immutable):
     """Cleared polynomial equations (each = 0), one of them the longitude."""
 
-    gluing: tuple[LaurentMPoly, ...]
-    longitude: LaurentMPoly
-    coordinates: tuple[str, ...]
-    longitude_kind: str  # "linear" (degree 1 in l) or "squared" (l^2)
+    __slots__ = ("gluing", "longitude", "coordinates", "longitude_kind")
+
+    def __init__(self, gluing: tuple[LaurentMPoly, ...],
+                 longitude: LaurentMPoly, coordinates: tuple[str, ...],
+                 longitude_kind: str):
+        object.__setattr__(self, "gluing", gluing)
+        object.__setattr__(self, "longitude", longitude)
+        object.__setattr__(self, "coordinates", coordinates)
+        # "linear" (degree 1 in l) or "squared" (l^2)
+        object.__setattr__(self, "longitude_kind", longitude_kind)
 
     def equations(self) -> tuple[LaurentMPoly, ...]:
         return (*self.gluing, self.longitude)
@@ -130,13 +135,17 @@ def ratio_system(term: ProperQHTerm,
 
 # -- elimination -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class APolyCandidate:
+class APolyCandidate(Immutable):
     """Result of eliminating the coordinates: a curve in (alpha, l)."""
 
-    poly: LaurentMPoly
-    dropped: tuple[str, ...]  # discarded l-free factors / multiplicities
-    order: tuple[str, ...]
+    __slots__ = ("poly", "dropped", "order")
+
+    def __init__(self, poly: LaurentMPoly, dropped: tuple[str, ...],
+                 order: tuple[str, ...]):
+        object.__setattr__(self, "poly", poly)
+        # discarded l-free factors / multiplicities
+        object.__setattr__(self, "dropped", dropped)
+        object.__setattr__(self, "order", order)
 
     def __str__(self) -> str:
         return format_poly(self.poly)
@@ -208,12 +217,17 @@ def eliminate(system: EquationSystem,
 
 # -- operator comparison ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorCurveComparison:
-    match: bool
-    operator_poly: LaurentMPoly  # limit of the operator, in (alpha, l)
-    candidate_poly: LaurentMPoly
-    unit: RationalFunction  # scale absorbed when taking the limit
+class OperatorCurveComparison(Immutable):
+    __slots__ = ("match", "operator_poly", "candidate_poly", "unit")
+
+    def __init__(self, match: bool, operator_poly: LaurentMPoly,
+                 candidate_poly: LaurentMPoly, unit: RationalFunction):
+        object.__setattr__(self, "match", match)
+        # limit of the operator, in (alpha, l)
+        object.__setattr__(self, "operator_poly", operator_poly)
+        object.__setattr__(self, "candidate_poly", candidate_poly)
+        # scale absorbed when taking the limit
+        object.__setattr__(self, "unit", unit)
 
     def __str__(self) -> str:
         verdict = "match" if self.match else "MISMATCH"

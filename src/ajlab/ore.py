@@ -24,13 +24,12 @@ they produce are compared under one convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, ParityError, PoleError
-from .poly import LaurentMPoly, exact_divide, format_poly, limit_at_one, \
-    poly_lcm, signed_content
+from .poly import Immutable, LaurentMPoly, exact_divide, format_poly, \
+    limit_at_one, poly_lcm, signed_content
 from .ratfun import RationalFunction, as_ratfun, format_ratfun, \
     ratfun_from_json, ratfun_to_json
 
@@ -43,7 +42,7 @@ def _lattice_var(i: int) -> str:
     return f"Qt{i}"
 
 
-class OreOperator:
+class OreOperator(Immutable):
     """Finite sum  sum_e  c_e(q, meridian, Qt*) * E^e0 * Et1^e1 ... Etnu^enu."""
 
     __slots__ = ("nu", "meridian", "e0_twist", "terms")
@@ -81,9 +80,6 @@ class OreOperator:
         object.__setattr__(self, "meridian", meridian)
         object.__setattr__(self, "e0_twist", e0_twist)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("OreOperator is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -225,17 +221,23 @@ def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
 
 # -- action on sequences ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscreteEvaluator:
+class DiscreteEvaluator(Immutable):
     """Exact function of an integer point, with optional support predicate.
 
     ``fn(point, qval)`` returns a Fraction; outside ``support`` the value
     is zero without calling ``fn``.
     """
-    arity: int
-    fn: Callable[[tuple[int, ...], Fraction], Fraction]
-    support: Optional[Callable[[tuple[int, ...]], bool]] = None
-    name: str = ""
+
+    __slots__ = ("arity", "fn", "support", "name")
+
+    def __init__(self, arity: int,
+                 fn: Callable[[tuple[int, ...], Fraction], Fraction],
+                 support: Optional[Callable[[tuple[int, ...]], bool]] = None,
+                 name: str = ""):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "name", name)
 
     def __call__(self, point: Sequence[int], qval: Fraction) -> Fraction:
         point = tuple(int(x) for x in point)

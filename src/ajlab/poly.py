@@ -28,6 +28,11 @@ nonzero Taylor coefficient), the sign/content rule (``signed_content``
 and ``normalized``: coprime integer coefficients, leading coefficient
 positive) and cancellation of a pair by its gcd (``gcd_cofactors``).
 
+Every value type of the package (polynomials, rational functions,
+operators, summand forms, result records) takes its immutability from
+one base here, ``Immutable``: slotted fields set once in ``__init__``,
+with field-tuple equality, hashing and repr for the plain records.
+
 Term order used for leading-term decisions and for text output is graded
 lexicographic (total degree first, then lex on the exponent vector), which
 is only a bookkeeping order for Laurent exponents but is total and fixed.
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, attrgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
@@ -86,7 +91,41 @@ def _term_sort_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
 
 
-class LaurentMPoly:
+class Immutable:
+    """Base of every value type: a subclass lists its fields, in order, as
+    ``__slots__`` and sets them in ``__init__`` with
+    ``object.__setattr__``; afterwards assignment and deletion raise
+    AttributeError.  Unless the subclass defines its own, it compares and
+    hashes as the tuple of its fields (objects of different classes are
+    never equal) and prints as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        cls._field_values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == self._field_values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LaurentMPoly(Immutable):
     """Immutable sparse Laurent polynomial with int-or-Fraction canonical
     coefficients.  The public constructor checks and canonicalizes input
     from outside; results canonical by construction (variables in the
@@ -136,9 +175,6 @@ class LaurentMPoly:
             terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("LaurentMPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -729,7 +765,12 @@ def normalized(p: LaurentMPoly, main: str | None = None) -> LaurentMPoly:
 
 def _content_and_primitive_wrt(p: LaurentMPoly, v: str) -> tuple[LaurentMPoly, LaurentMPoly]:
     """Content = gcd of the v-coefficients (a polynomial without v)."""
-    coeffs = list(p.as_univariate(v).values())
+    # fewest terms first, then lowest degree, then the power of v: the
+    # fold does the same work however p was built, and the small
+    # coefficients that end it soonest come first
+    uni = p.as_univariate(v)
+    coeffs = [uni[k] for k in sorted(
+        uni, key=lambda k: (len(uni[k].terms), uni[k].total_degree(), k))]
     if not coeffs:
         return LaurentMPoly.zero(), LaurentMPoly.zero()
     # the fold starts at the first coefficient, which is poly_gcd(0, c);

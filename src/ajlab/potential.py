@@ -16,7 +16,6 @@ later solve; `derivative_forms` hands out a copy of the cached forms.
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
@@ -30,28 +29,29 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .poly import LaurentMPoly
+from .poly import Immutable, LaurentMPoly
 from .qhg import build_crossing, epsilon_ratio, habiro_figure_eight, shift_ratio
 from .ratfun import RationalFunction, format_ratfun, parse_ratfun as _rf
 
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(Immutable):
     """Selects a potential: a named builtin or a single crossing factor,
     optionally mirrored (which negates the potential)."""
 
-    kind: str  # "builtin" | "crossing"
-    name: str = "figure8"
-    positive: bool = True
-    mirror: bool = False
+    __slots__ = ("kind", "name", "positive", "mirror")
 
-    def __post_init__(self):
-        if self.kind not in ("builtin", "crossing"):
-            raise DomainError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "builtin" and self.name != "figure8":
-            raise DomainError(f"unknown builtin potential {self.name!r}")
+    def __init__(self, kind: str, name: str = "figure8",
+                 positive: bool = True, mirror: bool = False):
+        object.__setattr__(self, "kind", kind)  # "builtin" | "crossing"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "mirror", mirror)
+        if kind not in ("builtin", "crossing"):
+            raise DomainError(f"unknown potential kind {kind!r}")
+        if kind == "builtin" and name != "figure8":
+            raise DomainError(f"unknown builtin potential {name!r}")
 
 
 def builtin_potential(name: str = "figure8",
@@ -246,15 +246,21 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
 
 # -- saddle points ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SaddleResult:
-    alpha: complex
-    coords: dict[str, complex]
-    residual: float  # max |form - 1| over the coordinate forms
-    phi: complex
-    im_phi: float
-    l_squared: complex
-    iterations: int
+class SaddleResult(Immutable):
+    __slots__ = ("alpha", "coords", "residual", "phi", "im_phi",
+                 "l_squared", "iterations")
+
+    def __init__(self, alpha: complex, coords: dict[str, complex],
+                 residual: float, phi: complex, im_phi: float,
+                 l_squared: complex, iterations: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "coords", coords)
+        # max |form - 1| over the coordinate forms
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "im_phi", im_phi)
+        object.__setattr__(self, "l_squared", l_squared)
+        object.__setattr__(self, "iterations", iterations)
 
     def to_json(self) -> dict:
         def c(z):

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
-from .poly import LaurentMPoly, _coeff, limit_at_one
+from .poly import Immutable, LaurentMPoly, _coeff, limit_at_one
 from .ratfun import RationalFunction
 
 Scalar = Union[int, Fraction]
@@ -70,13 +69,16 @@ def _sym_half_var(sym: str) -> str:
         f"half-integer exponent on {sym!r} has no square-root symbol")
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Immutable):
     """sum coeffs[sym] * sym + const, each coefficient in the canonical
     form of `poly._coeff`: an int when integral, else a Fraction."""
 
-    coeffs: tuple[tuple[str, Scalar], ...]
-    const: Scalar = 0
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple[tuple[str, Scalar], ...],
+                 const: Scalar = 0):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
 
     @staticmethod
     def make(coeffs: Mapping[str, Scalar], const: Scalar = 0) -> "LinearForm":
@@ -141,16 +143,19 @@ def _dense_q(coeffs: Sequence[int]) -> LaurentMPoly:
                                {(k,): c for k, c in enumerate(coeffs)})
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(Immutable):
     """Quadratic + linear + constant exponent of q.
 
     ``quad`` maps unordered symbol pairs (stored sorted) to coefficients:
     {(s,s): a} contributes a*s^2, {(s,t): b} contributes b*s*t.
     """
 
-    quad: tuple[tuple[tuple[str, str], Scalar], ...]
-    lin: LinearForm
+    __slots__ = ("quad", "lin")
+
+    def __init__(self, quad: tuple[tuple[tuple[str, str], Scalar], ...],
+                 lin: LinearForm):
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "lin", lin)
 
     @staticmethod
     def make(quad: Mapping[tuple[str, str], Scalar],
@@ -184,46 +189,52 @@ class QuadForm:
         return coeffs, const
 
 
-@dataclass(frozen=True)
-class PochFactor:
+class PochFactor(Immutable):
     """(q)_L = prod_{j=1..L} (1 - q^j), with L an integer linear form;
     ``denom`` marks factors sitting under the fraction bar."""
 
-    length: LinearForm
-    denom: bool = False
+    __slots__ = ("length", "denom")
 
-    def __post_init__(self):
-        if not self.length.is_integral():
+    def __init__(self, length: LinearForm, denom: bool = False):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "denom", denom)
+        if not length.is_integral():
             raise DomainError(
                 "Pochhammer length must have integer coefficients")
 
 
-@dataclass(frozen=True)
-class ProperQHTerm:
+class ProperQHTerm(Immutable):
     """Sign * q-quadratic * Pochhammer product, as data.
 
-    ``constraints`` are extra integer linear forms required nonnegative for
-    support, on top of every Pochhammer length.
+    ``sign`` defaults to the zero form (sign +1).  ``constraints`` are
+    extra integer linear forms required nonnegative for support, on top
+    of every Pochhammer length.
     """
 
-    colors: tuple[str, ...]
-    nu: int
-    poch: tuple[PochFactor, ...]
-    quad: QuadForm
-    sign: LinearForm = field(default_factory=lambda: LinearForm.make({}))
-    constraints: tuple[LinearForm, ...] = ()
+    __slots__ = ("colors", "nu", "poch", "quad", "sign", "constraints")
 
-    def __post_init__(self):
-        if self.colors not in _COLOR_SETS:
-            raise DomainError(f"unsupported color arguments {self.colors}")
-        if self.nu < 0:
+    def __init__(self, colors: tuple[str, ...], nu: int,
+                 poch: tuple[PochFactor, ...], quad: QuadForm,
+                 sign: Optional[LinearForm] = None,
+                 constraints: tuple[LinearForm, ...] = ()):
+        if sign is None:
+            sign = LinearForm.make({})
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "poch", poch)
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "constraints", constraints)
+        if colors not in _COLOR_SETS:
+            raise DomainError(f"unsupported color arguments {colors}")
+        if nu < 0:
             raise DomainError("negative lattice rank")
         syms = self.symbols()
-        for f in self.poch:
+        for f in poch:
             for s, _ in f.length.coeffs:
                 if s not in syms:
                     raise DomainError(f"length uses unknown symbol {s}")
-        if not self.sign.is_integral():
+        if not sign.is_integral():
             raise DomainError("sign exponent must be an integer form")
 
     def symbols(self) -> tuple[str, ...]:

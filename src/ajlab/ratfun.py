@@ -14,6 +14,7 @@ from typing import Mapping, Union
 
 from .errors import DomainError, PoleError
 from .poly import (
+    Immutable,
     LaurentMPoly,
     format_poly,
     gcd_cofactors,
@@ -53,7 +54,7 @@ def _push_units(num: LaurentMPoly,
     return num, den_p
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """num / den with the canonical form described in the module docstring."""
 
     __slots__ = ("num", "den")
@@ -64,9 +65,6 @@ class RationalFunction:
         if not num.is_zero():
             _, num, den = gcd_cofactors(num, den)
         self._assemble(num, den)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("RationalFunction is immutable")
 
     def _assemble(self, num: LaurentMPoly, den: LaurentMPoly) -> None:
         num, den = _push_units(num, den) if num else (num, _ONE)

@@ -214,6 +214,32 @@ class TestContentGcd:
         assert normalized(p * c, main) == n
         assert n * signed_content(p, main) == p
 
+    def test_content_fold_does_not_depend_on_term_order(self, monkeypatch):
+        # two l-coefficients share Q + 1, the third is coprime to both:
+        # folding the shared pair first takes two gcds, the coprime one
+        # first takes one
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(poly_module, "poly_gcd", counting_gcd)
+        coeffs = [P("(Q + 1)*(Q^2 + 3)"), P("(Q + 1)*(Q^3 + 5)"), P("Q + 7")]
+        results, counts = [], []
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            terms = {}
+            for k in order:
+                for (e,), c in coeffs[k].terms.items():
+                    terms[(e, k)] = c
+            p = LaurentMPoly(("Q", "l"), terms)
+            assert list(p.as_univariate("l")) == order
+            calls.clear()
+            results.append(_content_and_primitive_wrt(p, "l"))
+            counts.append(len(calls))
+        assert counts == [1, 1, 1]
+        assert results == [(P("1"), p)] * 3
+
     def test_gcd_simple(self):
         a = P("Q^2 - 1")
         b = P("Q^2 - 2*Q + 1")
