@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     DegeneracyError,
     DomainError,
-    ParityError,
     PoleError,
     SingularityError,
     SupportError,
@@ -52,7 +51,6 @@ from .ore import (
     homogenize,
     ore_apply,
     ore_mul,
-    substitute_qm,
     telescope_sum_check,
 )
 from .poly import (
@@ -104,7 +102,6 @@ __all__ = [
     "LaurentMPoly",
     "OperatorCurveComparison",
     "OreOperator",
-    "ParityError",
     "PoleError",
     "PotentialSpec",
     "ProperQHTerm",
@@ -154,7 +151,6 @@ __all__ = [
     "shift_ratio",
     "solve_saddle",
     "squarefree_part",
-    "substitute_qm",
     "support_box",
     "telescope_sum_check",
     "volume",

@@ -243,12 +243,11 @@ def aj_compare(op: OreOperator, candidate) -> OperatorCurveComparison:
     recorded while taking the limit is reported in the same variables.
     """
     prim, unit = epsilon_eval_with_unit(op)
-    mapping = RENAME_FULL if op.meridian == "Q" else RENAME_HALF
-    lhs = normalized(rename_exponents(prim, mapping), main="l")
+    lhs = normalized(rename_exponents(prim, RENAME_FULL), main="l")
     rhs = candidate.poly if isinstance(candidate, APolyCandidate) else candidate
     rhs = normalized(rhs.clear_negative(), main="l")
     return OperatorCurveComparison(lhs == rhs, lhs, rhs,
-                                   rename_ratfun(unit, mapping))
+                                   rename_ratfun(unit, RENAME_FULL))
 
 
 def divide_abelian(p: LaurentMPoly) -> LaurentMPoly:

@@ -19,10 +19,6 @@ class PoleError(AjlabError):
     """A denominator vanishes where a finite value is required."""
 
 
-class ParityError(AjlabError):
-    """A meridian substitution met an odd power that cannot be rewritten."""
-
-
 class DegeneracyError(AjlabError):
     """An elimination or linear solve collapsed (zero resultant, singular
     Jacobian)."""

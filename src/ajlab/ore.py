@@ -2,18 +2,18 @@
 
 An operator lives in the algebra generated over the rational-function
 field by a principal shift ``E`` and auxiliary shifts ``Et1..Etnu``, with
-one meridian coordinate (``Q`` or ``Qm``) and lattice coordinates
-``Qt1..Qtnu``.  The only non-commutativity is
+the meridian coordinate ``Q`` and lattice coordinates ``Qt1..Qtnu``.  The
+only non-commutativity is
 
-    E * Q   = q**twist * Q * E        (twist is 1, or 2 after halving the
-    Eti * Qti = q * Qti * Eti          meridian; everything else commutes)
+    E * Q     = q * Q * E
+    Eti * Qti = q * Qti * Eti          (everything else commutes)
 
 Multiplication therefore acts on coefficient monomials as a pure shift of
 the q-exponent, which keeps every operation exact.
 
 Operators act on functions of an integer point ``(n, k1..knu)``: ``E``
-advances ``n`` by one, ``Eti`` advances ``ki`` by one, and the meridian
-evaluates to ``q**n`` (lattice coordinates to ``q**ki``).
+advances ``n`` by one, ``Eti`` advances ``ki`` by one, and ``Q`` evaluates
+to ``q**n`` (lattice coordinates to ``q**ki``).
 
 ``epsilon_eval_with_unit`` takes the q -> 1 limit of a lattice-free
 operator with ``poly.limit_at_one`` and fixes its scale with
@@ -24,18 +24,17 @@ they produce are compared under one convention.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import DomainError, ParityError, PoleError
-from .poly import Immutable, LaurentMPoly, exact_divide, format_poly, \
-    limit_at_one, poly_lcm, signed_content
+from .errors import DomainError, PoleError
+from .poly import Immutable, LaurentMPoly, exact_divide, limit_at_one, \
+    poly_lcm, signed_content
 from .ratfun import RationalFunction, as_ratfun, format_ratfun, \
     ratfun_from_json, ratfun_to_json
 
 RFLike = Union[RationalFunction, LaurentMPoly, int, Fraction]
-
-_MERIDIANS = ("Q", "Qm")
 
 
 def _lattice_var(i: int) -> str:
@@ -43,19 +42,14 @@ def _lattice_var(i: int) -> str:
 
 
 class OreOperator(Immutable):
-    """Finite sum  sum_e  c_e(q, meridian, Qt*) * E^e0 * Et1^e1 ... Etnu^enu."""
+    """Finite sum  sum_e  c_e(q, Q, Qt*) * E^e0 * Et1^e1 ... Etnu^enu."""
 
-    __slots__ = ("nu", "meridian", "e0_twist", "terms")
+    __slots__ = ("nu", "terms")
 
-    def __init__(self, nu: int, terms: Mapping[Sequence[int], RFLike],
-                 meridian: str = "Q", e0_twist: int = 1):
-        if meridian not in _MERIDIANS:
-            raise DomainError(f"unknown meridian symbol {meridian!r}")
+    def __init__(self, nu: int, terms: Mapping[Sequence[int], RFLike]):
         if nu < 0:
             raise DomainError("negative number of lattice directions")
-        if e0_twist not in (1, 2):
-            raise DomainError(f"unsupported shift twist {e0_twist}")
-        allowed = {"q", meridian} | {_lattice_var(i + 1) for i in range(nu)}
+        allowed = {"q", "Q"} | {_lattice_var(i + 1) for i in range(nu)}
         clean: dict[tuple[int, ...], RationalFunction] = {}
         for exp, c in terms.items():
             exp = tuple(int(e) for e in exp)
@@ -77,30 +71,22 @@ class OreOperator(Immutable):
                     continue
             clean[exp] = c
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "meridian", meridian)
-        object.__setattr__(self, "e0_twist", e0_twist)
         object.__setattr__(self, "terms", clean)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(nu: int = 0, meridian: str = "Q", e0_twist: int = 1) -> "OreOperator":
-        return OreOperator(nu, {}, meridian, e0_twist)
+    def scalar(c: RFLike, nu: int = 0) -> "OreOperator":
+        return OreOperator(nu, {(0,) * (nu + 1): c})
 
     @staticmethod
-    def scalar(c: RFLike, nu: int = 0, meridian: str = "Q",
-               e0_twist: int = 1) -> "OreOperator":
-        return OreOperator(nu, {(0,) * (nu + 1): c}, meridian, e0_twist)
-
-    @staticmethod
-    def shift(which: int = 0, nu: int = 0, meridian: str = "Q",
-              e0_twist: int = 1) -> "OreOperator":
+    def shift(which: int = 0, nu: int = 0) -> "OreOperator":
         """The shift generator: which=0 is E, which=i>0 is Eti."""
         if not 0 <= which <= nu:
             raise DomainError(f"no shift index {which} with nu={nu}")
         e = [0] * (nu + 1)
         e[which] = 1
-        return OreOperator(nu, {tuple(e): 1}, meridian, e0_twist)
+        return OreOperator(nu, {tuple(e): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -110,9 +96,6 @@ class OreOperator(Immutable):
     def e_degree(self) -> int:
         return max((e[0] for e in self.terms), default=-1)
 
-    def coeff(self, exp: Sequence[int]) -> RationalFunction:
-        return self.terms.get(tuple(exp), RationalFunction.zero())
-
     def lattice_free(self) -> bool:
         qt = {_lattice_var(i + 1) for i in range(self.nu)}
         return (not any(any(e[1:]) for e in self.terms)
@@ -120,23 +103,17 @@ class OreOperator(Immutable):
                             for c in self.terms.values()))
 
     def _compatible(self, other: "OreOperator") -> None:
-        if (self.nu != other.nu or self.meridian != other.meridian
-                or self.e0_twist != other.e0_twist):
+        if self.nu != other.nu:
             raise DomainError(
-                "operator algebras differ "
-                f"(nu {self.nu}/{other.nu}, meridian {self.meridian}/"
-                f"{other.meridian}, twist {self.e0_twist}/{other.e0_twist})")
+                f"operator algebras differ (nu {self.nu}/{other.nu})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OreOperator):
             return NotImplemented
-        return (self.nu == other.nu and self.meridian == other.meridian
-                and self.e0_twist == other.e0_twist
-                and self.terms == other.terms)
+        return self.nu == other.nu and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nu, self.meridian, self.e0_twist,
-                     frozenset(self.terms.items())))
+        return hash((self.nu, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"OreOperator({format_operator(self)!r})"
@@ -145,8 +122,7 @@ class OreOperator(Immutable):
 
     def __add__(self, other) -> "OreOperator":
         if isinstance(other, (int, Fraction, LaurentMPoly, RationalFunction)):
-            other = OreOperator.scalar(other, self.nu, self.meridian,
-                                       self.e0_twist)
+            other = OreOperator.scalar(other, self.nu)
         if not isinstance(other, OreOperator):
             return NotImplemented
         self._compatible(other)
@@ -154,18 +130,16 @@ class OreOperator(Immutable):
         for e, c in other.terms.items():
             s = terms.get(e)
             terms[e] = c if s is None else s + c
-        return OreOperator(self.nu, terms, self.meridian, self.e0_twist)
+        return OreOperator(self.nu, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "OreOperator":
-        return OreOperator(self.nu, {e: -c for e, c in self.terms.items()},
-                           self.meridian, self.e0_twist)
+        return OreOperator(self.nu, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "OreOperator":
         if isinstance(other, (int, Fraction, LaurentMPoly, RationalFunction)):
-            other = OreOperator.scalar(other, self.nu, self.meridian,
-                                       self.e0_twist)
+            other = OreOperator.scalar(other, self.nu)
         if not isinstance(other, OreOperator):
             return NotImplemented
         return self + (-other)
@@ -176,16 +150,13 @@ class OreOperator(Immutable):
     def scale(self, c: RFLike) -> "OreOperator":
         """Left-multiply by a coefficient (no shifts involved)."""
         c = as_ratfun(c)
-        return OreOperator(self.nu, {e: c * v for e, v in self.terms.items()},
-                           self.meridian, self.e0_twist)
+        return OreOperator(self.nu, {e: c * v for e, v in self.terms.items()})
 
 
-def _twist_images(shift_exp: tuple[int, ...], meridian: str,
-                  twist: int) -> dict[str, LaurentMPoly]:
+def _twist_images(shift_exp: tuple[int, ...]) -> dict[str, LaurentMPoly]:
     """The substitution that pushes the shift monomial E^e0*Et^e past a
-    coefficient: the meridian goes to meridian*q^(twist*e0) and each Qti
-    to Qti*q^(ei)."""
-    shifts = {meridian: twist * shift_exp[0]}
+    coefficient: Q goes to Q*q^e0 and each Qti to Qti*q^ei."""
+    shifts = {"Q": shift_exp[0]}
     shifts.update((_lattice_var(i), k) for i, k in enumerate(shift_exp[1:], 1))
     return {v: LaurentMPoly.monomial(1, {v: 1, "q": k})
             for v, k in shifts.items() if k}
@@ -202,11 +173,11 @@ def _twist_rf(c: RationalFunction,
 
 
 def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
-    """Noncommutative product; same algebra required on both sides."""
+    """Noncommutative product; both sides need the same nu."""
     a._compatible(b)
     out: dict[tuple[int, ...], RationalFunction] = {}
     for ea, ca in a.terms.items():
-        images = _twist_images(ea, a.meridian, a.e0_twist)
+        images = _twist_images(ea)
         for eb, cb in b.terms.items():
             c = ca * _twist_rf(cb, images)
             e = tuple(x + y for x, y in zip(ea, eb))
@@ -216,7 +187,7 @@ def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
                 out.pop(e, None)
             else:
                 out[e] = nc
-    return OreOperator(a.nu, out, a.meridian, a.e0_twist)
+    return OreOperator(a.nu, out)
 
 
 # -- action on sequences ---------------------------------------------------
@@ -252,13 +223,7 @@ class DiscreteEvaluator(Immutable):
 
 def ore_apply(p: OreOperator, f: DiscreteEvaluator, point: Sequence[int],
               qval: Union[int, Fraction]) -> Fraction:
-    """Apply the operator to a sequence at an integer point, exactly.
-
-    Only twist-1 operators act on sequences (after meridian halving the
-    principal shift advances the original index by two, which is a
-    different lattice; re-index first)."""
-    if p.e0_twist != 1:
-        raise DomainError("only twist-1 operators act on integer sequences")
+    """Apply the operator to a sequence at an integer point, exactly."""
     point = tuple(int(x) for x in point)
     if len(point) != p.nu + 1:
         raise DomainError(
@@ -267,7 +232,7 @@ def ore_apply(p: OreOperator, f: DiscreteEvaluator, point: Sequence[int],
         raise DomainError(
             f"evaluator arity {f.arity} does not match operator nu={p.nu}")
     qval = Fraction(qval)
-    values = {p.meridian: qval ** point[0]}
+    values = {"Q": qval ** point[0]}
     for i in range(p.nu):
         values[_lattice_var(i + 1)] = qval ** point[i + 1]
     values["q"] = qval
@@ -325,14 +290,14 @@ def expand_at_one(p: OreOperator) -> tuple[OreOperator, list[OreOperator]]:
                     key = e[:i] + (j,) + e[i + 1:]
                     s = quot.get(key)
                     quot[key] = -c if s is None else s - c
-        current = OreOperator(p.nu, at_one, p.meridian, p.e0_twist)
-        rs.append(OreOperator(p.nu, quot, p.meridian, p.e0_twist))
+        current = OreOperator(p.nu, at_one)
+        rs.append(OreOperator(p.nu, quot))
     p0 = current
     # exact reconstruction check
     acc = p0
     for i, r in enumerate(rs, start=1):
-        eti = OreOperator.shift(i, p.nu, p.meridian, p.e0_twist)
-        one = OreOperator.scalar(1, p.nu, p.meridian, p.e0_twist)
+        eti = OreOperator.shift(i, p.nu)
+        one = OreOperator.scalar(1, p.nu)
         acc = acc + ore_mul(eti - one, r)
     if acc != p:
         raise DomainError("internal: centred split failed to reconstruct")
@@ -357,27 +322,19 @@ def telescope_sum_check(p0: OreOperator, rs: Sequence[OreOperator],
         raise DomainError("bounds must give (lo, hi) per lattice direction")
     qval = Fraction(qval)
 
-    def box_points(bs):
-        pts = [()]
-        for (lo, hi) in bs:
-            pts = [p + (k,) for p in pts for k in range(lo, hi + 1)]
-        return pts
-
     def g_fn(pt, qv):
         (m,) = pt
-        return sum((f((m,) + tuple(k), qv) for k in box_points(bounds)),
-                   Fraction(0))
+        box = itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+        return sum((f((m,) + k, qv) for k in box), Fraction(0))
 
     g = DiscreteEvaluator(1, g_fn, name="box-sum")
-    p0_seq = OreOperator(0, {(e[0],): c for e, c in p0.terms.items()},
-                         p0.meridian, p0.e0_twist)
+    p0_seq = OreOperator(0, {(e[0],): c for e, c in p0.terms.items()})
     total = ore_apply(p0_seq, g, (n,), qval)
     for i, r in enumerate(rs, start=1):
-        lo_i, hi_i = bounds[i - 1]
-        face_bounds = list(bounds)
-        face_bounds[i - 1] = (hi_i + 1, hi_i + 1)
-        for k in box_points(face_bounds):
-            total += ore_apply(r, f, (n,) + tuple(k), qval)
+        face = [range(lo, hi + 1) for lo, hi in bounds]
+        face[i - 1] = (bounds[i - 1][1] + 1,)
+        for k in itertools.product(*face):
+            total += ore_apply(r, f, (n,) + k, qval)
     return total
 
 
@@ -385,8 +342,8 @@ def telescope_sum_check(p0: OreOperator, rs: Sequence[OreOperator],
 
 def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFunction]:
     """q -> 1 limit of the operator after clearing the common vanishing
-    scale, returned as a primitive integer polynomial in (meridian, E)
-    together with the extracted meridian-dependent unit.
+    scale, returned as a primitive integer polynomial in (Q, E) together
+    with the extracted Q-dependent unit.
 
     The input must be free of lattice shifts and coordinates.  Writing each
     coefficient as (q-1)^v * u with u finite and nonzero at q = 1, the
@@ -412,7 +369,7 @@ def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFuncti
     for k, u in coeffs.items():
         term = u.num * exact_divide(den, u.den)
         poly = poly + term.shift_var("E", k)
-    # meridian monomial factors are units; a shift-power factor is kept
+    # Q monomial factors are units; a shift-power factor is kept
     # unless it is negative (then it is a unit too)
     body = poly
     unit_mono = LaurentMPoly.const(1)
@@ -430,48 +387,18 @@ def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFuncti
     return prim, unit
 
 
-# -- certificate promotion and meridian halving ----------------------------
+# -- certificate promotion -------------------------------------------------
 
 def homogenize(p0: OreOperator, inhom: RFLike) -> OreOperator:
-    """Given  p0 . f = b  with b a rational function of (q, meridian),
-    return (E - 1) * b^(-1) * p0, which annihilates f."""
+    """Given  p0 . f = b  with b a rational function of (q, Q), return
+    (E - 1) * b^(-1) * p0, which annihilates f."""
     inhom = as_ratfun(inhom)
     if inhom.is_zero():
         raise DomainError("inhomogeneity is zero; nothing to promote")
-    e = OreOperator.shift(0, p0.nu, p0.meridian, p0.e0_twist)
-    one = OreOperator.scalar(1, p0.nu, p0.meridian, p0.e0_twist)
-    binv = OreOperator.scalar(inhom.inverse(), p0.nu, p0.meridian, p0.e0_twist)
+    e = OreOperator.shift(0, p0.nu)
+    one = OreOperator.scalar(1, p0.nu)
+    binv = OreOperator.scalar(inhom.inverse(), p0.nu)
     return ore_mul(ore_mul(e - one, binv), p0)
-
-
-def substitute_qm(p: OreOperator) -> OreOperator:
-    """Rewrite an operator over the half-meridian lattice (meridian Qm,
-    twist 1) as one over the standard meridian (Q, twist 2), using
-    Qm^2 = Q / q monomial-by-monomial.
-
-    Every monomial must carry an even power of Qm; an odd power has no
-    image and raises ParityError.  Shift exponents are unchanged — the
-    principal shift now advances the underlying index by two, which the
-    doubled twist records.
-    """
-    if p.meridian != "Qm" or p.e0_twist != 1:
-        raise DomainError("meridian halving applies to twist-1 operators "
-                          "over Qm")
-
-    def conv(poly: LaurentMPoly) -> LaurentMPoly:
-        out = LaurentMPoly.zero()
-        for k, c in poly.as_univariate("Qm").items():
-            if k % 2:
-                raise ParityError(
-                    f"odd meridian power {k} in {format_poly(poly)}; "
-                    "no half-lattice image")
-            out = out + c * LaurentMPoly.monomial(1, {"Q": k // 2,
-                                                      "q": -(k // 2)})
-        return out
-
-    terms = {e: RationalFunction(conv(c.num), conv(c.den))
-             for e, c in p.terms.items()}
-    return OreOperator(p.nu, terms, meridian="Q", e0_twist=2)
 
 
 # -- formatting and serialization ------------------------------------------
@@ -502,19 +429,22 @@ def operator_to_json(p: OreOperator) -> dict:
                    reverse=True)
     return {
         "nu": p.nu,
-        "meridian": p.meridian,
-        "twist": p.e0_twist,
         "terms": [{"shift": list(e), "coeff": ratfun_to_json(c)}
                   for e, c in items],
     }
 
 
 def operator_from_json(obj: dict) -> OreOperator:
+    """Load an operator.  A document that names the algebra's meridian
+    and twist loads only when they are "Q" and 1, the one algebra here."""
     try:
         terms = {tuple(t["shift"]): ratfun_from_json(t["coeff"])
                  for t in obj["terms"]}
-        return OreOperator(int(obj["nu"]), terms,
-                           meridian=obj.get("meridian", "Q"),
-                           e0_twist=int(obj.get("twist", 1)))
+        meridian, twist = obj.get("meridian", "Q"), obj.get("twist", 1)
+        if meridian != "Q" or int(twist) != 1:
+            raise DomainError(
+                f"operator JSON has meridian {meridian!r} and twist "
+                f"{twist!r}; only Q with twist 1 is supported")
+        return OreOperator(int(obj["nu"]), terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed operator JSON: {exc}") from exc

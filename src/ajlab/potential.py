@@ -27,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DegeneracyError,
     DomainError,
+    PoleError,
     SingularityError,
 )
 from .poly import Immutable, LaurentMPoly
@@ -298,14 +299,19 @@ def _solve_linear(mat, rhs):
     return out
 
 
+def _form_at(form: RationalFunction, env, what: str) -> complex:
+    """The form at a complex point; a pole raises SingularityError(what)."""
+    try:
+        return form.eval_complex(env)
+    except PoleError as exc:
+        raise SingularityError(what) from exc
+
+
 def _forms_residual(forms, coords, env) -> float:
     worst = 0.0
     for c in coords:
-        num = forms[c].num.eval_complex(env)
-        den = forms[c].den.eval_complex(env)
-        if den == 0:
-            raise SingularityError(f"{c} form undefined at the point")
-        worst = max(worst, abs(num / den - 1))
+        v = _form_at(forms[c], env, f"{c} form undefined at the point")
+        worst = max(worst, abs(v - 1))
     return worst
 
 
@@ -365,10 +371,7 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start,
         if take:
             w, res, phi = wc, resc, phic
             env = {**w, "alpha": a}
-    den = forms["alpha"].den.eval_complex(env)
-    if den == 0:
-        raise SingularityError("alpha form undefined at the saddle")
-    l2 = forms["alpha"].num.eval_complex(env) / den
+    l2 = _form_at(forms["alpha"], env, "alpha form undefined at the saddle")
     return SaddleResult(a, w, res, phi, phi.imag, l2, it)
 
 
@@ -432,13 +435,10 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
         n = int(round(Fraction(a) * big_n))
         i = int(round(Fraction(u) * big_n))
         disc = _rf_at_unit_root(disc_rf, big_n, {"q": 1, "Q": n, "Qt1": i})
-        cont = cont_rf.num.eval_complex({
+        cont = _form_at(cont_rf, {
             "alpha": cmath.exp(1j * _PI * n / big_n),
             "x": cmath.exp(2j * _PI * i / big_n),
-        }) / cont_rf.den.eval_complex({
-            "alpha": cmath.exp(1j * _PI * n / big_n),
-            "x": cmath.exp(2j * _PI * i / big_n),
-        })
+        }, "alpha form undefined at the point")
         rows.append({
             "N": big_n, "n": n, "i": i,
             "discrete": disc, "continuous": cont,

@@ -559,14 +559,15 @@ def habiro_figure_eight() -> ProperQHTerm:
 # -- lattice summation -----------------------------------------------------
 
 _SUPPORT_ROUNDS = 200  # cap on support_box's propagation rounds
+_SUPPORT_MAX_WIDTH = 100000  # widest support interval support_box returns
 
 def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
-                free: Sequence[str],
-                max_width: int = 100000) -> list[tuple[int, int]]:
+                free: Sequence[str]) -> list[tuple[int, int]]:
     """Finite bounds [lo, hi] per free symbol for the region where every
     form is nonnegative, by interval propagation; SupportError when the
-    region is not certified bounded or the bounds still move after
-    _SUPPORT_ROUNDS rounds."""
+    region is not certified bounded, the bounds still move after
+    _SUPPORT_ROUNDS rounds, or an interval is wider than
+    _SUPPORT_MAX_WIDTH."""
     lo: dict[str, Optional[Fraction]] = {s: None for s in free}
     hi: dict[str, Optional[Fraction]] = {s: None for s in free}
     for _ in range(_SUPPORT_ROUNDS):
@@ -612,8 +613,9 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
                 "factor lengths")
         a = math.ceil(lo[s])
         b = math.floor(hi[s])
-        if b - a > max_width:
-            raise SupportError(f"support width for {s} exceeds {max_width}")
+        if b - a > _SUPPORT_MAX_WIDTH:
+            raise SupportError(
+                f"support width for {s} exceeds {_SUPPORT_MAX_WIDTH}")
         out.append((a, b))
     return out
 

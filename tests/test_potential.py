@@ -254,6 +254,16 @@ def test_coordinate_validation():
         phi_eval(crossing_potential(False), 1.0, (1.0, 0.0, 1.0, 1.0))
 
 
+def test_form_pole_is_a_singularity():
+    # the alpha form's denominator alpha^4 - 2 alpha^2 x + x^2 vanishes
+    # at alpha = x = 1
+    forms = potential._forms(builtin_potential())
+    with pytest.raises(SingularityError, match="alpha form undefined"):
+        potential._forms_residual(forms, ["alpha"], {"alpha": 1, "x": 1})
+    assert potential._forms_residual(forms, ["x"],
+                                     {"alpha": 1, "x": 1}) == 1.0
+
+
 def test_asymptotic_gap_shrinks_like_one_over_n():
     rows = asymptotic_check()
     assert [row["N"] for row in rows] == [100, 200, 400, 800]

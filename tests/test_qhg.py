@@ -11,6 +11,7 @@ from ajlab.errors import DomainError, PoleError, SupportError
 from ajlab.poly import LaurentMPoly, parse_poly
 from ajlab.qhg import (
     LinearForm,
+    _SUPPORT_MAX_WIDTH,
     _dense_q,
     PochFactor,
     ProperQHTerm,
@@ -565,6 +566,18 @@ class TestLatticeSummation:
         for forms in (chase + [LinearForm.make({"k1": -1}, 1000)], chase):
             with pytest.raises(SupportError, match="after 200 rounds"):
                 support_box(forms, {}, ["k1", "k2"])
+
+    def test_support_wider_than_the_cap_is_an_error(self):
+        # 0 <= k1 <= hi: the widest allowed interval is returned, one
+        # more point is refused
+        def forms(hi):
+            return [LinearForm.make({"k1": 1}),
+                    LinearForm.make({"k1": -1}, hi)]
+
+        cap = _SUPPORT_MAX_WIDTH
+        assert support_box(forms(cap), {}, ["k1"]) == [(0, cap)]
+        with pytest.raises(SupportError, match=f"k1 exceeds {cap}"):
+            support_box(forms(cap + 1), {}, ["k1"])
 
 
 class TestAlgebra:
