@@ -25,7 +25,8 @@ class DegeneracyError(AjlabError):
 
 
 class ConvergenceError(AjlabError):
-    """An iterative solver ran out of iterations before reaching tolerance."""
+    """An iterative solver ran out of iterations before reaching tolerance,
+    or left the range of floats."""
 
 
 class BranchCutError(AjlabError):

@@ -21,6 +21,10 @@ integer coefficients.  ``gcd_cofactors`` runs the heuristic GCDHEU first
 gcd, interpolate back, check by division, whose quotients are the
 cofactors) with the primitive PRS as the fallback; ``exact_divide`` is one
 integer long division, or a scaled shift when the divisor is a monomial.
+In one variable products key terms by int exponents, and the long division
+and GCDHEU's evaluation and lifting run on dense coefficient lists and
+plain ints.  A single term is coprime to any nonzero polynomial, so
+``gcd_cofactors`` returns such a pair at once.
 
 Three conventions the other layers share live here and nowhere else: the
 limit at q = 1 (``limit_at_one``: the order of vanishing and the lowest
@@ -327,6 +331,13 @@ class LaurentMPoly(Immutable):
         if not isinstance(other, LaurentMPoly):
             return NotImplemented
         vars = self._merge_vars(self, other)
+        if len(vars) == 1:  # univariate: int exponent keys
+            bt = [(eb, cb) for (eb,), cb in other.terms.items()]
+            uni: dict[int, Coeff] = {}
+            for (ea,), ca in self.terms.items():
+                for eb, cb in bt:
+                    uni[ea + eb] = uni.get(ea + eb, 0) + ca * cb
+            return LaurentMPoly._build(vars, {(e,): c for e, c in uni.items()})
         at = self._embedded(vars)
         bt = other._embedded(vars)
         out: dict[tuple[int, ...], Coeff] = {}
@@ -450,7 +461,7 @@ class LaurentMPoly(Immutable):
 
     def laurent_unit(self) -> dict[str, int]:
         """Per-variable minimum exponent (the monomial content's powers)."""
-        return {v: self.min_degree(v) for v in self.vars}
+        return dict(zip(self.vars, map(min, zip(*self.terms))))
 
     def clear_laurent(self) -> tuple["LaurentMPoly", dict[str, int]]:
         """Divide out the Laurent monomial content so every exponent is >= 0
@@ -578,7 +589,13 @@ def _neg_glex(e: tuple[int, ...]) -> tuple:
 
 def _zz_divide(a: dict, b: dict) -> dict | None:
     """Quotient a/b of integer polynomials when b divides a over the
-    integers; None otherwise.  b must be nonzero.
+    integers; None otherwise.  b must be nonzero and no exponent negative.
+    Univariate pairs go to `_dense_divide`, the rest to `_heap_divide`."""
+    return (_dense_divide if len(next(iter(b))) == 1 else _heap_divide)(a, b)
+
+
+def _heap_divide(a: dict, b: dict) -> dict | None:
+    """`_zz_divide` in any number of variables.
 
     Long division by the graded-lex leading term of b, with the remainder's
     terms on a heap.  Each step cancels the remainder's leading term and
@@ -650,6 +667,57 @@ def _interpolate(h: dict, xi: int) -> dict:
     return out
 
 
+# Univariate kernels: the same results as _heap_divide, _eval_last and
+# _interpolate for dicts keyed by 1-tuples (exponents >= 0), on dense
+# coefficient lists and plain ints instead of tuples and heaps.
+
+def _dense_divide(a: dict, b: dict) -> dict | None:
+    """`_zz_divide` for univariate a and b: dense long division."""
+    (db,), cb = max(b.items())
+    tail = [(e, c) for (e,), c in b.items() if e != db]
+    rem = [0] * (max(a, default=(0,))[0] + 1)
+    for (e,), c in a.items():
+        rem[e] = c
+    quot = {}
+    for k in range(len(rem) - 1 - db, -1, -1):
+        if c := rem[k + db]:
+            qc, r = divmod(c, cb)
+            if r:
+                return None
+            quot[(k,)] = qc
+            for e, c_b in tail:
+                rem[k + e] -= qc * c_b
+    # what is left below the divisor's degree is the remainder
+    return None if any(rem[:db]) else quot
+
+
+def _horner(f: dict, xi: int) -> dict:
+    """`_eval_last` for univariate f: {(): f(xi)}, or {} when that is 0."""
+    coeffs = [0] * (max(f)[0] + 1)
+    for (e,), c in f.items():
+        coeffs[e] = c
+    v = 0
+    for c in reversed(coeffs):
+        v = v * xi + c
+    return {(): v} if v else {}
+
+
+def _digits(h: dict, xi: int) -> dict:
+    """`_interpolate` for a scalar image h = {(): c}."""
+    out = {}
+    half = xi // 2
+    c, k = h.get((), 0), 0
+    while c:
+        r = c % xi
+        if r > half:
+            r -= xi
+        if r:
+            out[(k,)] = r
+        c = (c - r) // xi
+        k += 1
+    return out
+
+
 # values of xi GCDHEU tries before poly_gcd falls back to the PRS
 _HEU_TRIES = 6
 
@@ -676,11 +744,13 @@ def _heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
         f = {e: c // cont for e, c in f.items()}
         g = {e: c // cont for e, c in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    evaluate, lift = ((_horner, _digits) if len(next(iter(f))) == 1
+                      else (_eval_last, _interpolate))
     for _ in range(_HEU_TRIES):
-        image = _heu_gcd(_eval_last(f, xi), _eval_last(g, xi))
+        image = _heu_gcd(evaluate(f, xi), evaluate(g, xi))
         if image is None:
             return None
-        h = _interpolate(image[0], xi)
+        h = lift(image[0], xi)
         if len(h) == 1 and not any(next(iter(h))):
             return {next(iter(h)): cont}, f, g
         hc = math.gcd(*h.values())
@@ -734,6 +804,8 @@ def rational_content(p: LaurentMPoly) -> Fraction:
     """Positive rational c with p/c having coprime integer coefficients."""
     if p.is_zero():
         return Fraction(1)
+    if all(type(c) is int for c in p.terms.values()):
+        return Fraction(math.gcd(*p.terms.values()))
     num = 0
     den = 1
     for c in p.terms.values():
@@ -810,6 +882,9 @@ def _pseudo_rem(a: LaurentMPoly, b: LaurentMPoly, v: str) -> LaurentMPoly:
     return rem
 
 
+_ONE = LaurentMPoly.const(1)
+
+
 def poly_gcd(a: LaurentMPoly, b: LaurentMPoly) -> LaurentMPoly:
     """GCD in the polynomial ring after clearing Laurent units: primitive,
     with positive graded-lex leading coefficient and no monomial content;
@@ -823,7 +898,10 @@ def gcd_cofactors(a: LaurentMPoly, b: LaurentMPoly
     by its gcd; each cofactor keeps its input's Laurent unit and rational
     content.  GCDHEU first, whose divisibility check leaves the cofactors;
     the PRS (`_prs_gcd`) and `exact_divide` when it gives up.  A coprime
-    pair, and a zero input, come back as they went in."""
+    pair, and a zero input, come back as they went in; a single term is
+    coprime to any nonzero polynomial, so such a pair returns at once."""
+    if len(a.terms) == 1 and b.terms or len(b.terms) == 1 and a.terms:
+        return _ONE, a, b
     pa, ua = a.clear_laurent()
     pb, ub = b.clear_laurent()
     if pa.is_zero() or pb.is_zero():
@@ -835,7 +913,7 @@ def gcd_cofactors(a: LaurentMPoly, b: LaurentMPoly
             return g, LaurentMPoly.monomial(signed_content(pa), ua), b
         return g, a, LaurentMPoly.monomial(signed_content(pb), ub)
     if pa.is_constant() or pb.is_constant():
-        return LaurentMPoly.const(1), a, b
+        return _ONE, a, b
     vars = LaurentMPoly._merge_vars(pa, pb)
     ca, fa = _integer_primitive(pa, vars)
     cb, fb = _integer_primitive(pb, vars)
@@ -845,7 +923,7 @@ def gcd_cofactors(a: LaurentMPoly, b: LaurentMPoly
         return g, exact_divide(a, g), exact_divide(b, g)
     h, qa, qb = heu
     if len(h) == 1 and not any(next(iter(h))):
-        return LaurentMPoly.const(1), a, b
+        return _ONE, a, b
     g = LaurentMPoly._build(vars, h)
     s = signed_content(g)  # +-1, as h is primitive
     return (g if s == 1 else -g, _with_units(vars, qa, ca * s, ua),

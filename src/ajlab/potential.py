@@ -325,12 +325,29 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start,
     spurious zeros).  Of the converged point and its coordinate-wise
     conjugate, the one with the larger imaginary part of the potential is
     returned, provided it too satisfies the forms.
+
+    A non-finite alpha or start is a DomainError; leaving the range of
+    floats on the way is a ConvergenceError.
     """
     a = complex(alpha)
+    w = _coerce_coords(spec, start)
+    if not cmath.isfinite(a):
+        raise DomainError(f"alpha = {a} is not finite")
+    for k, z in w.items():
+        if not cmath.isfinite(z):
+            raise DomainError(f"start {k} = {z} is not finite")
+    try:
+        return _newton_saddle(spec, a, w, tol, max_iter)
+    except OverflowError:
+        raise ConvergenceError(
+            f"Newton overflowed the range of floats at alpha = {a}") from None
+
+
+def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
+                   tol: float, max_iter: int) -> SaddleResult:
     forms = _forms(spec)
     coords = coordinate_names(spec)
     polys, jac = _newton_system(spec)
-    w = _coerce_coords(spec, start)
     names = list(coords)
     it = 0
     for it in range(1, max_iter + 1):

@@ -44,6 +44,8 @@ def _push_units(num: LaurentMPoly,
                 den: LaurentMPoly) -> tuple[LaurentMPoly, LaurentMPoly]:
     """Move every unit of the denominator (monomial content, rational
     content, sign) onto the numerator, leaving the canonical denominator."""
+    if den.terms == _ONE.terms:  # already canonical
+        return num, den
     den_p, unit = den.clear_laurent()
     for v, m in unit.items():
         num = num.shift_var(v, -m)

@@ -152,6 +152,23 @@ def test_malformed_values_are_usage_errors(run, args):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--alpha", "1e308"), "Newton overflowed"),
+    (("--alpha", "nan"), "alpha = (nan+0j) is not finite"),
+    (("--alpha", "inf"), "alpha = (inf+0j) is not finite"),
+    (("--alpha", "-1,-inf"), "alpha = (-1-infj) is not finite"),
+    (("--start", "nan,0.8"), "start x = (nan+0.8j) is not finite"),
+    (("--start", "0.5,inf"), "start x = (0.5+infj) is not finite"),
+])
+def test_saddle_rejects_non_finite_and_overflowing_inputs(run, args, message):
+    res = run("saddle", *args)
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: ")
+    assert message in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_start_file(run, tmp_path):
     start = tmp_path / "start.json"
     start.write_text(json.dumps([[0.5, 0.8]]))

@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, gcd, resultants, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,12 @@ from ajlab.ore import OreOperator, epsilon_eval_with_unit, ore_mul
 from ajlab.poly import (
     LaurentMPoly,
     _content_and_primitive_wrt,
+    _dense_divide,
+    _digits,
+    _eval_last,
+    _heap_divide,
+    _horner,
+    _interpolate,
     _prs_gcd,
     exact_divide,
     gcd_cofactors,
@@ -35,7 +42,7 @@ from ajlab.qhg import (
     habiro_figure_eight,
     shift_ratio,
 )
-from ajlab.ratfun import RationalFunction
+from ajlab.ratfun import RationalFunction, _push_units
 
 P = parse_poly
 
@@ -297,10 +304,12 @@ class TestContentGcd:
 
 
 @st.composite
-def planted_pairs(draw):
+def planted_pairs(draw, names=None):
     """(a, b, g): a and b share the factor g, each times its own cofactor
-    and Laurent monomial; 1 to 3 variables, rational coefficients."""
-    names = draw(st.sampled_from([("q",), ("Q", "E"), ("q", "Q", "E")]))
+    and Laurent monomial; 1 to 3 variables unless names are given,
+    rational coefficients."""
+    names = names or draw(st.sampled_from([("q",), ("Q", "E"),
+                                           ("q", "Q", "E")]))
     factor = poly_terms(names, max_deg=3, max_terms=4, coeff_range=5,
                         min_terms=1)
     g = draw(poly_terms(names, max_deg=3, max_terms=4, coeff_range=5,
@@ -1164,3 +1173,191 @@ class TestScalarPaths:
         assert exact_divide(P("q - 1"), P("-1")) == P("1 - q")
         with pytest.raises(AssertionError, match="long division"):
             exact_divide(P("q^2 - 1"), P("q + 1"))
+
+
+# -- univariate kernels against the sparse multivariate path ---------------
+
+def int_polys(min_size=0, max_deg=8):
+    """Univariate integer polynomials as the integer core holds them:
+    {(exponent,): nonzero int}, exponents >= 0."""
+    return st.dictionaries(st.tuples(st.integers(0, max_deg)),
+                           st.integers(-40, 40).filter(bool),
+                           min_size=min_size, max_size=6)
+
+
+def int_mul(a, b):
+    out = {}
+    for (ea,), ca in a.items():
+        for (eb,), cb in b.items():
+            out[(ea + eb,)] = out.get((ea + eb,), 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def int_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def division_cases(draw):
+    """(a, b): a = b * c, plus with even odds a remainder r whose terms all
+    lie below the degree of b, so only the low-degree terms are left once
+    every quotient term has been taken."""
+    b = draw(int_polys(min_size=1))
+    a = int_mul(b, draw(int_polys()))
+    db = max(b)[0]
+    if db and draw(st.booleans()):
+        a = int_add(a, draw(int_polys(min_size=1, max_deg=db - 1)))
+    return a, b
+
+
+def sympy_quotient(a, b):
+    """a / b over the integers by sympy's division over QQ: the quotient
+    when the remainder is 0 and every coefficient is integral, else None."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict({e: c for e, c in f.items()}, x,
+                                    domain=sympy.QQ)
+
+    q, r = to_sympy(a).div(to_sympy(b))
+    if not r.is_zero or not all(c.is_integer for c in q.coeffs()):
+        return None
+    return {e: int(c) for e, c in q.as_dict().items()}
+
+
+def sparse_gcd_path(monkeypatch):
+    """Send GCDHEU's univariate steps through the multivariate helpers."""
+    monkeypatch.setattr(poly_module, "_horner", _eval_last)
+    monkeypatch.setattr(poly_module, "_digits", _interpolate)
+    monkeypatch.setattr(poly_module, "_dense_divide", _heap_divide)
+
+
+class TestUnivariateKernels:
+    """Each univariate kernel gives what the sparse multivariate code
+    gives on the same one-variable input, term order included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly_terms(("q",), laurent=True), poly_terms(("q",), laurent=True))
+    def test_products_match_the_tuple_key_product(self, a, b):
+        # a * x is in two variables, so (a * x) * b takes the tuple-key
+        # product; its x-coefficient is a * b
+        want = ((a * LaurentMPoly.var("x")) * b).coeff_of("x", 1)
+        got = a * b
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert_canonical(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(division_cases())
+    def test_division_matches_the_heap_division(self, case):
+        a, b = case
+        got = _dense_divide(a, b)
+        want = _heap_divide(a, b)
+        assert got == want
+        if got is not None:
+            assert list(got.items()) == list(want.items())
+            assert int_mul(got, b) == a
+
+    def test_remainder_below_the_divisor_degree_is_seen(self):
+        # x^3 + x^2 + 3 = (x^2 + 1)(x + 1) + (-x + 2): the quotient
+        # terms all divide, the remainder sits below degree 2
+        a = {(3,): 1, (2,): 1, (0,): 3}
+        b = {(2,): 1, (0,): 1}
+        assert _dense_divide(a, b) is None
+        assert _heap_divide(a, b) is None
+        assert _dense_divide(int_add(a, {(1,): 1, (0,): -2}), b) == {
+            (1,): 1, (0,): 1}
+        assert _dense_divide({(0,): 5}, b) is None
+        assert _dense_divide({}, b) == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(division_cases())
+    def test_division_against_sympy(self, case):
+        a, b = case
+        assert _dense_divide(a, b) == sympy_quotient(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys(min_size=1), st.integers(3, 10 ** 6), st.integers(0, 50))
+    def test_evaluation_and_lifting_round_trip(self, f, xi, extra):
+        image = _horner(f, xi)
+        assert image == _eval_last(f, xi)
+        assert list(_digits(image, xi).items()) == list(
+            _interpolate(image, xi).items())
+        # beyond twice the largest coefficient the digits give f back
+        big = 2 * max(map(abs, f.values())) + 1 + extra
+        assert _digits(_horner(f, big), big) == f
+        assert _interpolate(_eval_last(f, big), big) == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_pairs(("q",)))
+    def test_gcd_matches_the_sparse_path_and_sympy(self, pair):
+        a, b, _ = pair
+        got = gcd_cofactors(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            sparse_gcd_path(mp)
+            want = gcd_cofactors(a, b)
+        assert got == want
+        assert [list(p.terms.items()) for p in got] == [
+            list(p.terms.items()) for p in want]
+        assert got[0] == sympy_gcd(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_terms(("q", "Q", "E"), laurent=True))
+    def test_laurent_unit_is_the_minimum_degree(self, p):
+        assert p.laurent_unit() == {v: p.min_degree(v) for v in p.vars}
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_polys(min_size=1), st.integers(1, 12))
+    def test_integer_content_is_one_gcd(self, f, k):
+        c = rational_content(LaurentMPoly(("q",), {
+            e: k * c for e, c in f.items()}))
+        assert type(c) is Fraction and c == k * math.gcd(*f.values())
+
+
+class TestSingleTermEarlyExit:
+    """A single term is coprime to every nonzero polynomial: gcd_cofactors
+    hands both inputs back untouched without running GCDHEU."""
+
+    SINGLE = (P("3/2*q^-2*Q"), P("-7*Q^3"), P("5"), P("-2/3"))
+    MULTI = (P("q^2*Q - 3"), P("q^-1 + Q/2"), P("2*q^3 - 4*q"))
+
+    def test_single_term_against_multi_term(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("GCDHEU or unit clearing reached")
+
+        monkeypatch.setattr(poly_module, "_heu_gcd", refuse)
+        # at once: not even the Laurent units are cleared
+        monkeypatch.setattr(LaurentMPoly, "clear_laurent", refuse)
+        for a in self.SINGLE:
+            for b in self.MULTI + self.SINGLE:
+                for x, y in ((a, b), (b, a)):
+                    g, qx, qy = gcd_cofactors(x, y)
+                    assert g == LaurentMPoly.const(1)
+                    assert qx is x and qy is y
+
+    def test_zero_inputs_keep_their_triples(self, monkeypatch):
+        def refuse(f, g):
+            raise AssertionError("GCDHEU reached")
+
+        monkeypatch.setattr(poly_module, "_heu_gcd", refuse)
+        zero, one = LaurentMPoly.zero(), LaurentMPoly.const(1)
+        m, c = P("-3/2*q^-2*Q"), P("-5")
+        g, qm, qz = gcd_cofactors(m, zero)
+        assert (g, qm, qz) == (one, m, zero) and qz is zero
+        g, qz, qm = gcd_cofactors(zero, m)
+        assert (g, qz, qm) == (one, zero, m) and qz is zero
+        assert gcd_cofactors(c, zero) == (one, c, zero)
+        assert gcd_cofactors(zero, zero) == (zero, zero, zero)
+
+    def test_denominator_one_is_already_canonical(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("unit clearing reached")
+
+        num, one = P("q^-1 - 2*Q"), LaurentMPoly.const(1)
+        monkeypatch.setattr(LaurentMPoly, "clear_laurent", refuse)
+        got = _push_units(num, one)
+        assert got[0] is num and got[1] is one

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -226,6 +227,33 @@ def test_newton_iteration_budget():
     with pytest.raises(ConvergenceError, match="did not settle"):
         solve_saddle(builtin_potential(), -1.0 + 0j, 100.0 + 100.0j,
                      max_iter=2)
+
+
+@pytest.mark.parametrize("spec, alpha, start, named", [
+    (builtin_potential(), math.nan, 0.5 + 0.8j, "alpha = (nan+0j)"),
+    (builtin_potential(), complex(1, math.inf), 0.5 + 0.8j,
+     "alpha = (1+infj)"),
+    (builtin_potential(), -math.inf, 0.5 + 0.8j, "alpha = (-inf+0j)"),
+    (builtin_potential(), -1.0, complex(math.nan, 1), "start x = (nan+1j)"),
+    (builtin_potential(), -1.0, math.inf, "start x = (inf+0j)"),
+    (crossing_potential(True), 1.0,
+     W_GENERIC[:2] + (complex(0, -math.inf),) + W_GENERIC[3:],
+     "start w3 = -infj"),
+])
+def test_non_finite_inputs_are_refused_before_newton(monkeypatch, spec,
+                                                     alpha, start, named):
+    def refuse(*args):
+        raise AssertionError("Newton started")
+
+    monkeypatch.setattr(potential, "_newton_saddle", refuse)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        solve_saddle(spec, alpha, start)
+
+
+@pytest.mark.parametrize("alpha", [1e78, 1e308, -1e200j])
+def test_overflow_in_newton_is_a_convergence_error(alpha):
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        solve_saddle(builtin_potential(), alpha, 0.5 + 0.8j)
 
 
 def test_result_serialization():
