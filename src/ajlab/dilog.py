@@ -38,13 +38,6 @@ _BERN_COEFF = [
 ]
 
 
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def _taylor(z: complex) -> complex:
     # sum z^k / k^2, compensated; usable for |z| <= 0.55 or so
     total = 0j
@@ -53,7 +46,10 @@ def _taylor(z: complex) -> complex:
     for k in range(1, _MAX_TERMS):
         power *= z
         term = power / (k * k)
-        total, comp = _kahan_add(total, comp, term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         if abs(term) < _EPS * (abs(total) + _EPS):
             return total
     raise ConvergenceError("dilogarithm power series did not settle")
@@ -62,14 +58,19 @@ def _taylor(z: complex) -> complex:
 def _bernoulli_series(w: complex) -> complex:
     # sum B_n w^(n+1) / (n+1)!; odd coefficients beyond the first vanish
     total = _BERN_COEFF[0] * w
-    comp = 0j
     w2 = w * w
-    total, comp = _kahan_add(total, comp, _BERN_COEFF[1] * w2)
+    y = _BERN_COEFF[1] * w2  # compensated step from comp = 0: y = term
+    t = total + y
+    comp = (t - total) - y
+    total = t
     wp = w  # w^(2k-1)
     for n in range(2, len(_BERN_COEFF), 2):
         wp *= w2
         term = _BERN_COEFF[n] * wp
-        total, comp = _kahan_add(total, comp, term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         if abs(term) < _EPS * (abs(total) + _EPS):
             return total
     raise ConvergenceError("dilogarithm log series did not settle")

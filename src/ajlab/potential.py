@@ -11,7 +11,9 @@ saddle is the volume.
 The exact objects of a potential (its forms, and the cleared gluing
 polynomials with their Jacobian) depend only on the `PotentialSpec`, so
 each is built once per spec and process, on first use, and shared by every
-later solve; `derivative_forms` hands out a copy of the cached forms.
+later solve; `derivative_forms` hands out a copy of the cached forms.  A
+solve puts its fixed alpha into the cached system once, so each Newton
+iteration multiplies in only the coordinate powers.
 """
 
 import cmath
@@ -278,8 +280,16 @@ class SaddleResult(Immutable):
 
 
 def _solve_linear(mat, rhs):
-    """Gaussian elimination with partial pivoting over complex numbers."""
+    """Gaussian elimination with partial pivoting over complex numbers.
+
+    A 1x1 system is one division, the same bits as the general path's
+    back-substitution (rhs - 0) / pivot.
+    """
     n = len(rhs)
+    if n == 1:
+        if abs(mat[0][0]) < 1e-300:
+            raise DegeneracyError("singular Jacobian in the Newton step")
+        return [rhs[0] / mat[0][0]]
     a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
@@ -297,6 +307,35 @@ def _solve_linear(mat, rhs):
         s = a[r][n] - sum(a[r][k] * out[k] for k in range(r + 1, n))
         out[r] = s / a[r][r]
     return out
+
+
+def _at_alpha(p: LaurentMPoly, a: complex, names) -> list:
+    """p with alpha = a put in: one (coefficient, ((coordinate index,
+    power), ...)) per term.  alpha sorts first in p.vars, so each
+    coefficient is the partial product `LaurentMPoly.eval_complex` forms
+    first, and `_eval_at` finishes it with the same float operations."""
+    out = []
+    for e, c in p.terms.items():
+        t = complex(c)
+        pows = []
+        for v, k in zip(p.vars, e):
+            if k:
+                if v == "alpha":
+                    t *= a ** k
+                else:
+                    pows.append((names.index(v), k))
+        out.append((t, tuple(pows)))
+    return out
+
+
+def _eval_at(terms: list, w: list) -> complex:
+    """A polynomial from `_at_alpha` at the coordinates w."""
+    total = 0j
+    for t, pows in terms:
+        for i, k in pows:
+            t *= w[i] ** k
+        total += t
+    return total
 
 
 def _form_at(form: RationalFunction, env, what: str) -> complex:
@@ -349,20 +388,26 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
     coords = coordinate_names(spec)
     polys, jac = _newton_system(spec)
     names = list(coords)
+    polys = [_at_alpha(p, a, names) for p in polys]
+    jac = [[_at_alpha(p, a, names) for p in row] for row in jac]
+    z = [w[k] for k in names]
     it = 0
     for it in range(1, max_iter + 1):
-        env = {**w, "alpha": a}
-        fv = [p.eval_complex(env) for p in polys]
-        jm = [[jac[i][j].eval_complex(env) for j in range(len(names))]
-              for i in range(len(polys))]
+        fv = [_eval_at(p, z) for p in polys]
+        jm = [[_eval_at(p, z) for p in row] for row in jac]
         delta = _solve_linear(jm, fv)
-        scale = max(1.0, max(abs(w[k]) for k in names))
-        w = {k: w[k] - d for k, d in zip(names, delta)}
+        for k, d in zip(names, delta):
+            if not cmath.isfinite(d):
+                raise ConvergenceError(
+                    f"Newton step {k} = {d} is not finite at iteration {it}")
+        scale = max(1.0, max(abs(v) for v in z))
+        z = [v - d for v, d in zip(z, delta)]
         if max(abs(d) for d in delta) < tol * scale:
             break
     else:
         raise ConvergenceError(
             f"Newton did not settle in {max_iter} iterations")
+    w = dict(zip(names, z))
     env = {**w, "alpha": a}
     res = _forms_residual(forms, coords, env)
     if res > 1e-6:

@@ -159,6 +159,8 @@ def test_malformed_values_are_usage_errors(run, args):
     (("--alpha", "-1,-inf"), "alpha = (-1-infj) is not finite"),
     (("--start", "nan,0.8"), "start x = (nan+0.8j) is not finite"),
     (("--start", "0.5,inf"), "start x = (0.5+infj) is not finite"),
+    (("--alpha=-1,0", "--start", "1e300,1e300"),
+     "Newton step x = (nan+nanj) is not finite at iteration 1"),
 ])
 def test_saddle_rejects_non_finite_and_overflowing_inputs(run, args, message):
     res = run("saddle", *args)

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from ajlab.dilog import _BERN_COEFF, li2
+from ajlab import dilog
+from ajlab.dilog import _BERN_COEFF, _MAX_TERMS, li2
 from ajlab.errors import BranchCutError, DomainError
 
 CATALAN = 0.915965594177219015054603514932
@@ -142,3 +144,82 @@ class TestCut:
             li2(float("inf"))
         with pytest.raises(DomainError):
             li2(complex(0, float("nan")))
+
+
+# -- bit-identity of the compensated series ----------------------------------
+# The oracles sum through a separate Kahan step function, as the series were
+# first written; the inlined sums must give the same bits.
+
+def _kahan_add(total, comp, term):
+    y = term - comp
+    t = total + y
+    comp = (t - total) - y
+    return t, comp
+
+
+def _oracle_taylor(z):
+    total = 0j
+    comp = 0j
+    power = 1 + 0j
+    for k in range(1, _MAX_TERMS):
+        power *= z
+        term = power / (k * k)
+        total, comp = _kahan_add(total, comp, term)
+        if abs(term) < 1e-16 * (abs(total) + 1e-16):
+            return total
+    raise AssertionError("oracle power series did not settle")
+
+
+def _oracle_bernoulli_series(w):
+    total = _BERN_COEFF[0] * w
+    comp = 0j
+    w2 = w * w
+    total, comp = _kahan_add(total, comp, _BERN_COEFF[1] * w2)
+    wp = w
+    for n in range(2, len(_BERN_COEFF), 2):
+        wp *= w2
+        term = _BERN_COEFF[n] * wp
+        total, comp = _kahan_add(total, comp, term)
+        if abs(term) < 1e-16 * (abs(total) + 1e-16):
+            return total
+    raise AssertionError("oracle log series did not settle")
+
+
+def _seeded_points(region, count=150, seed=0):
+    rng = random.Random(f"{region}-{seed}")
+
+    def polar(lo, hi, centre=0):
+        return centre + cmath.rect(rng.uniform(lo, hi),
+                                   rng.uniform(0, 2 * math.pi))
+
+    return [{
+        "inside": lambda: polar(0.0, 0.5),
+        "near_circle": lambda: polar(0.95, 1.05),
+        "outside": lambda: polar(2.0, 60.0),
+        "reflection": lambda: polar(0.0, 0.5, centre=1),
+        "cut_upper": lambda: complex(rng.uniform(1.0, 10.0), 0.0),
+        "cut_lower": lambda: complex(rng.uniform(1.0, 10.0), -0.0),
+    }[region]() for _ in range(count)]
+
+
+@pytest.mark.parametrize("region", ["inside", "near_circle", "outside",
+                                    "reflection", "cut_upper", "cut_lower"])
+def test_li2_is_bit_identical_to_the_kahan_oracle(monkeypatch, region):
+    zs = _seeded_points(region)
+    got = [repr(li2(z)) for z in zs]
+    monkeypatch.setattr(dilog, "_taylor", _oracle_taylor)
+    monkeypatch.setattr(dilog, "_bernoulli_series", _oracle_bernoulli_series)
+    assert got == [repr(li2(z)) for z in zs]
+
+
+def test_series_are_bit_identical_to_the_kahan_oracle():
+    for z in _seeded_points("inside", 300, seed=1) + [0j, -0j, 0.5 + 0j]:
+        assert repr(dilog._taylor(z)) == repr(_oracle_taylor(z))
+    # the log series runs on w = -log(1 - z) for the annulus points away
+    # from the reflection disk
+    for z in _seeded_points("near_circle", 300, seed=1):
+        if abs(1 - z) <= 0.5:
+            continue
+        w = -cmath.log(1 - z)
+        assert (repr(dilog._bernoulli_series(w))
+                == repr(_oracle_bernoulli_series(w)))

@@ -316,3 +316,224 @@ def test_unit_root_evaluation_folds_exponents():
         _rf_at_unit_root(q, 4, {})
     with pytest.raises(DomainError, match="out of range"):
         asymptotic_check(big_ns=(2,))
+
+
+# -- non-finite Newton steps -------------------------------------------------
+
+def _count_linear_solves(monkeypatch, replace=None):
+    calls = []
+    inner = replace or potential._solve_linear
+
+    def counted(mat, rhs):
+        calls.append(len(rhs))
+        return inner(mat, rhs)
+
+    monkeypatch.setattr(potential, "_solve_linear", counted)
+    return calls
+
+
+def test_non_finite_step_ends_the_solve_at_once(monkeypatch):
+    # from this finite start the first step is already (nan+nanj)
+    calls = _count_linear_solves(monkeypatch)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("Newton step x = (nan+nanj) is not "
+                                       "finite at iteration 1")):
+        solve_saddle(builtin_potential(), -1.0, 1e300 + 1e300j)
+    assert calls == [1]
+
+
+def test_a_nan_after_a_finite_entry_is_seen(monkeypatch):
+    # max(1.0, nan) is 1.0: the check must not go through max(abs(d))
+    def nan_second(mat, rhs):
+        return [0.25 + 0j, complex(math.nan, 0.0), 0j, 0j]
+
+    calls = _count_linear_solves(monkeypatch, nan_second)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("Newton step w2 = (nan+0j) is not "
+                                       "finite at iteration 1")):
+        solve_saddle(crossing_potential(True), 1.0, W_GENERIC)
+    assert calls == [4]
+
+
+# -- bit-identity of the saddle path -----------------------------------------
+# The oracle is the Newton loop as first written: every iteration evaluates
+# the cached polynomials with `LaurentMPoly.eval_complex` at {**w, "alpha":
+# a} and solves the step by general elimination.  The production loop puts
+# alpha in once per solve and solves a 1x1 step by one division; both must
+# give the same bits, iteration counts and error messages included.
+
+def _general_solve_linear(mat, rhs):
+    n = len(rhs)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) < 1e-300:
+            raise DegeneracyError("singular Jacobian in the Newton step")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f:
+                for k in range(col, n + 1):
+                    a[r][k] -= f * a[col][k]
+    out = [0j] * n
+    for r in range(n - 1, -1, -1):
+        s = a[r][n] - sum(a[r][k] * out[k] for k in range(r + 1, n))
+        out[r] = s / a[r][r]
+    return out
+
+
+def _oracle_newton(spec, a, w, tol, max_iter):
+    forms = potential._forms(spec)
+    coords = coordinate_names(spec)
+    polys, jac = potential._newton_system(spec)
+    names = list(coords)
+    it = 0
+    for it in range(1, max_iter + 1):
+        env = {**w, "alpha": a}
+        fv = [p.eval_complex(env) for p in polys]
+        jm = [[jac[i][j].eval_complex(env) for j in range(len(names))]
+              for i in range(len(polys))]
+        delta = _general_solve_linear(jm, fv)
+        scale = max(1.0, max(abs(w[k]) for k in names))
+        w = {k: w[k] - d for k, d in zip(names, delta)}
+        if max(abs(d) for d in delta) < tol * scale:
+            break
+    else:
+        raise ConvergenceError(
+            f"Newton did not settle in {max_iter} iterations")
+    env = {**w, "alpha": a}
+    res = potential._forms_residual(forms, coords, env)
+    if res > 1e-6:
+        raise ConvergenceError(
+            f"Newton landed on a spurious zero of the cleared system "
+            f"(form residual {res:.2e})")
+    phi = phi_eval(spec, a, w)
+    wc = {k: v.conjugate() for k, v in w.items()}
+    try:
+        resc = potential._forms_residual(forms, coords, {**wc, "alpha": a})
+    except SingularityError:
+        resc = math.inf
+    if resc <= max(10 * res, tol):
+        phic = phi_eval(spec, a, wc)
+        take = phic.imag > phi.imag
+        if phic.imag == phi.imag:
+            first = names[0]
+            take = wc[first].imag > w[first].imag
+        if take:
+            w, res, phi = wc, resc, phic
+            env = {**w, "alpha": a}
+    l2 = potential._form_at(forms["alpha"], env,
+                            "alpha form undefined at the saddle")
+    return potential.SaddleResult(a, w, res, phi, phi.imag, l2, it)
+
+
+def _oracle_solve(spec, alpha, start, tol=1e-12, max_iter=100):
+    a = complex(alpha)
+    try:
+        return _oracle_newton(spec, a, potential._coerce_coords(spec, start),
+                              tol, max_iter)
+    except OverflowError:
+        raise ConvergenceError(
+            f"Newton overflowed the range of floats at alpha = {a}") from None
+
+
+def _outcome(monkeypatch, solve, spec, alpha, start, **kw):
+    """The result or (exception type, message), and the repr of every
+    point whose forms were checked (the Newton end point even when it is
+    a spurious zero)."""
+    seen = []
+    inner = potential._forms_residual
+
+    def recorded(forms, coords, env):
+        seen.append(repr(env))
+        return inner(forms, coords, env)
+
+    monkeypatch.setattr(potential, "_forms_residual", recorded)
+    try:
+        out = solve(spec, alpha, start, **kw)
+    except Exception as exc:  # compared by type and message below
+        out = (type(exc), str(exc))
+    monkeypatch.setattr(potential, "_forms_residual", inner)
+    return out, seen
+
+
+def _annulus_alphas(seed, count):
+    rng = random.Random(seed)
+    return [cmath.rect(rng.uniform(0.85, 1.15), rng.uniform(0, 2 * math.pi))
+            for _ in range(count)]
+
+
+def _assert_same_outcome(monkeypatch, spec, alpha, start, **kw):
+    got, got_seen = _outcome(monkeypatch, solve_saddle, spec, alpha, start,
+                             **kw)
+    want, want_seen = _outcome(monkeypatch, _oracle_solve, spec, alpha,
+                               start, **kw)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got_seen == want_seen
+    return got
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_builtin_saddles_are_bit_identical_to_the_oracle(monkeypatch, mirror):
+    spec = builtin_potential(mirror=mirror)
+    rng = random.Random(29 + mirror)
+    solved = 0
+    for alpha in _annulus_alphas(17 + mirror, 60):
+        start = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        for st in (0.5 + 0.8j, start):
+            got = _assert_same_outcome(monkeypatch, spec, alpha, st)
+            solved += isinstance(got, potential.SaddleResult)
+    assert solved >= 60
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_crossing_solves_are_bit_identical_to_the_oracle(monkeypatch,
+                                                         positive):
+    rng = random.Random(41 + positive)
+    for mirror in (False, True):
+        spec = crossing_potential(positive, mirror)
+        for alpha in _annulus_alphas(43 + positive + 2 * mirror, 8):
+            start = tuple(w * (1 + complex(rng.gauss(0, 0.2),
+                                           rng.gauss(0, 0.2)))
+                          for w in W_GENERIC)
+            _assert_same_outcome(monkeypatch, spec, alpha, start)
+            _assert_same_outcome(monkeypatch, spec, alpha, start,
+                                 max_iter=3)
+
+
+@pytest.mark.parametrize("alpha, start, kw, error", [
+    (-1.0, 0.5, {}, DegeneracyError),
+    (-1.0, 0.5 + 0j, {}, DegeneracyError),
+    (1e78, 0.5 + 0.8j, {}, ConvergenceError),
+    (1e308, 0.5 + 0.8j, {}, ConvergenceError),
+    (-1e200j, 0.5 + 0.8j, {}, ConvergenceError),
+    (-1.0, 100.0 + 100.0j, {"max_iter": 2}, ConvergenceError),
+    (1.0, 1.0, {}, ConvergenceError),
+    (0.0, 0.5, {}, SingularityError),
+])
+def test_edge_solves_are_bit_identical_to_the_oracle(monkeypatch, alpha,
+                                                     start, kw, error):
+    for mirror in (False, True):
+        spec = builtin_potential(mirror=mirror)
+        got = _assert_same_outcome(monkeypatch, spec, alpha, start, **kw)
+        assert got[0] is error
+
+
+def test_one_by_one_solve_is_the_general_path():
+    zeros = [complex(s * 0.0, t * 0.0) for s in (1, -1) for t in (1, -1)]
+    rng = random.Random(5)
+    values = zeros + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                      for _ in range(40)]
+    values += [complex(math.inf, 0.0), complex(math.nan, 1.0), 1e-300 + 0j,
+               complex(0.0, -1e-290), 1e300 - 1e300j]
+    for m in values:
+        for r in values[:12]:
+            try:
+                want = repr(_general_solve_linear([[m]], [r]))
+            except DegeneracyError as exc:
+                with pytest.raises(DegeneracyError, match=str(exc)):
+                    potential._solve_linear([[m]], [r])
+                continue
+            assert repr(potential._solve_linear([[m]], [r])) == want
