@@ -142,12 +142,13 @@ def _parse_start(ctx, param, text):
     return tuple(out)
 
 
-def _read_descriptor(name_or_path: str) -> tuple[str, bool, str, bool]:
-    """--knot as (kind, positive, normalization, mirror), kind a builtin's
-    name or 'crossing': a builtin name, or a JSON file {'builtin': name} or
-    {'crossing': {'positive': b, 'normalization': s}}, 'mirror' optional."""
+def _read_descriptor(name_or_path: str) -> tuple[str, bool, bool]:
+    """--knot as (kind, positive, mirror), kind a builtin's name or
+    'crossing': a builtin name, or a JSON file {'builtin': name} or
+    {'crossing': {'positive': b}}, 'mirror' optional; a crossing's
+    'normalization' may only be 'so3'."""
     if name_or_path in builtin_names():
-        return name_or_path, True, "so3", False
+        return name_or_path, True, False
     path = pathlib.Path(name_or_path)
     if not path.exists():
         raise DomainError(
@@ -163,24 +164,27 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool, str, bool]:
     if "builtin" in doc:
         if doc["builtin"] not in builtin_names():
             raise DomainError(f"unknown built-in knot {doc['builtin']!r}")
-        return doc["builtin"], True, "so3", mirror
+        return doc["builtin"], True, mirror
     c = doc["crossing"]
     if not isinstance(c, dict):
         raise DomainError("'crossing' must be an object")
+    if c.get("normalization", "so3") != "so3":
+        raise DomainError(f"unknown normalization {c['normalization']!r}: "
+                          "a crossing is normalized as 'so3'")
     return ("crossing", bool(c.get("positive", True)),
-            c.get("normalization", "so3"), bool(c.get("mirror", mirror)))
+            bool(c.get("mirror", mirror)))
 
 
 def _load_term(name_or_path: str):
     """Resolve --knot to a summand."""
-    kind, positive, normalization, _ = _read_descriptor(name_or_path)
-    return (build_crossing(positive, normalization) if kind == "crossing"
+    kind, positive, _ = _read_descriptor(name_or_path)
+    return (build_crossing(positive) if kind == "crossing"
             else habiro_figure_eight())
 
 
 def _load_potential(name_or_path: str):
     """Resolve --knot to a potential (for saddle / volume)."""
-    kind, positive, _, mirror = _read_descriptor(name_or_path)
+    kind, positive, mirror = _read_descriptor(name_or_path)
     return (crossing_potential(positive, mirror=mirror) if kind == "crossing"
             else builtin_potential(kind, mirror=mirror))
 

@@ -113,7 +113,7 @@ def ratio_system(term: ProperQHTerm,
         lon_ratio = epsilon_ratio(term, "Em" if longitude == "squared"
                                   else "E")
         rhs = lvar * lvar if longitude == "squared" else lvar
-    elif term.colors == ("m",):
+    else:
         if longitude == "linear":
             raise DomainError(
                 "linear longitude needs a full-meridian color; "
@@ -122,10 +122,6 @@ def ratio_system(term: ProperQHTerm,
         coords = tuple(f"w{i}" for i in range(1, term.nu + 1))
         lon_ratio = epsilon_ratio(term, "Em")
         rhs = lvar * lvar
-    else:
-        raise DomainError(
-            "a system needs a single color; multi-color factors describe "
-            "one crossing, not a closed diagram")
     glue = tuple(
         cleared_equation(rename_ratfun(epsilon_ratio(term, f"Et{i}"), mapping), one)
         for i in range(1, term.nu + 1))

@@ -58,8 +58,7 @@ Coeff = Union[int, Fraction]
 # sort by index inside their family.  Unknown names sort after everything,
 # alphabetically, so user-invented symbols still get a deterministic order.
 _FAMILIES = (
-    "q", "s", "Q", "Qm", "Qmp", "Sm", "Smp", "Qt", "St",
-    "E", "Em", "Et", "l", "alpha", "w", "x",
+    "q", "Q", "Qm", "Qt", "E", "Em", "Et", "l", "alpha", "w", "x",
 )
 
 

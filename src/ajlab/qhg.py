@@ -2,8 +2,10 @@
 
 A summand is a product of a sign, a q-power of a quadratic form in the
 integer arguments, and finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L)
-whose lengths L are integer linear forms.  The arguments are one or two
-colors (``n``; or ``m``, ``mp``) plus lattice indices ``k1..k_nu``.
+whose lengths L are integer linear forms.  The arguments are one color
+(``n`` or ``m``) plus lattice indices ``k1..k_nu``.  Form coefficients may
+be half-integers, but the q-exponent must be an integer at every integer
+point that is evaluated; a half-integer value is a DomainError.
 
 At a point, each form is evaluated once and the Pochhammer factors cancel
 by index range before anything is multiplied: (1 - q^j) occurs to the net
@@ -19,14 +21,11 @@ Shifting one argument by an integer multiplies the summand by a rational
 function of q and of the exponentials of the arguments; ``shift_ratio``
 returns that ratio exactly, over the symbols
 
-    n -> Q,  m -> Qm,  mp -> Qmp,  ki -> Qt_i
+    n -> Q,  m -> Qm,  ki -> Qt_i
 
-with half-integer exponents carried by square-root symbols (q -> s,
-Qm -> Sm, Qmp -> Smp, Qt_i -> St_i).  ``epsilon_ratio`` is the same ratio
-in the q -> 1 limit, with the exponential symbols kept.  The limit is
-``poly.limit_at_one``, the one the operator side (``ore``) takes too; the
-only step added here folds q into s (s^2 = q) when half-integer powers
-occur, and then takes the limit in s.
+``epsilon_ratio`` is the same ratio in the q -> 1 limit, with the
+exponential symbols kept.  The limit is ``poly.limit_at_one``, the one the
+operator side (``ore``) takes too.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ from .ratfun import RationalFunction
 
 Scalar = Union[int, Fraction]
 
-_COLOR_SETS = (("n",), ("m",), ("m", "mp"))
-_EXP_VAR = {"n": "Q", "m": "Qm", "mp": "Qmp"}
-_HALF_VAR = {"m": "Sm", "mp": "Smp"}
+_COLOR_SETS = (("n",), ("m",))
+_EXP_VAR = {"n": "Q", "m": "Qm"}
 
 
 def _lattice_sym(i: int) -> str:
@@ -58,15 +56,6 @@ def _sym_exp_var(sym: str) -> str:
     if sym.startswith("k") and sym[1:].isdigit():
         return f"Qt{sym[1:]}"
     raise DomainError(f"unknown argument symbol {sym!r}")
-
-
-def _sym_half_var(sym: str) -> str:
-    if sym in _HALF_VAR:
-        return _HALF_VAR[sym]
-    if sym.startswith("k") and sym[1:].isdigit():
-        return f"St{sym[1:]}"
-    raise DomainError(
-        f"half-integer exponent on {sym!r} has no square-root symbol")
 
 
 class LinearForm(Immutable):
@@ -107,33 +96,24 @@ class LinearForm(Immutable):
         return LinearForm.make(d, self.const + other.const)
 
 
+def _int_exponent(e: Scalar, var: str = "q") -> int:
+    """e as an exponent of var: a DomainError unless e is an integer."""
+    if e.denominator != 1:
+        raise DomainError(f"exponent {e} of {var} is not an integer")
+    return int(e)
+
+
 def _affine_monomial(coeffs: Mapping[str, Scalar], const: Scalar,
                      q_extra: int = 0) -> LaurentMPoly:
-    """q**(const + extra) * prod exp(sym)**coeff as a Laurent monomial,
-    using square-root symbols for half-integer parts."""
+    """q**(const + extra) * prod exp(sym)**coeff as a Laurent monomial."""
     powers: dict[str, int] = {}
-
-    def add(var: str, k: int):
-        powers[var] = powers.get(var, 0) + k
-
-    c0 = const + q_extra
-    if c0.denominator == 1:
-        if c0 != 0:
-            add("q", int(c0))
-    elif (2 * c0).denominator == 1:
-        add("s", int(2 * c0))
-    else:
-        raise DomainError(f"exponent {c0} is neither integer nor half-integer")
+    c0 = _int_exponent(const + q_extra)
+    if c0:
+        powers["q"] = c0
     for sym, c in coeffs.items():
-        if c == 0:
-            continue
-        if c.denominator == 1:
-            add(_sym_exp_var(sym), int(c))
-        elif (2 * c).denominator == 1:
-            add(_sym_half_var(sym), int(2 * c))
-        else:
-            raise DomainError(
-                f"exponent {c} on {sym} is neither integer nor half-integer")
+        if c:
+            var = _sym_exp_var(sym)
+            powers[var] = _int_exponent(c, var)
     return LaurentMPoly.monomial(1, powers) if powers else LaurentMPoly.const(1)
 
 
@@ -282,33 +262,22 @@ class ProperQHTerm(Immutable):
                 net[j] = m
         return net
 
-    def eval_with_support(self, point: Sequence[int], qval: Scalar,
-                          sval: Optional[Scalar] = None
-                          ) -> tuple[Fraction, bool]:
-        """(`eval_exact`, whether the point is in support)."""
+    def eval_exact(self, point: Sequence[int], qval: Scalar) -> Fraction:
+        """Exact value at q = qval; zero out of support.  A (q)_L under the
+        bar that vanishes is a PoleError; the rest is integer products, as
+        described above."""
         env = self._env(point)
         lengths = self._support_lengths(env)
         if lengths is None:
-            return Fraction(0), False
+            return Fraction(0)
         if type(qval) is not Fraction:
             qval = Fraction(qval)
         a, b = qval.numerator, qval.denominator
-        e = self.quad.value(env)
-        if not a and e < 0:
+        k = _int_exponent(self.quad.value(env))
+        if not a and k < 0:
             raise DomainError("q = 0 under a negative exponent")
-        if e.denominator == 1:
-            x, k = qval, int(e)
-        else:
-            if sval is None:
-                raise DomainError(
-                    f"half-integer exponent {e} needs a square root of q")
-            x, k = Fraction(sval), int(2 * e)
-            if x * x != qval:
-                raise DomainError(f"{x} is not a square root of {qval}")
-        num, den = x.numerator, x.denominator
-        if k < 0:  # x = 0 only with k >= 0; Fraction fixes the sign of den
-            num, den, k = den, num, -k
-        num, den = num ** k, den ** k
+        # a = 0 only with k >= 0; the Fraction below fixes the sign of a
+        num, den = (a ** k, b ** k) if k >= 0 else (b ** -k, a ** -k)
         if int(self.sign.value(env)) % 2:
             num = -num
         # a rational q is a root of some 1 - q^j (j >= 1) only at q = 1, or
@@ -328,20 +297,13 @@ class ProperQHTerm(Immutable):
                 den *= (b ** j - a ** j) ** -m
             bpow += j * m
         return Fraction(num * b ** max(-bpow, 0),
-                        den * b ** max(bpow, 0)), True
-
-    def eval_exact(self, point: Sequence[int], qval: Scalar,
-                   sval: Optional[Scalar] = None) -> Fraction:
-        """Exact value at q = qval (and s = sval for a half-integer
-        exponent); zero out of support.  A (q)_L under the bar that vanishes
-        is a PoleError; the rest is integer products, as described above."""
-        return self.eval_with_support(point, qval, sval)[0]
+                        den * b ** max(bpow, 0))
 
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
-        """Value at an integer point as a rational function of q (and s
-        when the exponent is half-integer); zero out of support.  Only the
-        net powers of (1 - q^j) are multiplied, as dense integer
-        coefficient lists, one per side of the fraction bar."""
+        """Value at an integer point as a rational function of q; zero out
+        of support.  Only the net powers of (1 - q^j) are multiplied, as
+        dense integer coefficient lists, one per side of the fraction
+        bar."""
         env = self._env(point)
         lengths = self._support_lengths(env)
         if lengths is None:
@@ -394,10 +356,6 @@ def _resolve_shift(term: ProperQHTerm, which: str) -> tuple[str, int]:
         if colors == ("n",):
             return "n", 2  # n = 2m+1: one half-lattice step is two full steps
         return "m", 1
-    if which == "Emp":
-        if colors != ("m", "mp"):
-            raise DomainError("shift Emp needs a two-color summand")
-        return "mp", 1
     if which.startswith("Et") and which[2:].isdigit():
         i = int(which[2:])
         if not 1 <= i <= term.nu:
@@ -435,15 +393,6 @@ def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def _one_limit(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
-    """`limit_at_one` in q, or, when half-integer powers occur, in s after
-    folding q into s (s^2 = q)."""
-    if "s" not in p.vars:
-        return limit_at_one(p)
-    return limit_at_one(p.subst_monomials({"q": LaurentMPoly.var("s", 2)}),
-                        "s")
-
-
 def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     """q -> 1 limit of ``shift_ratio``; the exponential symbols survive.
 
@@ -451,8 +400,8 @@ def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     raises PoleError.
     """
     r = shift_ratio(term, which)
-    vn, ln = _one_limit(r.num)
-    vd, ld = _one_limit(r.den)
+    vn, ln = limit_at_one(r.num)
+    vd, ld = limit_at_one(r.den)
     if vn < vd:
         raise PoleError(
             f"shift ratio {which} diverges as q -> 1 "
@@ -464,70 +413,37 @@ def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
 
 # -- concrete summands -----------------------------------------------------
 
-def build_crossing(positive: bool, normalization: str = "so3") -> ProperQHTerm:
-    """Single-crossing summand in the four surrounding region indices
-    k1..k4, in one of two normalizations:
-
-    - "so3": one color (m), with the extra q^(+-(m^2+m)) twist,
-    - "two-color": colors (m, mp), half-integer in (m + mp)/2.
-    """
+def build_crossing(positive: bool) -> ProperQHTerm:
+    """Single-crossing summand in the color m and the four surrounding
+    region indices k1..k4, with the extra q^(+-(m^2+m)) twist."""
     k1, k2, k3, k4 = "k1", "k2", "k3", "k4"
-    if normalization == "so3":
-        if positive:
-            quad = QuadForm.make(
-                {("m", "m"): 1,
-                 (k2, k2): 1, (k1, k2): -1, (k2, k3): -1, (k1, k3): 1,
-                 ("m", k2): -1, ("m", k4): -1, ("m", k1): 1, ("m", k3): 1},
-                {"m": 1})
-            num = [LinearForm.make({"m": 1, k4: 1, k3: -1}),
-                   LinearForm.make({"m": 1, k4: 1, k1: -1})]
-            den = [LinearForm.make({k2: 1, k4: 1, k1: -1, k3: -1}),
-                   LinearForm.make({"m": 1, k1: 1, k2: -1}),
-                   LinearForm.make({"m": 1, k3: 1, k2: -1})]
-            sign = LinearForm.make({})
-        else:
-            quad = QuadForm.make(
-                {("m", "m"): -1,
-                 (k3, k4): 1, (k4, k4): -1, (k1, k4): 1, (k1, k3): -1,
-                 ("m", k1): -1, ("m", k3): -1, ("m", k2): 1, ("m", k4): 1},
-                {"m": -1})
-            num = [LinearForm.make({"m": 1, k1: 1, k4: -1}),
-                   LinearForm.make({"m": 1, k3: 1, k4: -1})]
-            den = [LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1}),
-                   LinearForm.make({"m": 1, k2: 1, k3: -1}),
-                   LinearForm.make({"m": 1, k2: 1, k1: -1})]
-            sign = LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1})
-        colors = ("m",)
-    elif normalization == "two-color":
-        h = Fraction(1, 2)
-        if positive:
-            quad = QuadForm.make(
-                {(k2, k2): 1, (k1, k2): -1, (k2, k3): -1, (k1, k3): 1,
-                 ("m", k2): -h, ("m", k4): -h, ("m", k1): h, ("m", k3): h,
-                 ("mp", k2): -h, ("mp", k4): -h, ("mp", k1): h, ("mp", k3): h})
-            num = [LinearForm.make({"m": 1, k4: 1, k3: -1}),
-                   LinearForm.make({"mp": 1, k4: 1, k1: -1})]
-            den = [LinearForm.make({k2: 1, k4: 1, k1: -1, k3: -1}),
-                   LinearForm.make({"m": 1, k2: 1, k1: -1}),
-                   LinearForm.make({"mp": 1, k3: 1, k2: -1})]
-            sign = LinearForm.make({})
-        else:
-            quad = QuadForm.make(
-                {(k3, k4): 1, (k4, k4): -1, (k1, k4): 1, (k1, k3): -1,
-                 ("m", k1): -h, ("m", k3): -h, ("m", k2): h, ("m", k4): h,
-                 ("mp", k1): -h, ("mp", k3): -h, ("mp", k2): h, ("mp", k4): h})
-            num = [LinearForm.make({"m": 1, k1: 1, k4: -1}),
-                   LinearForm.make({"mp": 1, k3: 1, k4: -1})]
-            den = [LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1}),
-                   LinearForm.make({"m": 1, k2: 1, k3: -1}),
-                   LinearForm.make({"mp": 1, k2: 1, k1: -1})]
-            sign = LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1})
-        colors = ("m", "mp")
+    if positive:
+        quad = QuadForm.make(
+            {("m", "m"): 1,
+             (k2, k2): 1, (k1, k2): -1, (k2, k3): -1, (k1, k3): 1,
+             ("m", k2): -1, ("m", k4): -1, ("m", k1): 1, ("m", k3): 1},
+            {"m": 1})
+        num = [LinearForm.make({"m": 1, k4: 1, k3: -1}),
+               LinearForm.make({"m": 1, k4: 1, k1: -1})]
+        den = [LinearForm.make({k2: 1, k4: 1, k1: -1, k3: -1}),
+               LinearForm.make({"m": 1, k1: 1, k2: -1}),
+               LinearForm.make({"m": 1, k3: 1, k2: -1})]
+        sign = LinearForm.make({})
     else:
-        raise DomainError(f"unknown normalization {normalization!r}")
+        quad = QuadForm.make(
+            {("m", "m"): -1,
+             (k3, k4): 1, (k4, k4): -1, (k1, k4): 1, (k1, k3): -1,
+             ("m", k1): -1, ("m", k3): -1, ("m", k2): 1, ("m", k4): 1},
+            {"m": -1})
+        num = [LinearForm.make({"m": 1, k1: 1, k4: -1}),
+               LinearForm.make({"m": 1, k3: 1, k4: -1})]
+        den = [LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1}),
+               LinearForm.make({"m": 1, k2: 1, k3: -1}),
+               LinearForm.make({"m": 1, k2: 1, k1: -1})]
+        sign = LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1})
     poch = tuple([PochFactor(f) for f in num]
                  + [PochFactor(f, denom=True) for f in den])
-    return ProperQHTerm(colors=colors, nu=4, poch=poch, quad=quad, sign=sign)
+    return ProperQHTerm(colors=("m",), nu=4, poch=poch, quad=quad, sign=sign)
 
 
 @cache
@@ -621,7 +537,7 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
 
 
 def lattice_sum(term: ProperQHTerm, color_values: Sequence[int],
-                qval: Scalar, sval: Optional[Scalar] = None) -> Fraction:
+                qval: Scalar) -> Fraction:
     """Sum the summand over all lattice points in its support at fixed
     colors.  The support must be certified bounded."""
     fixed = dict(zip(term.colors, (int(x) for x in color_values)))
@@ -630,7 +546,7 @@ def lattice_sum(term: ProperQHTerm, color_values: Sequence[int],
     free = [_lattice_sym(i + 1) for i in range(term.nu)]
     box = support_box(term.support_forms(), fixed, free)
     colors = tuple(color_values)
-    return sum((term.eval_exact(colors + point, qval, sval) for point in
+    return sum((term.eval_exact(colors + point, qval) for point in
                 itertools.product(*(range(a, b + 1) for a, b in box))),
                Fraction(0))
 

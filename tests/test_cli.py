@@ -267,10 +267,14 @@ def test_bad_knot_descriptors(run, tmp_path):
              ({"builtin": "trefoil"}, "unknown built-in knot 'trefoil'"),
              ({"builtin": "crossing"}, "unknown built-in knot 'crossing'"),
              ({"mirror": True}, "needs a 'builtin' or 'crossing' key")]
+    for norm in ("two-color", "bogus"):
+        cases.append(({"crossing": {"positive": True, "normalization": norm}},
+                      f"unknown normalization {norm!r}"))
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
-        for args in (("ratio", "--which", "Et1"), ("volume",)):
+        for args in (("ratio", "--which", "Et1"), ("system",), ("volume",),
+                     ("saddle", "--start", "0.5;0.6;0.7;0.8")):
             res = run(*args, "--knot", str(path))
             assert res.exit_code == 1, (doc, args)
             assert message in res.output, (doc, args)

@@ -96,10 +96,6 @@ class TestRatioSystems:
         with pytest.raises(DomainError):
             ratio_system(build_crossing(True), "linear")
 
-    def test_two_color_refused(self):
-        with pytest.raises(DomainError):
-            ratio_system(build_crossing(True, "two-color"), "squared")
-
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             ratio_system(habiro_figure_eight(), "cubed")

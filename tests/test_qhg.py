@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ajlab.elim import eliminate, ratio_system
 from ajlab.errors import DomainError, PoleError, SupportError
 from ajlab.poly import LaurentMPoly, parse_poly
 from ajlab.qhg import (
@@ -82,8 +83,9 @@ def literal_symbolic(term, point):
         return RationalFunction.zero()
     env = dict(zip(term.symbols(), point))
     e = term.quad.value(env)
-    num = (LaurentMPoly.var("q", int(e)) if e.denominator == 1
-           else LaurentMPoly.var("s", int(2 * e)))
+    if e.denominator != 1:
+        raise DomainError("half-integer exponent")
+    num = LaurentMPoly.var("q", int(e))
     if int(term.sign.value(env)) % 2:
         num = -num
     den = LaurentMPoly.const(1)
@@ -96,21 +98,18 @@ def literal_symbolic(term, point):
     return RationalFunction(num, den)
 
 
-def literal_exact(term, point, qv, sv):
-    """Per-factor oracle at q = qv (s = sv): a vanishing (q)_L under the
-    bar is a pole even where the numerator vanishes too."""
+def literal_exact(term, point, qv):
+    """Per-factor oracle at q = qv: a vanishing (q)_L under the bar is a
+    pole even where the numerator vanishes too."""
     if not literal_in_support(term, point):
         return Fraction(0)
     env = dict(zip(term.symbols(), point))
     e = term.quad.value(env)
+    if e.denominator != 1:
+        raise DomainError("half-integer exponent")
     if qv == 0 and e < 0:
         raise DomainError("q = 0 under a negative exponent")
-    if e.denominator == 1:
-        val = qv ** int(e)
-    else:
-        if sv is None or sv * sv != qv:
-            raise DomainError("not a square root")
-        val = sv ** int(2 * e)
+    val = qv ** int(e)
     if int(term.sign.value(env)) % 2:
         val = -val
     for f in term.poch:
@@ -131,9 +130,20 @@ def outcome(fn, *args):
         return type(exc)
 
 
-ALL_SUMMANDS = [habiro_figure_eight()] + [
-    build_crossing(sign, norm)
-    for sign in (True, False) for norm in ("so3", "two-color")]
+def trefoil():
+    """The right-handed trefoil's summand: Habiro's Pochhammer factors and
+    constraint times (-1)^k1 q^(k1 (k1 + 3) / 2), so its forms have
+    half-integer coefficients but integer values."""
+    f = habiro_figure_eight()
+    return ProperQHTerm(
+        colors=f.colors, nu=f.nu, poch=f.poch,
+        quad=QuadForm.make({("n", "k1"): -1, ("k1", "k1"): Fraction(1, 2)},
+                           {"k1": Fraction(3, 2)}),
+        sign=LinearForm.make({"k1": 1}), constraints=f.constraints)
+
+
+ALL_SUMMANDS = [habiro_figure_eight(), build_crossing(True), trefoil(),
+                build_crossing(False)]
 
 
 def random_support_points(term, rng, count, lo=-1, hi=6):
@@ -195,14 +205,11 @@ class TestAgainstPerFactorProduct:
                   + constraint_only_points(term, rng, 10))
         one, zero = Fraction(1), Fraction(0)
         for pt in points:
-            sv = random_rational(rng)
-            for qv, s in ((random_rational(rng), sv), (sv * sv, sv),
-                          (one, sv), (one, one), (one, -one), (-one, sv),
-                          (-one, None), (zero, zero), (zero, sv),
-                          (zero, None), (sv * sv, None)):
-                got = outcome(term.eval_exact, pt, qv, s)
-                want = outcome(literal_exact, term, pt, qv, s)
-                assert got == want, (pt, qv, s)
+            r = random_rational(rng)
+            for qv in (random_rational(rng), r * r, one, -one, zero):
+                got = outcome(term.eval_exact, pt, qv)
+                want = outcome(literal_exact, term, pt, qv)
+                assert got == want, (pt, qv)
 
     def test_constraint_only_points_exist(self):
         # the figure-eight summand's i >= 0 is its one extra constraint
@@ -220,21 +227,14 @@ class TestPoleContract:
                 with pytest.raises(PoleError):
                     f.eval_exact((n, i), 1)
 
-    def test_zero_square_root_under_a_negative_exponent(self):
-        # exponent -1/2 at this point: s = 0 is no value, not a division
-        t = build_crossing(True, "two-color")
-        with pytest.raises(DomainError):
-            t.eval_exact((0, 1, 0, 0, 0, 1), 0, 0)
-
     def test_out_of_support_is_zero_before_any_pole(self):
         f = habiro_figure_eight()
         for pt in [(2, 5), (2, -1), (3, 3), (1, 1)]:
             assert f.eval_exact(pt, 1) == 0
             assert f.eval_exact(pt, -1) == 0
 
-    @pytest.mark.parametrize("idx", [0, 1, 3])
+    @pytest.mark.parametrize("idx", range(len(ALL_SUMMANDS)))
     def test_minus_one_is_a_pole_iff_a_denominator_reaches_two(self, idx):
-        # the integer-exponent summands: Habiro's and both so3 crossings
         term = ALL_SUMMANDS[idx]
         rng = random.Random(3000 + idx)
         seen = set()
@@ -248,7 +248,7 @@ class TestPoleContract:
                     term.eval_exact(pt, -1)
             else:
                 assert term.eval_exact(pt, -1) == literal_exact(
-                    term, pt, Fraction(-1), None)
+                    term, pt, Fraction(-1))
         assert seen == {True, False}
 
 
@@ -261,10 +261,8 @@ class TestSummandValues:
 
     def test_out_of_support_is_flagged_zero(self):
         f = habiro_figure_eight()
-        val, ok = f.eval_with_support((2, 5), 3)
-        assert val == 0 and not ok
-        val, ok = f.eval_with_support((2, -1), 3)
-        assert val == 0 and not ok
+        for pt in ((2, 5), (2, -1)):
+            assert not f.in_support(pt) and f.eval_exact(pt, 3) == 0
         assert not f.in_support((3, 3))
         assert f.in_support((3, 2))
 
@@ -351,30 +349,6 @@ class TestCrossingTables:
                 assert rp.eval_exact(pt, qv) * rm.eval_exact(pt, qv) == 1
         assert found >= 20
 
-    def test_two_color_values(self):
-        rp = build_crossing(True, "two-color")
-        assert rp.eval_exact((1, 2, 0, 0, 0, 0), 4, sval=2) == 1
-        assert rp.eval_exact((1, 2, 0, 1, 0, 0), 4, sval=2) == Fraction(-1, 6)
-        with pytest.raises(DomainError):
-            rp.eval_exact((1, 2, 0, 1, 0, 0), 4)  # needs a square root
-        with pytest.raises(DomainError):
-            rp.eval_exact((1, 2, 0, 1, 0, 0), 4, sval=3)
-
-    def test_two_color_negative_sign(self):
-        rm = build_crossing(False, "two-color")
-        # k1+k3-k2-k4 odd flips the sign relative to the signless summand
-        bare = ProperQHTerm(colors=rm.colors, nu=rm.nu, poch=rm.poch,
-                            quad=rm.quad)
-        pt_odd, pt_even = (2, 2, 1, 0, 0, 0), (2, 2, 1, 1, 0, 0)
-        assert rm.eval_exact(pt_odd, 4, sval=2) == \
-            -bare.eval_exact(pt_odd, 4, sval=2) != 0
-        assert rm.eval_exact(pt_even, 4, sval=2) == \
-            bare.eval_exact(pt_even, 4, sval=2) != 0
-
-    def test_unknown_normalization(self):
-        with pytest.raises(DomainError):
-            build_crossing(True, "cabled")
-
 
 class TestShiftRatios:
     def test_figure_eight_displayed_ratios(self):
@@ -396,31 +370,25 @@ class TestShiftRatios:
         with pytest.raises(DomainError):
             shift_ratio(build_crossing(True), "E")
         with pytest.raises(DomainError):
-            shift_ratio(habiro_figure_eight(), "Emp")
-        with pytest.raises(DomainError):
             shift_ratio(habiro_figure_eight(), "Et2")
         with pytest.raises(DomainError):
             shift_ratio(habiro_figure_eight(), "F")
 
     @staticmethod
-    def _ratio_point_env(qv, sv, syms, pt):
-        env = {"q": Fraction(qv), "s": Fraction(sv)}
-        half = {"m": "Sm", "mp": "Smp"}
+    def _ratio_point_env(qv, syms, pt):
+        env = {"q": Fraction(qv)}
         for sym, val in zip(syms, pt):
-            if sym.startswith("k"):
-                env[f"Qt{sym[1:]}"] = Fraction(qv) ** val
-                env[f"St{sym[1:]}"] = Fraction(sv) ** val
-            else:
-                env[{"n": "Q", "m": "Qm", "mp": "Qmp"}[sym]] = \
-                    Fraction(qv) ** val
-                if sym in half:
-                    env[half[sym]] = Fraction(sv) ** val
+            name = f"Qt{sym[1:]}" if sym.startswith("k") else \
+                {"n": "Q", "m": "Qm"}[sym]
+            env[name] = Fraction(qv) ** val
         return env
 
     def test_ratio_consistency_against_values(self):
         # shifted value / value == ratio at the exponential point
         cases = [
             (habiro_figure_eight(), ("E", "Em", "Et1"),
+             [(n, i) for n in range(2, 5) for i in range(0, 3)]),
+            (trefoil(), ("E", "Em", "Et1"),
              [(n, i) for n in range(2, 5) for i in range(0, 3)]),
             (build_crossing(True), ("Em", "Et1", "Et2", "Et3", "Et4"),
              [(m, k1, k2, k3, k4)
@@ -430,26 +398,15 @@ class TestShiftRatios:
              [(m, k1, k2, k3, k4)
               for m in (2, 3) for k1 in (0, 1) for k2 in (1, 2)
               for k3 in (0, 1) for k4 in (0, 1)]),
-            (build_crossing(True, "two-color"),
-             ("Em", "Emp", "Et1", "Et2", "Et3", "Et4"),
-             [(m, mp, k1, k2, k3, k4)
-              for m in (2, 3) for mp in (2,) for k1 in (0, 1)
-              for k2 in (0, 1) for k3 in (0, 1) for k4 in (1, 2)]),
-            (build_crossing(False, "two-color"),
-             ("Em", "Emp", "Et1", "Et2", "Et3", "Et4"),
-             [(m, mp, k1, k2, k3, k4)
-              for m in (2, 3) for mp in (2,) for k1 in (0, 1)
-              for k2 in (1, 2) for k3 in (0, 1) for k4 in (0, 1)]),
         ]
-        shifts = {"E": ("n", 1), "Em": None, "Emp": None}
         checked = 0
-        for qv, sv in ((4, 2), (9, 3), (Fraction(9, 4), Fraction(3, 2))):
+        for qv in (4, 9, Fraction(9, 4)):
             for term, which_list, pts in cases:
                 syms = term.symbols()
                 for which in which_list:
                     ratio = shift_ratio(term, which)
                     for pt in pts:
-                        base = term.eval_exact(pt, qv, sv)
+                        base = term.eval_exact(pt, qv)
                         if base == 0:
                             continue
                         # apply the shift at the argument level
@@ -457,14 +414,12 @@ class TestShiftRatios:
                             delta = {"n": 1}
                         elif which == "Em":
                             delta = {"n": 2} if "n" in syms else {"m": 1}
-                        elif which == "Emp":
-                            delta = {"mp": 1}
                         else:
                             delta = {f"k{which[2:]}": 1}
                         moved = tuple(v + delta.get(s, 0)
                                       for s, v in zip(syms, pt))
-                        shifted = term.eval_exact(moved, qv, sv)
-                        env = self._ratio_point_env(qv, sv, syms, pt)
+                        shifted = term.eval_exact(moved, qv)
+                        env = self._ratio_point_env(qv, syms, pt)
                         try:
                             rv = ratio.eval_exact(env)
                         except PoleError:
@@ -514,23 +469,25 @@ class TestLimitRatios:
         # pole and never identically zero
         for term, shifts in (
                 (habiro_figure_eight(), ("E", "Em", "Et1")),
+                (trefoil(), ("E", "Em", "Et1")),
                 (build_crossing(True), ("Em", "Et1", "Et2", "Et3", "Et4")),
-                (build_crossing(False, "two-color"),
-                 ("Em", "Emp", "Et1", "Et2", "Et3", "Et4"))):
+                (build_crossing(False), ("Em", "Et1", "Et2", "Et3", "Et4"))):
             for which in shifts:
                 assert not epsilon_ratio(term, which).is_zero()
 
-    def test_vanishing_order_bookkeeping(self):
-        from ajlab.qhg import _one_limit
-        assert _one_limit(P("q^2 - 2*q + 1")) == (2, P("1"))
-        assert _one_limit(P("q*Q - Q")) == (1, P("Q"))
-        assert _one_limit(P("Q - Qt1")) == (0, P("Q - Qt1"))
-        # half-integer powers: q folds into s (s^2 = q), the limit is in s
-        assert _one_limit(P("s*q - 1")) == (1, P("3"))
-        assert _one_limit(P("q^-1*Q - s^-2*Qm")) == (0, P("Q - Qm"))
-        # a fold that cancels every term leaves zero, which has no limit
-        with pytest.raises(DomainError):
-            _one_limit(P("s^2 - q"))
+    def test_vanishing_order_bookkeeping(self, monkeypatch):
+        # the orders of vanishing at q = 1 above and below the bar decide:
+        # equal orders give the quotient of the lowest Taylor coefficients,
+        # a higher order above gives zero, a higher order below a pole
+        import ajlab.qhg as qhg_module
+        f = habiro_figure_eight()
+        for ratio, want in (
+                (rf("(q^2 - 1)*Q", "(q - 1)*Qt1"), rf("2*Q", "Qt1")),
+                (rf("(q - 1)^2*Q", "Qt1"), RationalFunction.zero()),
+                (rf("Q", "(q - 1)*Qt1"), PoleError)):
+            monkeypatch.setattr(qhg_module, "shift_ratio",
+                                lambda term, which: ratio)
+            assert outcome(epsilon_ratio, f, "E") == want
 
 
 class TestLatticeSummation:
@@ -714,8 +671,11 @@ class TestFormCoefficients:
         f = habiro_figure_eight()
         assert all(type(c) is int for _, c in f.quad.quad)
         assert type(f.eval_exact((3, 1), 2)) is Fraction
-        half = build_crossing(True, "two-color").quad
-        assert {c for _, c in half.quad} >= {Fraction(1, 2), Fraction(-1, 2)}
+        t = trefoil()
+        assert t.quad.quad == ((("k1", "k1"), Fraction(1, 2)),
+                               (("k1", "n"), -1))
+        assert t.quad.lin.coeffs == (("k1", Fraction(3, 2)),)
+        assert type(t.eval_exact((3, 1), 2)) is Fraction
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-10 ** 18, 10 ** 18), st.integers(0, 50),
@@ -750,17 +710,51 @@ class TestFormCoefficients:
 
     @pytest.mark.parametrize("positive", (True, False))
     def test_half_integer_exponents_match_the_oracle(self, positive):
-        term = build_crossing(positive, "two-color")
+        # a crossing times q^(k1^2/2): its exponent is a half-integer at odd
+        # k1, which the evaluators refuse as the oracle does
+        crossing = build_crossing(positive)
+        term = crossing.mul(ProperQHTerm(
+            colors=crossing.colors, nu=crossing.nu, poch=(),
+            quad=QuadForm.make({("k1", "k1"): Fraction(1, 2)})))
         rng = random.Random(3000 + positive)
-        pts = [pt for pt in random_support_points(term, rng, 120)
-               if term.quad.value(dict(zip(term.symbols(), pt))) % 1]
-        assert len(pts) >= 10
+        pts = random_support_points(term, rng, 120)
+        assert {pt[1] % 2 for pt in pts} == {0, 1}
         for pt in pts:
-            got = term.eval_symbolic(pt)
-            want = literal_symbolic(term, pt)
-            assert (got.num, got.den) == (want.num, want.den), pt
-            sv = random_rational(rng) or Fraction(1, 3)
-            for qv, s in ((sv * sv, sv), (sv * sv, -sv), (sv * sv, None),
-                          (sv * sv + 1, sv), (1, 1), (1, -1), (0, 0)):
-                assert (outcome(term.eval_exact, pt, qv, s)
-                        == outcome(literal_exact, term, pt, qv, s)), (pt, qv)
+            assert (outcome(term.eval_symbolic, pt)
+                    == outcome(literal_symbolic, term, pt)), pt
+            r = random_rational(rng) or Fraction(1, 3)
+            for qv in (r * r, r * r + 1, 1, -1, 0):
+                assert (outcome(term.eval_exact, pt, qv)
+                        == outcome(literal_exact, term, pt, qv)), (pt, qv)
+
+
+class TestIntegerExponents:
+    """Form coefficients may be half-integers; values at integer points
+    must be integers."""
+
+    def test_trefoil_values(self):
+        t = trefoil()
+        for qv in (Fraction(2), Fraction(-3, 7)):
+            j2 = qv + qv ** 3 - qv ** 4
+            j3 = (qv ** 2 + qv ** 5 - qv ** 7 + qv ** 8 - qv ** 9 - qv ** 10
+                  + qv ** 11)
+            assert lattice_sum(t, (2,), qv) == j2
+            assert lattice_sum(t, (3,), qv) == j3
+
+    def test_trefoil_linear_eliminant(self):
+        got = eliminate(ratio_system(trefoil(), "linear")).poly
+        want = P("(l + alpha^6)*(l*alpha^2 + 1)")
+        assert got in (want, -want)
+
+    def test_half_integer_value_is_one_error(self):
+        # k1^2/2 is 1/2 at k1 = 1, and so is the constant of its k1 shift
+        t = ProperQHTerm(colors=("n",), nu=1, poch=(),
+                         quad=QuadForm.make({("k1", "k1"): Fraction(1, 2)}))
+        messages = set()
+        for call in (lambda: t.eval_exact((0, 1), 2),
+                     lambda: t.eval_symbolic((0, 1)),
+                     lambda: shift_ratio(t, "Et1")):
+            with pytest.raises(DomainError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"exponent 1/2 of q is not an integer"}
