@@ -1,12 +1,14 @@
 """Summand data model: values, support, shift ratios, crossing tables."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ajlab.cli import _load_term
 from ajlab.elim import eliminate, ratio_system
 from ajlab.errors import DomainError, PoleError, SupportError
 from ajlab.poly import LaurentMPoly, parse_poly
@@ -348,6 +350,21 @@ class TestCrossingTables:
                 found += 1
                 assert rp.eval_exact(pt, qv) * rm.eval_exact(pt, qv) == 1
         assert found >= 20
+
+    def test_unknown_normalization(self, tmp_path):
+        # a crossing is normalized as so3 only; a descriptor asking for
+        # anything else is refused before a summand is built
+        for norm in ("cabled", "two-color"):
+            path = tmp_path / f"{norm}.json"
+            path.write_text(json.dumps(
+                {"crossing": {"positive": True, "normalization": norm}}))
+            with pytest.raises(DomainError, match="unknown normalization"):
+                _load_term(str(path))
+        for positive in (True, False):
+            path = tmp_path / f"so3-{positive}.json"
+            path.write_text(json.dumps(
+                {"crossing": {"positive": positive, "normalization": "so3"}}))
+            assert _load_term(str(path)) == build_crossing(positive)
 
 
 class TestShiftRatios:
