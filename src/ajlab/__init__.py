@@ -18,7 +18,6 @@ from .elim import (
     OperatorCurveComparison,
     aj_compare,
     cleared_equation,
-    divide_abelian,
     eliminate,
     ratio_system,
 )
@@ -36,9 +35,7 @@ from .figure8 import (
     a_polynomial_nonabelian,
     builtin_names,
     cubic_operator,
-    epsilon_p0_reduced,
     jones_evaluator,
-    p0_inhomogeneity,
     p0_operator,
     recurrence_report,
 )
@@ -48,7 +45,6 @@ from .ore import (
     epsilon_eval_with_unit,
     expand_at_one,
     format_operator,
-    homogenize,
     ore_apply,
     ore_mul,
     telescope_sum_check,
@@ -119,17 +115,14 @@ __all__ = [
     "crossing_potential",
     "cubic_operator",
     "derivative_forms",
-    "divide_abelian",
     "eliminate",
     "epsilon_eval_with_unit",
-    "epsilon_p0_reduced",
     "epsilon_ratio",
     "expand_at_one",
     "format_operator",
     "format_poly",
     "format_ratfun",
     "habiro_figure_eight",
-    "homogenize",
     "jones_eval",
     "jones_evaluator",
     "jones_symbolic",
@@ -137,7 +130,6 @@ __all__ = [
     "li2",
     "ore_apply",
     "ore_mul",
-    "p0_inhomogeneity",
     "p0_operator",
     "parse_poly",
     "phi_eval",

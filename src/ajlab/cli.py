@@ -176,8 +176,13 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool, bool]:
 
 
 def _load_term(name_or_path: str):
-    """Resolve --knot to a summand."""
-    kind, positive, _ = _read_descriptor(name_or_path)
+    """Resolve --knot to a summand.  Every summand here is unmirrored, so
+    a descriptor with 'mirror' set is refused rather than answered for
+    its mirror image."""
+    kind, positive, mirror = _read_descriptor(name_or_path)
+    if mirror:
+        raise DomainError("'mirror' applies only to volume and saddle; "
+                          "the summand commands have no mirrored summand")
     return (build_crossing(positive) if kind == "crossing"
             else habiro_figure_eight())
 
@@ -469,12 +474,8 @@ def ajcheck(ctx, opname, fmt, out):
 @_output_options
 def saddle(knot, alpha, start, tol, max_iter, fmt, out):
     """Newton saddle of the potential at fixed meridian."""
-    spec = _load_potential(knot)
-    if start is None:
-        if spec.kind != "builtin":
-            raise DomainError("crossing potentials need --start")
-        start = (0.5 + 0.8j,)
-    res = solve_saddle(spec, alpha, start, tol=tol, max_iter=max_iter)
+    res = solve_saddle(_load_potential(knot), alpha, start, tol=tol,
+                       max_iter=max_iter)
     lines = [f"{k} = {_fmt_complex(v)}" for k, v in res.coords.items()]
     lines += [
         f"l^2 = {_fmt_complex(res.l_squared)}",

@@ -15,10 +15,8 @@ from .poly import (
     Immutable,
     LaurentMPoly,
     _content_and_primitive_wrt,
-    exact_divide,
     format_poly,
     normalized,
-    parse_poly,
     resultant,
     squarefree_part,
 )
@@ -244,12 +242,3 @@ def aj_compare(op: OreOperator, candidate) -> OperatorCurveComparison:
     rhs = normalized(rhs.clear_negative(), main="l")
     return OperatorCurveComparison(lhs == rhs, lhs, rhs,
                                    rename_ratfun(unit, RENAME_FULL))
-
-
-def divide_abelian(p: LaurentMPoly) -> LaurentMPoly:
-    """Exact quotient by (l - 1), for curves that still carry the factor
-    coming from the trivial representations."""
-    try:
-        return exact_divide(p, parse_poly("l - 1"))
-    except DomainError:
-        raise DomainError("(l - 1) does not divide the polynomial") from None

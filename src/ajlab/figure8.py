@@ -1,6 +1,5 @@
 """Built-in figure-eight data: the certificate operators for the one-index
-sum, the cubic annihilator, the reduced shift polynomial at q = 1, and the
-target elimination polynomial.
+sum, the cubic annihilator, and the target elimination polynomial.
 
 Everything here is constructed from literal coefficient data so the
 algebraic machinery can be tested against it rather than through it.
@@ -27,21 +26,6 @@ def x_cofactor(nu: int = 0) -> OreOperator:
     c0 = _rf("q*Q", "1 - q*Q^2")
     shape = {(2,) + (0,) * nu: c2, (1,) + (0,) * nu: c1, (0,) + (0,) * nu: c0}
     return OreOperator(nu, shape)
-
-
-def x_factorizations(nu: int = 0) -> tuple[tuple[OreOperator, OreOperator],
-                                           tuple[OreOperator, OreOperator]]:
-    """The two factorizations of X:
-    (qQ/(1-q^3Q^2) E + 1/(1-qQ^2)) (E + qQ)
-    = (1/(1-q^3Q^2) E + qQ/(1-qQ^2)) (1 + QE)."""
-    z = (0,) * nu
-    left1 = OreOperator(nu, {(1,) + z: _rf("q*Q", "1 - q^3*Q^2"),
-                             (0,) + z: _rf("1", "1 - q*Q^2")})
-    right1 = OreOperator(nu, {(1,) + z: 1, (0,) + z: _rf("q*Q")})
-    left2 = OreOperator(nu, {(1,) + z: _rf("1", "1 - q^3*Q^2"),
-                             (0,) + z: _rf("q*Q", "1 - q*Q^2")})
-    right2 = OreOperator(nu, {(1,) + z: _rf("Q"), (0,) + z: 1})
-    return (left1, right1), (left2, right2)
 
 
 def r_certificate(nu: int = 0) -> OreOperator:
@@ -79,11 +63,6 @@ def p0_operator(nu: int = 0) -> OreOperator:
     once per nu; each call hands out its own copy of the term dict."""
     p = _p0_operator(nu)
     return OreOperator(nu, p.terms)
-
-
-def p0_inhomogeneity() -> RationalFunction:
-    """The value of P0 acting on the full sum, as a function of (q, Q)."""
-    return _rf("-q*Q - 1")
 
 
 def p_full() -> OreOperator:
@@ -124,11 +103,6 @@ def cubic_operator() -> OreOperator:
     one = OreOperator.scalar(1)
     return ore_mul(ore_mul(e - one, alpha_operator()),
                    OreOperator.scalar(_rf("Q - 1")))
-
-
-def epsilon_p0_reduced() -> LaurentMPoly:
-    """The primitive integer form of P0 at q = 1."""
-    return parse_poly("Q^2*E^2 + (-Q^4 + Q^3 + 2*Q^2 + Q - 1)*E + Q^2")
 
 
 def a_polynomial_nonabelian() -> LaurentMPoly:

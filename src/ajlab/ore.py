@@ -31,8 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from .errors import DomainError, PoleError
 from .poly import Immutable, LaurentMPoly, exact_divide, limit_at_one, \
     poly_lcm, signed_content
-from .ratfun import RationalFunction, as_ratfun, format_ratfun, \
-    ratfun_from_json, ratfun_to_json
+from .ratfun import RationalFunction, as_ratfun, format_ratfun
 
 RFLike = Union[RationalFunction, LaurentMPoly, int, Fraction]
 
@@ -387,21 +386,7 @@ def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFuncti
     return prim, unit
 
 
-# -- certificate promotion -------------------------------------------------
-
-def homogenize(p0: OreOperator, inhom: RFLike) -> OreOperator:
-    """Given  p0 . f = b  with b a rational function of (q, Q), return
-    (E - 1) * b^(-1) * p0, which annihilates f."""
-    inhom = as_ratfun(inhom)
-    if inhom.is_zero():
-        raise DomainError("inhomogeneity is zero; nothing to promote")
-    e = OreOperator.shift(0, p0.nu)
-    one = OreOperator.scalar(1, p0.nu)
-    binv = OreOperator.scalar(inhom.inverse(), p0.nu)
-    return ore_mul(ore_mul(e - one, binv), p0)
-
-
-# -- formatting and serialization ------------------------------------------
+# -- formatting ------------------------------------------------------------
 
 def _shift_label(e: tuple[int, ...]) -> str:
     parts = []
@@ -422,29 +407,3 @@ def format_operator(p: OreOperator) -> str:
     for e, c in items:
         parts.append(f"({format_ratfun(c)}) * {_shift_label(e)}")
     return " + ".join(parts)
-
-
-def operator_to_json(p: OreOperator) -> dict:
-    items = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]),
-                   reverse=True)
-    return {
-        "nu": p.nu,
-        "terms": [{"shift": list(e), "coeff": ratfun_to_json(c)}
-                  for e, c in items],
-    }
-
-
-def operator_from_json(obj: dict) -> OreOperator:
-    """Load an operator.  A document that names the algebra's meridian
-    and twist loads only when they are "Q" and 1, the one algebra here."""
-    try:
-        terms = {tuple(t["shift"]): ratfun_from_json(t["coeff"])
-                 for t in obj["terms"]}
-        meridian, twist = obj.get("meridian", "Q"), obj.get("twist", 1)
-        if meridian != "Q" or int(twist) != 1:
-            raise DomainError(
-                f"operator JSON has meridian {meridian!r} and twist "
-                f"{twist!r}; only Q with twist 1 is supported")
-        return OreOperator(int(obj["nu"]), terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed operator JSON: {exc}") from exc

@@ -1179,28 +1179,3 @@ def parse_poly(text: str) -> LaurentMPoly:
     if p.peek() is not None:
         raise DomainError(f"trailing input in polynomial text: {p.peek()!r}")
     return out
-
-
-# -- JSON ------------------------------------------------------------------
-
-def poly_to_json(p: LaurentMPoly) -> dict:
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
-            for exp, c in p.sorted_terms()
-        ],
-    }
-
-
-def poly_from_json(obj: dict) -> LaurentMPoly:
-    try:
-        vars = tuple(obj["vars"])
-        terms = {
-            tuple(int(e) for e in t["exp"]):
-                Fraction(int(t["num"]), int(t.get("den", "1")))
-            for t in obj["terms"]
-        }
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"malformed polynomial JSON: {exc}") from exc
-    return LaurentMPoly(vars, terms)

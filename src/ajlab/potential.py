@@ -354,10 +354,13 @@ def _forms_residual(forms, coords, env) -> float:
     return worst
 
 
-def solve_saddle(spec: PotentialSpec, alpha: complex, start,
+def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
                  tol: float = 1e-12,
                  max_iter: int = 100) -> SaddleResult:
     """Newton iteration for a saddle of the potential at fixed alpha.
+
+    A builtin starts at x = 0.5 + 0.8i, near the unit circle, when no
+    start is given; a crossing has no default start.
 
     Runs on the cleared gluing polynomials with their exact Jacobian, then
     re-checks the rational forms themselves (clearing can introduce
@@ -367,7 +370,16 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start,
 
     A non-finite alpha or start is a DomainError; leaving the range of
     floats on the way is a ConvergenceError.
+
+    Known limitation: every crossing form has degree 0 in (w1..w4), so a
+    crossing's saddles are not isolated and Newton slides towards w = 0,
+    where the forms are undefined; a crossing solve does not return a
+    saddle, and the runs seen end in the spurious-zero ConvergenceError.
     """
+    if start is None:
+        if spec.kind != "builtin":
+            raise DomainError("crossing potentials need an explicit start")
+        start = 0.5 + 0.8j
     a = complex(alpha)
     w = _coerce_coords(spec, start)
     if not cmath.isfinite(a):
@@ -441,13 +453,8 @@ def volume(spec: Optional[PotentialSpec] = None,
            alpha: complex = -1.0 + 0j,
            start=None) -> float:
     """Im of the potential at the selected saddle (default: the builtin
-    at alpha = -1, seeded near the unit circle)."""
-    spec = spec or builtin_potential()
-    if start is None:
-        if spec.kind != "builtin":
-            raise DomainError("crossing potentials need an explicit start")
-        start = 0.5 + 0.8j
-    return solve_saddle(spec, alpha, start).im_phi
+    at alpha = -1, from `solve_saddle`'s default start)."""
+    return solve_saddle(spec or builtin_potential(), alpha, start).im_phi
 
 
 # -- discrete-to-continuous asymptotics ------------------------------------

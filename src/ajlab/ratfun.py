@@ -19,8 +19,6 @@ from .poly import (
     format_poly,
     gcd_cofactors,
     parse_poly,
-    poly_from_json,
-    poly_to_json,
     signed_content,
 )
 
@@ -264,7 +262,7 @@ class RationalFunction(Immutable):
         return self.num.eval_complex(point) / d
 
 
-# -- parsing, formatting and serialization ---------------------------------
+# -- parsing and formatting ------------------------------------------------
 
 def parse_ratfun(num: str, den: str = "1") -> RationalFunction:
     """The reduced quotient of two polynomials given as text."""
@@ -281,16 +279,3 @@ def format_ratfun(f: RationalFunction) -> str:
     if len(f.den.terms) > 1:
         den = f"({den})"
     return f"{num} / {den}"
-
-
-def ratfun_to_json(f: RationalFunction) -> dict:
-    return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
-
-
-def ratfun_from_json(obj: dict) -> RationalFunction:
-    try:
-        num = poly_from_json(obj["num"])
-        den = poly_from_json(obj["den"])
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed rational-function JSON: {exc}") from exc
-    return RationalFunction(num, den)

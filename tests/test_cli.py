@@ -260,6 +260,37 @@ def test_knot_descriptor_files(run, tmp_path):
     assert float(res.output) == pytest.approx(2.029883212819307, abs=1e-9)
 
 
+@pytest.mark.parametrize("args", [("ratio", "--which", "E"), ("system",),
+                                  ("eliminate",), ("verify",)])
+def test_summand_commands_refuse_mirror(run, tmp_path, args):
+    # every summand is unmirrored, so a mirrored knot is refused rather
+    # than answered for its mirror image; 'mirror: false' still loads
+    docs = [{"builtin": "figure8", "mirror": True},
+            {"crossing": {"positive": False}, "mirror": True},
+            {"crossing": {"positive": True, "mirror": True}}]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"mirror{i}.json"
+        path.write_text(json.dumps(doc))
+        res = run(*args, "--knot", str(path))
+        assert res.exit_code == 1, doc
+        assert "'mirror' applies only to volume and saddle" in res.output
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"builtin": "figure8", "mirror": False}))
+    res = run(*args, "--knot", str(plain))
+    assert res.exit_code == 0
+    assert res.output == run(*args).output
+
+
+def test_crossing_saddle_needs_a_start(run, tmp_path):
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"crossing": {"positive": False}}))
+    for cmd in ("saddle", "volume"):
+        res = run(cmd, "--knot", str(negative))
+        assert res.exit_code == 1
+        assert res.output == ("Error: crossing potentials need an explicit "
+                              "start\n")
+
+
 def test_bad_knot_descriptors(run, tmp_path):
     # the summand and the potential readers share one descriptor reader
     cases = [({"crossing": 5}, "'crossing' must be an object"),

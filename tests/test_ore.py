@@ -10,16 +10,13 @@ from ajlab.figure8 import (
     alpha_operator,
     cubic_displayed,
     cubic_operator,
-    epsilon_p0_reduced,
     jones_evaluator,
-    p0_inhomogeneity,
     p0_operator,
     p_full,
     r_certificate,
     recurrence_report,
     summand_evaluator,
     x_cofactor,
-    x_factorizations,
 )
 from ajlab.ore import (
     DiscreteEvaluator,
@@ -28,9 +25,6 @@ from ajlab.ore import (
     _twist_rf,
     epsilon_eval_with_unit,
     expand_at_one,
-    homogenize,
-    operator_from_json,
-    operator_to_json,
     ore_apply,
     ore_mul,
     telescope_sum_check,
@@ -137,31 +131,17 @@ class TestProduct:
         assert (checked, moved) == (262, 39)
 
     def test_cofactor_factorizations(self):
+        # X = (qQ/(1-q^3Q^2) E + 1/(1-qQ^2)) (E + qQ)
+        #   = (1/(1-q^3Q^2) E + qQ/(1-qQ^2)) (1 + QE)
         x = x_cofactor()
-        for left, right in x_factorizations():
-            assert ore_mul(left, right) == x
-
-    def test_json_round_trip(self):
-        for op in (p0_operator(), p_full(), cubic_displayed()):
-            assert operator_from_json(operator_to_json(op)) == op
-
-    def test_json_names_only_the_one_algebra(self):
-        # a document naming the algebra's meridian and twist loads when
-        # they are Q and 1, and is refused for any other algebra
-        obj = operator_to_json(p0_operator())
-        assert "meridian" not in obj and "twist" not in obj
-        assert operator_from_json(
-            {**obj, "meridian": "Q", "twist": 1}) == p0_operator()
-        for other in ({"twist": 2}, {"meridian": "Qm"},
-                      {"meridian": "Qm", "twist": 1}):
-            with pytest.raises(DomainError, match="only Q with twist 1"):
-                operator_from_json({**obj, **other})
-
-    def test_json_zero_denominator_is_a_domain_error(self):
-        obj = operator_to_json(p0_operator())
-        obj["terms"][0]["coeff"]["num"]["terms"][0]["den"] = "0"
-        with pytest.raises(DomainError, match="malformed polynomial JSON"):
-            operator_from_json(obj)
+        left1 = OreOperator(0, {(1,): rf("q*Q", "1 - q^3*Q^2"),
+                                (0,): rf("1", "1 - q*Q^2")})
+        right1 = OreOperator(0, {(1,): rf("1"), (0,): rf("q*Q")})
+        left2 = OreOperator(0, {(1,): rf("1", "1 - q^3*Q^2"),
+                                (0,): rf("q*Q", "1 - q*Q^2")})
+        right2 = OreOperator(0, {(1,): rf("Q"), (0,): rf("1")})
+        assert ore_mul(left1, right1) == x
+        assert ore_mul(left2, right2) == x
 
 
 class TestApply:
@@ -240,7 +220,12 @@ class TestCertificate:
                 assert res == -(Fraction(qv) ** (n + 1) + 1), (n, qv)
 
     def test_homogenized_matches_cubic(self):
-        made = homogenize(p0_operator(), p0_inhomogeneity())
+        # P0 . J = b with b = -(qQ + 1), so (E - 1) b^-1 P0 annihilates J;
+        # it is minus the cubic
+        b = rf("-q*Q - 1")
+        binv = OreOperator.scalar(b.inverse())
+        made = ore_mul(ore_mul(E() - OreOperator.scalar(1), binv),
+                       p0_operator())
         assert -made == cubic_displayed()
 
     def test_cubic_product_form(self):
@@ -338,7 +323,7 @@ def multiplied_out_row(n, qs):
 class TestLimit:
     def test_reduced_shift_polynomial(self):
         prim, unit = epsilon_eval_with_unit(p0_operator())
-        assert prim == epsilon_p0_reduced()
+        assert prim == P("Q^2*E^2 + (-Q^4 + Q^3 + 2*Q^2 + Q - 1)*E + Q^2")
         assert unit == RationalFunction(P("-Q^-1"), P("Q + 1"))
 
     def test_unit_times_primitive_reproduces_the_limit(self):

@@ -267,8 +267,16 @@ def test_result_serialization():
 
 
 def test_volume_needs_a_start_for_crossings():
-    with pytest.raises(DomainError, match="explicit start"):
-        volume(crossing_potential(True))
+    # solve_saddle owns the default start: a builtin's, and none for a
+    # crossing, with one message for every caller
+    for positive in (True, False):
+        with pytest.raises(DomainError, match="explicit start"):
+            volume(crossing_potential(positive))
+        with pytest.raises(DomainError, match="explicit start"):
+            solve_saddle(crossing_potential(positive), -1.0)
+    spec = builtin_potential()
+    assert (solve_saddle(spec, -1.0 + 0j)
+            == solve_saddle(spec, -1.0 + 0j, 0.5 + 0.8j))
 
 
 def test_coordinate_validation():
