@@ -13,13 +13,15 @@ from functools import lru_cache
 from .errors import DomainError
 from .ore import DiscreteEvaluator, OreOperator, ore_apply, ore_mul
 from .poly import LaurentMPoly, parse_poly, poly_lcm
-from .qhg import habiro_figure_eight, jones_eval, jones_symbolic
+from .qhg import jones_eval, jones_symbolic
 from .ratfun import RationalFunction, parse_ratfun as _rf
 
 
 def x_cofactor(nu: int = 0) -> OreOperator:
-    """X(q,E,Q): the left cofactor that turns the three-term coordinate
-    relation into the annihilator of the summand."""
+    """X(q,E,Q) = qQ/(1-q^3Q^2) E^2 + (1/(1-q^3Q^2) + 1/(1-qQ^2) - 1) E
+    + qQ/(1-qQ^2): the left cofactor that turns the three-term coordinate
+    relation into the annihilator of the summand.  Its three coefficients
+    are written here only; alpha and P are built from X."""
     c2 = _rf("q*Q", "1 - q^3*Q^2")
     c1 = (_rf("1", "1 - q^3*Q^2") + _rf("1", "1 - q*Q^2")
           - RationalFunction.one())
@@ -34,19 +36,15 @@ def r_certificate(nu: int = 0) -> OreOperator:
     return ore_mul(x_cofactor(nu), qm1)
 
 
+def _beyond_x(nu: int) -> OreOperator:
+    """(qQ - 1/(qQ)) E, what the braces of alpha and of P add to X."""
+    return OreOperator(nu, {(1,) + (0,) * nu: _rf("q*Q - q^-1*Q^-1")})
+
+
 def alpha_operator(nu: int = 0) -> OreOperator:
     """The middle factor of the cubic annihilator:
-
-    (1/(1+qQ)) { qQ/(1-q^3Q^2) E^2
-                 + (1/(1-q^3Q^2) + 1/(1-qQ^2) + qQ - 1 - 1/(qQ)) E
-                 + qQ/(1-qQ^2) }.
-    """
-    z = (0,) * nu
-    c2 = _rf("q*Q", "1 - q^3*Q^2")
-    c1 = (_rf("1", "1 - q^3*Q^2") + _rf("1", "1 - q*Q^2") + _rf("q*Q")
-          - RationalFunction.one() - _rf("q^-1*Q^-1"))
-    c0 = _rf("q*Q", "1 - q*Q^2")
-    braces = OreOperator(nu, {(2,) + z: c2, (1,) + z: c1, (0,) + z: c0})
+    (1/(1+qQ)) { X + (qQ - 1/(qQ)) E }."""
+    braces = x_cofactor(nu) + _beyond_x(nu)
     return braces.scale(_rf("1", "q*Q + 1"))
 
 
@@ -66,19 +64,9 @@ def p0_operator(nu: int = 0) -> OreOperator:
 
 
 def p_full() -> OreOperator:
-    """P(E,Q,Et1), the annihilator of the summand:
-
-    { qQ/(1-q^3Q^2) Et1 E^2
-      + (1/(1-q^3Q^2) Et1 + 1/(1-qQ^2) Et1 + qQ - Et1 - 1/(qQ)) E
-      + qQ/(1-qQ^2) Et1 } (Q-1).
-    """
-    braces = OreOperator(1, {
-        (2, 1): _rf("q*Q", "1 - q^3*Q^2"),
-        (1, 1): (_rf("1", "1 - q^3*Q^2") + _rf("1", "1 - q*Q^2")
-                 - RationalFunction.one()),
-        (1, 0): _rf("q*Q") - _rf("q^-1*Q^-1"),
-        (0, 1): _rf("q*Q", "1 - q*Q^2"),
-    })
+    """P(E,Q,Et1) = { X Et1 + (qQ - 1/(qQ)) E } (Q-1), the annihilator of
+    the summand."""
+    braces = ore_mul(x_cofactor(1), OreOperator.shift(1, 1)) + _beyond_x(1)
     return ore_mul(braces, OreOperator.scalar(_rf("Q - 1"), 1))
 
 
@@ -123,16 +111,6 @@ def jones_evaluator() -> DiscreteEvaluator:
         lambda pt, qv: _jones_cached(pt[0], Fraction(qv)),
         support=lambda pt: pt[0] >= 1,
         name="figure-eight sum",
-    )
-
-
-def summand_evaluator() -> DiscreteEvaluator:
-    """The summand F(n, i) as a two-argument evaluator."""
-    f = habiro_figure_eight()
-    return DiscreteEvaluator(
-        2,
-        lambda pt, qv: f.eval_exact(pt, qv),
-        name="figure-eight summand",
     )
 
 

@@ -1073,6 +1073,9 @@ def format_poly(p: LaurentMPoly) -> str:
 
 
 class _Parser:
+    """Recursive descent over polynomial text.  `divide` and `power` are
+    the two rules a reader of rational-function text widens."""
+
     def __init__(self, text: str):
         self.tokens = []
         pos = 0
@@ -1117,14 +1120,16 @@ class _Parser:
                 acc = acc * self.parse_factor()
             elif t == "/":
                 self.next()
-                d = self.parse_factor()
-                if not d.is_constant() or d.is_zero():
-                    raise DomainError("only division by a nonzero integer is "
-                                      "allowed inside polynomial text")
-                dv = d.constant_value()
-                acc = acc.map_coeffs(lambda c: c / dv)
+                acc = self.divide(acc, self.parse_factor())
             else:
                 return acc
+
+    def divide(self, acc, d):
+        if not d.is_constant() or d.is_zero():
+            raise DomainError("only division by a nonzero integer is "
+                              "allowed inside polynomial text")
+        dv = d.constant_value()
+        return acc.map_coeffs(lambda c: c / dv)
 
     def parse_factor(self) -> LaurentMPoly:
         t = self.next()
@@ -1152,30 +1157,35 @@ class _Parser:
                 e = self.next()
             if e is None or not e.isdigit():
                 raise DomainError("malformed exponent in polynomial text")
-            k = -int(e) if neg else int(e)
-            if base.is_constant():
-                c = base.constant_value()
-                if k < 0:
-                    if c == 0:
-                        raise DomainError("zero to a negative power")
-                    return LaurentMPoly.const(Fraction(1) / c ** (-k))
-                return LaurentMPoly.const(c ** k)
-            if k < 0:
-                if len(base.terms) == 1:
-                    (exp, c), = base.terms.items()
-                    if abs(c) == 1:
-                        return LaurentMPoly(
-                            base.vars,
-                            {tuple(x * k for x in exp): c})
-                raise DomainError("negative power of a non-monomial in "
-                                  "polynomial text")
-            return base ** k
+            return self.power(base, -int(e) if neg else int(e))
         return base
+
+    def power(self, base, k: int):
+        if base.is_constant():
+            c = base.constant_value()
+            if k < 0:
+                if c == 0:
+                    raise DomainError("zero to a negative power")
+                return LaurentMPoly.const(Fraction(1) / c ** (-k))
+            return LaurentMPoly.const(c ** k)
+        if k < 0:
+            if len(base.terms) == 1:
+                (exp, c), = base.terms.items()
+                if abs(c) == 1:
+                    return LaurentMPoly(
+                        base.vars,
+                        {tuple(x * k for x in exp): c})
+            raise DomainError("negative power of a non-monomial in "
+                              "polynomial text")
+        return base ** k
+
+    def parse_all(self):
+        out = self.parse_sum()
+        if self.peek() is not None:
+            raise DomainError(
+                f"trailing input in polynomial text: {self.peek()!r}")
+        return out
 
 
 def parse_poly(text: str) -> LaurentMPoly:
-    p = _Parser(text)
-    out = p.parse_sum()
-    if p.peek() is not None:
-        raise DomainError(f"trailing input in polynomial text: {p.peek()!r}")
-    return out
+    return _Parser(text).parse_all()

@@ -1,12 +1,15 @@
 """Dilogarithm potentials, their exact derivative forms, and saddle points.
 
-A potential is a finite sum of dilogarithms and log products in a meridian
-variable alpha and saddle coordinates.  Its exponentiated logarithmic
-derivatives are rational functions; setting the coordinate ones to 1 gives
-the gluing equations, and the alpha one evaluates to the squared longitude
-eigenvalue.  Saddle points are found by Newton iteration on the cleared
-polynomial system, and the imaginary part of the potential at the selected
-saddle is the volume.
+Each potential is written once, as a table of terms in (alpha, coordinates):
+Li2 of a monomial, products of two logarithms, i*pi times a logarithm, and
+constants.  Its value is their sum, compiled once into the expression one
+writes by hand.  Its forms, the exponentiated logarithmic derivatives, come
+exactly from the same terms, so they are rational functions.  The
+coordinate forms set to 1 are the gluing equations; the alpha form is the
+squared longitude eigenvalue, whose square root, when its exponents are
+all even, is the linear one.  A mirror negates the potential and inverts
+its forms.  Saddle points are found by Newton iteration on the cleared
+gluing polynomials; Im(potential) at the selected saddle is the volume.
 
 The exact objects of a potential (its forms, and the cleared gluing
 polynomials with their Jacobian) depend only on the `PotentialSpec`, so
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .poly import Immutable, LaurentMPoly
 from .qhg import build_crossing, epsilon_ratio, habiro_figure_eight, shift_ratio
-from .ratfun import RationalFunction, format_ratfun, parse_ratfun as _rf
+from .ratfun import RationalFunction, format_ratfun
 
 _PI = math.pi
 
@@ -67,19 +70,72 @@ def crossing_potential(positive: bool,
     return PotentialSpec("crossing", positive=positive, mirror=mirror)
 
 
-def coordinate_names(spec: PotentialSpec) -> tuple[str, ...]:
-    if spec.kind == "builtin":
-        return ("x",)
-    return ("w1", "w2", "w3", "w4")
+# -- term tables -----------------------------------------------------------
+# A potential is its variables, alpha first, and its terms, summed in order:
+# ("li2", s, M) is s*Li2(M), ("log", c, M1, M2) c*log(M1)*log(M2),
+# ("ipi", k, M) k*i*pi*log(M) and ("const", c, x) c*x, where a monomial M
+# is a product of variables over another.
 
+_CROSSING = ("alpha", "w1", "w2", "w3", "w4")
+_TERMS = {
+    "figure8": (("alpha", "x"), [
+        ("log", -2, "alpha", "x"), ("li2", -1, "alpha*alpha*x"),
+        ("li2", 1, "alpha*alpha/x")]),
+    True: (_CROSSING, [
+        ("log", 1, "alpha", "alpha"), ("log", 1, "alpha", "w1*w3/(w2*w4)"),
+        ("log", -1, "w2/w1", "w3/w2"), ("const", -1, "_PI * _PI / 6"),
+        ("li2", -1, "alpha*w4/w3"), ("li2", -1, "alpha*w4/w1"),
+        ("li2", 1, "w2*w4/(w1*w3)"), ("li2", 1, "alpha*w1/w2"),
+        ("li2", 1, "alpha*w3/w2")]),
+    False: (_CROSSING, [
+        ("log", -1, "alpha", "alpha"),
+        ("log", -1, "alpha", "w1*w3/(w2*w4)"),
+        ("log", 1, "w3/w4", "w4/w1"), ("const", -1, "_PI * _PI / 6"),
+        ("li2", 1, "w1*w3/(w2*w4)"), ("ipi", 1, "w1*w3/(w2*w4)"),
+        ("li2", -1, "alpha*w1/w4"), ("li2", -1, "alpha*w3/w4"),
+        ("li2", 1, "alpha*w2/w3"), ("li2", 1, "alpha*w2/w1")]),
+}
 
-# -- evaluation ------------------------------------------------------------
 
 def _log(z: complex, what: str) -> complex:
     if z == 0:
         raise SingularityError(f"logarithm of zero: {what}")
     return cmath.log(z)
 
+
+def _key(spec: PotentialSpec):
+    return spec.name if spec.kind == "builtin" else bool(spec.positive)
+
+
+def coordinate_names(spec: PotentialSpec) -> tuple[str, ...]:
+    return _TERMS[_key(spec)][0][1:]
+
+
+@cache
+def _phi_function(key):
+    """The potential as a function of its variables, compiled once from
+    its terms (module data only) into the sum as written by hand: each
+    monomial as its own text, the leading coefficient on the first factor,
+    each later term added or subtracted.  So its value is that float
+    expression, bit for bit, at its speed."""
+    names, terms = _TERMS[key]
+    parts = []
+    for kind, c, *ms in terms:
+        if kind == "li2":
+            body = f"li2({ms[0]})"
+        elif kind == "const":
+            body = ms[0]
+        else:
+            body = " * ".join(["1j * _PI"] * (kind == "ipi")
+                              + [f"_log({m}, {m!r})" for m in ms])
+        k = abs(c) if parts else c
+        parts.append(("+ " if c > 0 else "- ") * bool(parts)
+                     + {1: "", -1: "-"}.get(k, f"{k} * ") + body)
+    return eval(f"lambda {', '.join(names)}: {' '.join(parts)}",
+                {"li2": li2, "_log": _log, "_PI": _PI})
+
+
+# -- evaluation ------------------------------------------------------------
 
 def _coerce_coords(spec: PotentialSpec, coords) -> dict[str, complex]:
     names = coordinate_names(spec)
@@ -97,82 +153,68 @@ def _coerce_coords(spec: PotentialSpec, coords) -> dict[str, complex]:
     return {k: complex(v) for k, v in zip(names, vals)}
 
 
-def phi_eval(spec: PotentialSpec, alpha: complex, coords) -> complex:
-    """Value of the potential, principal branches throughout."""
-    w = _coerce_coords(spec, coords)
-    a = complex(alpha)
-    if spec.kind == "builtin":
-        x = w["x"]
-        if x == 0 or a == 0:
-            raise SingularityError("potential needs alpha, x nonzero")
-        a2 = a * a
-        val = (-2 * _log(a, "alpha") * _log(x, "x")
-               - li2(a2 * x) + li2(a2 / x))
-    else:
-        w1, w2, w3, w4 = (w["w1"], w["w2"], w["w3"], w["w4"])
-        if a == 0 or 0 in (w1, w2, w3, w4):
-            raise SingularityError("potential needs alpha, w1..w4 nonzero")
-        la = _log(a, "alpha")
-        v = w1 * w3 / (w2 * w4)
-        if spec.positive:
-            val = (la * la + la * _log(v, "w1*w3/(w2*w4)")
-                   - _log(w2 / w1, "w2/w1") * _log(w3 / w2, "w3/w2")
-                   - _PI * _PI / 6
-                   - li2(a * w4 / w3) - li2(a * w4 / w1)
-                   + li2(w2 * w4 / (w1 * w3))
-                   + li2(a * w1 / w2) + li2(a * w3 / w2))
-        else:
-            lv = _log(v, "w1*w3/(w2*w4)")
-            val = (-la * la - la * lv
-                   + _log(w3 / w4, "w3/w4") * _log(w4 / w1, "w4/w1")
-                   - _PI * _PI / 6
-                   + li2(v) + 1j * _PI * lv
-                   - li2(a * w1 / w4) - li2(a * w3 / w4)
-                   + li2(a * w2 / w3) + li2(a * w2 / w1))
+def _phi(spec: PotentialSpec, vals: Sequence[complex]) -> complex:
+    """The potential at vals = (alpha, coordinates...)."""
+    if 0 in vals:
+        names = ("alpha",) + coordinate_names(spec)
+        raise SingularityError(f"potential needs {', '.join(names)} nonzero")
+    val = _phi_function(_key(spec))(*vals)
     return -val if spec.mirror else val
 
 
+def phi_eval(spec: PotentialSpec, alpha: complex, coords) -> complex:
+    """Value of the potential, principal branches throughout."""
+    w = _coerce_coords(spec, coords)
+    return _phi(spec, (complex(alpha), *w.values()))
+
+
 # -- exact derivative forms ------------------------------------------------
+
+def _form(spec: PotentialSpec, y: str,
+          root: int = 1) -> Optional[RationalFunction]:
+    """exp(y * dphi/dy)^(1/root), unmirrored, term by term with e the
+    exponent of y in M: s*Li2(M) gives (1 - M)^(-s*e), c*log(M1)*log(M2)
+    the monomial M2^(c*e1) * M1^(c*e2), k*i*pi*log(M) the sign
+    (-1)^(k*e).  None when an exponent is not divisible by root."""
+    names, terms = _TERMS[_key(spec)]
+    j = names.index(y)
+
+    def exponents(m):
+        num, _, den = m.partition("/")
+        num, den = num.split("*"), den.strip("()").split("*")
+        return [num.count(x) - den.count(x) for x in names]
+
+    sign, mono, ones = 0, [0] * len(names), {}
+    for kind, c, *ms in terms:
+        es = [exponents(m) for m in ms] if kind != "const" else ()
+        if kind == "li2":
+            key = tuple(es[0])
+            ones[key] = ones.get(key, 0) - c * es[0][j]
+        elif kind == "log":
+            mono = [x + c * (es[0][j] * b + es[1][j] * a)
+                    for x, a, b in zip(mono, *es)]
+        elif kind == "ipi":
+            sign += c * es[0][j]
+    if any(p % root for p in (sign, *mono, *ones.values())):
+        return None
+    num = LaurentMPoly.monomial(-1 if sign // root % 2 else 1,
+                                {x: e // root for x, e in zip(names, mono)})
+    den = one = LaurentMPoly.const(1)
+    for key, p in ones.items():
+        f = one - LaurentMPoly.monomial(1, dict(zip(names, key)))
+        if p > 0:
+            num = num * f ** (p // root)
+        elif p < 0:
+            den = den * f ** (-p // root)
+    return RationalFunction(num, den)
+
 
 # The spec-keyed caches need one entry per valid spec, six in all; they are
 # bounded because a crossing spec ignores `name`, so any string there would
 # otherwise be a new key.
 @lru_cache(maxsize=8)
 def _forms(spec: PotentialSpec) -> Mapping[str, RationalFunction]:
-    if spec.kind == "builtin":
-        forms = {
-            "x": _rf("alpha^-2*(1 - alpha^2*x)*(1 - alpha^2*x^-1)"),
-            "alpha": _rf("(1 - alpha^2*x)^2", "(x - alpha^2)^2"),
-        }
-    elif spec.positive:
-        forms = {
-            "w1": _rf("1 - w1*w3*w2^-1*w4^-1",
-                      "(1 - alpha*w1*w2^-1)*(1 - alpha^-1*w1*w4^-1)"),
-            "w2": _rf("alpha*(1 - alpha^-1*w2*w1^-1)*(1 - alpha^-1*w2*w3^-1)",
-                      "1 - w2*w4*w1^-1*w3^-1"),
-            "w3": _rf("1 - w1*w3*w2^-1*w4^-1",
-                      "(1 - alpha^-1*w3*w4^-1)*(1 - alpha*w3*w2^-1)"),
-            "w4": _rf("alpha^-1*(1 - alpha*w4*w3^-1)*(1 - alpha*w4*w1^-1)",
-                      "1 - w2*w4*w1^-1*w3^-1"),
-            "alpha": _rf("alpha^2*(1 - alpha^-1*w3*w4^-1)*(1 - alpha*w4*w1^-1)",
-                         "(1 - alpha^-1*w2*w1^-1)*(1 - alpha*w3*w2^-1)"),
-        }
-    else:
-        forms = {
-            "w1": _rf("-alpha^-1*w4*w3^-1*(1 - alpha*w1*w4^-1)"
-                      "*(1 - alpha*w2*w1^-1)",
-                      "1 - w1*w3*w2^-1*w4^-1"),
-            "w2": _rf("-alpha*(1 - w1*w3*w2^-1*w4^-1)",
-                      "(1 - alpha*w2*w3^-1)*(1 - alpha*w2*w1^-1)"),
-            "w3": _rf("-alpha^-1*w4*w1^-1*(1 - alpha*w3*w4^-1)"
-                      "*(1 - alpha*w2*w3^-1)",
-                      "1 - w1*w3*w2^-1*w4^-1"),
-            "w4": _rf("-alpha*w1*w3*w4^-2*(1 - w1*w3*w2^-1*w4^-1)",
-                      "(1 - alpha*w1*w4^-1)*(1 - alpha*w3*w4^-1)"),
-            "alpha": _rf("alpha^-2*w2*w4*w1^-1*w3^-1*(1 - alpha*w1*w4^-1)"
-                         "*(1 - alpha*w3*w4^-1)",
-                         "(1 - alpha*w2*w3^-1)*(1 - alpha*w2*w1^-1)"),
-        }
+    forms = {y: _form(spec, y) for y in coordinate_names(spec) + ("alpha",)}
     if spec.mirror:
         forms = {k: f.inverse() for k, f in forms.items()}
     return MappingProxyType(forms)
@@ -200,18 +242,19 @@ def _newton_system(spec: PotentialSpec) -> tuple[
 def saddle_system(spec: PotentialSpec,
                   longitude: str = "squared") -> EquationSystem:
     """Cleared polynomial system: coordinate forms equal 1, the alpha form
-    equals l^2 (or, for the builtin only, its square root equals l)."""
+    equals l^2 (or, when the alpha form has a rational square root, that
+    root equals l)."""
     lv = RationalFunction.var("l")
     coords = coordinate_names(spec)
     glue = _newton_system(spec)[0]
     if longitude == "squared":
         lon = cleared_equation(_forms(spec)["alpha"], lv * lv)
     elif longitude == "linear":
-        if spec.kind != "builtin":
+        root = _form(spec, "alpha", 2)
+        if root is None:
             raise DomainError(
                 "a linear longitude is only defined for the builtin "
                 "potential, whose alpha form has a rational square root")
-        root = _rf("1 - alpha^2*x", "x - alpha^2")
         if spec.mirror:
             root = root.inverse()
         lon = cleared_equation(root, lv)
@@ -426,7 +469,7 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
         raise ConvergenceError(
             f"Newton landed on a spurious zero of the cleared system "
             f"(form residual {res:.2e})")
-    phi = phi_eval(spec, a, w)
+    phi = _phi(spec, (a, *z))
     # candidate with every coordinate conjugated: for symmetric alpha it
     # solves the same system and may carry the opposite sign of Im(phi)
     wc = {k: v.conjugate() for k, v in w.items()}
@@ -435,7 +478,7 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
     except SingularityError:
         resc = math.inf
     if resc <= max(10 * res, tol):
-        phic = phi_eval(spec, a, wc)
+        phic = _phi(spec, (a, *wc.values()))
         take = phic.imag > phi.imag
         if phic.imag == phi.imag:
             # exact tie: settle deterministically on the branch whose

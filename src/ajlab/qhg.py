@@ -232,9 +232,6 @@ class ProperQHTerm(Immutable):
     def support_forms(self) -> tuple[LinearForm, ...]:
         return tuple(f.length for f in self.poch) + self.constraints
 
-    def in_support(self, point: Sequence[int]) -> bool:
-        return self._support_lengths(self._env(point)) is not None
-
     def _support_lengths(self, env: Mapping[str, int]) -> Optional[list]:
         """The (length, under the bar) pair of every Pochhammer factor, or
         None out of support; each support form is evaluated once."""

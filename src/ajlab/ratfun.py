@@ -16,9 +16,9 @@ from .errors import DomainError, PoleError
 from .poly import (
     Immutable,
     LaurentMPoly,
+    _Parser,
     format_poly,
     gcd_cofactors,
-    parse_poly,
     signed_content,
 )
 
@@ -264,9 +264,29 @@ class RationalFunction(Immutable):
 
 # -- parsing and formatting ------------------------------------------------
 
+class _RatfunParser(_Parser):
+    """Polynomial text in which '/' and a negative power may divide by any
+    nonzero polynomial or quotient."""
+
+    def divide(self, acc, d):
+        return as_ratfun(acc) / d
+
+    def power(self, base, k: int):
+        quotient = isinstance(base, RationalFunction)
+        if quotient or (k < 0 and len(base.terms) > 1):
+            return as_ratfun(base) ** k
+        return super().power(base, k)
+
+
 def parse_ratfun(num: str, den: str = "1") -> RationalFunction:
-    """The reduced quotient of two polynomials given as text."""
-    return RationalFunction(parse_poly(num), parse_poly(den))
+    """The reduced quotient of two texts, each read as by `parse_poly`
+    except that '/' and a negative power may divide by a polynomial; so
+    the text `format_ratfun` writes, "(num) / (den)", reads back."""
+    n = _RatfunParser(num).parse_all()
+    d = _RatfunParser(den).parse_all()
+    if isinstance(n, LaurentMPoly) and isinstance(d, LaurentMPoly):
+        return RationalFunction(n, d)
+    return as_ratfun(n) / d
 
 
 def format_ratfun(f: RationalFunction) -> str:

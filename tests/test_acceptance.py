@@ -24,9 +24,9 @@ from ajlab.figure8 import (
     p0_operator,
     p_full,
     recurrence_report,
-    summand_evaluator,
 )
 from ajlab.ore import (
+    DiscreteEvaluator,
     OreOperator,
     expand_at_one,
     ore_apply,
@@ -251,7 +251,7 @@ def test_criterion_09_property_batteries(capsys):
 
     # shift ratios against direct summand quotients
     term = habiro_figure_eight()
-    sev = summand_evaluator()
+    sev = DiscreteEvaluator(2, term.eval_exact)
     ratio_cases = 0
     steps = {"E": (1, 0), "Em": (2, 0), "Et1": (0, 1)}
     for which, (dn, di) in steps.items():

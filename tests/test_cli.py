@@ -11,6 +11,7 @@ from ajlab.cli import MAX_VALUES, main
 from ajlab.figure8 import a_polynomial_nonabelian
 from ajlab.poly import format_poly
 from ajlab.qhg import jones_eval
+from ajlab.ratfun import format_ratfun, parse_ratfun
 
 
 @pytest.fixture()
@@ -104,6 +105,21 @@ def test_propcheck_both_signs(run):
         res = run("propcheck", *extra)
         assert res.exit_code == 0
         assert res.output.count("PASS") == 5
+
+
+def test_json_ratfun_text_reads_back(run):
+    # every ratio and form a JSON report carries parses back to itself
+    res = run("ratio", "--which", "E", "--limit", "--format", "json")
+    assert res.exit_code == 0
+    texts = [json.loads(res.output)["ratio"]]
+    for extra in ((), ("--negative",)):
+        res = run("propcheck", *extra, "--format", "json")
+        assert res.exit_code == 0
+        texts += [row[k] for row in json.loads(res.output)["checks"]
+                  for k in ("lhs", "rhs", "unit")]
+    assert texts[0] == "(Q*Qt1 - 1) / (Q - Qt1)"
+    for text in texts:
+        assert format_ratfun(parse_ratfun(text)) == text
 
 
 def test_asympt_rows(run):

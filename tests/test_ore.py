@@ -15,7 +15,6 @@ from ajlab.figure8 import (
     p_full,
     r_certificate,
     recurrence_report,
-    summand_evaluator,
     x_cofactor,
 )
 from ajlab.ore import (
@@ -30,7 +29,7 @@ from ajlab.ore import (
     telescope_sum_check,
 )
 from ajlab.poly import LaurentMPoly, exact_divide, parse_poly, poly_lcm
-from ajlab.qhg import jones_symbolic
+from ajlab.qhg import habiro_figure_eight, jones_symbolic
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
@@ -38,6 +37,12 @@ P = parse_poly
 
 def rf(num, den="1"):
     return RationalFunction(P(num), P(den))
+
+
+def figure_eight_summand():
+    """The figure-eight summand F(n, i) as a two-argument evaluator."""
+    return DiscreteEvaluator(2, habiro_figure_eight().eval_exact,
+                             name="figure-eight summand")
 
 
 def E(nu=0):
@@ -143,6 +148,29 @@ class TestProduct:
         assert ore_mul(left1, right1) == x
         assert ore_mul(left2, right2) == x
 
+    def test_alpha_and_p_as_first_transcribed(self):
+        # alpha's and P's braces written out coefficient by coefficient
+        # equal X + (qQ - 1/(qQ)) E and X Et1 + (qQ - 1/(qQ)) E
+        c2 = rf("q*Q", "1 - q^3*Q^2")
+        c0 = rf("q*Q", "1 - q*Q^2")
+        for nu in (0, 1):
+            z = (0,) * nu
+            braces = OreOperator(nu, {
+                (2,) + z: c2,
+                (1,) + z: (rf("1", "1 - q^3*Q^2") + rf("1", "1 - q*Q^2")
+                           + rf("q*Q") - rf("1") - rf("q^-1*Q^-1")),
+                (0,) + z: c0})
+            assert alpha_operator(nu) == braces.scale(rf("1", "q*Q + 1"))
+        braces = OreOperator(1, {
+            (2, 1): c2,
+            (1, 1): (rf("1", "1 - q^3*Q^2") + rf("1", "1 - q*Q^2")
+                     - rf("1")),
+            (1, 0): rf("q*Q") - rf("q^-1*Q^-1"),
+            (0, 1): c0,
+        })
+        assert p_full() == ore_mul(braces,
+                                   OreOperator.scalar(rf("Q - 1"), 1))
+
 
 class TestApply:
     def test_shift_action(self):
@@ -203,7 +231,7 @@ class TestCertificate:
 
     def test_summand_annihilated_by_p(self):
         p = p_full()
-        f = summand_evaluator()
+        f = figure_eight_summand()
         for qv in (2, 3, Fraction(5, 2)):
             for n in range(1, 6):
                 for i in range(0, n + 2):
@@ -211,7 +239,7 @@ class TestCertificate:
 
     def test_telescoped_residual_matches_bottom_row(self):
         p0, rs = expand_at_one(p_full())
-        f = summand_evaluator()
+        f = figure_eight_summand()
         res = telescope_sum_check(p0, rs, f, 2, [(0, 3)], 2)
         assert res == -9
         for qv in (3, Fraction(5, 2), 7):

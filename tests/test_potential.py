@@ -9,7 +9,7 @@ import pytest
 
 from ajlab import potential
 from ajlab.dilog import li2
-from ajlab.elim import ratio_system
+from ajlab.elim import cleared_equation, ratio_system
 from ajlab.errors import (
     ConvergenceError,
     DegeneracyError,
@@ -32,7 +32,7 @@ from ajlab.potential import (
 )
 from ajlab.poly import parse_poly
 from ajlab.qhg import habiro_figure_eight
-from ajlab.ratfun import RationalFunction
+from ajlab.ratfun import RationalFunction, parse_ratfun
 
 
 W_GENERIC = (1.1 + 0.2j, 0.8 - 0.3j, 1.3 + 0.1j, 0.7 + 0.45j)
@@ -120,8 +120,12 @@ def test_mirror_has_the_same_gluing_equations():
 
 
 def test_longitude_and_kind_validation():
-    with pytest.raises(DomainError, match="linear longitude"):
-        saddle_system(crossing_potential(True), "linear")
+    # a crossing's alpha form has an odd power of w1*w3/(w2*w4), from its
+    # c*log(alpha)*log(w1*w3/(w2*w4)) term, so no rational square root
+    for positive in (True, False):
+        for mirror in (False, True):
+            with pytest.raises(DomainError, match="linear longitude"):
+                saddle_system(crossing_potential(positive, mirror), "linear")
     with pytest.raises(DomainError, match="longitude kind"):
         saddle_system(builtin_potential(), "cubed")
     with pytest.raises(DomainError, match="builtin potential"):
@@ -545,3 +549,169 @@ def test_one_by_one_solve_is_the_general_path():
                     potential._solve_linear([[m]], [r])
                 continue
             assert repr(potential._solve_linear([[m]], [r])) == want
+
+
+# -- the potentials written out by hand --------------------------------------
+# phi, its forms and the linear longitude all come from one term table per
+# potential.  These oracles are the same potentials transcribed by hand:
+# phi as one formula each, every form as literal text, and the builtin's
+# linear root (1 - alpha^2 x)/(x - alpha^2).
+
+LITERAL_FORMS = {
+    "builtin": {
+        "x": ("alpha^-2*(1 - alpha^2*x)*(1 - alpha^2*x^-1)",),
+        "alpha": ("(1 - alpha^2*x)^2", "(x - alpha^2)^2"),
+    },
+    True: {
+        "w1": ("1 - w1*w3*w2^-1*w4^-1",
+               "(1 - alpha*w1*w2^-1)*(1 - alpha^-1*w1*w4^-1)"),
+        "w2": ("alpha*(1 - alpha^-1*w2*w1^-1)*(1 - alpha^-1*w2*w3^-1)",
+               "1 - w2*w4*w1^-1*w3^-1"),
+        "w3": ("1 - w1*w3*w2^-1*w4^-1",
+               "(1 - alpha^-1*w3*w4^-1)*(1 - alpha*w3*w2^-1)"),
+        "w4": ("alpha^-1*(1 - alpha*w4*w3^-1)*(1 - alpha*w4*w1^-1)",
+               "1 - w2*w4*w1^-1*w3^-1"),
+        "alpha": ("alpha^2*(1 - alpha^-1*w3*w4^-1)*(1 - alpha*w4*w1^-1)",
+                  "(1 - alpha^-1*w2*w1^-1)*(1 - alpha*w3*w2^-1)"),
+    },
+    False: {
+        "w1": ("-alpha^-1*w4*w3^-1*(1 - alpha*w1*w4^-1)"
+               "*(1 - alpha*w2*w1^-1)",
+               "1 - w1*w3*w2^-1*w4^-1"),
+        "w2": ("-alpha*(1 - w1*w3*w2^-1*w4^-1)",
+               "(1 - alpha*w2*w3^-1)*(1 - alpha*w2*w1^-1)"),
+        "w3": ("-alpha^-1*w4*w1^-1*(1 - alpha*w3*w4^-1)"
+               "*(1 - alpha*w2*w3^-1)",
+               "1 - w1*w3*w2^-1*w4^-1"),
+        "w4": ("-alpha*w1*w3*w4^-2*(1 - w1*w3*w2^-1*w4^-1)",
+               "(1 - alpha*w1*w4^-1)*(1 - alpha*w3*w4^-1)"),
+        "alpha": ("alpha^-2*w2*w4*w1^-1*w3^-1*(1 - alpha*w1*w4^-1)"
+                  "*(1 - alpha*w3*w4^-1)",
+                  "(1 - alpha*w2*w3^-1)*(1 - alpha*w2*w1^-1)"),
+    },
+}
+
+
+def _literal_forms(spec):
+    key = "builtin" if spec.kind == "builtin" else spec.positive
+    forms = {k: parse_ratfun(*t) for k, t in LITERAL_FORMS[key].items()}
+    if spec.mirror:
+        forms = {k: f.inverse() for k, f in forms.items()}
+    return forms
+
+
+def _log(z, what):
+    if z == 0:
+        raise SingularityError(f"logarithm of zero: {what}")
+    return cmath.log(z)
+
+
+def _hand_phi(spec, alpha, coords):
+    w = potential._coerce_coords(spec, coords)
+    a = complex(alpha)
+    pi = math.pi
+    if spec.kind == "builtin":
+        x = w["x"]
+        if x == 0 or a == 0:
+            raise SingularityError("potential needs alpha, x nonzero")
+        a2 = a * a
+        val = (-2 * _log(a, "alpha") * _log(x, "x")
+               - li2(a2 * x) + li2(a2 / x))
+    else:
+        w1, w2, w3, w4 = (w["w1"], w["w2"], w["w3"], w["w4"])
+        if a == 0 or 0 in (w1, w2, w3, w4):
+            raise SingularityError("potential needs alpha, w1..w4 nonzero")
+        la = _log(a, "alpha")
+        v = w1 * w3 / (w2 * w4)
+        if spec.positive:
+            val = (la * la + la * _log(v, "w1*w3/(w2*w4)")
+                   - _log(w2 / w1, "w2/w1") * _log(w3 / w2, "w3/w2")
+                   - pi * pi / 6
+                   - li2(a * w4 / w3) - li2(a * w4 / w1)
+                   + li2(w2 * w4 / (w1 * w3))
+                   + li2(a * w1 / w2) + li2(a * w3 / w2))
+        else:
+            lv = _log(v, "w1*w3/(w2*w4)")
+            val = (-la * la - la * lv
+                   + _log(w3 / w4, "w3/w4") * _log(w4 / w1, "w4/w1")
+                   - pi * pi / 6
+                   + li2(v) + 1j * pi * lv
+                   - li2(a * w1 / w4) - li2(a * w3 / w4)
+                   + li2(a * w2 / w3) + li2(a * w2 / w1))
+    return -val if spec.mirror else val
+
+
+def _sample(rng):
+    """A nonzero complex value, often on or just off the negative real
+    axis, where log and Li2 of a monomial meet their cuts, or real with a
+    signed zero imaginary part."""
+    pick = rng.random()
+    if pick < 0.15:
+        return complex(-rng.uniform(0.2, 3), rng.choice((0.0, -0.0)))
+    if pick < 0.3:
+        return complex(-rng.uniform(0.2, 3),
+                       rng.choice((1e-15, -1e-15, 1e-300, -1e-300)))
+    if pick < 0.4:
+        return complex(rng.choice((1.0, -1.0, 0.5, 2.0)),
+                       rng.choice((0.0, -0.0)))
+    return cmath.rect(rng.uniform(0.3, 2.5), rng.uniform(-math.pi, math.pi))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+def test_derived_forms_equal_the_literal_tables(spec):
+    assert derivative_forms(spec) == _literal_forms(spec)
+
+
+@pytest.mark.parametrize("index", range(len(ALL_SPECS)))
+def test_phi_matches_the_hand_written_potential(index):
+    spec = ALL_SPECS[index]
+    rng = random.Random(1600 + index)
+    n = len(coordinate_names(spec))
+    near_cut = zero_parts = 0
+    for k in range(2000):
+        if k % 4:
+            alpha, coords = _sample(rng), tuple(_sample(rng) for _ in range(n))
+        else:
+            # a small alpha and coordinates near 1, all real: every log
+            # and Li2 argument is real, so phi can have a signed zero part
+            alpha = complex(rng.uniform(0.1, 0.6), rng.choice((0.0, -0.0)))
+            coords = tuple(complex(rng.choice((1.0, rng.uniform(0.9, 1.1))),
+                                   rng.choice((0.0, -0.0)))
+                           for _ in range(n))
+        near_cut += any(z.real < 0 and abs(z.imag) < 1e-12
+                        for z in (alpha,) + coords)
+        outcomes = []
+        for phi in (phi_eval, _hand_phi):
+            try:
+                outcomes.append(repr(phi(spec, alpha, coords)))
+            except Exception as exc:  # compared by type and message
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], (alpha, coords)
+        zero_parts += "0j" in outcomes[0]
+    assert near_cut > 500
+    assert zero_parts > 50
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_builtin_systems_equal_the_literal_ones(mirror):
+    spec = builtin_potential(mirror=mirror)
+    forms = _literal_forms(spec)
+    root = parse_ratfun("1 - alpha^2*x", "x - alpha^2")
+    if mirror:
+        root = root.inverse()
+    lv = RationalFunction.var("l")
+    one = RationalFunction.one()
+    for kind, form, rhs in (("squared", forms["alpha"], lv * lv),
+                            ("linear", root, lv)):
+        system = saddle_system(spec, kind)
+        assert system.gluing == (cleared_equation(forms["x"], one),)
+        assert system.longitude == cleared_equation(form, rhs)
+    # in the same term order too, so Newton, the form residuals and l^2
+    # add up the same floats in the same order as with the literal forms
+    derived = derivative_forms(spec)
+    for k, f in forms.items():
+        for side in ("num", "den"):
+            assert (list(getattr(derived[k], side).terms.items())
+                    == list(getattr(f, side).terms.items()))
+    assert (list(potential._newton_system(spec)[0][0].terms.items())
+            == list(cleared_equation(forms["x"], one).terms.items()))

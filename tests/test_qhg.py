@@ -152,7 +152,7 @@ def random_support_points(term, rng, count, lo=-1, hi=6):
     out = []
     while len(out) < count:
         pt = tuple(rng.randint(lo, hi) for _ in term.symbols())
-        if term.in_support(pt):
+        if literal_in_support(term, pt):
             out.append(pt)
     return out
 
@@ -264,9 +264,10 @@ class TestSummandValues:
     def test_out_of_support_is_flagged_zero(self):
         f = habiro_figure_eight()
         for pt in ((2, 5), (2, -1)):
-            assert not f.in_support(pt) and f.eval_exact(pt, 3) == 0
-        assert not f.in_support((3, 3))
-        assert f.in_support((3, 2))
+            assert not literal_in_support(f, pt)
+            assert f.eval_exact(pt, 3) == 0
+        assert not literal_in_support(f, (3, 3))
+        assert literal_in_support(f, (3, 2))
 
     def test_product_formula_oracle(self):
         # q^(-n i) * prod_{j = n-i .. n+i, j != n} (1 - q^j)
@@ -345,7 +346,8 @@ class TestCrossingTables:
             for k1, k2, k3 in itertools.product(range(0, 3), repeat=3):
                 k4 = k1 + k3 - k2  # the two middle lengths force this
                 pt = (m, k1, k2, k3, k4)
-                if not (rp.in_support(pt) and rm.in_support(pt)):
+                if not (literal_in_support(rp, pt)
+                        and literal_in_support(rm, pt)):
                     continue
                 found += 1
                 assert rp.eval_exact(pt, qv) * rm.eval_exact(pt, qv) == 1

@@ -1,6 +1,7 @@
 """Canonical rational functions: reduction, arithmetic, substitution."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ajlab.ratfun import (
     RationalFunction,
     as_ratfun,
     format_ratfun,
+    parse_ratfun,
 )
 
 P = parse_poly
@@ -321,3 +323,43 @@ class TestTextAndJson:
         assert format_ratfun(rf("Q + 1", "Q - 1")) == "(Q + 1) / (Q - 1)"
         assert format_ratfun(rf("Q")) == "Q"
         assert format_ratfun(rf("1", "Q")) == "Q^-1"
+
+    def test_text_reads_back(self):
+        # seeded quotients with rational coefficients and Laurent
+        # exponents: "(num) / (den)" parses back to the same function and
+        # formats to the same text
+        rng = random.Random(16)
+
+        def poly():
+            terms = {tuple(rng.randint(-2, 3) for _ in range(3)):
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 4))}
+            return LaurentMPoly(("q", "Q", "Qt1"), terms)
+
+        quotients = 0
+        for _ in range(300):
+            den = poly()
+            if den.is_zero():
+                continue
+            f = RationalFunction(poly(), den)
+            text = format_ratfun(f)
+            back = parse_ratfun(text)
+            assert back == f, text
+            assert format_ratfun(back) == text
+            quotients += not f.is_polynomial()
+        assert quotients > 200
+
+    def test_reader_divides_by_polynomials(self):
+        assert parse_ratfun("(Q*Qt1 - 1) / (Q - Qt1)") == rf("Q*Qt1 - 1",
+                                                           "Q - Qt1")
+        assert parse_ratfun("1/2 / (q - 1)") == rf("1", "2*q - 2")
+        assert parse_ratfun("((q - 1)/(q + 1))^-2") == rf("(q + 1)^2",
+                                                          "(q - 1)^2")
+        assert parse_ratfun("q / (q + 1)", "q^-1") == rf("q^2", "q + 1")
+        with pytest.raises(DomainError, match="zero rational function"):
+            parse_ratfun("q / (q - q)")
+        assert parse_ratfun("(q - 1)^-1") == rf("1", "q - 1")
+        with pytest.raises(DomainError, match="zero to a negative power"):
+            parse_ratfun("(q - q)^-1")
+        with pytest.raises(DomainError, match="nonzero integer"):
+            parse_poly("(Q*Qt1 - 1) / (Q - Qt1)")
