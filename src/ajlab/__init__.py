@@ -9,141 +9,59 @@ are the derivative forms of a dilogarithm potential (`potential`,
 `dilog`) whose saddle value gives the volume.  `figure8` carries the
 built-in example with literal coefficient data, and `cli` the command
 line.
+
+Submodules load on first use: ``import ajlab`` loads none of them, and
+the first access to a public name (``ajlab.jones_symbolic``) or to a
+submodule (``ajlab.figure8``) imports its home module and what that
+imports.  So ``ajlab.jones_symbolic(n)`` loads only `errors`, `poly`,
+`ratfun` and `qhg`, never the elimination or saddle-point side.
 """
 
-from .dilog import li2
-from .elim import (
-    APolyCandidate,
-    EquationSystem,
-    OperatorCurveComparison,
-    aj_compare,
-    cleared_equation,
-    eliminate,
-    ratio_system,
-)
-from .errors import (
-    AjlabError,
-    BranchCutError,
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    PoleError,
-    SingularityError,
-    SupportError,
-)
-from .figure8 import (
-    a_polynomial_nonabelian,
-    builtin_names,
-    cubic_operator,
-    jones_evaluator,
-    p0_operator,
-    recurrence_report,
-)
-from .ore import (
-    DiscreteEvaluator,
-    OreOperator,
-    epsilon_eval_with_unit,
-    expand_at_one,
-    format_operator,
-    ore_apply,
-    ore_mul,
-    telescope_sum_check,
-)
-from .poly import (
-    LaurentMPoly,
-    format_poly,
-    parse_poly,
-    poly_gcd,
-    poly_lcm,
-    resultant,
-    squarefree_part,
-)
-from .potential import (
-    PotentialSpec,
-    SaddleResult,
-    asymptotic_check,
-    builtin_potential,
-    crossing_potential,
-    derivative_forms,
-    phi_eval,
-    prop_comp_check,
-    saddle_system,
-    solve_saddle,
-    volume,
-)
-from .qhg import (
-    ProperQHTerm,
-    build_crossing,
-    epsilon_ratio,
-    habiro_figure_eight,
-    jones_eval,
-    jones_symbolic,
-    lattice_sum,
-    shift_ratio,
-    support_box,
-)
-from .ratfun import RationalFunction, format_ratfun
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APolyCandidate",
-    "AjlabError",
-    "BranchCutError",
-    "ConvergenceError",
-    "DegeneracyError",
-    "DiscreteEvaluator",
-    "DomainError",
-    "EquationSystem",
-    "LaurentMPoly",
-    "OperatorCurveComparison",
-    "OreOperator",
-    "PoleError",
-    "PotentialSpec",
-    "ProperQHTerm",
-    "RationalFunction",
-    "SaddleResult",
-    "SingularityError",
-    "SupportError",
-    "a_polynomial_nonabelian",
-    "aj_compare",
-    "asymptotic_check",
-    "build_crossing",
-    "builtin_names",
-    "builtin_potential",
-    "cleared_equation",
-    "crossing_potential",
-    "cubic_operator",
-    "derivative_forms",
-    "eliminate",
-    "epsilon_eval_with_unit",
-    "epsilon_ratio",
-    "expand_at_one",
-    "format_operator",
-    "format_poly",
-    "format_ratfun",
-    "habiro_figure_eight",
-    "jones_eval",
-    "jones_evaluator",
-    "jones_symbolic",
-    "lattice_sum",
-    "li2",
-    "ore_apply",
-    "ore_mul",
-    "p0_operator",
-    "parse_poly",
-    "phi_eval",
-    "poly_gcd",
-    "poly_lcm",
-    "prop_comp_check",
-    "ratio_system",
-    "recurrence_report",
-    "resultant",
-    "saddle_system",
-    "shift_ratio",
-    "solve_saddle",
-    "squarefree_part",
-    "support_box",
-    "telescope_sum_check",
-    "volume",
-]
+# home submodule -> the public names it exports
+_EXPORTS = {
+    "dilog": ("li2",),
+    "elim": ("APolyCandidate", "EquationSystem", "OperatorCurveComparison",
+             "aj_compare", "cleared_equation", "eliminate", "ratio_system"),
+    "errors": ("AjlabError", "BranchCutError", "ConvergenceError",
+               "DegeneracyError", "DomainError", "PoleError",
+               "SingularityError", "SupportError"),
+    "figure8": ("a_polynomial_nonabelian", "builtin_names", "cubic_operator",
+                "jones_evaluator", "p0_operator", "recurrence_report"),
+    "ore": ("DiscreteEvaluator", "OreOperator", "epsilon_eval_with_unit",
+            "expand_at_one", "format_operator", "ore_apply", "ore_mul",
+            "telescope_sum_check"),
+    "poly": ("LaurentMPoly", "format_poly", "parse_poly", "poly_gcd",
+             "poly_lcm", "resultant", "squarefree_part"),
+    "potential": ("PotentialSpec", "SaddleResult", "asymptotic_check",
+                  "builtin_potential", "crossing_potential",
+                  "derivative_forms", "phi_eval", "prop_comp_check",
+                  "saddle_system", "solve_saddle", "volume"),
+    "qhg": ("ProperQHTerm", "build_crossing", "epsilon_ratio",
+            "habiro_figure_eight", "jones_eval", "jones_symbolic",
+            "lattice_sum", "shift_ratio", "support_box"),
+    "ratfun": ("RationalFunction", "format_ratfun"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # runs only for a name not yet in the package namespace; the value is
+    # stored there, so every later access is a plain lookup
+    if name in _HOME:
+        value = getattr(import_module("." + _HOME[name], __name__), name)
+    elif name in _EXPORTS:
+        value = import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

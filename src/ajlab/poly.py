@@ -1161,23 +1161,16 @@ class _Parser:
         return base
 
     def power(self, base, k: int):
-        if base.is_constant():
-            c = base.constant_value()
-            if k < 0:
-                if c == 0:
-                    raise DomainError("zero to a negative power")
-                return LaurentMPoly.const(Fraction(1) / c ** (-k))
-            return LaurentMPoly.const(c ** k)
-        if k < 0:
-            if len(base.terms) == 1:
-                (exp, c), = base.terms.items()
-                if abs(c) == 1:
-                    return LaurentMPoly(
-                        base.vars,
-                        {tuple(x * k for x in exp): c})
-            raise DomainError("negative power of a non-monomial in "
-                              "polynomial text")
-        return base ** k
+        if k >= 0:
+            return base ** k
+        if base.is_zero():
+            raise DomainError("zero to a negative power")
+        if len(base.terms) > 1:
+            raise DomainError("negative power of a polynomial with more "
+                              "than one term in polynomial text")
+        (exp, c), = base.terms.items()
+        return LaurentMPoly(base.vars, {tuple(x * k for x in exp):
+                                        Fraction(1) / c ** -k})
 
     def parse_all(self):
         out = self.parse_sum()

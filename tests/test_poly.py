@@ -820,11 +820,21 @@ class TestTextFormat:
         assert P("(Q + 1)*(Q - 1)") == P("Q^2 - 1")
         assert P("(Q*E)^-2") == LaurentMPoly(("Q", "E"), {(-2, -2): 1})
         assert P("3/4*Q") == LaurentMPoly(("Q",), {(1,): Fraction(3, 4)})
+        # a negative power of one term: c^k * x^(k*e) for any coefficient
+        assert P("(2*q)^-1") == LaurentMPoly(("q",), {(-1,): Fraction(1, 2)})
+        assert P("(-2/3*q^2*Q)^-3") == LaurentMPoly(
+            ("q", "Q"), {(-6, -3): Fraction(-27, 8)})
+        assert P("(-Q)^-1") == P("-Q^-1")
+        assert P("2^-3") == P("1/8")
 
     def test_parse_rejects_garbage(self):
         for bad in ("Q +", "(Q", "Q^^2", "Q^x", "1 @ 2", "Q/(E+1)"):
             with pytest.raises(DomainError):
                 parse_poly(bad)
+        with pytest.raises(DomainError, match="more than one term"):
+            parse_poly("(2*q + Q)^-1")
+        with pytest.raises(DomainError, match="zero to a negative power"):
+            parse_poly("(q - q)^-2")
 
 
 class TestJson:

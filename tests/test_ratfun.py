@@ -363,3 +363,9 @@ class TestTextAndJson:
             parse_ratfun("(q - q)^-1")
         with pytest.raises(DomainError, match="nonzero integer"):
             parse_poly("(Q*Qt1 - 1) / (Q - Qt1)")
+        # a single term to a negative power reads whatever its coefficient
+        assert parse_ratfun("(2*q)^-1") == parse_ratfun("1/(2*q)") \
+            == rf("1", "2*q")
+        assert parse_ratfun("(-2/3*q^2*Q)^-2") == rf("9/4*q^-4*Q^-2")
+        with pytest.raises(DomainError, match="more than one term"):
+            parse_poly("(q - 1)^-1")

@@ -176,10 +176,13 @@ def test_construction_checks_still_raise():
 
 
 def test_importing_the_package_skips_the_dataclass_machinery():
-    # these modules are what `dataclasses` pulls in; without a bytecode
-    # cache each one is compiled from source on every fresh interpreter
+    # the star import loads every submodule, since they load on first
+    # use; the modules checked are what `dataclasses` pulls in, and without
+    # a bytecode cache each one is compiled from source on every fresh
+    # interpreter
     src = pathlib.Path(ajlab.__file__).resolve().parents[1]
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import ajlab; "
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "from ajlab import *; "
             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', "
             "'dis', 'tokenize') if m in sys.modules))")
     # -I -S: no site hooks or environment that could import them first
