@@ -31,9 +31,8 @@ from .figure8 import (
 from .ore import ore_apply
 from .poly import format_poly, parse_poly
 from .potential import (
+    PotentialSpec,
     asymptotic_check,
-    builtin_potential,
-    crossing_potential,
     prop_comp_check,
     solve_saddle,
     volume,
@@ -142,13 +141,21 @@ def _parse_start(ctx, param, text):
     return tuple(out)
 
 
-def _read_descriptor(name_or_path: str) -> tuple[str, bool, bool]:
-    """--knot as (kind, positive, mirror), kind a builtin's name or
-    'crossing': a builtin name, or a JSON file {'builtin': name} or
-    {'crossing': {'positive': b}}, 'mirror' optional; a crossing's
+def _flag(doc: dict, key: str, default: bool) -> bool:
+    """A descriptor flag: a JSON true or false, nothing else."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise DomainError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
+    """--knot as (potential name, mirror): a builtin name, or a JSON file
+    with exactly one of {'builtin': name} and {'crossing': {'positive':
+    b}}, 'mirror' optional at the top or in the crossing; a crossing's
     'normalization' may only be 'so3'."""
     if name_or_path in builtin_names():
-        return name_or_path, True, False
+        return name_or_path, False
     path = pathlib.Path(name_or_path)
     if not path.exists():
         raise DomainError(
@@ -158,40 +165,40 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool, bool]:
         doc = json.loads(path.read_text())
     except ValueError as exc:
         raise DomainError(f"knot file is not JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not ({"builtin", "crossing"} & set(doc)):
-        raise DomainError("knot descriptor needs a 'builtin' or 'crossing' key")
-    mirror = bool(doc.get("mirror", False))
+    if (not isinstance(doc, dict)
+            or len({"builtin", "crossing"} & set(doc)) != 1):
+        raise DomainError("knot descriptor needs a 'builtin' or 'crossing' "
+                          "key, and only one")
+    mirror = _flag(doc, "mirror", False)
     if "builtin" in doc:
         if doc["builtin"] not in builtin_names():
             raise DomainError(f"unknown built-in knot {doc['builtin']!r}")
-        return doc["builtin"], True, mirror
+        return doc["builtin"], mirror
     c = doc["crossing"]
     if not isinstance(c, dict):
         raise DomainError("'crossing' must be an object")
     if c.get("normalization", "so3") != "so3":
         raise DomainError(f"unknown normalization {c['normalization']!r}: "
                           "a crossing is normalized as 'so3'")
-    return ("crossing", bool(c.get("positive", True)),
-            bool(c.get("mirror", mirror)))
+    name = "crossing+" if _flag(c, "positive", True) else "crossing-"
+    return name, _flag(c, "mirror", mirror)
 
 
 def _load_term(name_or_path: str):
     """Resolve --knot to a summand.  Every summand here is unmirrored, so
     a descriptor with 'mirror' set is refused rather than answered for
     its mirror image."""
-    kind, positive, mirror = _read_descriptor(name_or_path)
+    name, mirror = _read_descriptor(name_or_path)
     if mirror:
         raise DomainError("'mirror' applies only to volume and saddle; "
                           "the summand commands have no mirrored summand")
-    return (build_crossing(positive) if kind == "crossing"
-            else habiro_figure_eight())
+    return (habiro_figure_eight() if name == "figure8"
+            else build_crossing(name == "crossing+"))
 
 
 def _load_potential(name_or_path: str):
     """Resolve --knot to a potential (for saddle / volume)."""
-    kind, positive, mirror = _read_descriptor(name_or_path)
-    return (crossing_potential(positive, mirror=mirror) if kind == "crossing"
-            else builtin_potential(kind, mirror=mirror))
+    return PotentialSpec(*_read_descriptor(name_or_path))
 
 
 # -- output ----------------------------------------------------------------

@@ -30,37 +30,30 @@ def x_cofactor(nu: int = 0) -> OreOperator:
     return OreOperator(nu, shape)
 
 
-def r_certificate(nu: int = 0) -> OreOperator:
-    """R(E,Q) = X(q,E,Q) (Q-1), the lattice-direction certificate."""
-    qm1 = OreOperator.scalar(_rf("Q - 1"), nu)
-    return ore_mul(x_cofactor(nu), qm1)
-
-
 def _beyond_x(nu: int) -> OreOperator:
     """(qQ - 1/(qQ)) E, what the braces of alpha and of P add to X."""
     return OreOperator(nu, {(1,) + (0,) * nu: _rf("q*Q - q^-1*Q^-1")})
 
 
-def alpha_operator(nu: int = 0) -> OreOperator:
+def alpha_operator() -> OreOperator:
     """The middle factor of the cubic annihilator:
     (1/(1+qQ)) { X + (qQ - 1/(qQ)) E }."""
-    braces = x_cofactor(nu) + _beyond_x(nu)
+    braces = x_cofactor() + _beyond_x(0)
     return braces.scale(_rf("1", "q*Q + 1"))
 
 
 @lru_cache(maxsize=None)
-def _p0_operator(nu: int) -> OreOperator:
-    pre = OreOperator.scalar(_rf("q*Q + 1"), nu)
-    post = OreOperator.scalar(_rf("Q - 1"), nu)
-    return ore_mul(ore_mul(pre, alpha_operator(nu)), post)
+def _p0_operator() -> OreOperator:
+    pre = OreOperator.scalar(_rf("q*Q + 1"))
+    post = OreOperator.scalar(_rf("Q - 1"))
+    return ore_mul(ore_mul(pre, alpha_operator()), post)
 
 
-def p0_operator(nu: int = 0) -> OreOperator:
+def p0_operator() -> OreOperator:
     """P0(E,Q) = (1+qQ) alpha(q,E,Q) (Q-1): the operator whose action on
     the full sum is inhomogeneous with right side -(q^(n+1)+1).  Built
-    once per nu; each call hands out its own copy of the term dict."""
-    p = _p0_operator(nu)
-    return OreOperator(nu, p.terms)
+    once; each call hands out its own copy of the term dict."""
+    return OreOperator(0, _p0_operator().terms)
 
 
 def p_full() -> OreOperator:
@@ -134,7 +127,7 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
     univariate in q, so a part's cleared span is additive:
     span(num) + span(common denominator) - span(den), nothing multiplied.
     """
-    p0 = _p0_operator(0)
+    p0 = _p0_operator()
     jev = jones_evaluator()
     jones: dict[int, RationalFunction] = {}  # colors overlap across n
     rows = []

@@ -7,9 +7,10 @@ writes by hand.  Its forms, the exponentiated logarithmic derivatives, come
 exactly from the same terms, so they are rational functions.  The
 coordinate forms set to 1 are the gluing equations; the alpha form is the
 squared longitude eigenvalue, whose square root, when its exponents are
-all even, is the linear one.  A mirror negates the potential and inverts
-its forms.  Saddle points are found by Newton iteration on the cleared
-gluing polynomials; Im(potential) at the selected saddle is the volume.
+all even, is the linear one.  A mirror negates every term, so it negates
+the potential and inverts its forms.  Saddle points are found by Newton
+iteration on the cleared gluing polynomials; Im(potential) at the
+selected saddle is the volume.
 
 The exact objects of a potential (its forms, and the cleared gluing
 polynomials with their Jacobian) depend only on the `PotentialSpec`, so
@@ -22,7 +23,7 @@ iteration multiplies in only the coordinate powers.
 import cmath
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -43,31 +44,29 @@ _PI = math.pi
 
 
 class PotentialSpec(Immutable):
-    """Selects a potential: a named builtin or a single crossing factor,
-    optionally mirrored (which negates the potential)."""
+    """Selects a potential by the name of its term table, optionally
+    mirrored (which negates every term)."""
 
-    __slots__ = ("kind", "name", "positive", "mirror")
+    __slots__ = ("name", "mirror")
 
-    def __init__(self, kind: str, name: str = "figure8",
-                 positive: bool = True, mirror: bool = False):
-        object.__setattr__(self, "kind", kind)  # "builtin" | "crossing"
+    def __init__(self, name: str, mirror: bool = False):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "mirror", mirror)
-        if kind not in ("builtin", "crossing"):
-            raise DomainError(f"unknown potential kind {kind!r}")
-        if kind == "builtin" and name != "figure8":
-            raise DomainError(f"unknown builtin potential {name!r}")
+        if name not in _TERMS:
+            raise DomainError(f"unknown potential {name!r}: one of "
+                              f"{', '.join(_TERMS)}")
 
 
 def builtin_potential(name: str = "figure8",
                       mirror: bool = False) -> PotentialSpec:
-    return PotentialSpec("builtin", name=name, mirror=mirror)
+    if name not in _BUILTIN_STARTS:
+        raise DomainError(f"unknown builtin potential {name!r}")
+    return PotentialSpec(name, mirror)
 
 
 def crossing_potential(positive: bool,
                        mirror: bool = False) -> PotentialSpec:
-    return PotentialSpec("crossing", positive=positive, mirror=mirror)
+    return PotentialSpec("crossing+" if positive else "crossing-", mirror)
 
 
 # -- term tables -----------------------------------------------------------
@@ -81,13 +80,13 @@ _TERMS = {
     "figure8": (("alpha", "x"), [
         ("log", -2, "alpha", "x"), ("li2", -1, "alpha*alpha*x"),
         ("li2", 1, "alpha*alpha/x")]),
-    True: (_CROSSING, [
+    "crossing+": (_CROSSING, [
         ("log", 1, "alpha", "alpha"), ("log", 1, "alpha", "w1*w3/(w2*w4)"),
         ("log", -1, "w2/w1", "w3/w2"), ("const", -1, "_PI * _PI / 6"),
         ("li2", -1, "alpha*w4/w3"), ("li2", -1, "alpha*w4/w1"),
         ("li2", 1, "w2*w4/(w1*w3)"), ("li2", 1, "alpha*w1/w2"),
         ("li2", 1, "alpha*w3/w2")]),
-    False: (_CROSSING, [
+    "crossing-": (_CROSSING, [
         ("log", -1, "alpha", "alpha"),
         ("log", -1, "alpha", "w1*w3/(w2*w4)"),
         ("log", 1, "w3/w4", "w4/w1"), ("const", -1, "_PI * _PI / 6"),
@@ -95,6 +94,8 @@ _TERMS = {
         ("li2", -1, "alpha*w1/w4"), ("li2", -1, "alpha*w3/w4"),
         ("li2", 1, "alpha*w2/w3"), ("li2", 1, "alpha*w2/w1")]),
 }
+# the builtin potentials, each with its default Newton start
+_BUILTIN_STARTS = {"figure8": 0.5 + 0.8j}
 
 
 def _log(z: complex, what: str) -> complex:
@@ -103,22 +104,18 @@ def _log(z: complex, what: str) -> complex:
     return cmath.log(z)
 
 
-def _key(spec: PotentialSpec):
-    return spec.name if spec.kind == "builtin" else bool(spec.positive)
-
-
 def coordinate_names(spec: PotentialSpec) -> tuple[str, ...]:
-    return _TERMS[_key(spec)][0][1:]
+    return _TERMS[spec.name][0][1:]
 
 
 @cache
-def _phi_function(key):
+def _phi_function(name):
     """The potential as a function of its variables, compiled once from
     its terms (module data only) into the sum as written by hand: each
     monomial as its own text, the leading coefficient on the first factor,
     each later term added or subtracted.  So its value is that float
     expression, bit for bit, at its speed."""
-    names, terms = _TERMS[key]
+    names, terms = _TERMS[name]
     parts = []
     for kind, c, *ms in terms:
         if kind == "li2":
@@ -158,7 +155,7 @@ def _phi(spec: PotentialSpec, vals: Sequence[complex]) -> complex:
     if 0 in vals:
         names = ("alpha",) + coordinate_names(spec)
         raise SingularityError(f"potential needs {', '.join(names)} nonzero")
-    val = _phi_function(_key(spec))(*vals)
+    val = _phi_function(spec.name)(*vals)
     return -val if spec.mirror else val
 
 
@@ -172,12 +169,14 @@ def phi_eval(spec: PotentialSpec, alpha: complex, coords) -> complex:
 
 def _form(spec: PotentialSpec, y: str,
           root: int = 1) -> Optional[RationalFunction]:
-    """exp(y * dphi/dy)^(1/root), unmirrored, term by term with e the
-    exponent of y in M: s*Li2(M) gives (1 - M)^(-s*e), c*log(M1)*log(M2)
-    the monomial M2^(c*e1) * M1^(c*e2), k*i*pi*log(M) the sign
-    (-1)^(k*e).  None when an exponent is not divisible by root."""
-    names, terms = _TERMS[_key(spec)]
+    """exp(y * dphi/dy)^(1/root), term by term with e the exponent of y
+    in M: s*Li2(M) gives (1 - M)^(-s*e), c*log(M1)*log(M2) the monomial
+    M2^(c*e1) * M1^(c*e2), k*i*pi*log(M) the sign (-1)^(k*e), every
+    coefficient negated for a mirror.  None when an exponent is not
+    divisible by root."""
+    names, terms = _TERMS[spec.name]
     j = names.index(y)
+    flip = -1 if spec.mirror else 1
 
     def exponents(m):
         num, _, den = m.partition("/")
@@ -186,6 +185,7 @@ def _form(spec: PotentialSpec, y: str,
 
     sign, mono, ones = 0, [0] * len(names), {}
     for kind, c, *ms in terms:
+        c *= flip
         es = [exponents(m) for m in ms] if kind != "const" else ()
         if kind == "li2":
             key = tuple(es[0])
@@ -209,15 +209,10 @@ def _form(spec: PotentialSpec, y: str,
     return RationalFunction(num, den)
 
 
-# The spec-keyed caches need one entry per valid spec, six in all; they are
-# bounded because a crossing spec ignores `name`, so any string there would
-# otherwise be a new key.
-@lru_cache(maxsize=8)
+@cache
 def _forms(spec: PotentialSpec) -> Mapping[str, RationalFunction]:
-    forms = {y: _form(spec, y) for y in coordinate_names(spec) + ("alpha",)}
-    if spec.mirror:
-        forms = {k: f.inverse() for k, f in forms.items()}
-    return MappingProxyType(forms)
+    return MappingProxyType(
+        {y: _form(spec, y) for y in coordinate_names(spec) + ("alpha",)})
 
 
 def derivative_forms(spec: PotentialSpec) -> dict[str, RationalFunction]:
@@ -226,7 +221,7 @@ def derivative_forms(spec: PotentialSpec) -> dict[str, RationalFunction]:
     return dict(_forms(spec))
 
 
-@lru_cache(maxsize=8)
+@cache
 def _newton_system(spec: PotentialSpec) -> tuple[
         tuple[LaurentMPoly, ...], tuple[tuple[LaurentMPoly, ...], ...]]:
     """The cleared gluing polynomials (coordinate form = 1) and their
@@ -255,8 +250,6 @@ def saddle_system(spec: PotentialSpec,
             raise DomainError(
                 "a linear longitude is only defined for the builtin "
                 "potential, whose alpha form has a rational square root")
-        if spec.mirror:
-            root = root.inverse()
         lon = cleared_equation(root, lv)
     else:
         raise DomainError(f"unknown longitude kind {longitude!r}")
@@ -403,7 +396,8 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
     """Newton iteration for a saddle of the potential at fixed alpha.
 
     A builtin starts at x = 0.5 + 0.8i, near the unit circle, when no
-    start is given; a crossing has no default start.
+    start is given; a crossing has no default start.  A tol that is not
+    positive and finite, or a max_iter below 1, is a DomainError.
 
     Runs on the cleared gluing polynomials with their exact Jacobian, then
     re-checks the rational forms themselves (clearing can introduce
@@ -420,9 +414,13 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
     saddle, and the runs seen end in the spurious-zero ConvergenceError.
     """
     if start is None:
-        if spec.kind != "builtin":
+        if spec.name not in _BUILTIN_STARTS:
             raise DomainError("crossing potentials need an explicit start")
-        start = 0.5 + 0.8j
+        start = _BUILTIN_STARTS[spec.name]
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol = {tol} is not positive and finite")
+    if max_iter < 1:
+        raise DomainError(f"max_iter = {max_iter} is below 1")
     a = complex(alpha)
     w = _coerce_coords(spec, start)
     if not cmath.isfinite(a):

@@ -177,6 +177,10 @@ def test_malformed_values_are_usage_errors(run, args):
     (("--start", "0.5,inf"), "start x = (0.5+infj) is not finite"),
     (("--alpha=-1,0", "--start", "1e300,1e300"),
      "Newton step x = (nan+nanj) is not finite at iteration 1"),
+    (("--tol", "nan"), "tol = nan is not positive and finite"),
+    (("--tol", "inf"), "tol = inf is not positive and finite"),
+    (("--tol", "0"), "tol = 0.0 is not positive and finite"),
+    (("--tol", "-1"), "tol = -1.0 is not positive and finite"),
 ])
 def test_saddle_rejects_non_finite_and_overflowing_inputs(run, args, message):
     res = run("saddle", *args)
@@ -313,7 +317,19 @@ def test_bad_knot_descriptors(run, tmp_path):
              ({"crossing": [True]}, "'crossing' must be an object"),
              ({"builtin": "trefoil"}, "unknown built-in knot 'trefoil'"),
              ({"builtin": "crossing"}, "unknown built-in knot 'crossing'"),
-             ({"mirror": True}, "needs a 'builtin' or 'crossing' key")]
+             ({"mirror": True}, "needs a 'builtin' or 'crossing' key"),
+             ({"builtin": "figure8", "crossing": {"positive": True}},
+              "needs a 'builtin' or 'crossing' key, and only one")]
+    # 'positive' and 'mirror' are JSON booleans, at the top and nested
+    for bad in ("false", "true", 0, 1, None, [True]):
+        cases += [({"builtin": "figure8", "mirror": bad},
+                   f"'mirror' must be true or false, got {bad!r}"),
+                  ({"crossing": {"positive": True}, "mirror": bad},
+                   f"'mirror' must be true or false, got {bad!r}"),
+                  ({"crossing": {"positive": True, "mirror": bad}},
+                   f"'mirror' must be true or false, got {bad!r}"),
+                  ({"crossing": {"positive": bad}},
+                   f"'positive' must be true or false, got {bad!r}")]
     for norm in ("two-color", "bogus"):
         cases.append(({"crossing": {"positive": True, "normalization": norm}},
                       f"unknown normalization {norm!r}"))

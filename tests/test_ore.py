@@ -13,7 +13,6 @@ from ajlab.figure8 import (
     jones_evaluator,
     p0_operator,
     p_full,
-    r_certificate,
     recurrence_report,
     x_cofactor,
 )
@@ -47,6 +46,16 @@ def figure_eight_summand():
 
 def E(nu=0):
     return OreOperator.shift(0, nu)
+
+
+def embed(op, nu=1):
+    """A lattice-free operator in the algebra with nu lattice directions."""
+    return OreOperator(nu, {e + (0,) * nu: c for e, c in op.terms.items()})
+
+
+def r_certificate(nu=0):
+    """R(E,Q) = X(q,E,Q) (Q-1), the lattice-direction certificate."""
+    return ore_mul(x_cofactor(nu), OreOperator.scalar(rf("Q - 1"), nu))
 
 
 class TestProduct:
@@ -112,8 +121,8 @@ class TestProduct:
         # operators, plus shifts and coefficients whose twists move a
         # sign or a monomial onto the numerator
         ops = [p_full(), cubic_operator(), cubic_displayed()] + [
-            f(nu) for nu in (0, 1) for f in (x_cofactor, r_certificate,
-                                             alpha_operator, p0_operator)]
+            embed(f(), nu) for nu in (0, 1) for f in (
+                x_cofactor, r_certificate, alpha_operator, p0_operator)]
         extra = [rf("1", "q^3 - Q"), rf("Q + 2", "q*Q + 3")]
         checked = moved = 0
         for nu in (0, 1):
@@ -160,7 +169,8 @@ class TestProduct:
                 (1,) + z: (rf("1", "1 - q^3*Q^2") + rf("1", "1 - q*Q^2")
                            + rf("q*Q") - rf("1") - rf("q^-1*Q^-1")),
                 (0,) + z: c0})
-            assert alpha_operator(nu) == braces.scale(rf("1", "q*Q + 1"))
+            assert (embed(alpha_operator(), nu)
+                    == braces.scale(rf("1", "q*Q + 1")))
         braces = OreOperator(1, {
             (2, 1): c2,
             (1, 1): (rf("1", "1 - q^3*Q^2") + rf("1", "1 - q*Q^2")
@@ -215,7 +225,7 @@ class TestApply:
 class TestCertificate:
     def test_expansion_recovers_parts(self):
         p0, rs = expand_at_one(p_full())
-        assert p0 == p0_operator(nu=1)
+        assert p0 == embed(p0_operator())
         assert rs == [r_certificate(nu=1)]
 
     def test_expansion_needs_lattice_free_coefficients(self):
@@ -224,7 +234,7 @@ class TestCertificate:
             expand_at_one(bad)
 
     def test_expansion_of_lattice_free_input_is_trivial(self):
-        p = p0_operator(nu=1)
+        p = embed(p0_operator())
         p0, rs = expand_at_one(p)
         assert p0 == p
         assert all(r.is_zero() for r in rs)
@@ -293,14 +303,12 @@ class TestCertificate:
             multiplied_out_row(n, qs) for n in range(1, 13)]
 
     def test_cached_p0_cannot_be_changed_by_a_caller(self):
-        for nu in (0, 1):
-            first = p0_operator(nu)
-            want = {e: (c.num, c.den) for e, c in first.terms.items()}
-            first.terms.clear()
-            p0_operator(nu).terms[(9,) + (0,) * nu] = RationalFunction.one()
-            again = p0_operator(nu)
-            assert {e: (c.num, c.den)
-                    for e, c in again.terms.items()} == want
+        first = p0_operator()
+        want = {e: (c.num, c.den) for e, c in first.terms.items()}
+        first.terms.clear()
+        p0_operator().terms[(9,)] = RationalFunction.one()
+        again = p0_operator()
+        assert {e: (c.num, c.den) for e, c in again.terms.items()} == want
         rows = recurrence_report(ns=(1, 2), qs=(Fraction(3),))
         assert all(r["sampled_ok"] and r["symbolic_ok"] for r in rows)
 

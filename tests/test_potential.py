@@ -133,12 +133,28 @@ def test_longitude_and_kind_validation():
 
 
 def test_specs_are_validated_at_construction():
-    # these used to fall through to the crossing forms and the figure-eight
-    # volume respectively
-    with pytest.raises(DomainError, match="potential kind 'foo'"):
+    # a spec names a term table; any other name is refused when built
+    with pytest.raises(DomainError, match="unknown potential 'foo'"):
         PotentialSpec("foo")
-    with pytest.raises(DomainError, match="builtin potential 'trefoil'"):
-        PotentialSpec("builtin", name="trefoil")
+    with pytest.raises(DomainError, match="unknown potential 'trefoil'"):
+        PotentialSpec("trefoil", mirror=True)
+    for name in ("crossing+", "crossing-"):
+        with pytest.raises(DomainError, match="unknown builtin potential"):
+            builtin_potential(name)
+
+
+def test_one_spec_per_potential():
+    # the spec is (name, mirror), so each potential has exactly one spec
+    for mirror in (False, True):
+        pairs = [(PotentialSpec("figure8", mirror),
+                  builtin_potential(mirror=mirror))]
+        pairs += [(PotentialSpec(name, mirror),
+                   crossing_potential(positive, mirror))
+                  for name, positive in (("crossing+", True),
+                                         ("crossing-", False))]
+        for spec, made in pairs:
+            assert spec == made and hash(spec) == hash(made)
+    assert len(set(ALL_SPECS)) == 6
 
 
 # -- the per-spec caches ---------------------------------------------------
@@ -166,6 +182,15 @@ def test_cached_forms_and_newton_system_equal_fresh_builds():
                 == potential._newton_system.__wrapped__(spec))
     assert (potential._discrete_em_ratio()
             == potential._discrete_em_ratio.__wrapped__())
+
+
+def test_the_form_cache_holds_one_entry_per_spec():
+    potential._forms.cache_clear()
+    for spec in ALL_SPECS:
+        saddle_system(spec)
+    saddle_system(PotentialSpec("figure8"), "linear")
+    saddle_system(crossing_potential(1))
+    assert potential._forms.cache_info().currsize == 6
 
 
 def test_saddles_are_identical_cold_warm_and_uncached(uncached):
@@ -233,6 +258,14 @@ def test_newton_iteration_budget():
                      max_iter=2)
 
 
+@pytest.fixture()
+def no_newton(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Newton started")
+
+    monkeypatch.setattr(potential, "_newton_saddle", refuse)
+
+
 @pytest.mark.parametrize("spec, alpha, start, named", [
     (builtin_potential(), math.nan, 0.5 + 0.8j, "alpha = (nan+0j)"),
     (builtin_potential(), complex(1, math.inf), 0.5 + 0.8j,
@@ -244,14 +277,27 @@ def test_newton_iteration_budget():
      W_GENERIC[:2] + (complex(0, -math.inf),) + W_GENERIC[3:],
      "start w3 = -infj"),
 ])
-def test_non_finite_inputs_are_refused_before_newton(monkeypatch, spec,
+def test_non_finite_inputs_are_refused_before_newton(no_newton, spec,
                                                      alpha, start, named):
-    def refuse(*args):
-        raise AssertionError("Newton started")
-
-    monkeypatch.setattr(potential, "_newton_saddle", refuse)
     with pytest.raises(DomainError, match=re.escape(named)):
         solve_saddle(spec, alpha, start)
+
+
+@pytest.mark.parametrize("kw, named", [
+    ({"tol": math.nan}, "tol = nan is not positive and finite"),
+    ({"tol": math.inf}, "tol = inf is not positive and finite"),
+    ({"tol": 0.0}, "tol = 0.0 is not positive and finite"),
+    ({"tol": -1e-12}, "tol = -1e-12 is not positive and finite"),
+    ({"max_iter": 0}, "max_iter = 0 is below 1"),
+    ({"max_iter": -5}, "max_iter = -5 is below 1"),
+])
+def test_bad_newton_settings_are_refused_before_newton(no_newton, kw, named):
+    # the same refusal as a non-finite alpha or start: a tol of nan or 0
+    # used to run out the iterations, and inf stopped after one step
+    for spec, start in ((builtin_potential(), None),
+                        (crossing_potential(False, True), W_GENERIC)):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            solve_saddle(spec, -1.0, start, **kw)
 
 
 @pytest.mark.parametrize("alpha", [1e78, 1e308, -1e200j])
@@ -558,11 +604,11 @@ def test_one_by_one_solve_is_the_general_path():
 # linear root (1 - alpha^2 x)/(x - alpha^2).
 
 LITERAL_FORMS = {
-    "builtin": {
+    "figure8": {
         "x": ("alpha^-2*(1 - alpha^2*x)*(1 - alpha^2*x^-1)",),
         "alpha": ("(1 - alpha^2*x)^2", "(x - alpha^2)^2"),
     },
-    True: {
+    "crossing+": {
         "w1": ("1 - w1*w3*w2^-1*w4^-1",
                "(1 - alpha*w1*w2^-1)*(1 - alpha^-1*w1*w4^-1)"),
         "w2": ("alpha*(1 - alpha^-1*w2*w1^-1)*(1 - alpha^-1*w2*w3^-1)",
@@ -574,7 +620,7 @@ LITERAL_FORMS = {
         "alpha": ("alpha^2*(1 - alpha^-1*w3*w4^-1)*(1 - alpha*w4*w1^-1)",
                   "(1 - alpha^-1*w2*w1^-1)*(1 - alpha*w3*w2^-1)"),
     },
-    False: {
+    "crossing-": {
         "w1": ("-alpha^-1*w4*w3^-1*(1 - alpha*w1*w4^-1)"
                "*(1 - alpha*w2*w1^-1)",
                "1 - w1*w3*w2^-1*w4^-1"),
@@ -593,8 +639,7 @@ LITERAL_FORMS = {
 
 
 def _literal_forms(spec):
-    key = "builtin" if spec.kind == "builtin" else spec.positive
-    forms = {k: parse_ratfun(*t) for k, t in LITERAL_FORMS[key].items()}
+    forms = {k: parse_ratfun(*t) for k, t in LITERAL_FORMS[spec.name].items()}
     if spec.mirror:
         forms = {k: f.inverse() for k, f in forms.items()}
     return forms
@@ -610,7 +655,7 @@ def _hand_phi(spec, alpha, coords):
     w = potential._coerce_coords(spec, coords)
     a = complex(alpha)
     pi = math.pi
-    if spec.kind == "builtin":
+    if spec.name == "figure8":
         x = w["x"]
         if x == 0 or a == 0:
             raise SingularityError("potential needs alpha, x nonzero")
@@ -623,7 +668,7 @@ def _hand_phi(spec, alpha, coords):
             raise SingularityError("potential needs alpha, w1..w4 nonzero")
         la = _log(a, "alpha")
         v = w1 * w3 / (w2 * w4)
-        if spec.positive:
+        if spec.name == "crossing+":
             val = (la * la + la * _log(v, "w1*w3/(w2*w4)")
                    - _log(w2 / w1, "w2/w1") * _log(w3 / w2, "w3/w2")
                    - pi * pi / 6
@@ -657,9 +702,40 @@ def _sample(rng):
     return cmath.rect(rng.uniform(0.3, 2.5), rng.uniform(-math.pi, math.pi))
 
 
+def _assert_same_term_order(forms, other):
+    for k, f in forms.items():
+        for side in ("num", "den"):
+            assert (list(getattr(f, side).terms.items())
+                    == list(getattr(other[k], side).terms.items()))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
 def test_derived_forms_equal_the_literal_tables(spec):
     assert derivative_forms(spec) == _literal_forms(spec)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+def test_mirror_forms_are_the_inverted_forms_term_for_term(spec):
+    # a mirror negates every term of the table; its forms, gluing
+    # polynomials and linear root are then the inverted unmirrored ones
+    # in the same term order, so a mirrored solve adds the same floats in
+    # the same order as one on the inverted forms
+    plain = derivative_forms(PotentialSpec(spec.name))
+    inverted = {k: f.inverse() if spec.mirror else f
+                for k, f in plain.items()}
+    _assert_same_term_order(derivative_forms(spec), inverted)
+    one = RationalFunction.one()
+    for c, p in zip(coordinate_names(spec),
+                    potential._newton_system(spec)[0]):
+        assert (list(p.terms.items())
+                == list(cleared_equation(inverted[c], one).terms.items()))
+    root = potential._form(PotentialSpec(spec.name), "alpha", 2)
+    if root is not None:
+        if spec.mirror:
+            root = root.inverse()
+        assert (list(saddle_system(spec, "linear").longitude.terms.items())
+                == list(cleared_equation(
+                    root, RationalFunction.var("l")).terms.items()))
 
 
 @pytest.mark.parametrize("index", range(len(ALL_SPECS)))
@@ -708,10 +784,6 @@ def test_builtin_systems_equal_the_literal_ones(mirror):
         assert system.longitude == cleared_equation(form, rhs)
     # in the same term order too, so Newton, the form residuals and l^2
     # add up the same floats in the same order as with the literal forms
-    derived = derivative_forms(spec)
-    for k, f in forms.items():
-        for side in ("num", "den"):
-            assert (list(getattr(derived[k], side).terms.items())
-                    == list(getattr(f, side).terms.items()))
+    _assert_same_term_order(derivative_forms(spec), forms)
     assert (list(potential._newton_system(spec)[0][0].terms.items())
             == list(cleared_equation(forms["x"], one).terms.items()))

@@ -20,7 +20,7 @@ from ajlab.errors import DomainError
 from ajlab.figure8 import p0_operator
 from ajlab.ore import DiscreteEvaluator
 from ajlab.poly import parse_poly
-from ajlab.potential import PotentialSpec, SaddleResult
+from ajlab.potential import PotentialSpec, SaddleResult, builtin_potential
 from ajlab.qhg import LinearForm, PochFactor, ProperQHTerm, QuadForm
 from ajlab.ratfun import RationalFunction
 
@@ -58,9 +58,8 @@ CASES = [
     (OperatorCurveComparison,
      ("match", "operator_poly", "candidate_poly", "unit"),
      (True, P("l - 1"), P("l - 1"), RationalFunction.one()), {}),
-    (PotentialSpec, ("kind", "name", "positive", "mirror"),
-     ("crossing", "figure8", False, True),
-     {"name": "figure8", "positive": True, "mirror": False}),
+    (PotentialSpec, ("name", "mirror"), ("crossing-", True),
+     {"mirror": False}),
     (SaddleResult,
      ("alpha", "coords", "residual", "phi", "im_phi", "l_squared",
       "iterations"),
@@ -125,9 +124,8 @@ def test_repr_names_every_field(cls, names, values, defaults):
 def test_repr_of_a_form():
     assert (repr(LinearForm.make({"n": 1}, 2))
             == "LinearForm(coeffs=(('n', 1),), const=2)")
-    assert (repr(PotentialSpec("builtin"))
-            == "PotentialSpec(kind='builtin', name='figure8', positive=True,"
-               " mirror=False)")
+    assert (repr(PotentialSpec("figure8"))
+            == "PotentialSpec(name='figure8', mirror=False)")
 
 
 @pytest.mark.parametrize("cls, names, values, defaults", CASES, ids=IDS)
@@ -169,10 +167,10 @@ def test_construction_checks_still_raise():
     with pytest.raises(DomainError, match="integer form"):
         ProperQHTerm(("n",), 1, (POCH,), QUAD,
                      sign=LinearForm.make({"n": Fraction(1, 2)}))
-    with pytest.raises(DomainError, match="unknown potential kind"):
+    with pytest.raises(DomainError, match="unknown potential 'knot'"):
         PotentialSpec("knot")
     with pytest.raises(DomainError, match="unknown builtin"):
-        PotentialSpec("builtin", name="trefoil")
+        builtin_potential("crossing+")
 
 
 def test_importing_the_package_skips_the_dataclass_machinery():
