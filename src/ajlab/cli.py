@@ -149,11 +149,18 @@ def _flag(doc: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _known(doc: dict, *keys: str) -> None:
+    """Refuse a descriptor key outside keys, naming it."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown key {unknown[0]!r} in the knot descriptor")
+
+
 def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
     """--knot as (potential name, mirror): a builtin name, or a JSON file
     with exactly one of {'builtin': name} and {'crossing': {'positive':
     b}}, 'mirror' optional at the top or in the crossing; a crossing's
-    'normalization' may only be 'so3'."""
+    'normalization' may only be 'so3', and no other key is allowed."""
     if name_or_path in builtin_names():
         return name_or_path, False
     path = pathlib.Path(name_or_path)
@@ -169,6 +176,7 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
             or len({"builtin", "crossing"} & set(doc)) != 1):
         raise DomainError("knot descriptor needs a 'builtin' or 'crossing' "
                           "key, and only one")
+    _known(doc, "builtin", "crossing", "mirror")
     mirror = _flag(doc, "mirror", False)
     if "builtin" in doc:
         if doc["builtin"] not in builtin_names():
@@ -177,6 +185,7 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
     c = doc["crossing"]
     if not isinstance(c, dict):
         raise DomainError("'crossing' must be an object")
+    _known(c, "positive", "mirror", "normalization")
     if c.get("normalization", "so3") != "so3":
         raise DomainError(f"unknown normalization {c['normalization']!r}: "
                           "a crossing is normalized as 'so3'")

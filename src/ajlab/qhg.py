@@ -1,31 +1,35 @@
-"""Proper q-hypergeometric summands and their exact shift ratios.
+"""Proper q-hypergeometric summands, their exact shift ratios and sums.
 
 A summand is a product of a sign, a q-power of a quadratic form in the
 integer arguments, and finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L)
 whose lengths L are integer linear forms.  The arguments are one color
-(``n`` or ``m``) plus lattice indices ``k1..k_nu``.  Form coefficients may
-be half-integers, but the q-exponent must be an integer at every integer
-point that is evaluated; a half-integer value is a DomainError.
+(``n`` or ``m``) plus lattice indices ``k1..k_nu``.  Form coefficients are
+int-or-Fraction canonical (`poly._coeff`) and may be half-integers, but the
+q-exponent must be an integer at every point evaluated; a half-integer
+value is a DomainError.
 
-At a point, each form is evaluated once and the Pochhammer factors cancel
-by index range before anything is multiplied: (1 - q^j) occurs to the net
-power m_j = #{numerator lengths >= j} - #{denominator lengths >= j}, and
-``eval_symbolic``/``eval_exact`` multiply only the factors with m_j != 0,
-on the side its sign picks; ``eval_exact`` does it in integers, as
-(b^j - a^j)^m_j for q = a/b, and builds one Fraction at the end.  For
-Habiro's figure-eight summand every m_j >= 0: nothing is left to cancel.
-Form coefficients are int-or-Fraction canonical, owned by `poly._coeff`
-(an int when integral), so integral forms evaluate in integers.
+``eval_exact``/``eval_symbolic`` evaluate each form once at a point and
+cancel the Pochhammer factors by index range: (1 - q^j) occurs to the net
+power #{numerator lengths >= j} - #{denominator lengths >= j}, and only
+nonzero powers are multiplied, in integers ((b^j - a^j)^m for q = a/b, one
+Fraction at the end) or as dense integer coefficient lists.
 
-Shifting one argument by an integer multiplies the summand by a rational
-function of q and of the exponentials of the arguments; ``shift_ratio``
-returns that ratio exactly, over the symbols
+Shifting one argument multiplies the summand by a rational function of q
+and of the exponentials n -> Q, m -> Qm, ki -> Qt_i: ``shift_ratio``
+returns it exactly, ``epsilon_ratio`` its q -> 1 limit (the
+``poly.limit_at_one`` that ``ore`` takes too).
 
-    n -> Q,  m -> Qm,  ki -> Qt_i
-
-``epsilon_ratio`` is the same ratio in the q -> 1 limit, with the
-exponential symbols kept.  The limit is ``poly.limit_at_one``, the one the
-operator side (``ore``) takes too.
+``lattice_sum`` adds a summand up over its support box, at a rational q or
+as a rational function of q.  Each row of the last lattice axis is
+evaluated in full at its first point only; every later point is the one
+before times the shift ratio, a sign, a q-power and a few (1 - q^j), whose
+forms are affine along the row and stepped as ints.  A run of steps keeps
+integer numerators over one shared denominator, or dense coefficient lists,
+and becomes one Fraction or RationalFunction.  A run restarts with a full
+evaluation where the term is zero or the ratio does not apply: the step
+leaves the support (a factor with j <= 0), changes the q-exponent by a
+half-integer, or has a zero factor (q in {0, +-1}).  So every value and
+every error is the one the point-by-point sum gives.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from operator import add, neg, sub
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
@@ -89,12 +94,6 @@ class LinearForm(Immutable):
         return (self.const.denominator == 1
                 and all(c.denominator == 1 for _, c in self.coeffs))
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        d = dict(self.coeffs)
-        for s, c in other.coeffs:
-            d[s] = d.get(s, 0) + c
-        return LinearForm.make(d, self.const + other.const)
-
 
 def _int_exponent(e: Scalar, var: str = "q") -> int:
     """e as an exponent of var: a DomainError unless e is an integer."""
@@ -117,10 +116,25 @@ def _affine_monomial(coeffs: Mapping[str, Scalar], const: Scalar,
     return LaurentMPoly.monomial(1, powers) if powers else LaurentMPoly.const(1)
 
 
-def _dense_q(coeffs: Sequence[int]) -> LaurentMPoly:
-    """sum coeffs[k] * q^k."""
+def _dense_q(coeffs: Sequence[int], low: int = 0) -> LaurentMPoly:
+    """sum coeffs[k] * q^(low + k)."""
     return LaurentMPoly._build(("q",),
-                               {(k,): c for k, c in enumerate(coeffs)})
+                               {(low + k,): c for k, c in enumerate(coeffs)})
+
+
+def _dense(p: LaurentMPoly) -> tuple[int, list]:
+    """(low, coeffs) with p = sum coeffs[k] * q^(low + k), p nonzero in q."""
+    low = p.min_degree("q")
+    coeffs = [0] * (p.degree("q") - low + 1)
+    for e, c in p.terms.items():
+        coeffs[sum(e) - low] = c  # e is () or (k,)
+    return low, coeffs
+
+
+def _times_one_minus(side: list, j: int) -> None:
+    """side *= 1 - q^j in place, on a dense coefficient list (j >= 1)."""
+    side.extend([0] * j)
+    side[j:] = map(sub, side[j:], side[:-j])
 
 
 class QuadForm(Immutable):
@@ -308,35 +322,12 @@ class ProperQHTerm(Immutable):
         num, den = [1], [1]
         for j, m in self._net_multiplicities(lengths).items():
             side = num if m > 0 else den
-            for _ in range(abs(m)):  # side *= 1 - q^j
-                side.extend([0] * j)
-                for k in range(len(side) - 1, j - 1, -1):
-                    side[k] -= side[k - j]
+            for _ in range(abs(m)):
+                _times_one_minus(side, j)
         if int(self.sign.value(env)) % 2:
             num = [-c for c in num]
         return RationalFunction(
-            _affine_monomial({}, self.quad.value(env)) * _dense_q(num),
-            _dense_q(den))
-
-    def mul(self, other: "ProperQHTerm") -> "ProperQHTerm":
-        """Product of summands over the same arguments."""
-        if self.colors != other.colors or self.nu != other.nu:
-            raise DomainError("summands have different arguments")
-        quad = dict(self.quad.quad)
-        for k, c in other.quad.quad:
-            quad[k] = quad.get(k, 0) + c
-        lin = dict(self.quad.lin.coeffs)
-        for s, c in other.quad.lin.coeffs:
-            lin[s] = lin.get(s, 0) + c
-        return ProperQHTerm(
-            colors=self.colors,
-            nu=self.nu,
-            poch=self.poch + other.poch,
-            quad=QuadForm.make(dict(quad), lin,
-                               self.quad.lin.const + other.quad.lin.const),
-            sign=self.sign + other.sign,
-            constraints=self.constraints + other.constraints,
-        )
+            _dense_q(num, _int_exponent(self.quad.value(env))), _dense_q(den))
 
 
 # -- shift ratios ----------------------------------------------------------
@@ -481,37 +472,32 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
     region is not certified bounded, the bounds still move after
     _SUPPORT_ROUNDS rounds, or an interval is wider than
     _SUPPORT_MAX_WIDTH."""
-    lo: dict[str, Optional[Fraction]] = {s: None for s in free}
-    hi: dict[str, Optional[Fraction]] = {s: None for s in free}
+    lo, hi = dict.fromkeys(free), dict.fromkeys(free)  # None: no bound yet
+    # each form as its value at the fixed symbols and its free terms
+    split = [(form.const + sum(c * fixed[s] for s, c in form.coeffs
+                               if s in fixed),
+              [(s, c) for s, c in form.coeffs if s in free and c != 0])
+             for form in forms]
     for _ in range(_SUPPORT_ROUNDS):
         changed = False
-        for form in forms:
-            base = form.const + sum(c * fixed[s] for s, c in form.coeffs
-                                    if s in fixed)
-            fc = [(s, c) for s, c in form.coeffs if s in free and c != 0]
+        for base, fc in split:
             for s, c in fc:
-                # c*s >= -base - sum of the other free parts' best case;
-                # a Fraction, so that the bound below is not int / int
-                rest = Fraction(0)
-                ok = True
+                # c*s >= -base - sum of the other free parts' best case
+                bound = -base
                 for s2, c2 in fc:
-                    if s2 == s:
-                        continue
-                    b = hi[s2] if c2 > 0 else lo[s2]
-                    if b is None:
-                        ok = False
-                        break
-                    rest += c2 * b
-                if not ok:
-                    continue
-                bound = -(base + rest) / c
-                if c > 0:
-                    if lo[s] is None or bound > lo[s]:
-                        lo[s] = bound
-                        changed = True
+                    if s2 != s:
+                        b = hi[s2] if c2 > 0 else lo[s2]
+                        if b is None:
+                            break
+                        bound -= c2 * b
                 else:
-                    if hi[s] is None or bound < hi[s]:
-                        hi[s] = bound
+                    # an int when c divides it, else a Fraction: not int / int
+                    bound = (bound // c if type(bound) is type(c) is int
+                             and not bound % c else Fraction(bound) / c)
+                    side = lo if c > 0 else hi
+                    old = side[s]
+                    if old is None or (bound > old if c > 0 else bound < old):
+                        side[s] = bound
                         changed = True
         if not changed:
             break
@@ -524,8 +510,7 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
             raise SupportError(
                 f"non-finite support: no bounds for {s} follow from the "
                 "factor lengths")
-        a = math.ceil(lo[s])
-        b = math.floor(hi[s])
+        a, b = math.ceil(lo[s]), math.floor(hi[s])
         if b - a > _SUPPORT_MAX_WIDTH:
             raise SupportError(
                 f"support width for {s} exceeds {_SUPPORT_MAX_WIDTH}")
@@ -533,19 +518,129 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
     return out
 
 
-def lattice_sum(term: ProperQHTerm, color_values: Sequence[int],
-                qval: Scalar) -> Fraction:
-    """Sum the summand over all lattice points in its support at fixed
-    colors.  The support must be certified bounded."""
-    fixed = dict(zip(term.colors, (int(x) for x in color_values)))
-    if len(fixed) != len(term.colors):
+class _ExactRun:
+    """A run of stepped points at q = a/b: the running term t / d and the
+    partial sum s / d, in integers over one shared denominator d."""
+
+    def __init__(self, q: Fraction, v: Fraction):
+        self.a, self.b, self.d = q.numerator, q.denominator, v.denominator
+        self.t = self.s = v.numerator
+
+    def step(self, flip: int, e: int, up: list, down: list) -> bool:
+        """t *= (-1)^flip q^e prod_up (1 - q^j) / prod_down (1 - q^j), then
+        s += t; False, with nothing changed, when a factor is zero."""
+        a, b = self.a, self.b
+        ups = [b ** j - a ** j for j in up]
+        downs = [b ** j - a ** j for j in down]
+        if (e and not a) or not all(ups) or not all(downs):
+            return False
+        bpow = e + sum(up) - sum(down)  # the power of b under the bar
+        num = math.prod(ups) * a ** max(e, 0) * b ** max(-bpow, 0)
+        den = math.prod(downs) * a ** max(-e, 0) * b ** max(bpow, 0)
+        self.t *= -num if flip else num
+        self.s = self.s * den + self.t
+        self.d *= den
+        return True
+
+    def value(self) -> Fraction:
+        return Fraction(self.s, self.d)
+
+
+class _SymbolicRun:
+    """A run of stepped points in q: the running term q^e t / d and the
+    partial sum q^se s / d, dense integer coefficient lists over one d."""
+
+    def __init__(self, v: RationalFunction):
+        # a canonical denominator has no monomial content: its low is 0
+        self.e, self.t = _dense(v.num)
+        self.se, self.s, self.d = self.e, list(self.t), _dense(v.den)[1]
+
+    def step(self, flip: int, e: int, up: list, down: list) -> bool:
+        t, s = self.t, self.s
+        if flip:
+            t[:] = map(neg, t)
+        for j in up:
+            _times_one_minus(t, j)
+        for j in down:
+            _times_one_minus(self.d, j)
+            _times_one_minus(s, j)
+        self.e += e
+        shift = self.e - self.se
+        if shift < 0:
+            s[:0] = [0] * -shift
+            self.se, shift = self.e, 0
+        end = shift + len(t)
+        s.extend([0] * (end - len(s)))
+        s[shift:end] = map(add, s[shift:end], t)
+        return True
+
+    def value(self) -> RationalFunction:
+        return RationalFunction(_dense_q(self.s, self.se), _dense_q(self.d))
+
+
+@cache
+def _row_step(term: ProperQHTerm) -> tuple:
+    """A step k_nu -> k_nu + 1 along a support row, read off the forms: the
+    support forms, their slopes, the moving Pochhammer factors (index,
+    slope, under the bar), the q-exponent's change and its slope, the flip."""
+    sym = _lattice_sym(term.nu)
+    forms = term.support_forms()
+    slopes = tuple(f.coeff(sym) for f in forms)
+    moving = tuple((i, slopes[i], f.denom) for i, f in enumerate(term.poch)
+                   if slopes[i])
+    delta = LinearForm.make(*term.quad.shift_delta(sym, 1))
+    return (forms, slopes, moving, delta, delta.coeff(sym),
+            term.sign.coeff(sym) % 2)
+
+
+def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
+                qval: Optional[Scalar] = None
+                ) -> Union[Fraction, RationalFunction]:
+    """Sum the summand over its support at fixed colors, which must be
+    certified bounded: the exact value at q = qval, or with qval None the
+    rational function of q.  Each row of the last lattice axis is walked by
+    its shift ratio, restarting as the module docstring says."""
+    colors = tuple(colors)
+    if len(colors) != len(term.colors):
         raise DomainError("wrong number of colors")
-    free = [_lattice_sym(i + 1) for i in range(term.nu)]
-    box = support_box(term.support_forms(), fixed, free)
-    colors = tuple(color_values)
-    return sum((term.eval_exact(colors + point, qval) for point in
-                itertools.product(*(range(a, b + 1) for a, b in box))),
-               Fraction(0))
+    box = support_box(term.support_forms(), dict(zip(term.colors, colors)),
+                      [_lattice_sym(i + 1) for i in range(term.nu)])
+    if qval is None:
+        total, evaluate, run = (RationalFunction.zero(), term.eval_symbolic,
+                                _SymbolicRun)
+    else:
+        q = Fraction(qval)
+        total, evaluate = Fraction(0), partial(term.eval_exact, qval=q)
+        run = partial(_ExactRun, q)
+    if not box:
+        return total + evaluate(colors)
+    lo, hi = box[-1]
+    for head in itertools.product(*(range(a, b + 1) for a, b in box[:-1])):
+        cur = None  # the run at point k, then stepped to k + 1
+        for k in range(lo, hi):
+            if cur is None:
+                pt = colors + head + (k,)
+                v = evaluate(pt)
+                if not v:
+                    continue
+                forms, slopes, moving, delta, dslope, flip = _row_step(term)
+                cur, env = run(v), term._env(pt)
+                vals, e = [f.value(env) for f in forms], delta.value(env)
+            nxt = [x + d for x, d in zip(vals, slopes)]
+            up, down = [], []
+            for i, d, denom in moving:
+                js = range(min(vals[i], nxt[i]) + 1, max(vals[i], nxt[i]) + 1)
+                (up if (d > 0) != denom else down).extend(js)
+            if (min(nxt) >= 0 and e.denominator == 1
+                    and cur.step(flip, int(e), up, down)):
+                vals, e = nxt, e + dslope
+            else:
+                total += cur.value()
+                cur = None
+        if lo <= hi:
+            total += (cur.value() if cur is not None
+                      else evaluate(colors + head + (hi,)))
+    return total
 
 
 def jones_symbolic(n: int) -> LaurentMPoly:
@@ -553,15 +648,10 @@ def jones_symbolic(n: int) -> LaurentMPoly:
     Laurent polynomial in q."""
     if n < 1:
         raise DomainError("color must be a positive integer")
-    f = habiro_figure_eight()
-    acc = RationalFunction.zero()
-    for i in range(0, n):
-        acc = acc + f.eval_symbolic((n, i))
-    return acc.as_polynomial()
+    return lattice_sum(habiro_figure_eight(), (n,)).as_polynomial()
 
 
 def jones_eval(n: int, qval: Scalar) -> Fraction:
     if n < 1:
         raise DomainError("color must be a positive integer")
-    f = habiro_figure_eight()
-    return sum((f.eval_exact((n, i), qval) for i in range(0, n)), Fraction(0))
+    return lattice_sum(habiro_figure_eight(), (n,), qval)

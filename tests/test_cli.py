@@ -319,7 +319,12 @@ def test_bad_knot_descriptors(run, tmp_path):
              ({"builtin": "crossing"}, "unknown built-in knot 'crossing'"),
              ({"mirror": True}, "needs a 'builtin' or 'crossing' key"),
              ({"builtin": "figure8", "crossing": {"positive": True}},
-              "needs a 'builtin' or 'crossing' key, and only one")]
+              "needs a 'builtin' or 'crossing' key, and only one"),
+             # a misspelled key is refused, not dropped
+             ({"builtin": "figure8", "mirorr": True},
+              "unknown key 'mirorr' in the knot descriptor"),
+             ({"crossing": {"positiv": False}},
+              "unknown key 'positiv' in the knot descriptor")]
     # 'positive' and 'mirror' are JSON booleans, at the top and nested
     for bad in ("false", "true", 0, 1, None, [True]):
         cases += [({"builtin": "figure8", "mirror": bad},

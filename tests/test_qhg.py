@@ -125,6 +125,31 @@ def literal_exact(term, point, qv):
     return val
 
 
+def add_forms(f, g):
+    """The linear form f + g."""
+    d = dict(f.coeffs)
+    for s, c in g.coeffs:
+        d[s] = d.get(s, 0) + c
+    return LinearForm.make(d, f.const + g.const)
+
+
+def mul(a, b):
+    """The product of two summands over the same arguments."""
+    if a.colors != b.colors or a.nu != b.nu:
+        raise DomainError("summands have different arguments")
+    quad = dict(a.quad.quad)
+    for k, c in b.quad.quad:
+        quad[k] = quad.get(k, 0) + c
+    lin = dict(a.quad.lin.coeffs)
+    for s, c in b.quad.lin.coeffs:
+        lin[s] = lin.get(s, 0) + c
+    return ProperQHTerm(
+        colors=a.colors, nu=a.nu, poch=a.poch + b.poch,
+        quad=QuadForm.make(quad, lin, a.quad.lin.const + b.quad.lin.const),
+        sign=add_forms(a.sign, b.sign),
+        constraints=a.constraints + b.constraints)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -518,7 +543,7 @@ class TestLatticeSummation:
     def test_sum_matches_direct(self):
         f = habiro_figure_eight()
         for n in range(1, 6):
-            assert lattice_sum(f, (n,), 3) == jones_eval(n, 3)
+            assert lattice_sum(f, (n,), 3) == habiro_sum(n, 3)
 
     def test_single_crossing_has_unbounded_support(self):
         r = build_crossing(True)
@@ -556,6 +581,169 @@ class TestLatticeSummation:
             support_box(forms(cap + 1), {}, ["k1"])
 
 
+def per_point_sum(term, colors, qval=None):
+    """The oracle for `lattice_sum`: every point of the support box
+    evaluated on its own and added up, exactly or as rational functions
+    of q."""
+    free = [f"k{i + 1}" for i in range(term.nu)]
+    box = support_box(term.support_forms(), dict(zip(term.colors, colors)),
+                      free)
+    points = [tuple(colors) + pt for pt in
+              itertools.product(*(range(a, b + 1) for a, b in box))]
+    if qval is None:
+        total = RationalFunction.zero()
+        for pt in points:
+            total = total + term.eval_symbolic(pt)
+        return total
+    return sum((term.eval_exact(pt, qval) for pt in points), Fraction(0))
+
+
+def twist_knot(p):
+    """Masbaum's summand for the twist knot K_p over the lattice indices
+    k = k1 and l = k2; K_-1 is the figure-eight."""
+    L = LinearForm.make
+    num = [L({"n": 1, "k1": 1}), L({"n": 1}, -1), L({"k2": 2}, 1),
+           L({"k1": 1})]
+    den = [L({"n": 1}), L({"n": 1, "k1": -1}, -1), L({"k2": 2}),
+           L({"k1": 1, "k2": 1}, 1), L({"k1": 1, "k2": -1})]
+    half = Fraction(1, 2)
+    return ProperQHTerm(
+        colors=("n",), nu=2,
+        poch=tuple([PochFactor(f) for f in num]
+                   + [PochFactor(f, denom=True) for f in den]),
+        quad=QuadForm.make({("k1", "k1"): half, ("n", "k1"): -1,
+                            ("k2", "k2"): p + half},
+                           {"k1": 3 * half, "k2": p - half}),
+        sign=L({"k1": 1, "k2": 1}),
+        constraints=(L({"k1": 1}), L({"k2": 1})))
+
+
+def half_exponent():
+    """q^(k1^2/2) on 0 <= k1 <= 3: a half-integer exponent at k1 = 1."""
+    return ProperQHTerm(
+        colors=("n",), nu=1, poch=(),
+        quad=QuadForm.make({("k1", "k1"): Fraction(1, 2)}),
+        constraints=(LinearForm.make({"k1": 1}),
+                     LinearForm.make({"k1": -1}, 3)))
+
+
+def triangle():
+    """A nu = 2 summand whose rows end at k2 = k1 by a constraint alone,
+    inside the support box."""
+    L = LinearForm.make
+    return ProperQHTerm(
+        colors=("n",), nu=2,
+        poch=(PochFactor(L({"n": 1, "k1": -1}, -1)),
+              PochFactor(L({"n": 1, "k2": -1}, -1))),
+        quad=QuadForm.make({("k1", "k2"): 1}, {"k2": -2}),
+        sign=L({"k2": 1}),
+        constraints=(L({"k1": 1}), L({"k2": 1}), L({"k1": 1, "k2": -1})))
+
+
+def pole_ahead():
+    """q^(n k1) / (q)_k1 on 0 <= k1 <= n: finite at k1 = 0 for every q,
+    a pole further along the row at q = 1 and q = -1."""
+    return ProperQHTerm(
+        colors=("n",), nu=1,
+        poch=(PochFactor(LinearForm.make({"k1": 1}), denom=True),),
+        quad=QuadForm.make({("n", "k1"): 1}),
+        constraints=(LinearForm.make({"n": 1, "k1": -1}),))
+
+
+def error_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+# summands with their colors: one row (nu = 1), rows that leave the
+# support inside the box by a Pochhammer length or by a constraint
+# (nu = 2), a pole along the row, and nothing to step (nu = 0)
+STEPPED = ([(habiro_figure_eight(), n) for n in range(1, 9)]
+           + [(trefoil(), n) for n in range(1, 7)]
+           + [(twist_knot(p), n) for p in (-2, -1, 1, 2) for n in range(1, 7)]
+           + [(triangle(), n) for n in (1, 4)] + [(pole_ahead(), 3)]
+           + [(ProperQHTerm(colors=("n",), nu=0,
+                            poch=(PochFactor(LinearForm.make({"n": 1})),),
+                            quad=QuadForm.make({("n", "n"): 1})), 3)])
+
+
+class TestSteppedSum:
+    """`lattice_sum` walks each support row by its shift ratio; the
+    per-point sum is its oracle."""
+
+    def test_figure_eight_matches_the_per_point_sum(self):
+        rng = random.Random(19)
+        f = habiro_figure_eight()
+        for n in range(1, 26):
+            for _ in range(3):
+                a, b = rng.sample(range(1, 41), 2)  # never q = +-1
+                qv = Fraction(rng.choice((-a, a)), b)
+                got = lattice_sum(f, (n,), qv)
+                assert type(got) is Fraction
+                assert got == per_point_sum(f, (n,), qv)
+
+    @pytest.mark.parametrize("idx", range(len(STEPPED)))
+    def test_exact_matches_the_per_point_sum(self, idx):
+        term, n = STEPPED[idx]
+        rng = random.Random(4000 + idx)
+        for qv in (random_rational(rng) or Fraction(1, 2), Fraction(-3, 2),
+                   Fraction(5, 7)):
+            got = error_or_value(lattice_sum, term, (n,), qv)
+            assert type(got) in (Fraction, tuple)
+            assert got == error_or_value(per_point_sum, term, (n,), qv), qv
+
+    @pytest.mark.parametrize("idx", range(len(STEPPED)))
+    def test_symbolic_matches_the_per_point_sum(self, idx):
+        term, n = STEPPED[idx]
+        got = lattice_sum(term, (n,))
+        assert type(got) is RationalFunction
+        assert got == per_point_sum(term, (n,))
+        # the rational function of q takes the exact mode's values
+        for qv in (Fraction(2), Fraction(-5, 3)):
+            assert got.eval_exact({"q": qv}) == lattice_sum(term, (n,), qv)
+
+    @pytest.mark.parametrize("qv", (0, 1, -1))
+    def test_errors_match_the_per_point_sum(self, qv):
+        # q = 0, 1 and -1 make a ratio factor vanish or a power of q
+        # singular, so the walk restarts and raises what the per-point
+        # sum raises, with the same message, or gives the same value
+        seen = set()
+        for term, n in STEPPED + [(half_exponent(), 0)]:
+            got = error_or_value(lattice_sum, term, (n,), qv)
+            assert got == error_or_value(per_point_sum, term, (n,), qv)
+            seen.add(got[0] if type(got) is tuple else Fraction)
+        assert len(seen) >= 2
+        with pytest.raises(DomainError) as info:
+            lattice_sum(half_exponent(), (0,))
+        assert str(info.value) == "exponent 1/2 of q is not an integer"
+
+    def test_twist_knot_minus_one_is_the_figure_eight(self):
+        for n in range(1, 7):
+            assert (lattice_sum(twist_knot(-1), (n,))
+                    == RationalFunction(jones_symbolic(n), P("1")))
+
+    def test_one_full_evaluation_per_run(self, monkeypatch):
+        # the figure-eight's one row is walked from its first point; a
+        # twist-knot row k leaves the support after l = k, and each point
+        # past it restarts with a full evaluation
+        calls = []
+        original = ProperQHTerm.eval_exact
+
+        def counted(self, point, qval):
+            calls.append(point)
+            return original(self, point, qval)
+
+        monkeypatch.setattr(ProperQHTerm, "eval_exact", counted)
+        jones_eval(12, Fraction(3, 2))
+        assert calls == [(12, 0)]
+        calls.clear()
+        lattice_sum(twist_knot(1), (4,), 3)
+        assert calls == [(4, k, l) for k in range(4)
+                         for l in [0] + list(range(k + 1, 4))]
+
+
 class TestAlgebra:
     def test_builtin_summand_is_shared_and_frozen(self):
         f = habiro_figure_eight()
@@ -575,13 +763,13 @@ class TestAlgebra:
     def test_mul_concatenates(self):
         a = habiro_figure_eight()
         b = habiro_figure_eight()
-        ab = a.mul(b)
+        ab = mul(a, b)
         assert ab.eval_exact((3, 1), 2) == a.eval_exact((3, 1), 2) ** 2
         assert shift_ratio(ab, "E") == shift_ratio(a, "E") ** 2
 
     def test_mul_needs_same_arguments(self):
         with pytest.raises(DomainError):
-            habiro_figure_eight().mul(build_crossing(True))
+            mul(habiro_figure_eight(), build_crossing(True))
 
     def test_point_arity_checked(self):
         with pytest.raises(DomainError):
@@ -645,7 +833,7 @@ class TestFormCoefficients:
         # the same form from Fraction inputs: equal and hashed alike
         g = LinearForm.make(as_fractions(coeffs), Fraction(const))
         assert f == g and hash(f) == hash(g)
-        h = f + LinearForm.make(*other)
+        h = add_forms(f, LinearForm.make(*other))
         assert_canonical_form(h)
         assert h.value(env) == v + lin_oracle(*other, env)
 
@@ -717,6 +905,26 @@ class TestFormCoefficients:
                  LinearForm.make({"k1": Fraction(-1, 2), "n": 1},
                                  Fraction(1, 2))]
         assert support_box(forms, {"n": 4}, ["k1"]) == [(3, 9)]
+        # a bound that is not an integer goes through a Fraction: a
+        # half-integer coefficient, a half-integer constant, an int
+        # coefficient that does not divide, and two free symbols sharing
+        # a half-integer constraint; an exact quotient stays an int
+        half = Fraction(1, 2)
+        L = LinearForm.make
+        rows = [([L({"k1": half}, -half), L({"k1": -half, "n": half})],
+                 {"n": 6}, ["k1"], [(1, 6)]),
+                ([L({"k1": 1}, half), L({"k1": -1}, 5 * half)],
+                 {}, ["k1"], [(0, 2)]),
+                ([L({"k1": 2}, -3), L({"k1": -2}, 9)], {}, ["k1"], [(2, 4)]),
+                ([L({"k1": 1}), L({"k2": 1}),
+                  L({"k1": -half, "k2": -half, "n": half}, half)],
+                 {"n": 2}, ["k1", "k2"], [(0, 3), (0, 3)]),
+                ([L({"k1": 2}, -4), L({"k1": -3}, 12)], {}, ["k1"],
+                 [(2, 4)])]
+        for forms, fixed, free, want in rows:
+            box = support_box(forms, fixed, free)
+            assert box == want, forms
+            assert all(type(x) is int for pair in box for x in pair)
 
     def test_dense_q_is_canonical(self):
         assert _dense_q([1]) == LaurentMPoly.const(1)
@@ -732,7 +940,7 @@ class TestFormCoefficients:
         # a crossing times q^(k1^2/2): its exponent is a half-integer at odd
         # k1, which the evaluators refuse as the oracle does
         crossing = build_crossing(positive)
-        term = crossing.mul(ProperQHTerm(
+        term = mul(crossing, ProperQHTerm(
             colors=crossing.colors, nu=crossing.nu, poch=(),
             quad=QuadForm.make({("k1", "k1"): Fraction(1, 2)})))
         rng = random.Random(3000 + positive)
