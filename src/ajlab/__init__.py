@@ -31,9 +31,8 @@ _EXPORTS = {
                "SingularityError", "SupportError"),
     "figure8": ("a_polynomial_nonabelian", "builtin_names", "cubic_operator",
                 "jones_evaluator", "p0_operator", "recurrence_report"),
-    "ore": ("DiscreteEvaluator", "OreOperator", "epsilon_eval_with_unit",
-            "expand_at_one", "format_operator", "ore_apply", "ore_mul",
-            "telescope_sum_check"),
+    "ore": ("OreOperator", "epsilon_eval_with_unit", "expand_at_one",
+            "format_operator", "ore_apply", "ore_mul"),
     "poly": ("LaurentMPoly", "format_poly", "parse_poly", "poly_gcd",
              "poly_lcm", "resultant", "squarefree_part"),
     "potential": ("PotentialSpec", "SaddleResult", "asymptotic_check",

@@ -31,6 +31,7 @@ from .figure8 import (
 from .ore import ore_apply
 from .poly import format_poly, parse_poly
 from .potential import (
+    _MAX_ITER,
     PotentialSpec,
     asymptotic_check,
     prop_comp_check,
@@ -50,9 +51,17 @@ from .ratfun import format_ratfun
 
 # -- argument parsing ------------------------------------------------------
 
-# the most values one --n / --ns accepts; a range 'a..b' is checked
+# the most values one --n / --ns / --q accepts; a range 'a..b' is checked
 # against it before it is expanded
 MAX_VALUES = 100
+
+
+def _check_count(text: str, count: int) -> None:
+    if count < 1:
+        raise click.BadParameter(f"no values in {text!r}")
+    if count > MAX_VALUES:
+        raise click.BadParameter(
+            f"{count} values in {text!r}; at most {MAX_VALUES} are accepted")
 
 
 def _parse_ints(ctx, param, text: str) -> list[int]:
@@ -69,11 +78,7 @@ def _parse_ints(ctx, param, text: str) -> list[int]:
         raise click.BadParameter(
             f"{text!r} is neither a range 'a..b' nor a list 'a,b,c' of "
             "integers") from None
-    if count < 1:
-        raise click.BadParameter(f"no values in {text!r}")
-    if count > MAX_VALUES:
-        raise click.BadParameter(
-            f"{count} values in {text!r}; at most {MAX_VALUES} are accepted")
+    _check_count(text, count)
     return list(range(lo, hi + 1)) if ".." in text else vals
 
 
@@ -92,8 +97,7 @@ def _parse_rationals(ctx, param, text):
         return None
     vals = [_parse_rational(ctx, param, x) for x in text.split(",")
             if x.strip()]
-    if not vals:
-        raise click.BadParameter(f"no values in {text!r}")
+    _check_count(text, len(vals))
     return vals
 
 
@@ -312,8 +316,8 @@ def main():
               help=f"Color range '1..8' or list '1,2,5', at most "
                    f"{MAX_VALUES} colors.")
 @click.option("--q", "qs", default=None, callback=_parse_rationals,
-              help="Evaluate at these rationals (comma separated) instead "
-                   "of printing coefficients.")
+              help=f"Evaluate at these rationals (comma separated, at most "
+                   f"{MAX_VALUES}) instead of printing coefficients.")
 @_output_options
 def jones(ns, qs, fmt, out):
     """Colored Jones values of the figure-eight knot."""
@@ -485,7 +489,7 @@ def ajcheck(ctx, opname, fmt, out):
               help="Initial coordinates: 're,im' entries joined by ';', "
                    "or '@file.json'.  Defaults to the builtin seed.")
 @click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--max-iter", type=click.IntRange(min=1), default=100,
+@click.option("--max-iter", type=click.IntRange(1, _MAX_ITER), default=100,
               show_default=True)
 @_output_options
 def saddle(knot, alpha, start, tol, max_iter, fmt, out):

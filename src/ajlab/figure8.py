@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .ore import DiscreteEvaluator, OreOperator, ore_apply, ore_mul
+from .ore import OreOperator, SequenceFn, ore_apply, ore_mul
 from .poly import LaurentMPoly, parse_poly, poly_lcm
 from .qhg import jones_eval, jones_symbolic
 from .ratfun import RationalFunction, parse_ratfun as _rf
@@ -97,14 +97,14 @@ def _jones_cached(n: int, qval: Fraction) -> Fraction:
     return jones_eval(n, qval)
 
 
-def jones_evaluator() -> DiscreteEvaluator:
-    """The full sum J(n) as a sequence evaluator (zero for n < 1)."""
-    return DiscreteEvaluator(
-        1,
-        lambda pt, qv: _jones_cached(pt[0], Fraction(qv)),
-        support=lambda pt: pt[0] >= 1,
-        name="figure-eight sum",
-    )
+def jones_evaluator() -> SequenceFn:
+    """The full sum as a sequence: J(n) at the point (n,), 0 for n < 1."""
+    def jones(point: tuple[int, ...], qval: Fraction) -> Fraction:
+        if len(point) != 1:
+            raise DomainError(f"the full sum takes one color, got {point}")
+        n = point[0]
+        return _jones_cached(n, Fraction(qval)) if n >= 1 else Fraction(0)
+    return jones
 
 
 SAMPLE_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7),

@@ -11,9 +11,9 @@ only non-commutativity is
 Multiplication therefore acts on coefficient monomials as a pure shift of
 the q-exponent, which keeps every operation exact.
 
-Operators act on functions of an integer point ``(n, k1..knu)``: ``E``
-advances ``n`` by one, ``Eti`` advances ``ki`` by one, and ``Q`` evaluates
-to ``q**n`` (lattice coordinates to ``q**ki``).
+Operators act on sequences, plain functions ``f(point, q) -> Fraction`` of
+an integer point ``(n, k1..knu)``.  ``E`` advances ``n`` by one, ``Eti``
+advances ``ki`` by one, ``Q`` evaluates to ``q**n`` and ``Qti`` to ``q**ki``.
 
 ``epsilon_eval_with_unit`` takes the q -> 1 limit of a lattice-free
 operator with ``poly.limit_at_one`` and fixes its scale with
@@ -24,16 +24,17 @@ they produce are compared under one convention.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
 from .poly import Immutable, LaurentMPoly, exact_divide, limit_at_one, \
     poly_lcm, signed_content
+from .qhg import _int_point
 from .ratfun import RationalFunction, as_ratfun, format_ratfun
 
 RFLike = Union[RationalFunction, LaurentMPoly, int, Fraction]
+SequenceFn = Callable[[tuple[int, ...], Fraction], Fraction]
 
 
 def _lattice_var(i: int) -> str:
@@ -191,50 +192,17 @@ def ore_mul(a: OreOperator, b: OreOperator) -> OreOperator:
 
 # -- action on sequences ---------------------------------------------------
 
-class DiscreteEvaluator(Immutable):
-    """Exact function of an integer point, with optional support predicate.
-
-    ``fn(point, qval)`` returns a Fraction; outside ``support`` the value
-    is zero without calling ``fn``.
-    """
-
-    __slots__ = ("arity", "fn", "support", "name")
-
-    def __init__(self, arity: int,
-                 fn: Callable[[tuple[int, ...], Fraction], Fraction],
-                 support: Optional[Callable[[tuple[int, ...]], bool]] = None,
-                 name: str = ""):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "name", name)
-
-    def __call__(self, point: Sequence[int], qval: Fraction) -> Fraction:
-        point = tuple(int(x) for x in point)
-        if len(point) != self.arity:
-            raise DomainError(
-                f"{self.name or 'evaluator'} expects {self.arity} "
-                f"arguments, got {len(point)}")
-        if self.support is not None and not self.support(point):
-            return Fraction(0)
-        return self.fn(point, qval)
-
-
-def ore_apply(p: OreOperator, f: DiscreteEvaluator, point: Sequence[int],
+def ore_apply(p: OreOperator, f: SequenceFn, point: Sequence[int],
               qval: Union[int, Fraction]) -> Fraction:
-    """Apply the operator to a sequence at an integer point, exactly."""
-    point = tuple(int(x) for x in point)
+    """Apply the operator to the sequence f at an integer point, exactly."""
+    point = _int_point(point)
     if len(point) != p.nu + 1:
         raise DomainError(
             f"point {point} does not match operator with nu={p.nu}")
-    if f.arity != p.nu + 1:
-        raise DomainError(
-            f"evaluator arity {f.arity} does not match operator nu={p.nu}")
     qval = Fraction(qval)
-    values = {"Q": qval ** point[0]}
-    for i in range(p.nu):
-        values[_lattice_var(i + 1)] = qval ** point[i + 1]
-    values["q"] = qval
+    values = {"Q": qval ** point[0], "q": qval}
+    values.update((_lattice_var(i), qval ** k)
+                  for i, k in enumerate(point[1:], 1))
     total = Fraction(0)
     for e, c in p.terms.items():
         try:
@@ -301,40 +269,6 @@ def expand_at_one(p: OreOperator) -> tuple[OreOperator, list[OreOperator]]:
     if acc != p:
         raise DomainError("internal: centred split failed to reconstruct")
     return p0, rs
-
-
-def telescope_sum_check(p0: OreOperator, rs: Sequence[OreOperator],
-                        f: DiscreteEvaluator, n: int,
-                        bounds: Sequence[tuple[int, int]],
-                        qval: Union[int, Fraction]) -> Fraction:
-    """Residual of the telescoped sum over a box.
-
-    With G(n) the box sum of f(n, .), returns
-
-        (p0 . G)(n)  +  sum_i  sum over the top face (ki = hi_i + 1)
-                              of (r_i . f)(n, k)
-
-    which collapses to the bottom-face contribution when the certificate
-    is exact and the top face leaves the support.
-    """
-    if len(bounds) != p0.nu or p0.nu == 0:
-        raise DomainError("bounds must give (lo, hi) per lattice direction")
-    qval = Fraction(qval)
-
-    def g_fn(pt, qv):
-        (m,) = pt
-        box = itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
-        return sum((f((m,) + k, qv) for k in box), Fraction(0))
-
-    g = DiscreteEvaluator(1, g_fn, name="box-sum")
-    p0_seq = OreOperator(0, {(e[0],): c for e, c in p0.terms.items()})
-    total = ore_apply(p0_seq, g, (n,), qval)
-    for i, r in enumerate(rs, start=1):
-        face = [range(lo, hi + 1) for lo, hi in bounds]
-        face[i - 1] = (bounds[i - 1][1] + 1,)
-        for k in itertools.product(*face):
-            total += ore_apply(r, f, (n,) + k, qval)
-    return total
 
 
 # -- q -> 1 limit ----------------------------------------------------------

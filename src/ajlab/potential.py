@@ -96,6 +96,7 @@ _TERMS = {
 }
 # the builtin potentials, each with its default Newton start
 _BUILTIN_STARTS = {"figure8": 0.5 + 0.8j}
+_MAX_ITER = 10000  # most Newton iterations a solve may ask for
 
 
 def _log(z: complex, what: str) -> complex:
@@ -396,8 +397,8 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
     """Newton iteration for a saddle of the potential at fixed alpha.
 
     A builtin starts at x = 0.5 + 0.8i, near the unit circle, when no
-    start is given; a crossing has no default start.  A tol that is not
-    positive and finite, or a max_iter below 1, is a DomainError.
+    start is given; a crossing has no default start.  A tol not positive
+    and finite, or a max_iter not an int in 1.._MAX_ITER, is a DomainError.
 
     Runs on the cleared gluing polynomials with their exact Jacobian, then
     re-checks the rational forms themselves (clearing can introduce
@@ -419,8 +420,9 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
         start = _BUILTIN_STARTS[spec.name]
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol = {tol} is not positive and finite")
-    if max_iter < 1:
-        raise DomainError(f"max_iter = {max_iter} is below 1")
+    if type(max_iter) is not int or not 1 <= max_iter <= _MAX_ITER:
+        raise DomainError(f"max_iter = {max_iter!r} is below 1, above "
+                          f"{_MAX_ITER} or not an int")
     a = complex(alpha)
     w = _coerce_coords(spec, start)
     if not cmath.isfinite(a):

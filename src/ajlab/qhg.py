@@ -38,7 +38,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache, partial
-from operator import add, neg, sub
+from operator import add, index, neg, sub
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
@@ -100,6 +100,15 @@ def _int_exponent(e: Scalar, var: str = "q") -> int:
     if e.denominator != 1:
         raise DomainError(f"exponent {e} of {var} is not an integer")
     return int(e)
+
+
+def _int_point(point: Sequence[int]) -> tuple[int, ...]:
+    """The point as ints; 2.5, and also 2.0 or Fraction(4), is refused."""
+    try:
+        return tuple(map(index, point))
+    except TypeError:
+        raise DomainError(
+            f"point {tuple(point)} has a non-integer entry") from None
 
 
 def _affine_monomial(coeffs: Mapping[str, Scalar], const: Scalar,
@@ -239,7 +248,7 @@ class ProperQHTerm(Immutable):
         if len(point) != len(syms):
             raise DomainError(
                 f"point {tuple(point)} does not match arguments {syms}")
-        return dict(zip(syms, map(int, point)))
+        return dict(zip(syms, _int_point(point)))
 
     # -- support -----------------------------------------------------------
 
@@ -600,7 +609,7 @@ def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
     certified bounded: the exact value at q = qval, or with qval None the
     rational function of q.  Each row of the last lattice axis is walked by
     its shift ratio, restarting as the module docstring says."""
-    colors = tuple(colors)
+    colors = _int_point(colors)
     if len(colors) != len(term.colors):
         raise DomainError("wrong number of colors")
     box = support_box(term.support_forms(), dict(zip(term.colors, colors)),

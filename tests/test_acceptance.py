@@ -25,14 +25,7 @@ from ajlab.figure8 import (
     p_full,
     recurrence_report,
 )
-from ajlab.ore import (
-    DiscreteEvaluator,
-    OreOperator,
-    expand_at_one,
-    ore_apply,
-    ore_mul,
-    telescope_sum_check,
-)
+from ajlab.ore import OreOperator, expand_at_one, ore_apply, ore_mul
 from ajlab.poly import LaurentMPoly, parse_poly, resultant
 from ajlab.potential import builtin_potential, prop_comp_check, solve_saddle, volume
 from ajlab.qhg import habiro_figure_eight, shift_ratio
@@ -220,7 +213,7 @@ def _random_operator(rng):
     return OreOperator(0, terms)
 
 
-def test_criterion_09_property_batteries(capsys):
+def test_criterion_09_property_batteries(capsys, telescope_sum_check):
     rng = random.Random(20260822)
     failures = []
 
@@ -251,7 +244,7 @@ def test_criterion_09_property_batteries(capsys):
 
     # shift ratios against direct summand quotients
     term = habiro_figure_eight()
-    sev = DiscreteEvaluator(2, term.eval_exact)
+    sev = term.eval_exact
     ratio_cases = 0
     steps = {"E": (1, 0), "Em": (2, 0), "Et1": (0, 1)}
     for which, (dn, di) in steps.items():

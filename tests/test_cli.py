@@ -160,6 +160,9 @@ def test_exit_codes(run):
     ("saddle", "--max-iter", "0"),
     ("volume", "--alpha", "-1,x"),
     ("volume", "--start", "0.5;1,2,3"),
+    ("jones", "--n", "2", "--q", ",".join(["2"] * (MAX_VALUES + 1))),
+    ("saddle", "--max-iter", "10001"),
+    ("saddle", "--max-iter", "1000000000"),
 ])
 def test_malformed_values_are_usage_errors(run, args):
     res = run(*args)
@@ -216,6 +219,14 @@ def test_range_length_limit(run):
     res = run("asympt", "--ns", f"100..{100 + MAX_VALUES}")
     assert res.exit_code == 2
     res = run("jones", "--n", ",".join(["1"] * MAX_VALUES), "--q", "2")
+    assert res.exit_code == 0
+    assert res.output.count("= 1\n") == MAX_VALUES
+    # --q takes as many values as --n, counted the same way
+    res = run("jones", "--n", "1", "--q", ",".join(["2"] * (MAX_VALUES + 1)))
+    assert res.exit_code == 2
+    assert f"{MAX_VALUES + 1} values in" in res.output
+    assert f"at most {MAX_VALUES}" in res.output
+    res = run("jones", "--n", "1", "--q", ",".join(["2"] * MAX_VALUES))
     assert res.exit_code == 0
     assert res.output.count("= 1\n") == MAX_VALUES
 

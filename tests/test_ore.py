@@ -1,6 +1,7 @@
 """Skew-operator algebra: products, certificates, limits."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from ajlab.figure8 import (
     x_cofactor,
 )
 from ajlab.ore import (
-    DiscreteEvaluator,
     OreOperator,
     _twist_images,
     _twist_rf,
@@ -25,10 +25,9 @@ from ajlab.ore import (
     expand_at_one,
     ore_apply,
     ore_mul,
-    telescope_sum_check,
 )
 from ajlab.poly import LaurentMPoly, exact_divide, parse_poly, poly_lcm
-from ajlab.qhg import habiro_figure_eight, jones_symbolic
+from ajlab.qhg import habiro_figure_eight, jones_eval, jones_symbolic
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
@@ -36,12 +35,6 @@ P = parse_poly
 
 def rf(num, den="1"):
     return RationalFunction(P(num), P(den))
-
-
-def figure_eight_summand():
-    """The figure-eight summand F(n, i) as a two-argument evaluator."""
-    return DiscreteEvaluator(2, habiro_figure_eight().eval_exact,
-                             name="figure-eight summand")
 
 
 def E(nu=0):
@@ -185,11 +178,12 @@ class TestProduct:
 class TestApply:
     def test_shift_action(self):
         # E acts as n -> n+1 on a bare sequence
-        f = DiscreteEvaluator(1, lambda pt, qv: Fraction(pt[0]))
-        assert ore_apply(E(), f, (4,), 2) == 5
+        assert ore_apply(E(), lambda pt, qv: Fraction(pt[0]), (4,), 2) == 5
 
     def test_meridian_value(self):
-        f = DiscreteEvaluator(1, lambda pt, qv: Fraction(1))
+        def f(pt, qv):
+            return Fraction(1)
+
         op = OreOperator.scalar(rf("Q"))
         assert ore_apply(op, f, (3,), 2) == 8
         assert ore_apply(op, f, (3,), Fraction(1, 2)) == Fraction(1, 8)
@@ -197,12 +191,15 @@ class TestApply:
     def test_compatible_with_product(self):
         a = OreOperator(0, {(1,): rf("Q"), (0,): rf("q + 1")})
         b = OreOperator(0, {(1,): rf("1", "Q + 1"), (0,): rf("Q^2")})
-        f = DiscreteEvaluator(
-            1, lambda pt, qv: Fraction(2) ** pt[0] + pt[0])
+
+        def f(pt, qv):
+            return Fraction(2) ** pt[0] + pt[0]
+
+        def bf(pt, qv):
+            return ore_apply(b, f, pt, qv)
+
         for n in range(0, 5):
             for qv in (2, 3, Fraction(5, 2)):
-                bf = DiscreteEvaluator(
-                    1, lambda pt, qv2: ore_apply(b, f, pt, qv2))
                 assert (ore_apply(ore_mul(a, b), f, (n,), qv)
                         == ore_apply(a, bf, (n,), qv))
 
@@ -213,6 +210,21 @@ class TestApply:
             for n in range(1, 9):
                 lhs = ore_apply(p0, j, (n,), qv)
                 assert lhs == -(Fraction(qv) ** (n + 1) + 1), (n, qv)
+
+    @pytest.mark.parametrize("point", [(1.9,), (2.0,), (Fraction(2),)])
+    def test_non_integer_point_is_refused(self, point):
+        # truncating (1.9,) to n = 1 would give -5, the value there
+        with pytest.raises(DomainError, match=re.escape(
+                f"point {point} has a non-integer entry")):
+            ore_apply(p0_operator(), jones_evaluator(), point, 2)
+
+    def test_full_sum_sequence_is_zero_below_color_one(self):
+        jev = jones_evaluator()
+        for qv in (2, Fraction(5, 2)):
+            for n in range(-1, 5):
+                assert jev((n,), qv) == (jones_eval(n, qv) if n >= 1 else 0)
+        with pytest.raises(DomainError, match="one color, got"):
+            ore_apply(p_full(), jev, (2, 0), 2)
 
     def test_cubic_annihilates_full_sum(self):
         cub = cubic_displayed()
@@ -241,15 +253,16 @@ class TestCertificate:
 
     def test_summand_annihilated_by_p(self):
         p = p_full()
-        f = figure_eight_summand()
+        f = habiro_figure_eight().eval_exact
         for qv in (2, 3, Fraction(5, 2)):
             for n in range(1, 6):
                 for i in range(0, n + 2):
                     assert ore_apply(p, f, (n, i), qv) == 0, (n, i, qv)
 
-    def test_telescoped_residual_matches_bottom_row(self):
+    def test_telescoped_residual_matches_bottom_row(self,
+                                                    telescope_sum_check):
         p0, rs = expand_at_one(p_full())
-        f = figure_eight_summand()
+        f = habiro_figure_eight().eval_exact
         res = telescope_sum_check(p0, rs, f, 2, [(0, 3)], 2)
         assert res == -9
         for qv in (3, Fraction(5, 2), 7):

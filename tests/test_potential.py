@@ -290,6 +290,13 @@ def test_non_finite_inputs_are_refused_before_newton(no_newton, spec,
     ({"tol": -1e-12}, "tol = -1e-12 is not positive and finite"),
     ({"max_iter": 0}, "max_iter = 0 is below 1"),
     ({"max_iter": -5}, "max_iter = -5 is below 1"),
+    # a budget past the cap would run for hours before giving up
+    ({"max_iter": 10001}, "max_iter = 10001 is below 1, above 10000"),
+    ({"max_iter": 10 ** 9}, "max_iter = 1000000000 is below 1, above 10000"),
+    ({"max_iter": 2.5},
+     "max_iter = 2.5 is below 1, above 10000 or not an int"),
+    ({"max_iter": 100.0}, "max_iter = 100.0 is below 1, above 10000"),
+    ({"max_iter": "100"}, "max_iter = '100' is below 1, above 10000"),
 ])
 def test_bad_newton_settings_are_refused_before_newton(no_newton, kw, named):
     # the same refusal as a non-finite alpha or start: a tol of nan or 0
@@ -298,6 +305,12 @@ def test_bad_newton_settings_are_refused_before_newton(no_newton, kw, named):
                         (crossing_potential(False, True), W_GENERIC)):
         with pytest.raises(DomainError, match=re.escape(named)):
             solve_saddle(spec, -1.0, start, **kw)
+
+
+@pytest.mark.parametrize("max_iter", [1, potential._MAX_ITER])
+def test_newton_budget_bounds_are_accepted(no_newton, max_iter):
+    with pytest.raises(AssertionError, match="Newton started"):
+        solve_saddle(builtin_potential(), -1.0, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("alpha", [1e78, 1e308, -1e200j])

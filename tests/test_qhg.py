@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -774,6 +775,29 @@ class TestAlgebra:
     def test_point_arity_checked(self):
         with pytest.raises(DomainError):
             habiro_figure_eight().eval_exact((3,), 2)
+
+
+FIG8 = habiro_figure_eight()
+
+
+@pytest.mark.parametrize("fn, args, point", [
+    # int() would truncate each of these to the int below it
+    (jones_eval, (2.5, 2), "(2.5,)"),
+    (lattice_sum, (FIG8, (2.5,), 2), "(2.5,)"),
+    (FIG8.eval_exact, ((2.7, 1), 2), "(2.7, 1)"),
+    # an empty support box, so no summand value was ever asked for
+    (lattice_sum, (FIG8, (0.5,), 2), "(0.5,)"),
+    (FIG8.eval_symbolic, ((3, 0.5),), "(3, 0.5)"),
+    (jones_symbolic, (1.5,), "(1.5,)"),
+    # integral but not int: refused too, not read as 2 or 4
+    (jones_eval, (2.0, 2), "(2.0,)"),
+    (lattice_sum, (FIG8, (Fraction(4),)), "(Fraction(4, 1),)"),
+    (FIG8.eval_exact, ((3, 1.0), 2), "(3, 1.0)"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_integer_points_are_refused(fn, args, point):
+    with pytest.raises(DomainError, match=re.escape(
+            f"point {point} has a non-integer entry")):
+        fn(*args)
 
 
 # -- form coefficients: int when integral, Fraction only when not ----------

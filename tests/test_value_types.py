@@ -18,21 +18,12 @@ import ajlab
 from ajlab.elim import APolyCandidate, EquationSystem, OperatorCurveComparison
 from ajlab.errors import DomainError
 from ajlab.figure8 import p0_operator
-from ajlab.ore import DiscreteEvaluator
 from ajlab.poly import parse_poly
 from ajlab.potential import PotentialSpec, SaddleResult, builtin_potential
 from ajlab.qhg import LinearForm, PochFactor, ProperQHTerm, QuadForm
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
-
-
-def _fn(point, qval):
-    return Fraction(point[0]) * qval
-
-
-def _support(point):
-    return point[0] >= 0
 
 
 FORM = LinearForm.make({"n": 1}, -1)
@@ -49,8 +40,6 @@ CASES = [
      ("colors", "nu", "poch", "quad", "sign", "constraints"),
      (("n",), 1, (POCH,), QUAD, LinearForm.make({"k1": 1}), (FORM,)),
      {"sign": LinearForm.make({}), "constraints": ()}),
-    (DiscreteEvaluator, ("arity", "fn", "support", "name"),
-     (1, _fn, _support, "scaled"), {"support": None, "name": ""}),
     (EquationSystem, ("gluing", "longitude", "coordinates", "longitude_kind"),
      ((P("x^2 - x + 1"),), P("l - x"), ("x",), "linear"), {}),
     (APolyCandidate, ("poly", "dropped", "order"),
@@ -72,7 +61,6 @@ OTHER_LAST = {
     QuadForm: LinearForm.make({}),
     PochFactor: False,
     ProperQHTerm: (),
-    DiscreteEvaluator: "other",
     EquationSystem: "squared",
     APolyCandidate: ("w1",),
     OperatorCurveComparison: RationalFunction.zero(),
