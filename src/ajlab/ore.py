@@ -25,6 +25,7 @@ they produce are compared under one convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
@@ -52,7 +53,11 @@ class OreOperator(Immutable):
         allowed = {"q", "Q"} | {_lattice_var(i + 1) for i in range(nu)}
         clean: dict[tuple[int, ...], RationalFunction] = {}
         for exp, c in terms.items():
-            exp = tuple(int(e) for e in exp)
+            try:  # 1.5, and also 2.0 or Fraction(4), is refused
+                exp = tuple(map(index, exp))
+            except TypeError:
+                raise DomainError(
+                    f"shift exponent {exp!r} has a non-integer entry") from None
             if len(exp) != nu + 1:
                 raise DomainError(
                     f"shift exponent {exp} does not match nu={nu}")

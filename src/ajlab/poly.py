@@ -98,15 +98,18 @@ class Immutable:
     """Base of every value type: a subclass lists its fields, in order, as
     ``__slots__`` and sets them in ``__init__`` with
     ``object.__setattr__``; afterwards assignment and deletion raise
-    AttributeError.  Unless the subclass defines its own, it compares and
-    hashes as the tuple of its fields (objects of different classes are
-    never equal) and prints as ``Name(field=value, ...)``."""
+    AttributeError.  Its fields are the slots that do not start with
+    ``_``; a private slot holds data derived from them.  Unless the
+    subclass defines its own, it compares and hashes as the tuple of its
+    fields (objects of different classes are never equal) and prints as
+    ``Name(field=value, ...)``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
-        cls._field_values = attrgetter(*cls.__slots__)
+        cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        cls._field_values = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -124,7 +127,7 @@ class Immutable:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

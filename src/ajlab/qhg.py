@@ -1,35 +1,31 @@
 """Proper q-hypergeometric summands, their exact shift ratios and sums.
 
-A summand is a product of a sign, a q-power of a quadratic form in the
-integer arguments, and finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L)
-whose lengths L are integer linear forms.  The arguments are one color
-(``n`` or ``m``) plus lattice indices ``k1..k_nu``.  Form coefficients are
+A summand is a sign times a q-power of a quadratic form in the integer
+arguments times finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L) whose
+lengths L are integer linear forms.  The arguments are one color (``n`` or
+``m``) plus lattice indices ``k1..k_nu``.  Form coefficients are
 int-or-Fraction canonical (`poly._coeff`) and may be half-integers, but the
-q-exponent must be an integer at every point evaluated; a half-integer
-value is a DomainError.
+q-exponent must be an integer wherever it is evaluated (else DomainError).
+Each summand is compiled once, when built, into integer rows (`_Plan`).
 
-``eval_exact``/``eval_symbolic`` evaluate each form once at a point and
-cancel the Pochhammer factors by index range: (1 - q^j) occurs to the net
-power #{numerator lengths >= j} - #{denominator lengths >= j}, and only
-nonzero powers are multiplied, in integers ((b^j - a^j)^m for q = a/b, one
-Fraction at the end) or as dense integer coefficient lists.
+``eval_exact``/``eval_symbolic`` take every form at a point as a dot
+product of its row with the point, and multiply only the net powers of the
+(1 - q^j): #{numerator lengths >= j} - #{denominator lengths >= j}, in
+integers ((b^j - a^j)^m for q = a/b) or as dense coefficient lists.
 
-Shifting one argument multiplies the summand by a rational function of q
-and of the exponentials n -> Q, m -> Qm, ki -> Qt_i: ``shift_ratio``
-returns it exactly, ``epsilon_ratio`` its q -> 1 limit (the
-``poly.limit_at_one`` that ``ore`` takes too).
+``shift_ratio`` is the exact ratio of the shifted summand to the summand,
+a rational function of q and of n -> Q, m -> Qm, ki -> Qt_i;
+``epsilon_ratio`` is its q -> 1 limit (the ``poly.limit_at_one`` of ore).
 
-``lattice_sum`` adds a summand up over its support box, at a rational q or
-as a rational function of q.  Each row of the last lattice axis is
-evaluated in full at its first point only; every later point is the one
-before times the shift ratio, a sign, a q-power and a few (1 - q^j), whose
-forms are affine along the row and stepped as ints.  A run of steps keeps
-integer numerators over one shared denominator, or dense coefficient lists,
-and becomes one Fraction or RationalFunction.  A run restarts with a full
-evaluation where the term is zero or the ratio does not apply: the step
-leaves the support (a factor with j <= 0), changes the q-exponent by a
-half-integer, or has a zero factor (q in {0, +-1}).  So every value and
-every error is the one the point-by-point sum gives.
+``lattice_sum`` adds a summand up over its support, at a rational q or in
+q.  Each row of the last lattice axis is bounded from its head by the
+support rows (for nu >= 2 the heads fill the outer axes' `support_box`),
+evaluated in full at its first point, and walked: each later point is the
+one before times a sign, a q-power and a few (1 - q^j), stepped in ints
+over one shared denominator or as dense lists.  A walk restarts with a
+full evaluation where the term is zero, or where a step changes the
+q-exponent by a half-integer or has a zero factor (q in {0, +-1}); so
+every value and every error is the point-by-point sum's.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache, partial
-from operator import add, index, neg, sub
+from operator import add, index, mul, neg, sub
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
@@ -81,14 +77,6 @@ class LinearForm(Immutable):
 
     def coeff(self, sym: str) -> Scalar:
         return dict(self.coeffs).get(sym, 0)
-
-    def value(self, env: Mapping[str, int]) -> Scalar:
-        total = self.const
-        for s, c in self.coeffs:
-            if s not in env:
-                raise DomainError(f"no value for argument {s}")
-            total += c * env[s]
-        return total
 
     def is_integral(self) -> bool:
         return (self.const.denominator == 1
@@ -171,14 +159,8 @@ class QuadForm(Immutable):
         qt = tuple(sorted((k, _coeff(v)) for k, v in items.items() if v))
         return QuadForm(qt, LinearForm.make(lin or {}, const))
 
-    def value(self, env: Mapping[str, int]) -> Scalar:
-        total = self.lin.value(env)
-        for (a, b), c in self.quad:
-            total += c * env[a] * env[b]
-        return total
-
     def shift_delta(self, sym: str, step: int) -> tuple[dict[str, Scalar], Scalar]:
-        """Affine form  value(x + step*e_sym) - value(x)  as (coeffs, const)."""
+        """Affine form  E(x + step*e_sym) - E(x)  as (coeffs, const)."""
         coeffs: dict[str, Scalar] = {}
         const = self.lin.coeff(sym) * step
         for (a, b), c in self.quad:
@@ -206,65 +188,98 @@ class PochFactor(Immutable):
                 "Pochhammer length must have integer coefficients")
 
 
+def _row(form: LinearForm, ix: Mapping[str, int], what: str,
+         den: Optional[int] = None) -> tuple[int, ...]:
+    """den * form as ints r, the map x -> r . (1, *x), by default with the
+    least den that makes it integral."""
+    den = den or math.lcm(form.const.denominator,
+                          *(c.denominator for _, c in form.coeffs))
+    r = [int(form.const * den)] + [0] * len(ix)
+    for sym, c in form.coeffs:
+        if sym not in ix:
+            raise DomainError(f"{what} uses unknown symbol {sym}")
+        r[1 + ix[sym]] = int(c * den)
+    return tuple(r)
+
+
+class _Plan:
+    """A summand as int rows (`_row`): ``support`` (lengths, constraints),
+    ``denoms``, ``sign``, ``quad`` (row, pairs, den): den times the
+    exponent is the row plus c x_i x_j per (i, j, c).  A step x[-1] += 1
+    adds ``delta`` to that, and (1 - q^j), j in range(L + j0, L + j1), per
+    (row of L, j0, j1, above the bar) of ``moving``, the moving lengths."""
+
+    __slots__ = ("support", "denoms", "sign", "quad", "delta", "moving")
+
+    def __init__(self, term: "ProperQHTerm"):
+        ix = {s: i for i, s in enumerate(term.symbols())}
+        lengths = tuple(_row(f.length, ix, "length") for f in term.poch)
+        self.denoms = tuple(f.denom for f in term.poch)
+        if not term.sign.is_integral():
+            raise DomainError("sign exponent must be an integer form")
+        self.sign = _row(term.sign, ix, "sign")
+        self.support = lengths + tuple(_row(f, ix, "constraint")
+                                       for f in term.constraints)
+        quad = term.quad
+        if unknown := sorted({s for p, _ in quad.quad for s in p} - set(ix)):
+            raise DomainError(f"exponent uses unknown symbol {unknown[0]}")
+        den = math.lcm(quad.lin.const.denominator,
+                       *(c.denominator for _, c in quad.quad + quad.lin.coeffs))
+        self.quad = (_row(quad.lin, ix, "exponent", den),
+                     tuple((ix[s], ix[t], int(c * den))
+                           for (s, t), c in quad.quad), den)
+        # with nu = 0 the last symbol is the color: never stepped
+        self.delta = _row(LinearForm.make(*quad.shift_delta([*ix][-1], 1)),
+                          ix, "exponent", den)
+        self.moving = tuple((r, min(r[-1], 0) + 1, max(r[-1], 0) + 1,
+                             (r[-1] > 0) != d)
+                            for r, d in zip(lengths, self.denoms) if r[-1])
+
+
 class ProperQHTerm(Immutable):
-    """Sign * q-quadratic * Pochhammer product, as data.
+    """Sign * q-quadratic * Pochhammer product, as data over its own
+    symbols; ``sign`` defaults to the zero form (+1).  The support is where
+    every Pochhammer length and ``constraints`` form is nonnegative."""
 
-    ``sign`` defaults to the zero form (sign +1).  ``constraints`` are
-    extra integer linear forms required nonnegative for support, on top
-    of every Pochhammer length.
-    """
-
-    __slots__ = ("colors", "nu", "poch", "quad", "sign", "constraints")
+    __slots__ = ("colors", "nu", "poch", "quad", "sign", "constraints",
+                 "_plan")
 
     def __init__(self, colors: tuple[str, ...], nu: int,
                  poch: tuple[PochFactor, ...], quad: QuadForm,
                  sign: Optional[LinearForm] = None,
                  constraints: tuple[LinearForm, ...] = ()):
-        if sign is None:
-            sign = LinearForm.make({})
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "poch", poch)
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "constraints", constraints)
+        sign = LinearForm.make({}) if sign is None else sign
+        for name, value in zip(self._fields, (colors, nu, poch, quad, sign,
+                                              constraints)):
+            object.__setattr__(self, name, value)
         if colors not in _COLOR_SETS:
             raise DomainError(f"unsupported color arguments {colors}")
         if nu < 0:
             raise DomainError("negative lattice rank")
-        syms = self.symbols()
-        for f in poch:
-            for s, _ in f.length.coeffs:
-                if s not in syms:
-                    raise DomainError(f"length uses unknown symbol {s}")
-        if not sign.is_integral():
-            raise DomainError("sign exponent must be an integer form")
+        object.__setattr__(self, "_plan", _Plan(self))
 
     def symbols(self) -> tuple[str, ...]:
         return self.colors + tuple(_lattice_sym(i + 1) for i in range(self.nu))
 
-    def _env(self, point: Sequence[int]) -> dict[str, int]:
-        syms = self.symbols()
-        if len(point) != len(syms):
-            raise DomainError(
-                f"point {tuple(point)} does not match arguments {syms}")
-        return dict(zip(syms, _int_point(point)))
-
-    # -- support -----------------------------------------------------------
-
     def support_forms(self) -> tuple[LinearForm, ...]:
         return tuple(f.length for f in self.poch) + self.constraints
 
-    def _support_lengths(self, env: Mapping[str, int]) -> Optional[list]:
-        """The (length, under the bar) pair of every Pochhammer factor, or
-        None out of support; each support form is evaluated once."""
-        lengths = [(int(f.length.value(env)), f.denom) for f in self.poch]
-        if (any(ln < 0 for ln, _ in lengths)
-                or any(c.value(env) < 0 for c in self.constraints)):
+    def _at(self, point: Sequence[int]) -> Optional[tuple]:
+        """(the (length, under the bar) pair of every Pochhammer factor, the
+        q-exponent, the sign's parity) at point, or None out of support."""
+        if len(point) != len(self.colors) + self.nu:
+            raise DomainError(f"point {tuple(point)} does not match "
+                              f"arguments {self.symbols()}")
+        x, plan = _int_point(point), self._plan
+        y = (1, *x)
+        vals = [sum(map(mul, r, y)) for r in plan.support]
+        if min(vals, default=0) < 0:
             return None
-        return lengths
-
-    # -- evaluation --------------------------------------------------------
+        r, pairs, den = plan.quad
+        e = sum(map(mul, r, y)) + sum(k * x[i] * x[j] for i, j, k in pairs)
+        return (list(zip(vals, plan.denoms)),  # zip stops at the lengths
+                e if den == 1 else Fraction(e, den),
+                sum(map(mul, plan.sign, y)) % 2)
 
     @staticmethod
     def _net_multiplicities(lengths: Sequence[tuple[int, bool]]
@@ -274,8 +289,7 @@ class ProperQHTerm(Immutable):
         step: dict[int, int] = {}
         for ln, denom in lengths:
             step[ln] = step.get(ln, 0) + (-1 if denom else 1)
-        net: dict[int, int] = {}
-        m = 0
+        net, m = {}, 0
         for j in range(max(step, default=0), 0, -1):
             m += step.get(j, 0)
             if m:
@@ -283,22 +297,21 @@ class ProperQHTerm(Immutable):
         return net
 
     def eval_exact(self, point: Sequence[int], qval: Scalar) -> Fraction:
-        """Exact value at q = qval; zero out of support.  A (q)_L under the
-        bar that vanishes is a PoleError; the rest is integer products, as
-        described above."""
-        env = self._env(point)
-        lengths = self._support_lengths(env)
-        if lengths is None:
+        """Exact value at q = qval, zero out of support, in integer products;
+        a (q)_L under the bar that vanishes is a PoleError."""
+        at = self._at(point)
+        if at is None:
             return Fraction(0)
+        lengths, e, odd = at
         if type(qval) is not Fraction:
             qval = Fraction(qval)
         a, b = qval.numerator, qval.denominator
-        k = _int_exponent(self.quad.value(env))
+        k = _int_exponent(e)
         if not a and k < 0:
             raise DomainError("q = 0 under a negative exponent")
         # a = 0 only with k >= 0; the Fraction below fixes the sign of a
         num, den = (a ** k, b ** k) if k >= 0 else (b ** -k, a ** -k)
-        if int(self.sign.value(env)) % 2:
+        if odd:
             num = -num
         # a rational q is a root of some 1 - q^j (j >= 1) only at q = 1, or
         # at q = -1 with j even; any such factor under the bar is a pole,
@@ -321,22 +334,19 @@ class ProperQHTerm(Immutable):
 
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
         """Value at an integer point as a rational function of q; zero out
-        of support.  Only the net powers of (1 - q^j) are multiplied, as
-        dense integer coefficient lists, one per side of the fraction
-        bar."""
-        env = self._env(point)
-        lengths = self._support_lengths(env)
-        if lengths is None:
+        of support."""
+        at = self._at(point)
+        if at is None:
             return RationalFunction.zero()
+        lengths, e, odd = at
         num, den = [1], [1]
         for j, m in self._net_multiplicities(lengths).items():
             side = num if m > 0 else den
             for _ in range(abs(m)):
                 _times_one_minus(side, j)
-        if int(self.sign.value(env)) % 2:
+        if odd:
             num = [-c for c in num]
-        return RationalFunction(
-            _dense_q(num, _int_exponent(self.quad.value(env))), _dense_q(den))
+        return RationalFunction(_dense_q(num, _int_exponent(e)), _dense_q(den))
 
 
 # -- shift ratios ----------------------------------------------------------
@@ -392,10 +402,7 @@ def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
 
 def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     """q -> 1 limit of ``shift_ratio``; the exponential symbols survive.
-
-    A pole (the denominator vanishing to higher order than the numerator)
-    raises PoleError.
-    """
+    A pole (the denominator vanishing to higher order) is a PoleError."""
     r = shift_ratio(term, which)
     vn, ln = limit_at_one(r.num)
     vd, ld = limit_at_one(r.den)
@@ -414,30 +421,27 @@ def build_crossing(positive: bool) -> ProperQHTerm:
     """Single-crossing summand in the color m and the four surrounding
     region indices k1..k4, with the extra q^(+-(m^2+m)) twist."""
     k1, k2, k3, k4 = "k1", "k2", "k3", "k4"
+    L = LinearForm.make
     if positive:
         quad = QuadForm.make(
             {("m", "m"): 1,
              (k2, k2): 1, (k1, k2): -1, (k2, k3): -1, (k1, k3): 1,
              ("m", k2): -1, ("m", k4): -1, ("m", k1): 1, ("m", k3): 1},
             {"m": 1})
-        num = [LinearForm.make({"m": 1, k4: 1, k3: -1}),
-               LinearForm.make({"m": 1, k4: 1, k1: -1})]
-        den = [LinearForm.make({k2: 1, k4: 1, k1: -1, k3: -1}),
-               LinearForm.make({"m": 1, k1: 1, k2: -1}),
-               LinearForm.make({"m": 1, k3: 1, k2: -1})]
-        sign = LinearForm.make({})
+        num = [L({"m": 1, k4: 1, k3: -1}), L({"m": 1, k4: 1, k1: -1})]
+        den = [L({k2: 1, k4: 1, k1: -1, k3: -1}), L({"m": 1, k1: 1, k2: -1}),
+               L({"m": 1, k3: 1, k2: -1})]
+        sign = L({})
     else:
         quad = QuadForm.make(
             {("m", "m"): -1,
              (k3, k4): 1, (k4, k4): -1, (k1, k4): 1, (k1, k3): -1,
              ("m", k1): -1, ("m", k3): -1, ("m", k2): 1, ("m", k4): 1},
             {"m": -1})
-        num = [LinearForm.make({"m": 1, k1: 1, k4: -1}),
-               LinearForm.make({"m": 1, k3: 1, k4: -1})]
-        den = [LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1}),
-               LinearForm.make({"m": 1, k2: 1, k3: -1}),
-               LinearForm.make({"m": 1, k2: 1, k1: -1})]
-        sign = LinearForm.make({k1: 1, k3: 1, k2: -1, k4: -1})
+        num = [L({"m": 1, k1: 1, k4: -1}), L({"m": 1, k3: 1, k4: -1})]
+        den = [L({k1: 1, k3: 1, k2: -1, k4: -1}), L({"m": 1, k2: 1, k3: -1}),
+               L({"m": 1, k2: 1, k1: -1})]
+        sign = L({k1: 1, k3: 1, k2: -1, k4: -1})
     poch = tuple([PochFactor(f) for f in num]
                  + [PochFactor(f, denom=True) for f in den])
     return ProperQHTerm(colors=("m",), nu=4, poch=poch, quad=quad, sign=sign)
@@ -456,8 +460,7 @@ def habiro_figure_eight() -> ProperQHTerm:
     """
     i = _lattice_sym(1)
     return ProperQHTerm(
-        colors=("n",),
-        nu=1,
+        colors=("n",), nu=1,
         poch=(
             PochFactor(LinearForm.make({"n": 1, i: 1})),
             PochFactor(LinearForm.make({"n": 1}, -1)),
@@ -477,10 +480,9 @@ _SUPPORT_MAX_WIDTH = 100000  # widest support interval support_box returns
 def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
                 free: Sequence[str]) -> list[tuple[int, int]]:
     """Finite bounds [lo, hi] per free symbol for the region where every
-    form is nonnegative, by interval propagation; SupportError when the
-    region is not certified bounded, the bounds still move after
-    _SUPPORT_ROUNDS rounds, or an interval is wider than
-    _SUPPORT_MAX_WIDTH."""
+    form is nonnegative, by interval propagation; SupportError when it is
+    not certified bounded, the bounds still move after _SUPPORT_ROUNDS
+    rounds, or an interval is wider than _SUPPORT_MAX_WIDTH."""
     lo, hi = dict.fromkeys(free), dict.fromkeys(free)  # None: no bound yet
     # each form as its value at the fixed symbols and its free terms
     split = [(form.const + sum(c * fixed[s] for s, c in form.coeffs
@@ -500,9 +502,7 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
                             break
                         bound -= c2 * b
                 else:
-                    # an int when c divides it, else a Fraction: not int / int
-                    bound = (bound // c if type(bound) is type(c) is int
-                             and not bound % c else Fraction(bound) / c)
+                    bound = Fraction(bound) / c  # exact: never int / int
                     side = lo if c > 0 else hi
                     old = side[s]
                     if old is None or (bound > old if c > 0 else bound < old):
@@ -513,18 +513,33 @@ def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
     else:
         raise SupportError(f"support bounds still move after "
                            f"{_SUPPORT_ROUNDS} rounds of propagation")
-    out = []
-    for s in free:
-        if lo[s] is None or hi[s] is None:
-            raise SupportError(
-                f"non-finite support: no bounds for {s} follow from the "
-                "factor lengths")
-        a, b = math.ceil(lo[s]), math.floor(hi[s])
-        if b - a > _SUPPORT_MAX_WIDTH:
-            raise SupportError(
-                f"support width for {s} exceeds {_SUPPORT_MAX_WIDTH}")
-        out.append((a, b))
-    return out
+    return [_certified(s, lo[s], hi[s]) for s in free]
+
+
+def _certified(sym: str, lo, hi) -> tuple[int, int]:
+    """[ceil lo, floor hi] for sym, or the SupportError of an interval
+    without both ends or wider than _SUPPORT_MAX_WIDTH."""
+    if lo is None or hi is None:
+        raise SupportError(f"non-finite support: no bounds for {sym} "
+                           "follow from the factor lengths")
+    a, b = math.ceil(lo), math.floor(hi)
+    if b - a > _SUPPORT_MAX_WIDTH:
+        raise SupportError(
+            f"support width for {sym} exceeds {_SUPPORT_MAX_WIDTH}")
+    return a, b
+
+
+def _row_bounds(plan: _Plan, head: tuple[int, ...], sym: str
+                ) -> tuple[int, int]:
+    """[lo, hi] of the last axis sym where head + (k,) is in the support,
+    as `support_box` bounds it from the forms with a nonzero slope; hi < lo
+    where a form with slope 0 is negative."""
+    y = (1, *head)
+    bases = [(sum(map(mul, r, y)), r[-1]) for r in plan.support]
+    lo, hi = _certified(sym, max([-(b // s) for b, s in bases if s > 0],
+                                 default=None),
+                        min([b // -s for b, s in bases if s < 0], default=None))
+    return (lo, lo - 1) if any([b < 0 for b, s in bases if not s]) else (lo, hi)
 
 
 class _ExactRun:
@@ -587,33 +602,23 @@ class _SymbolicRun:
         return RationalFunction(_dense_q(self.s, self.se), _dense_q(self.d))
 
 
-@cache
-def _row_step(term: ProperQHTerm) -> tuple:
-    """A step k_nu -> k_nu + 1 along a support row, read off the forms: the
-    support forms, their slopes, the moving Pochhammer factors (index,
-    slope, under the bar), the q-exponent's change and its slope, the flip."""
-    sym = _lattice_sym(term.nu)
-    forms = term.support_forms()
-    slopes = tuple(f.coeff(sym) for f in forms)
-    moving = tuple((i, slopes[i], f.denom) for i, f in enumerate(term.poch)
-                   if slopes[i])
-    delta = LinearForm.make(*term.quad.shift_delta(sym, 1))
-    return (forms, slopes, moving, delta, delta.coeff(sym),
-            term.sign.coeff(sym) % 2)
-
-
 def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
                 qval: Optional[Scalar] = None
                 ) -> Union[Fraction, RationalFunction]:
     """Sum the summand over its support at fixed colors, which must be
     certified bounded: the exact value at q = qval, or with qval None the
-    rational function of q.  Each row of the last lattice axis is walked by
-    its shift ratio, restarting as the module docstring says."""
+    rational function of q, row by row as the module docstring says."""
     colors = _int_point(colors)
     if len(colors) != len(term.colors):
         raise DomainError("wrong number of colors")
-    box = support_box(term.support_forms(), dict(zip(term.colors, colors)),
-                      [_lattice_sym(i + 1) for i in range(term.nu)])
+    plan, nu, heads = term._plan, term.nu, [()]
+    if nu > 1:
+        box = support_box(term.support_forms(), dict(zip(term.colors, colors)),
+                          [_lattice_sym(i + 1) for i in range(nu)])
+        heads = itertools.product(*(range(a, b + 1) for a, b in box[:-1]))
+    # with nu = 0 the one point is a row along the color
+    rows = [(colors + h, *_row_bounds(plan, colors + h, _lattice_sym(nu)))
+            for h in heads] if nu else [((), colors[0], colors[0])]
     if qval is None:
         total, evaluate, run = (RationalFunction.zero(), term.eval_symbolic,
                                 _SymbolicRun)
@@ -621,34 +626,29 @@ def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
         q = Fraction(qval)
         total, evaluate = Fraction(0), partial(term.eval_exact, qval=q)
         run = partial(_ExactRun, q)
-    if not box:
-        return total + evaluate(colors)
-    lo, hi = box[-1]
-    for head in itertools.product(*(range(a, b + 1) for a, b in box[:-1])):
+    delta, dslope, den = plan.delta, plan.delta[-1], plan.quad[2]
+    flip, moving = plan.sign[-1] % 2, plan.moving
+    for head, lo, hi in rows:
         cur = None  # the run at point k, then stepped to k + 1
         for k in range(lo, hi):
             if cur is None:
-                pt = colors + head + (k,)
-                v = evaluate(pt)
+                v = evaluate(head + (k,))
                 if not v:
                     continue
-                forms, slopes, moving, delta, dslope, flip = _row_step(term)
-                cur, env = run(v), term._env(pt)
-                vals, e = [f.value(env) for f in forms], delta.value(env)
-            nxt = [x + d for x, d in zip(vals, slopes)]
+                cur, y = run(v), (1, *head, k)
+                lens = [sum(map(mul, r, y)) for r, *_ in moving]
+                e = sum(map(mul, delta, y))
             up, down = [], []
-            for i, d, denom in moving:
-                js = range(min(vals[i], nxt[i]) + 1, max(vals[i], nxt[i]) + 1)
-                (up if (d > 0) != denom else down).extend(js)
-            if (min(nxt) >= 0 and e.denominator == 1
-                    and cur.step(flip, int(e), up, down)):
-                vals, e = nxt, e + dslope
+            for ln, (_, j0, j1, above) in zip(lens, moving):
+                (up if above else down).extend(range(ln + j0, ln + j1))
+            if not e % den and cur.step(flip, e // den, up, down):
+                lens = [ln + r[-1] for ln, (r, *_) in zip(lens, moving)]
+                e += dslope
             else:
                 total += cur.value()
                 cur = None
         if lo <= hi:
-            total += (cur.value() if cur is not None
-                      else evaluate(colors + head + (hi,)))
+            total += cur.value() if cur else evaluate(head + (hi,))
     return total
 
 

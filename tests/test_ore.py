@@ -84,6 +84,21 @@ class TestProduct:
             OreOperator(0, {(0,): rf("Qt1")})  # no lattice at nu=0
         OreOperator(1, {(0, 0): rf("Qt1")})  # fine at nu=1
 
+    @pytest.mark.parametrize("nu, exp", [
+        (0, (1.5,)),  # int() would truncate it to E
+        (0, (-0.5,)),
+        (1, (0, 2.5)),
+        # integral but not int: refused too, not read as E^2 or E^4
+        (0, (2.0,)),
+        (0, (Fraction(4),)),
+        (1, (Fraction(1), 0)),
+        (0, ("1",)),
+    ])
+    def test_non_integer_shift_exponents_are_refused(self, nu, exp):
+        with pytest.raises(DomainError, match=re.escape(
+                f"shift exponent {exp!r} has a non-integer entry")):
+            OreOperator(nu, {exp: rf("Q")})
+
     def test_associativity_randomized(self):
         rng = random.Random(20260822)
         mons = [rf("q"), rf("Q"), rf("q*Q"), rf("Qt1"), rf("Q - 1"),

@@ -17,6 +17,7 @@ from ajlab.qhg import (
     LinearForm,
     _SUPPORT_MAX_WIDTH,
     _dense_q,
+    _row_bounds,
     PochFactor,
     ProperQHTerm,
     QuadForm,
@@ -44,6 +45,15 @@ def qp(qv, k):
     for j in range(1, k + 1):
         prod *= 1 - Fraction(qv) ** j
     return prod
+
+
+def value(form, env):
+    """A LinearForm or QuadForm at the symbol values env, added up term by
+    term from its stored coefficients: the oracle for the compiled rows."""
+    if isinstance(form, QuadForm):
+        return value(form.lin, env) + sum(c * env[a] * env[b]
+                                          for (a, b), c in form.quad)
+    return form.const + sum(c * env[s] for s, c in form.coeffs)
 
 
 def so3_plus_literal(m, k1, k2, k3, k4, qv):
@@ -77,7 +87,7 @@ def so3_minus_literal(m, k1, k2, k3, k4, qv):
 def literal_in_support(term, point):
     """Every Pochhammer length and every constraint is nonnegative."""
     env = dict(zip(term.symbols(), point))
-    return all(f.value(env) >= 0 for f in term.support_forms())
+    return all(value(f, env) >= 0 for f in term.support_forms())
 
 
 def literal_symbolic(term, point):
@@ -85,15 +95,15 @@ def literal_symbolic(term, point):
     if not literal_in_support(term, point):
         return RationalFunction.zero()
     env = dict(zip(term.symbols(), point))
-    e = term.quad.value(env)
+    e = value(term.quad, env)
     if e.denominator != 1:
         raise DomainError("half-integer exponent")
     num = LaurentMPoly.var("q", int(e))
-    if int(term.sign.value(env)) % 2:
+    if int(value(term.sign, env)) % 2:
         num = -num
     den = LaurentMPoly.const(1)
     for f in term.poch:
-        for j in range(1, int(f.length.value(env)) + 1):
+        for j in range(1, int(value(f.length, env)) + 1):
             if f.denom:
                 den = den * (1 - LaurentMPoly.var("q", j))
             else:
@@ -107,16 +117,16 @@ def literal_exact(term, point, qv):
     if not literal_in_support(term, point):
         return Fraction(0)
     env = dict(zip(term.symbols(), point))
-    e = term.quad.value(env)
+    e = value(term.quad, env)
     if e.denominator != 1:
         raise DomainError("half-integer exponent")
     if qv == 0 and e < 0:
         raise DomainError("q = 0 under a negative exponent")
     val = qv ** int(e)
-    if int(term.sign.value(env)) % 2:
+    if int(value(term.sign, env)) % 2:
         val = -val
     for f in term.poch:
-        prod = qp(qv, int(f.length.value(env)))
+        prod = qp(qv, int(value(f.length, env)))
         if f.denom:
             if prod == 0:
                 raise PoleError("pole")
@@ -190,7 +200,7 @@ def constraint_only_points(term, rng, count, lo=-3, hi=6):
     for _ in range(2000 if term.constraints else 0):
         pt = tuple(rng.randint(lo, hi) for _ in term.symbols())
         env = dict(zip(term.symbols(), pt))
-        if (all(f.length.value(env) >= 0 for f in term.poch)
+        if (all(value(f.length, env) >= 0 for f in term.poch)
                 and not literal_in_support(term, pt)):
             out.append(pt)
             if len(out) == count:
@@ -268,7 +278,7 @@ class TestPoleContract:
         seen = set()
         for pt in random_support_points(term, rng, 60, 0, 3):
             env = dict(zip(term.symbols(), pt))
-            pole = any(f.denom and f.length.value(env) >= 2
+            pole = any(f.denom and value(f.length, env) >= 2
                        for f in term.poch)
             seen.add(pole)
             if pole:
@@ -725,10 +735,8 @@ class TestSteppedSum:
             assert (lattice_sum(twist_knot(-1), (n,))
                     == RationalFunction(jones_symbolic(n), P("1")))
 
-    def test_one_full_evaluation_per_run(self, monkeypatch):
-        # the figure-eight's one row is walked from its first point; a
-        # twist-knot row k leaves the support after l = k, and each point
-        # past it restarts with a full evaluation
+    @staticmethod
+    def counted_evaluations(monkeypatch):
         calls = []
         original = ProperQHTerm.eval_exact
 
@@ -737,12 +745,85 @@ class TestSteppedSum:
             return original(self, point, qval)
 
         monkeypatch.setattr(ProperQHTerm, "eval_exact", counted)
+        return calls
+
+    def test_one_full_evaluation_per_run(self, monkeypatch):
+        # the figure-eight's one row is walked from its first point; a
+        # twist-knot row k is bounded by the support to 0 <= l <= k, so
+        # it too is one run
+        calls = self.counted_evaluations(monkeypatch)
         jones_eval(12, Fraction(3, 2))
         assert calls == [(12, 0)]
         calls.clear()
         lattice_sum(twist_knot(1), (4,), 3)
-        assert calls == [(4, k, l) for k in range(4)
-                         for l in [0] + list(range(k + 1, 4))]
+        assert calls == [(4, k, 0) for k in range(4)]
+
+    def test_no_evaluation_outside_the_support(self, monkeypatch):
+        # nu = 2: one full evaluation per non-empty row, at its head, and
+        # none at a point of the box outside the support
+        calls = self.counted_evaluations(monkeypatch)
+        term = twist_knot(2)
+        got = lattice_sum(term, (30,), Fraction(3, 2))
+        assert calls == [(30, k, 0) for k in range(30)]
+        assert all(literal_in_support(term, pt) for pt in calls)
+        assert got == per_point_sum(term, (30,), Fraction(3, 2))
+
+
+def support_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SupportError as exc:
+        return SupportError, str(exc)
+
+
+HALVES = st.integers(-9, 9).map(lambda k: Fraction(k, 2))
+ROW_FORMS = st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(("n", "k1", "k2")),
+                    st.one_of(st.integers(-3, 3), HALVES), max_size=3),
+    st.one_of(st.integers(-20, 20), HALVES,
+              st.integers(-3 * _SUPPORT_MAX_WIDTH, 3 * _SUPPORT_MAX_WIDTH))),
+    max_size=5)
+CAP = _SUPPORT_MAX_WIDTH
+
+
+class TestRowBounds:
+    """`lattice_sum` bounds each row of the last axis from its head, by the
+    compiled support rows; `support_box` on that one free symbol is the
+    oracle, except that a form without the last symbol that is negative
+    empties the row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ROW_FORMS, st.sampled_from((1, 2)), st.integers(-12, 12),
+           st.integers(-12, 12))
+    @example([({"k1": 1}, 0), ({"k1": -1}, CAP)], 1, 0, 0)  # widest row
+    @example([({"k1": 1}, 0), ({"k1": -1}, CAP + 1)], 1, 0, 0)  # too wide
+    @example([({"k1": Fraction(1, 2)}, 0), ({"n": 1}, 0)], 1, 3, 0)
+    @example([({"k1": -1}, 4), ({"n": -1}, 0)], 1, 3, 0)
+    @example([({"k2": 1}, 0), ({"k2": -2, "k1": 1}, 1), ({"n": -1}, 2)],
+             2, 3, 5)  # a negative form with slope 0 empties the row
+    def test_row_bound_is_support_box_for_one_symbol(self, inputs, nu, n,
+                                                      k1):
+        syms = ("n", "k1", "k2")[:nu + 1]
+        forms = tuple(LinearForm.make({s: c for s, c in d.items()
+                                       if s in syms}, c0)
+                      for d, c0 in inputs)
+        term = ProperQHTerm(("n",), nu, (), QuadForm.make({}),
+                            constraints=forms)
+        head, last = (n, k1)[:nu], syms[-1]
+        fixed = dict(zip(syms, head))
+        want = support_outcome(lambda: support_box(forms, fixed, [last])[0])
+        got = support_outcome(_row_bounds, term._plan, head, last)
+        if want[0] is not SupportError and any(
+                not f.coeff(last) and value(f, fixed) < 0 for f in forms):
+            want = (want[0], want[0] - 1)
+        assert got == want
+        assert got[0] is SupportError or all(type(b) is int for b in got)
+
+    def test_figure_eight_rows(self):
+        f = habiro_figure_eight()
+        for n in range(0, 6):
+            box = support_box(f.support_forms(), {"n": n}, ["k1"])[0]
+            assert _row_bounds(f._plan, (n,), "k1") == box == (0, n - 1)
 
 
 class TestAlgebra:
@@ -849,7 +930,7 @@ class TestFormCoefficients:
         coeffs, const = inp
         f = LinearForm.make(coeffs, const)
         assert_canonical_form(f)
-        v = f.value(env)
+        v = value(f, env)
         assert v == lin_oracle(coeffs, const, env)
         assert type(v) is (int if f.is_integral() else Fraction)
         for s in SYMS:
@@ -859,7 +940,7 @@ class TestFormCoefficients:
         assert f == g and hash(f) == hash(g)
         h = add_forms(f, LinearForm.make(*other))
         assert_canonical_form(h)
-        assert h.value(env) == v + lin_oracle(*other, env)
+        assert value(h, env) == v + lin_oracle(*other, env)
 
     @settings(max_examples=200, deadline=None)
     @given(quad_inputs, envs)
@@ -867,7 +948,7 @@ class TestFormCoefficients:
         quad, (lin, const) = inp
         f = QuadForm.make(quad, lin, const)
         assert_canonical_form(f)
-        v = f.value(env)
+        v = value(f, env)
         assert v == quad_oracle(quad, (lin, const), env)
         assert type(v) in (int, Fraction)
         g = QuadForm.make(as_fractions(quad), as_fractions(lin),
@@ -876,7 +957,7 @@ class TestFormCoefficients:
         for sym in SYMS:
             coeffs, c0 = f.shift_delta(sym, 1)
             shifted = dict(env, **{sym: env[sym] + 1})
-            assert lin_oracle(coeffs, c0, env) == f.value(shifted) - v
+            assert lin_oracle(coeffs, c0, env) == value(f, shifted) - v
 
     def test_int_and_integral_fraction_inputs_agree(self):
         a = LinearForm.make({"n": 3, "k1": Fraction(4, 2)}, 3)
@@ -884,7 +965,7 @@ class TestFormCoefficients:
         assert a == b and hash(a) == hash(b)
         assert a.coeffs == (("k1", 2), ("n", 3))
         assert all(type(c) is int for _, c in a.coeffs)
-        assert type(a.const) is int and type(a.value({"n": 1, "k1": 1})) is int
+        assert type(a.const) is int and type(value(a, {"n": 1, "k1": 1})) is int
         # two half-integer entries on one unordered pair sum to an int
         q1 = QuadForm.make({("n", "k1"): Fraction(1, 2),
                             ("k1", "n"): Fraction(5, 2)}, {"n": 3}, 3)

@@ -20,7 +20,9 @@ from ajlab.errors import DomainError
 from ajlab.figure8 import p0_operator
 from ajlab.poly import parse_poly
 from ajlab.potential import PotentialSpec, SaddleResult, builtin_potential
-from ajlab.qhg import LinearForm, PochFactor, ProperQHTerm, QuadForm
+from ajlab.qhg import (LinearForm, PochFactor, ProperQHTerm, QuadForm,
+                       habiro_figure_eight, jones_eval, jones_symbolic,
+                       lattice_sum)
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
@@ -141,6 +143,48 @@ def test_arithmetic_types_are_immutable(obj):
             delattr(obj, name)
     assert repr(obj) == before
     assert not hasattr(obj, "__dict__")
+
+
+def test_compiled_plan_is_not_a_field(monkeypatch):
+    # a term keeps its compiled plan in the private slot `_plan`, which
+    # takes no part in equality, hashing or repr, and summing never hashes
+    # the term
+    f = habiro_figure_eight()
+    g = ProperQHTerm(f.colors, f.nu, f.poch, f.quad, f.sign, f.constraints)
+    assert g is not f and g._plan is not f._plan
+    assert g == f and hash(g) == hash(f)
+    assert repr(g) == repr(f) and "_plan" not in repr(g)
+    assert repr(g).startswith("ProperQHTerm(colors=('n',), nu=1, poch=(")
+    for obj in (f, g):
+        with pytest.raises(AttributeError):
+            obj._plan = None
+        with pytest.raises(AttributeError):
+            del obj._plan
+
+    def unhashable(self):
+        raise AssertionError("a summand was hashed")
+
+    monkeypatch.setattr(ProperQHTerm, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(g)
+    assert jones_eval(3, 2) == lattice_sum(g, (3,), 2) == Fraction(1819, 64)
+    assert jones_symbolic(3) == lattice_sum(g, (3,)).as_polynomial()
+
+
+@pytest.mark.parametrize("kw, what", [
+    ({"sign": LinearForm.make({"k2": 1})}, "sign uses unknown symbol k2"),
+    ({"constraints": (FORM, LinearForm.make({"m": 1}))},
+     "constraint uses unknown symbol m"),
+    ({"quad": QuadForm.make({("k1", "k3"): 1})},
+     "exponent uses unknown symbol k3"),
+    ({"quad": QuadForm.make({}, {"k3": 1})}, "exponent uses unknown symbol k3"),
+])
+def test_forms_use_only_the_terms_symbols(kw, what):
+    # a term is compiled over its symbols when it is built, so a form
+    # naming another symbol is refused then, not when it is evaluated
+    with pytest.raises(DomainError, match=f"^{what}$"):
+        ProperQHTerm(**{"colors": ("n",), "nu": 1, "poch": (POCH,),
+                        "quad": QUAD, **kw})
 
 
 def test_construction_checks_still_raise():
