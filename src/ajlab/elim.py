@@ -29,9 +29,15 @@ from .ratfun import RationalFunction
 #: its square root becomes alpha, the lattice coordinate becomes x
 RENAME_FULL = {"Q": ("alpha", 2), "Qt1": ("x", 1), "E": ("l", 1)}
 
-#: rename table for half-meridian summands (one color per strand)
-RENAME_HALF = {"Qm": ("alpha", 1), "E": ("l", 1),
-               **{f"Qt{i}": (f"w{i}", 1) for i in range(1, 10)}}
+#: rename table for half-meridian summands (one color per strand); their
+#: lattice coordinates Qt_i -> w_i come per term from `_half_mapping`
+RENAME_HALF = {"Qm": ("alpha", 1), "E": ("l", 1)}
+
+
+def _half_mapping(nu: int) -> dict[str, tuple[str, int]]:
+    """RENAME_HALF with Qt_i -> w_i for every lattice index i = 1..nu."""
+    return {**RENAME_HALF,
+            **{f"Qt{i}": (f"w{i}", 1) for i in range(1, nu + 1)}}
 
 
 def rename_exponents(p: LaurentMPoly,
@@ -116,7 +122,7 @@ def ratio_system(term: ProperQHTerm,
             raise DomainError(
                 "linear longitude needs a full-meridian color; "
                 "half-meridian terms only expose the two-step ratio")
-        mapping = dict(RENAME_HALF)
+        mapping = _half_mapping(term.nu)
         coords = tuple(f"w{i}" for i in range(1, term.nu + 1))
         lon_ratio = epsilon_ratio(term, "Em")
         rhs = lvar * lvar

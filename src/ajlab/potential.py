@@ -28,7 +28,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .dilog import li2
-from .elim import EquationSystem, cleared_equation, rename_ratfun, RENAME_HALF
+from .elim import (EquationSystem, _half_mapping, cleared_equation,
+                   rename_ratfun)
 from .errors import (
     ConvergenceError,
     DegeneracyError,
@@ -268,10 +269,10 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
     """
     term = build_crossing(positive)
     forms = _forms(crossing_potential(positive))
-    rows = []
+    rows, mapping = [], _half_mapping(term.nu)
     for which, key in (("Et1", "w1"), ("Et2", "w2"), ("Et3", "w3"),
                        ("Et4", "w4"), ("Em", "alpha")):
-        lhs = rename_ratfun(epsilon_ratio(term, which), RENAME_HALF)
+        lhs = rename_ratfun(epsilon_ratio(term, which), mapping)
         rhs = forms[key]
         quot = lhs / rhs
         rows.append({

@@ -14,8 +14,10 @@ product of its row with the point, and multiply only the net powers of the
 integers ((b^j - a^j)^m for q = a/b) or as dense coefficient lists.
 
 ``shift_ratio`` is the exact ratio of the shifted summand to the summand,
-a rational function of q and of n -> Q, m -> Qm, ki -> Qt_i;
-``epsilon_ratio`` is its q -> 1 limit (the ``poly.limit_at_one`` of ore).
+a rational function of q and of n -> Q, m -> Qm, ki -> Qt_i, read off the
+same rows: the sign's, the exponent's step along the axis (`_Plan.step`)
+and the lengths'; ``epsilon_ratio`` is its q -> 1 limit (the
+``poly.limit_at_one`` of ore).
 
 ``lattice_sum`` adds a summand up over its support, at a rational q or in
 q.  Each row of the last lattice axis is bounded from its head by the
@@ -75,9 +77,6 @@ class LinearForm(Immutable):
         items = tuple(sorted((s, _coeff(c)) for s, c in coeffs.items() if c))
         return LinearForm(items, _coeff(const))
 
-    def coeff(self, sym: str) -> Scalar:
-        return dict(self.coeffs).get(sym, 0)
-
     def is_integral(self) -> bool:
         return (self.const.denominator == 1
                 and all(c.denominator == 1 for _, c in self.coeffs))
@@ -99,18 +98,16 @@ def _int_point(point: Sequence[int]) -> tuple[int, ...]:
             f"point {tuple(point)} has a non-integer entry") from None
 
 
-def _affine_monomial(coeffs: Mapping[str, Scalar], const: Scalar,
-                     q_extra: int = 0) -> LaurentMPoly:
-    """q**(const + extra) * prod exp(sym)**coeff as a Laurent monomial."""
-    powers: dict[str, int] = {}
-    c0 = _int_exponent(const + q_extra)
-    if c0:
-        powers["q"] = c0
-    for sym, c in coeffs.items():
+def _monomial(row: Sequence[int], den: int, names: Sequence[str],
+              q_extra: int = 0) -> LaurentMPoly:
+    """The monomial prod names[i]^(row[i] / den), names[0] = "q", times
+    q^q_extra; a DomainError names the first exponent that is not an int."""
+    powers = {}
+    for var, c in zip(names, (row[0] + q_extra * den, *row[1:])):
         if c:
-            var = _sym_exp_var(sym)
-            powers[var] = _int_exponent(c, var)
-    return LaurentMPoly.monomial(1, powers) if powers else LaurentMPoly.const(1)
+            powers[var] = (_int_exponent(Fraction(c, den), var) if c % den
+                           else c // den)
+    return LaurentMPoly.monomial(1, powers)
 
 
 def _dense_q(coeffs: Sequence[int], low: int = 0) -> LaurentMPoly:
@@ -159,20 +156,6 @@ class QuadForm(Immutable):
         qt = tuple(sorted((k, _coeff(v)) for k, v in items.items() if v))
         return QuadForm(qt, LinearForm.make(lin or {}, const))
 
-    def shift_delta(self, sym: str, step: int) -> tuple[dict[str, Scalar], Scalar]:
-        """Affine form  E(x + step*e_sym) - E(x)  as (coeffs, const)."""
-        coeffs: dict[str, Scalar] = {}
-        const = self.lin.coeff(sym) * step
-        for (a, b), c in self.quad:
-            if a == b == sym:
-                coeffs[sym] = coeffs.get(sym, 0) + 2 * c * step
-                const += c * step * step
-            elif a == sym:
-                coeffs[b] = coeffs.get(b, 0) + c * step
-            elif b == sym:
-                coeffs[a] = coeffs.get(a, 0) + c * step
-        return coeffs, const
-
 
 class PochFactor(Immutable):
     """(q)_L = prod_{j=1..L} (1 - q^j), with L an integer linear form;
@@ -206,8 +189,9 @@ class _Plan:
     """A summand as int rows (`_row`): ``support`` (lengths, constraints),
     ``denoms``, ``sign``, ``quad`` (row, pairs, den): den times the
     exponent is the row plus c x_i x_j per (i, j, c).  A step x[-1] += 1
-    adds ``delta`` to that, and (1 - q^j), j in range(L + j0, L + j1), per
-    (row of L, j0, j1, above the bar) of ``moving``, the moving lengths."""
+    adds ``delta`` (`step` of the last axis) to that, and (1 - q^j), j in
+    range(L + j0, L + j1), per (row of L, j0, j1, above the bar) of
+    ``moving``, the moving lengths."""
 
     __slots__ = ("support", "denoms", "sign", "quad", "delta", "moving")
 
@@ -229,11 +213,21 @@ class _Plan:
                      tuple((ix[s], ix[t], int(c * den))
                            for (s, t), c in quad.quad), den)
         # with nu = 0 the last symbol is the color: never stepped
-        self.delta = _row(LinearForm.make(*quad.shift_delta([*ix][-1], 1)),
-                          ix, "exponent", den)
+        self.delta = self.step(len(ix) - 1, 1)
         self.moving = tuple((r, min(r[-1], 0) + 1, max(r[-1], 0) + 1,
                              (r[-1] > 0) != d)
                             for r, d in zip(lengths, self.denoms) if r[-1])
+
+    def step(self, axis: int, s: int) -> tuple[int, ...]:
+        """den * (E(x + s e_axis) - E(x)) as a row, E the exponent."""
+        row, pairs, _ = self.quad
+        r = [row[1 + axis] * s] + [0] * (len(row) - 1)
+        for i, j, c in pairs:
+            if i == j == axis:
+                r[0] += c * s * s
+            if axis in (i, j):  # c x_i x_j gains c s x_other, twice if square
+                r[1 + i + j - axis] += c * s * (2 if i == j else 1)
+        return tuple(r)
 
 
 class ProperQHTerm(Immutable):
@@ -351,49 +345,42 @@ class ProperQHTerm(Immutable):
 
 # -- shift ratios ----------------------------------------------------------
 
-def _resolve_shift(term: ProperQHTerm, which: str) -> tuple[str, int]:
+def _resolve_shift(term: ProperQHTerm, which: str) -> tuple[int, int]:
+    """(axis, step): the shift moves term.symbols()[axis] by step."""
     colors = term.colors
     if which == "E":
         if colors != ("n",):
             raise DomainError(
                 "shift E advances the color n; this summand is indexed by "
                 + ", ".join(colors))
-        return "n", 1
+        return 0, 1
     if which == "Em":
-        if colors == ("n",):
-            return "n", 2  # n = 2m+1: one half-lattice step is two full steps
-        return "m", 1
+        # n = 2m+1: one half-lattice step is two full steps
+        return 0, 2 if colors == ("n",) else 1
     if which.startswith("Et") and which[2:].isdigit():
         i = int(which[2:])
         if not 1 <= i <= term.nu:
             raise DomainError(f"no lattice direction {i} (nu={term.nu})")
-        return _lattice_sym(i), 1
+        return i, 1  # the one color comes first
     raise DomainError(f"unknown shift {which!r}")
 
 
 def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     """Exact ratio (shifted summand)/(summand) as a rational function of
-    q and the exponential symbols."""
-    sym, step = _resolve_shift(term, which)
-    # sign change
-    sflip = int(term.sign.coeff(sym) * step)
-    sign = -1 if sflip % 2 else 1
-    # quadratic exponent change -> monomial
-    dcoeffs, dconst = term.quad.shift_delta(sym, step)
-    num = _affine_monomial(dcoeffs, dconst) * sign
+    q and the exponential symbols, read off the plan's rows."""
+    axis, step = _resolve_shift(term, which)
+    plan = term._plan
+    names = ("q", *map(_sym_exp_var, term.symbols()))
+    num = _monomial(plan.step(axis, step), plan.quad[2], names)
+    if plan.sign[1 + axis] * step % 2:
+        num = -num
     den = one = LaurentMPoly.const(1)
-    for f in term.poch:
-        d = int(f.length.coeff(sym) * step)
-        if d == 0:
-            continue
-        js = range(0, d) if d > 0 else range(d, 0)
-        into_num = (d > 0) != f.denom
-        for j in js:
+    for r, denom in zip(plan.support, plan.denoms):  # stops at the lengths
+        d = r[1 + axis] * step
+        for j in range(d) if d > 0 else range(d, 0):
             # factor (1 - q^(L + j + 1)) at the unshifted point
-            mono = _affine_monomial(dict(f.length.coeffs), f.length.const,
-                                    q_extra=j + 1)
-            lin = one - mono
-            if into_num:
+            lin = one - _monomial(r, 1, names, j + 1)
+            if (d > 0) != denom:
                 num = num * lin
             else:
                 den = den * lin
@@ -534,12 +521,17 @@ def _row_bounds(plan: _Plan, head: tuple[int, ...], sym: str
     """[lo, hi] of the last axis sym where head + (k,) is in the support,
     as `support_box` bounds it from the forms with a nonzero slope; hi < lo
     where a form with slope 0 is negative."""
-    y = (1, *head)
-    bases = [(sum(map(mul, r, y)), r[-1]) for r in plan.support]
-    lo, hi = _certified(sym, max([-(b // s) for b, s in bases if s > 0],
-                                 default=None),
-                        min([b // -s for b, s in bases if s < 0], default=None))
-    return (lo, lo - 1) if any([b < 0 for b, s in bases if not s]) else (lo, hi)
+    y, lo, hi, empty = (1, *head), None, None, False
+    for r in plan.support:
+        b, s = sum(map(mul, r, y)), r[-1]  # y stops before the last axis
+        if s > 0:
+            lo = -(b // s) if lo is None else max(lo, -(b // s))
+        elif s < 0:
+            hi = b // -s if hi is None else min(hi, b // -s)
+        elif b < 0:
+            empty = True
+    lo, hi = _certified(sym, lo, hi)
+    return (lo, lo - 1) if empty else (lo, hi)
 
 
 class _ExactRun:

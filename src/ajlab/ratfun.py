@@ -82,19 +82,19 @@ class RationalFunction(Immutable):
         return self
 
     # -- constructors ------------------------------------------------------
+    # each pair is coprime by construction, so none needs the gcd
 
     @staticmethod
     def zero() -> "RationalFunction":
-        return RationalFunction(LaurentMPoly.zero(), LaurentMPoly.const(1))
+        return RationalFunction._reduced(LaurentMPoly.zero(), _ONE)
 
     @staticmethod
     def one() -> "RationalFunction":
-        return RationalFunction(LaurentMPoly.const(1), LaurentMPoly.const(1))
+        return RationalFunction._reduced(_ONE, _ONE)
 
     @staticmethod
     def var(name: str, power: int = 1) -> "RationalFunction":
-        return RationalFunction(LaurentMPoly.var(name, power),
-                                LaurentMPoly.const(1))
+        return RationalFunction._reduced(LaurentMPoly.var(name, power), _ONE)
 
     # -- queries -----------------------------------------------------------
 

@@ -21,7 +21,14 @@ from ajlab.figure8 import (
     p0_operator,
 )
 from ajlab.poly import LaurentMPoly, exact_divide, parse_poly
-from ajlab.qhg import build_crossing, habiro_figure_eight
+from ajlab.qhg import (
+    LinearForm,
+    PochFactor,
+    ProperQHTerm,
+    QuadForm,
+    build_crossing,
+    habiro_figure_eight,
+)
 from ajlab.ratfun import RationalFunction
 
 P = parse_poly
@@ -90,6 +97,21 @@ class TestRatioSystems:
         for g in sys_.gluing:
             names.update(g.vars)
         assert "alpha" in names and "Qm" not in names
+
+    def test_half_meridian_names_every_lattice_coordinate(self):
+        # (q)_(m - k_i) / (q)_(k_i) for i = 1..10: past nine coordinates
+        nu = 10
+        poch = []
+        for i in range(1, nu + 1):
+            poch += [PochFactor(LinearForm.make({"m": 1, f"k{i}": -1})),
+                     PochFactor(LinearForm.make({f"k{i}": 1}), denom=True)]
+        term = ProperQHTerm(("m",), nu, tuple(poch), QuadForm.make({}))
+        sys_ = ratio_system(term, "squared")
+        ws = [f"w{i}" for i in range(1, nu + 1)]
+        assert sys_.coordinates == tuple(ws)
+        for i, g in enumerate(sys_.gluing):
+            assert set(g.vars) == {"alpha", ws[i]}
+        assert set(sys_.longitude.vars) == {"alpha", "l", *ws}
 
     def test_half_meridian_refuses_linear(self):
         with pytest.raises(DomainError):

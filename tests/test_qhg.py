@@ -56,6 +56,11 @@ def value(form, env):
     return form.const + sum(c * env[s] for s, c in form.coeffs)
 
 
+def coeff(form, sym):
+    """The coefficient of sym in a LinearForm, 0 when it is absent."""
+    return dict(form.coeffs).get(sym, 0)
+
+
 def so3_plus_literal(m, k1, k2, k3, k4, qv):
     """Positive-crossing entry straight from its defining expression."""
     lengths = [m + k4 - k3, m + k4 - k1, k2 + k4 - k1 - k3,
@@ -453,7 +458,9 @@ class TestShiftRatios:
              [(m, k1, k2, k3, k4)
               for m in (2, 3) for k1 in (0, 1) for k2 in (1, 2)
               for k3 in (0, 1) for k4 in (0, 1)]),
-        ]
+        ] + [(twist_knot(p), ("E", "Em", "Et1", "Et2"),
+              [(n, k1, k2) for n in range(2, 5) for k1 in range(3)
+               for k2 in range(3)]) for p in (2, -2)]
         checked = 0
         for qv in (4, 9, Fraction(9, 4)):
             for term, which_list, pts in cases:
@@ -814,7 +821,7 @@ class TestRowBounds:
         want = support_outcome(lambda: support_box(forms, fixed, [last])[0])
         got = support_outcome(_row_bounds, term._plan, head, last)
         if want[0] is not SupportError and any(
-                not f.coeff(last) and value(f, fixed) < 0 for f in forms):
+                not coeff(f, last) and value(f, fixed) < 0 for f in forms):
             want = (want[0], want[0] - 1)
         assert got == want
         assert got[0] is SupportError or all(type(b) is int for b in got)
@@ -934,7 +941,7 @@ class TestFormCoefficients:
         assert v == lin_oracle(coeffs, const, env)
         assert type(v) is (int if f.is_integral() else Fraction)
         for s in SYMS:
-            assert f.coeff(s) == Fraction(coeffs.get(s, 0))
+            assert coeff(f, s) == Fraction(coeffs.get(s, 0))
         # the same form from Fraction inputs: equal and hashed alike
         g = LinearForm.make(as_fractions(coeffs), Fraction(const))
         assert f == g and hash(f) == hash(g)
@@ -954,10 +961,15 @@ class TestFormCoefficients:
         g = QuadForm.make(as_fractions(quad), as_fractions(lin),
                           Fraction(const))
         assert f == g and hash(f) == hash(g)
-        for sym in SYMS:
-            coeffs, c0 = f.shift_delta(sym, 1)
-            shifted = dict(env, **{sym: env[sym] + 1})
-            assert lin_oracle(coeffs, c0, env) == value(f, shifted) - v
+        # the plan's step row: den times the exponent's change along an axis
+        plan = ProperQHTerm(("n",), 2, (), f)._plan
+        den = plan.quad[2]
+        for axis, sym in enumerate(SYMS):
+            for step in (1, 2):
+                row = plan.step(axis, step)
+                shifted = dict(env, **{sym: env[sym] + step})
+                got = row[0] + sum(c * env[s] for s, c in zip(SYMS, row[1:]))
+                assert Fraction(got, den) == value(f, shifted) - v
 
     def test_int_and_integral_fraction_inputs_agree(self):
         a = LinearForm.make({"n": 3, "k1": Fraction(4, 2)}, 3)
@@ -1090,3 +1102,30 @@ class TestIntegerExponents:
                 call()
             messages.add(str(info.value))
         assert messages == {"exponent 1/2 of q is not an integer"}
+
+    @pytest.mark.parametrize("quad, lin, which, message", [
+        # one exponent that is not an integer: the message names it
+        ({("k1", "k1"): Fraction(3, 2)}, {}, "Et1", "3/2 of q"),
+        ({("n", "k1"): Fraction(1, 2)}, {}, "Et1", "1/2 of Q"),
+        ({("k1", "k2"): Fraction(1, 2)}, {}, "Et2", "1/2 of Qt1"),
+        ({}, {"k2": Fraction(1, 3)}, "Et2", "1/3 of q"),
+        # two or more: the first in the order q, then the term's symbols
+        ({("k1", "k2"): Fraction(1, 2), ("n", "k2"): Fraction(1, 2)}, {},
+         "Et2", "1/2 of Q"),
+        ({("k1", "k2"): Fraction(1, 2), ("k2", "k2"): Fraction(1, 2)}, {},
+         "Et2", "1/2 of q"),
+        ({("k1", "k2"): Fraction(1, 2), ("n", "k2"): Fraction(1, 2),
+          ("k2", "k2"): Fraction(1, 2)}, {}, "Et2", "1/2 of q"),
+        ({("k1", "n"): Fraction(1, 2), ("n", "n"): Fraction(1, 3)}, {},
+         "E", "1/3 of q"),
+        ({("k2", "n"): Fraction(1, 2), ("k1", "n"): Fraction(1, 2)}, {},
+         "E", "1/2 of Qt1"),
+    ])
+    def test_half_integer_shift_ratio_names_one_exponent(self, quad, lin,
+                                                         which, message):
+        t = ProperQHTerm(colors=("n",), nu=2, poch=(),
+                         quad=QuadForm.make(quad, lin))
+        for fn in (shift_ratio, epsilon_ratio):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"exponent {message} is not an integer")):
+                fn(t, which)

@@ -92,6 +92,26 @@ class TestCanonicalForm:
         assert a.num == b.num and a.den == b.den
 
 
+    def test_constant_constructors_skip_the_gcd(self, monkeypatch):
+        one = LaurentMPoly.const(1)
+        want = [RationalFunction(LaurentMPoly.zero(), one),
+                RationalFunction(one, one),
+                RationalFunction(LaurentMPoly.var("Q"), one),
+                RationalFunction(LaurentMPoly.var("q", -3), one)]
+
+        def refuse(*args):
+            raise AssertionError("gcd_cofactors called")
+
+        monkeypatch.setattr("ajlab.ratfun.gcd_cofactors", refuse)
+        got = [RationalFunction.zero(), RationalFunction.one(),
+               RationalFunction.var("Q"), RationalFunction.var("q", -3)]
+        for g, w in zip(got, want):
+            assert g == w and (g.num, g.den) == (w.num, w.den)
+        assert got[0].is_zero() and got[1].is_one()
+        with pytest.raises(AssertionError):
+            RationalFunction(P("Q - 1"), P("Q + 1"))
+
+
 class TestArithmetic:
     @given(a=ratfuns(), b=ratfuns(), c=ratfuns())
     @settings(max_examples=30, deadline=None)
