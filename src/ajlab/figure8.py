@@ -107,6 +107,12 @@ def jones_evaluator() -> SequenceFn:
     return jones
 
 
+# colors overlap across n and across calls of recurrence_report
+@lru_cache(maxsize=None)
+def _jones_symbolic_cached(n: int) -> RationalFunction:
+    return RationalFunction(jones_symbolic(n), LaurentMPoly.const(1))
+
+
 SAMPLE_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7),
              Fraction(11))
 
@@ -129,7 +135,6 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
     """
     p0 = _p0_operator()
     jev = jones_evaluator()
-    jones: dict[int, RationalFunction] = {}  # colors overlap across n
     rows = []
     for n in ns:
         if n < 1:
@@ -144,11 +149,8 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
             LaurentMPoly.const(1))
         parts = [inhom]
         for e, c in p0.terms.items():
-            k = n + e[0]
-            if k not in jones:
-                jones[k] = RationalFunction(jones_symbolic(k),
-                                            LaurentMPoly.const(1))
-            parts.append(c.subst({"Q": qn}) * jones[k])
+            parts.append(c.subst({"Q": qn})
+                         * _jones_symbolic_cached(n + e[0]))
         total = RationalFunction.zero()
         for t in parts:
             total = total + t

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from ajlab import dilog
-from ajlab.dilog import _BERN_COEFF, _MAX_TERMS, li2
+from ajlab.dilog import _BERN_COEFF, li2
 from ajlab.errors import BranchCutError, DomainError
 
 CATALAN = 0.915965594177219015054603514932
@@ -37,12 +37,14 @@ def _bernoulli_numbers(n: int) -> list[Fraction]:
 def test_bernoulli_table_matches_the_recurrence():
     # the series coefficients B_n / (n+1)! are a literal table; each must
     # be the correctly rounded float of the exact value
-    b = _bernoulli_numbers(64)
+    b = _bernoulli_numbers(22)
     assert b[:5] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
-    want = [float(b[n] / math.factorial(n + 1)) for n in range(65)]
-    assert len(_BERN_COEFF) == 65
+    want = [float(b[n] / math.factorial(n + 1)) for n in range(21)]
+    assert len(_BERN_COEFF) == 21
     assert all(type(x) is float for x in _BERN_COEFF)
     assert _BERN_COEFF == want
+    # the first term left out, at the largest |u| = pi/3 the maps allow
+    assert abs(float(b[22] / math.factorial(23))) * (math.pi / 3) ** 23 < 1e-17
 
 
 class TestClosedForms:
@@ -103,10 +105,17 @@ class TestOracleGrid:
         assert worst < 1e-14
 
     def test_near_boundaries(self):
-        # points straddling the internal routing radii
-        pts = [0.499 + 0.01j, 0.501 + 0.01j, 1.999j, 2.001j,
-               0.52 + 0.01j, 1.45 + 0.02j, -1.999 + 0j, -2.001 + 0j,
-               0.999 + 0.445j, 1.001 + 0.447j]
+        # points straddling the routing boundaries: |z| = 1 (Re z <= 1/2),
+        # |1 - z| = 1 (Re z > 1/2), Re z = 1/2, and the corner e^(i pi/3)
+        c, s = 0.5, math.sqrt(3) / 2
+        pts = [0.999j, 1.001j, -0.999 + 0j, -1.001 + 0j,
+               -0.6 + 0.799j, -0.6 + 0.801j,
+               1 + 0.999j, 1 + 1.001j, 1.999 + 0.01j, 2.001 + 0.01j,
+               1.6 - 0.799j, 1.6 - 0.801j,
+               0.499 + 0.3j, 0.501 + 0.3j, 0.499 - 0.9j, 0.501 - 0.9j,
+               complex(c, s), complex(c - 1e-9, s), complex(c + 1e-9, s),
+               complex(c, s + 1e-9), complex(c, s - 1e-9),
+               complex(c, -s), complex(c + 1e-9, -s - 1e-9)]
         for z in pts:
             assert abs(li2(z) - ref(z)) < 1e-14
 
@@ -146,80 +155,132 @@ class TestCut:
             li2(complex(0, float("nan")))
 
 
-# -- bit-identity of the compensated series ----------------------------------
-# The oracles sum through a separate Kahan step function, as the series were
-# first written; the inlined sums must give the same bits.
+# -- seeded battery against mpmath -------------------------------------------
+# Every branch of `_route` and `_cut_upper`, both sides of every boundary
+# between them, and the ends of the exponent range.
 
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
-def _oracle_taylor(z):
-    total = 0j
-    comp = 0j
-    power = 1 + 0j
-    for k in range(1, _MAX_TERMS):
-        power *= z
-        term = power / (k * k)
-        total, comp = _kahan_add(total, comp, term)
-        if abs(term) < 1e-16 * (abs(total) + 1e-16):
-            return total
-    raise AssertionError("oracle power series did not settle")
+def _cut_ref(x, side):
+    # the limit from the upper (side = 1) or lower (side = -1) half-plane
+    mpmath.mp.dps = 40
+    v = mpmath.polylog(2, mpmath.mpc(x, side * mpmath.mpf("1e-300")))
+    return complex(float(v.real), float(v.imag))
 
 
-def _oracle_bernoulli_series(w):
-    total = _BERN_COEFF[0] * w
-    comp = 0j
-    w2 = w * w
-    total, comp = _kahan_add(total, comp, _BERN_COEFF[1] * w2)
-    wp = w
-    for n in range(2, len(_BERN_COEFF), 2):
-        wp *= w2
-        term = _BERN_COEFF[n] * wp
-        total, comp = _kahan_add(total, comp, term)
-        if abs(term) < 1e-16 * (abs(total) + 1e-16):
-            return total
-    raise AssertionError("oracle log series did not settle")
+def _battery(region, count=100):
+    rng = random.Random(f"li2-{region}")
+
+    def sign():
+        return rng.choice((1, -1))
+
+    def scale(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    def straddle():
+        # an offset of 0 to 1e-3, either sign: both sides of a boundary
+        return sign() * rng.choice((0.0, 1e-15, 1e-12, 1e-9, 1e-6,
+                                    1e-3)) * rng.random()
+
+    def arc():
+        # the arguments where |z| = 1 has Re z <= 1/2
+        return sign() * rng.uniform(math.pi / 3, math.pi)
+
+    def corner():
+        z = cmath.exp(1j * math.pi / 3) * complex(1 + straddle(), straddle())
+        return z if sign() > 0 else z.conjugate()
+
+    def outside():
+        while True:
+            z = cmath.rect(scale(0, 2), rng.uniform(-math.pi, math.pi))
+            if abs(1 - z) > 1:
+                return z
+
+    def edge():
+        # x < 2 and x >= 2 take the two branches of `_cut_upper`
+        return rng.choice((1 + scale(-16, 0), 2 + straddle(),
+                           scale(0, 300)))
+
+    draw = {
+        # |z| <= 1, Re z <= 1/2: the series in -log(1 - z) directly
+        "inside": lambda: cmath.rect(rng.random() ** 0.5, arc()),
+        # |1 - z| <= 1, Re z > 1/2: reflection
+        "reflection": lambda: 1 - cmath.rect(rng.random() ** 0.5, arc()),
+        # everything else: inversion
+        "outside": outside,
+        # both sides of |z| = 1, of |1 - z| = 1 and of Re z = 1/2
+        "near_circle": lambda: cmath.rect(1 + straddle(), arc()),
+        "reflection_circle": lambda: 1 - cmath.rect(1 + straddle(), arc()),
+        "half_line": lambda: complex(0.5 + straddle(), rng.uniform(-1.5, 1.5)),
+        # the corners e^(+-i pi/3), where the three regions meet
+        "corner": corner,
+        "tiny": lambda: cmath.rect(scale(-300, -1), rng.uniform(-3.2, 3.2)),
+        "huge": lambda: cmath.rect(scale(1, 300), rng.uniform(-3.2, 3.2)),
+        # within 1e-12 of 1, off the real axis
+        "near_one": lambda: 1 + cmath.rect(scale(-16, -12),
+                                           sign() * rng.uniform(1e-3, 3.14)),
+        # plain floats below 1 take the real path
+        "real": lambda: rng.choice((-scale(0, 300), rng.uniform(-1, 1),
+                                    1 - scale(-16, 0), -scale(-300, 0))),
+        "cut_upper": lambda: complex(edge(), 0.0),
+        "cut_lower": lambda: complex(edge(), -0.0),
+    }[region]
+    return [draw() for _ in range(count)]
 
 
-def _seeded_points(region, count=150, seed=0):
-    rng = random.Random(f"{region}-{seed}")
-
-    def polar(lo, hi, centre=0):
-        return centre + cmath.rect(rng.uniform(lo, hi),
-                                   rng.uniform(0, 2 * math.pi))
-
-    return [{
-        "inside": lambda: polar(0.0, 0.5),
-        "near_circle": lambda: polar(0.95, 1.05),
-        "outside": lambda: polar(2.0, 60.0),
-        "reflection": lambda: polar(0.0, 0.5, centre=1),
-        "cut_upper": lambda: complex(rng.uniform(1.0, 10.0), 0.0),
-        "cut_lower": lambda: complex(rng.uniform(1.0, 10.0), -0.0),
-    }[region]() for _ in range(count)]
+REGIONS = ["inside", "reflection", "outside", "near_circle",
+           "reflection_circle", "half_line", "corner", "tiny", "huge",
+           "near_one", "real", "cut_upper", "cut_lower"]
 
 
-@pytest.mark.parametrize("region", ["inside", "near_circle", "outside",
-                                    "reflection", "cut_upper", "cut_lower"])
-def test_li2_is_bit_identical_to_the_kahan_oracle(monkeypatch, region):
-    zs = _seeded_points(region)
-    got = [repr(li2(z)) for z in zs]
-    monkeypatch.setattr(dilog, "_taylor", _oracle_taylor)
-    monkeypatch.setattr(dilog, "_bernoulli_series", _oracle_bernoulli_series)
-    assert got == [repr(li2(z)) for z in zs]
+def _branch(z):
+    """The map `li2` takes for z, worked out apart from `dilog`."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real > 1.0:
+        return "cut, x < 2" if z.real < 2.0 else "cut, x >= 2"
+    if abs(z) <= 1 and z.real <= 0.5:
+        return "direct"
+    return "reflection" if abs(1 - z) <= 1 else "inversion"
 
 
-def test_series_are_bit_identical_to_the_kahan_oracle():
-    for z in _seeded_points("inside", 300, seed=1) + [0j, -0j, 0.5 + 0j]:
-        assert repr(dilog._taylor(z)) == repr(_oracle_taylor(z))
-    # the log series runs on w = -log(1 - z) for the annulus points away
-    # from the reflection disk
-    for z in _seeded_points("near_circle", 300, seed=1):
-        if abs(1 - z) <= 0.5:
-            continue
-        w = -cmath.log(1 - z)
-        assert (repr(dilog._bernoulli_series(w))
-                == repr(_oracle_bernoulli_series(w)))
+def test_battery_reaches_every_branch_from_both_sides():
+    hit = {r: {_branch(z) for z in _battery(r)} for r in REGIONS}
+    assert hit["inside"] == {"direct"}
+    assert hit["reflection"] == {"reflection"}
+    assert hit["outside"] == {"inversion"}
+    assert hit["near_circle"] == {"direct", "inversion"}
+    assert hit["reflection_circle"] == {"reflection", "inversion"}
+    assert hit["half_line"] == {"direct", "reflection", "inversion"}
+    assert hit["corner"] == {"direct", "reflection", "inversion"}
+    assert hit["cut_upper"] == hit["cut_lower"] == {"cut, x < 2",
+                                                    "cut, x >= 2"}
+    tiny = [abs(z) for z in _battery("tiny")]
+    huge = [abs(z) for z in _battery("huge")]
+    assert min(tiny) < 1e-290 and max(huge) > 1e290
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_li2_matches_mpmath(region):
+    worst = 0.0
+    for z in _battery(region):
+        got = li2(z)
+        if isinstance(z, complex) and z.imag == 0.0:
+            want = _cut_ref(z.real, math.copysign(1.0, z.imag))
+        else:
+            want = ref(z)
+        worst = max(worst, abs(got - want) / abs(want))
+        # conjugate symmetry is exact, the cut edges included
+        assert li2(z.conjugate()) == got.conjugate(), z
+    assert worst <= 1e-15, (region, worst)
+
+
+def test_series_matches_mpmath_on_the_u_disk():
+    # the polynomial alone on |u| <= pi/3, the image of the region
+    mpmath.mp.dps = 40
+    rng = random.Random("li2-series")
+    worst = 0.0
+    for _ in range(100):
+        u = cmath.rect(math.pi / 3 * rng.random() ** 0.5,
+                       rng.uniform(-math.pi, math.pi))
+        want = mpmath.polylog(2, 1 - mpmath.exp(-mpmath.mpc(u)))
+        want = complex(float(want.real), float(want.imag))
+        worst = max(worst, abs(dilog._series(u) - want) / abs(want))
+    assert worst <= 1e-15

@@ -318,8 +318,29 @@ class TestCertificate:
             return jones_symbolic(n)
 
         monkeypatch.setattr(figure8, "jones_symbolic", counted)
+        figure8._jones_symbolic_cached.cache_clear()
         recurrence_report(ns=(1, 2, 3), qs=(Fraction(2),))
         assert sorted(colors) == [1, 2, 3, 4, 5]
+
+    def test_recurrence_report_shares_colors_across_calls(self, monkeypatch):
+        # the colors are kept for the process, as jones_eval's values are:
+        # a second, overlapping call builds only the colors it adds
+        import ajlab.figure8 as figure8
+        qs = (Fraction(2), Fraction(-5, 3))
+        colors = []
+
+        def counted(n):
+            colors.append(n)
+            return jones_symbolic(n)
+
+        monkeypatch.setattr(figure8, "jones_symbolic", counted)
+        figure8._jones_symbolic_cached.cache_clear()
+        first = recurrence_report(ns=(1, 2, 3), qs=qs)
+        second = recurrence_report(ns=(2, 3, 4), qs=qs)
+        assert sorted(colors) == [1, 2, 3, 4, 5, 6]
+        assert first + second[-1:] == [multiplied_out_row(n, qs)
+                                       for n in (1, 2, 3, 4)]
+        assert second[:2] == first[1:]
 
     def test_recurrence_report_rejects_bad_colors(self):
         with pytest.raises(DomainError):
