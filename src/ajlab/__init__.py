@@ -41,7 +41,7 @@ _EXPORTS = {
                   "saddle_system", "solve_saddle", "volume"),
     "qhg": ("ProperQHTerm", "build_crossing", "epsilon_ratio",
             "habiro_figure_eight", "jones_eval", "jones_symbolic",
-            "lattice_sum", "shift_ratio", "support_box"),
+            "lattice_sum", "shift_ratio"),
     "ratfun": ("RationalFunction", "format_ratfun"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

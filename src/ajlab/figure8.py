@@ -13,7 +13,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .ore import OreOperator, SequenceFn, ore_apply, ore_mul
 from .poly import LaurentMPoly, parse_poly, poly_lcm
-from .qhg import jones_eval, jones_symbolic
+from .qhg import _rational_q, jones_eval, jones_symbolic
 from .ratfun import RationalFunction, parse_ratfun as _rf
 
 
@@ -102,8 +102,8 @@ def jones_evaluator() -> SequenceFn:
     def jones(point: tuple[int, ...], qval: Fraction) -> Fraction:
         if len(point) != 1:
             raise DomainError(f"the full sum takes one color, got {point}")
-        n = point[0]
-        return _jones_cached(n, Fraction(qval)) if n >= 1 else Fraction(0)
+        n, qval = point[0], _rational_q(qval)
+        return _jones_cached(n, qval) if n >= 1 else Fraction(0)
     return jones
 
 
@@ -139,7 +139,7 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
     for n in ns:
         if n < 1:
             raise DomainError(f"colors start at 1, got {n}")
-        qvals = [Fraction(qv) for qv in qs]
+        qvals = [_rational_q(qv) for qv in qs]
         sampled_ok = all(
             ore_apply(p0, jev, (n,), qv) == -(qv ** (n + 1) + 1)
             for qv in qvals)

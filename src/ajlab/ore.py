@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .errors import DomainError, PoleError
 from .poly import Immutable, LaurentMPoly, exact_divide, limit_at_one, \
     poly_lcm, signed_content
-from .qhg import _int_point
+from .qhg import _int_point, _rational_q
 from .ratfun import RationalFunction, as_ratfun, format_ratfun
 
 RFLike = Union[RationalFunction, LaurentMPoly, int, Fraction]
@@ -204,7 +204,7 @@ def ore_apply(p: OreOperator, f: SequenceFn, point: Sequence[int],
     if len(point) != p.nu + 1:
         raise DomainError(
             f"point {point} does not match operator with nu={p.nu}")
-    qval = Fraction(qval)
+    qval = _rational_q(qval)
     values = {"Q": qval ** point[0], "q": qval}
     values.update((_lattice_var(i), qval ** k)
                   for i, k in enumerate(point[1:], 1))

@@ -20,11 +20,12 @@ and the lengths'; ``epsilon_ratio`` is its q -> 1 limit (the
 ``poly.limit_at_one`` of ore).
 
 ``lattice_sum`` adds a summand up over its support, at a rational q or in
-q.  Each row of the last lattice axis is bounded from its head by the
-support rows (for nu >= 2 the heads fill the outer axes' `support_box`),
-evaluated in full at its first point, and walked: each later point is the
-one before times a sign, a q-power and a few (1 - q^j), stepped in ints
-over one shared denominator or as dense lists.  A walk restarts with a
+q.  Each lattice axis is bounded from the axes before it by its rows in
+`_Plan.bounds` (the support rows, projected by Fourier-Motzkin), so the
+heads cover the support polytope.  Each row of the last axis is evaluated
+in full at its first point, and walked: each later point is the one
+before times a sign, a q-power and a few (1 - q^j), stepped in ints over
+one shared denominator or as dense lists.  A walk restarts with a
 full evaluation where the term is zero, or where a step changes the
 q-exponent by a half-integer or has a zero factor (q in {0, +-1}); so
 every value and every error is the point-by-point sum's.
@@ -32,7 +33,6 @@ every value and every error is the point-by-point sum's.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cache, partial
@@ -96,6 +96,32 @@ def _int_point(point: Sequence[int]) -> tuple[int, ...]:
     except TypeError:
         raise DomainError(
             f"point {tuple(point)} has a non-integer entry") from None
+
+
+def _rational_q(qval: Scalar) -> Fraction:
+    """qval as a Fraction: an int or a Fraction, else a DomainError (0.5,
+    '5/2', nan and None are refused, not read as some q)."""
+    if type(qval) is Fraction:
+        return qval
+    try:
+        return Fraction(index(qval))
+    except TypeError:
+        raise DomainError(
+            f"q = {qval!r} is not an int or a Fraction") from None
+
+
+def _project(rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Fourier-Motzkin: rows for the projection of where every row is >= 0
+    along the last axis: the rows without it, and each pair with opposite
+    slopes combined to cancel it, over their gcd; duplicates dropped."""
+    out = [r[:-1] for r in rows if not r[-1]]
+    for p in rows:
+        for n in rows:
+            if p[-1] > 0 > n[-1]:
+                c = [x * -n[-1] + y * p[-1] for x, y in zip(p[:-1], n[:-1])]
+                g = math.gcd(*c) or 1
+                out.append(tuple(x // g for x in c))
+    return tuple(dict.fromkeys(out))
 
 
 def _monomial(row: Sequence[int], den: int, names: Sequence[str],
@@ -187,13 +213,16 @@ def _row(form: LinearForm, ix: Mapping[str, int], what: str,
 
 class _Plan:
     """A summand as int rows (`_row`): ``support`` (lengths, constraints),
+    ``bounds`` (per lattice axis, the rows that bound it from the axes
+    before it: `_project` of the next entry, the last being ``support``),
     ``denoms``, ``sign``, ``quad`` (row, pairs, den): den times the
     exponent is the row plus c x_i x_j per (i, j, c).  A step x[-1] += 1
     adds ``delta`` (`step` of the last axis) to that, and (1 - q^j), j in
     range(L + j0, L + j1), per (row of L, j0, j1, above the bar) of
     ``moving``, the moving lengths."""
 
-    __slots__ = ("support", "denoms", "sign", "quad", "delta", "moving")
+    __slots__ = ("support", "bounds", "denoms", "sign", "quad", "delta",
+                 "moving")
 
     def __init__(self, term: "ProperQHTerm"):
         ix = {s: i for i, s in enumerate(term.symbols())}
@@ -204,6 +233,9 @@ class _Plan:
         self.sign = _row(term.sign, ix, "sign")
         self.support = lengths + tuple(_row(f, ix, "constraint")
                                        for f in term.constraints)
+        self.bounds = (self.support,)
+        for _ in range(term.nu - 1):
+            self.bounds = (_project(self.bounds[0]), *self.bounds)
         quad = term.quad
         if unknown := sorted({s for p, _ in quad.quad for s in p} - set(ix)):
             raise DomainError(f"exponent uses unknown symbol {unknown[0]}")
@@ -255,9 +287,6 @@ class ProperQHTerm(Immutable):
     def symbols(self) -> tuple[str, ...]:
         return self.colors + tuple(_lattice_sym(i + 1) for i in range(self.nu))
 
-    def support_forms(self) -> tuple[LinearForm, ...]:
-        return tuple(f.length for f in self.poch) + self.constraints
-
     def _at(self, point: Sequence[int]) -> Optional[tuple]:
         """(the (length, under the bar) pair of every Pochhammer factor, the
         q-exponent, the sign's parity) at point, or None out of support."""
@@ -293,12 +322,11 @@ class ProperQHTerm(Immutable):
     def eval_exact(self, point: Sequence[int], qval: Scalar) -> Fraction:
         """Exact value at q = qval, zero out of support, in integer products;
         a (q)_L under the bar that vanishes is a PoleError."""
+        qval = _rational_q(qval)
         at = self._at(point)
         if at is None:
             return Fraction(0)
         lengths, e, odd = at
-        if type(qval) is not Fraction:
-            qval = Fraction(qval)
         a, b = qval.numerator, qval.denominator
         k = _int_exponent(e)
         if not a and k < 0:
@@ -461,68 +489,15 @@ def habiro_figure_eight() -> ProperQHTerm:
 
 # -- lattice summation -----------------------------------------------------
 
-_SUPPORT_ROUNDS = 200  # cap on support_box's propagation rounds
-_SUPPORT_MAX_WIDTH = 100000  # widest support interval support_box returns
+_SUPPORT_MAX_WIDTH = 100000  # widest row that _row_bounds returns
 
-def support_box(forms: Sequence[LinearForm], fixed: Mapping[str, int],
-                free: Sequence[str]) -> list[tuple[int, int]]:
-    """Finite bounds [lo, hi] per free symbol for the region where every
-    form is nonnegative, by interval propagation; SupportError when it is
-    not certified bounded, the bounds still move after _SUPPORT_ROUNDS
-    rounds, or an interval is wider than _SUPPORT_MAX_WIDTH."""
-    lo, hi = dict.fromkeys(free), dict.fromkeys(free)  # None: no bound yet
-    # each form as its value at the fixed symbols and its free terms
-    split = [(form.const + sum(c * fixed[s] for s, c in form.coeffs
-                               if s in fixed),
-              [(s, c) for s, c in form.coeffs if s in free and c != 0])
-             for form in forms]
-    for _ in range(_SUPPORT_ROUNDS):
-        changed = False
-        for base, fc in split:
-            for s, c in fc:
-                # c*s >= -base - sum of the other free parts' best case
-                bound = -base
-                for s2, c2 in fc:
-                    if s2 != s:
-                        b = hi[s2] if c2 > 0 else lo[s2]
-                        if b is None:
-                            break
-                        bound -= c2 * b
-                else:
-                    bound = Fraction(bound) / c  # exact: never int / int
-                    side = lo if c > 0 else hi
-                    old = side[s]
-                    if old is None or (bound > old if c > 0 else bound < old):
-                        side[s] = bound
-                        changed = True
-        if not changed:
-            break
-    else:
-        raise SupportError(f"support bounds still move after "
-                           f"{_SUPPORT_ROUNDS} rounds of propagation")
-    return [_certified(s, lo[s], hi[s]) for s in free]
-
-
-def _certified(sym: str, lo, hi) -> tuple[int, int]:
-    """[ceil lo, floor hi] for sym, or the SupportError of an interval
-    without both ends or wider than _SUPPORT_MAX_WIDTH."""
-    if lo is None or hi is None:
-        raise SupportError(f"non-finite support: no bounds for {sym} "
-                           "follow from the factor lengths")
-    a, b = math.ceil(lo), math.floor(hi)
-    if b - a > _SUPPORT_MAX_WIDTH:
-        raise SupportError(
-            f"support width for {sym} exceeds {_SUPPORT_MAX_WIDTH}")
-    return a, b
-
-
-def _row_bounds(plan: _Plan, head: tuple[int, ...], sym: str
-                ) -> tuple[int, int]:
-    """[lo, hi] of the last axis sym where head + (k,) is in the support,
-    as `support_box` bounds it from the forms with a nonzero slope; hi < lo
-    where a form with slope 0 is negative."""
+def _row_bounds(rows: Sequence[tuple[int, ...]], head: tuple[int, ...],
+                sym: str) -> tuple[int, int]:
+    """[lo, hi] of the rows' last axis sym where head + (k,) has every row
+    >= 0, hi < lo where a row with slope 0 is negative; a SupportError
+    without a bound on either side, or wider than _SUPPORT_MAX_WIDTH."""
     y, lo, hi, empty = (1, *head), None, None, False
-    for r in plan.support:
+    for r in rows:
         b, s = sum(map(mul, r, y)), r[-1]  # y stops before the last axis
         if s > 0:
             lo = -(b // s) if lo is None else max(lo, -(b // s))
@@ -530,7 +505,12 @@ def _row_bounds(plan: _Plan, head: tuple[int, ...], sym: str
             hi = b // -s if hi is None else min(hi, b // -s)
         elif b < 0:
             empty = True
-    lo, hi = _certified(sym, lo, hi)
+    if lo is None or hi is None:
+        raise SupportError(f"non-finite support: no bounds for {sym} "
+                           "follow from the factor lengths")
+    if hi - lo > _SUPPORT_MAX_WIDTH:
+        raise SupportError(
+            f"support width for {sym} exceeds {_SUPPORT_MAX_WIDTH}")
     return (lo, lo - 1) if empty else (lo, hi)
 
 
@@ -603,21 +583,23 @@ def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
     colors = _int_point(colors)
     if len(colors) != len(term.colors):
         raise DomainError("wrong number of colors")
-    plan, nu, heads = term._plan, term.nu, [()]
-    if nu > 1:
-        box = support_box(term.support_forms(), dict(zip(term.colors, colors)),
-                          [_lattice_sym(i + 1) for i in range(nu)])
-        heads = itertools.product(*(range(a, b + 1) for a, b in box[:-1]))
-    # with nu = 0 the one point is a row along the color
-    rows = [(colors + h, *_row_bounds(plan, colors + h, _lattice_sym(nu)))
-            for h in heads] if nu else [((), colors[0], colors[0])]
     if qval is None:
         total, evaluate, run = (RationalFunction.zero(), term.eval_symbolic,
                                 _SymbolicRun)
     else:
-        q = Fraction(qval)
+        q = _rational_q(qval)
         total, evaluate = Fraction(0), partial(term.eval_exact, qval=q)
         run = partial(_ExactRun, q)
+    plan, nu, heads = term._plan, term.nu, [colors]
+    for i, bound in enumerate(plan.bounds[:-1], 1):  # the outer axes
+        nxt = []
+        for h in heads:
+            lo, hi = _row_bounds(bound, h, _lattice_sym(i))
+            nxt.extend(h + (k,) for k in range(lo, hi + 1))
+        heads = nxt
+    # with nu = 0 the one point is a row along the color
+    rows = [(h, *_row_bounds(plan.support, h, _lattice_sym(nu)))
+            for h in heads] if nu else [((), colors[0], colors[0])]
     delta, dslope, den = plan.delta, plan.delta[-1], plan.quad[2]
     flip, moving = plan.sign[-1] % 2, plan.moving
     for head, lo, hi in rows:
@@ -655,4 +637,4 @@ def jones_symbolic(n: int) -> LaurentMPoly:
 def jones_eval(n: int, qval: Scalar) -> Fraction:
     if n < 1:
         raise DomainError("color must be a positive integer")
-    return lattice_sum(habiro_figure_eight(), (n,), qval)
+    return lattice_sum(habiro_figure_eight(), (n,), _rational_q(qval))

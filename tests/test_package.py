@@ -58,7 +58,7 @@ def test_star_import_binds_exactly_all():
     exec("from ajlab import *", ns)
     del ns["__builtins__"]
     assert sorted(ns) == ajlab.__all__
-    assert len(ajlab.__all__) == 57
+    assert len(ajlab.__all__) == 56
 
 
 def test_dir_covers_all():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from ajlab.cli import _load_term
 from ajlab.elim import eliminate, ratio_system
 from ajlab.errors import DomainError, PoleError, SupportError
+from ajlab.figure8 import jones_evaluator, p0_operator, recurrence_report
+from ajlab.ore import ore_apply
 from ajlab.poly import LaurentMPoly, parse_poly
 from ajlab.qhg import (
     LinearForm,
@@ -28,7 +31,6 @@ from ajlab.qhg import (
     jones_symbolic,
     lattice_sum,
     shift_ratio,
-    support_box,
 )
 from ajlab.ratfun import RationalFunction
 
@@ -89,10 +91,71 @@ def so3_minus_literal(m, k1, k2, k3, k4, qv):
     return val
 
 
+def support_forms(term):
+    """The forms that must be nonnegative: lengths, then constraints."""
+    return tuple(f.length for f in term.poch) + term.constraints
+
+
 def literal_in_support(term, point):
     """Every Pochhammer length and every constraint is nonnegative."""
     env = dict(zip(term.symbols(), point))
-    return all(value(f, env) >= 0 for f in term.support_forms())
+    return all(value(f, env) >= 0 for f in support_forms(term))
+
+
+# -- the support oracle: interval propagation over the stored forms --------
+
+_SUPPORT_ROUNDS = 200  # cap on support_box's propagation rounds
+
+
+def support_box(forms, fixed, free):
+    """Finite bounds [lo, hi] per free symbol for the region where every
+    form is nonnegative, by interval propagation; SupportError when it is
+    not certified bounded, the bounds still move after _SUPPORT_ROUNDS
+    rounds, or an interval is wider than _SUPPORT_MAX_WIDTH."""
+    lo, hi = dict.fromkeys(free), dict.fromkeys(free)  # None: no bound yet
+    # each form as its value at the fixed symbols and its free terms
+    split = [(form.const + sum(c * fixed[s] for s, c in form.coeffs
+                               if s in fixed),
+              [(s, c) for s, c in form.coeffs if s in free and c != 0])
+             for form in forms]
+    for _ in range(_SUPPORT_ROUNDS):
+        changed = False
+        for base, fc in split:
+            for s, c in fc:
+                # c*s >= -base - sum of the other free parts' best case
+                bound = -base
+                for s2, c2 in fc:
+                    if s2 != s:
+                        b = hi[s2] if c2 > 0 else lo[s2]
+                        if b is None:
+                            break
+                        bound -= c2 * b
+                else:
+                    bound = Fraction(bound) / c  # exact: never int / int
+                    side = lo if c > 0 else hi
+                    old = side[s]
+                    if old is None or (bound > old if c > 0 else bound < old):
+                        side[s] = bound
+                        changed = True
+        if not changed:
+            break
+    else:
+        raise SupportError(f"support bounds still move after "
+                           f"{_SUPPORT_ROUNDS} rounds of propagation")
+    return [_certified(s, lo[s], hi[s]) for s in free]
+
+
+def _certified(sym, lo, hi):
+    """[ceil lo, floor hi] for sym, or the SupportError of an interval
+    without both ends or wider than _SUPPORT_MAX_WIDTH."""
+    if lo is None or hi is None:
+        raise SupportError(f"non-finite support: no bounds for {sym} "
+                           "follow from the factor lengths")
+    a, b = math.ceil(lo), math.floor(hi)
+    if b - a > _SUPPORT_MAX_WIDTH:
+        raise SupportError(
+            f"support width for {sym} exceeds {_SUPPORT_MAX_WIDTH}")
+    return a, b
 
 
 def literal_symbolic(term, point):
@@ -552,11 +615,29 @@ class TestLimitRatios:
             assert outcome(epsilon_ratio, f, "E") == want
 
 
+def ones(forms, nu):
+    """The summand 1 on the region where every form (over n, k1..k_nu) is
+    nonnegative: its sum counts the region's integer points."""
+    return ProperQHTerm(("n",), nu, (), QuadForm.make({}), constraints=forms)
+
+
 class TestLatticeSummation:
     def test_bounded_box(self):
+        # the oracle bounds the twist knot's k1 and k2 by a square; the
+        # outer axis k1 is bounded by the projection of the support rows,
+        # and each row k2 by the support, so the rows cover the triangle
+        # 0 <= k2 <= k1 <= n - 1
         f = habiro_figure_eight()
-        box = support_box(f.support_forms(), {"n": 3}, ["k1"])
-        assert box == [(0, 2)]
+        assert support_box(support_forms(f), {"n": 3}, ["k1"]) == [(0, 2)]
+        term, n = twist_knot(2), 5
+        plan = term._plan
+        assert support_box(support_forms(term), {"n": n},
+                           ["k1", "k2"]) == [(0, n - 1), (0, n - 1)]
+        assert [len(rows) for rows in plan.bounds] == [6, 11]
+        assert plan.bounds[-1] is plan.support
+        assert _row_bounds(plan.bounds[0], (n,), "k1") == (0, n - 1)
+        for k1 in range(n):
+            assert _row_bounds(plan.support, (n, k1), "k2") == (0, k1)
 
     def test_sum_matches_direct(self):
         f = habiro_figure_eight()
@@ -569,34 +650,123 @@ class TestLatticeSummation:
             lattice_sum(r, (2,), 2)
 
     def test_gauge_direction_named(self):
-        r = build_crossing(True)
-        with pytest.raises(SupportError, match="non-finite support"):
-            support_box(r.support_forms(), {"m": 2},
-                        ["k1", "k2", "k3", "k4"])
+        # the crossing forms are invariant under one common shift of
+        # k1..k4: no row of the projection onto k1 bounds it
+        for positive, qv in itertools.product((True, False), (2, None)):
+            r = build_crossing(positive)
+            assert [len(rows) for rows in r._plan.bounds] == [0, 1, 2, 5]
+            with pytest.raises(SupportError) as info:
+                lattice_sum(r, (2,), qv)
+            assert str(info.value) == ("non-finite support: no bounds for "
+                                       "k1 follow from the factor lengths")
 
     def test_propagation_that_never_settles_is_an_error(self):
         # k1, k2 >= 0, k1 >= k2 + 1 and k2 >= k1: empty, and each round
-        # moves the bounds by one, so propagation never settles; with
-        # k1 <= 1000 every bound is finite when the round cap is hit,
-        # which used to end the loop silently and return a box
+        # moves the oracle's bounds by one, so its propagation never
+        # settles; with k1 <= 1000 every bound is finite when the round
+        # cap is hit, which used to end the loop silently and return a box
         chase = [LinearForm.make({"k1": 1}), LinearForm.make({"k2": 1}),
                  LinearForm.make({"k1": 1, "k2": -1}, -1),
                  LinearForm.make({"k2": 1, "k1": -1})]
-        for forms in (chase + [LinearForm.make({"k1": -1}, 1000)], chase):
+        bounded = chase + [LinearForm.make({"k1": -1}, 1000)]
+        for forms in (bounded, chase):
             with pytest.raises(SupportError, match="after 200 rounds"):
                 support_box(forms, {}, ["k1", "k2"])
+        # the projection onto k1 has the row -1 >= 0: the bounded chase is
+        # empty and sums to 0; without k1 <= 1000 no row bounds k1 above
+        assert (-1,) + (0,) * 2 in ones(bounded, 2)._plan.bounds[0]
+        assert lattice_sum(ones(bounded, 2), (0,), 2) == 0
+        assert lattice_sum(ones(bounded, 2), (0,)).is_zero()
+        with pytest.raises(SupportError, match="no bounds for k1 follow"):
+            lattice_sum(ones(chase, 2), (0,), 2)
 
     def test_support_wider_than_the_cap_is_an_error(self):
-        # 0 <= k1 <= hi: the widest allowed interval is returned, one
-        # more point is refused
+        # 0 <= k1 <= hi: the widest allowed row is summed, one more point
+        # is refused; an outer axis is held to the same cap
         def forms(hi):
             return [LinearForm.make({"k1": 1}),
                     LinearForm.make({"k1": -1}, hi)]
 
         cap = _SUPPORT_MAX_WIDTH
         assert support_box(forms(cap), {}, ["k1"]) == [(0, cap)]
-        with pytest.raises(SupportError, match=f"k1 exceeds {cap}"):
-            support_box(forms(cap + 1), {}, ["k1"])
+        assert lattice_sum(ones(forms(cap), 1), (0,), 1) == cap + 1
+        strip = [LinearForm.make({"k1": 1}),
+                 LinearForm.make({"k1": -1}, 10 ** 6),
+                 LinearForm.make({"k2": 1, "k1": -1}),
+                 LinearForm.make({"k1": 1, "k2": -1}, 1)]
+        for term in (ones(forms(cap + 1), 1), ones(strip, 2)):
+            with pytest.raises(SupportError) as info:
+                lattice_sum(term, (0,), 2)
+            assert str(info.value) == f"support width for k1 exceeds {cap}"
+
+    def test_outer_width_is_checked_per_row(self):
+        # k2 = 2 * cap * k1 on 0 <= k1 <= 1: the box of k2 is wider than
+        # the cap, each row of it one point
+        w = 2 * _SUPPORT_MAX_WIDTH
+        steep = [LinearForm.make({"k1": 1}), LinearForm.make({"k1": -1}, 1),
+                 LinearForm.make({"k2": 1, "k1": -w}),
+                 LinearForm.make({"k2": -1, "k1": w})]
+        with pytest.raises(SupportError, match="width for k2 exceeds"):
+            support_box(steep, {}, ["k1", "k2"])
+        assert lattice_sum(ones(steep, 2), (0,), 2) == 2
+
+    def test_projection_bounds_what_propagation_cannot(self):
+        # k1 = k2 with 0 <= k1 + k2 <= 10: no form bounds one symbol on its
+        # own, so propagation finds no bound; the projection has 0 <= k1 <= 5
+        L = LinearForm.make
+        diag = [L({"k1": 1, "k2": -1}), L({"k2": 1, "k1": -1}),
+                L({"k1": 1, "k2": 1}), L({"k1": -1, "k2": -1}, 10)]
+        with pytest.raises(SupportError, match="no bounds for k1"):
+            support_box(diag, {}, ["k1", "k2"])
+        assert lattice_sum(ones(diag, 2), (0,), 2) == 6
+
+
+HALF_OR_INT = st.one_of(st.integers(-3, 3),
+                        st.integers(-7, 7).map(lambda k: Fraction(k, 2)))
+
+
+@st.composite
+def bounded_systems(draw):
+    """(nu, forms, n, ranges): a simplex sigma_i k_i >= -3,
+    sum sigma_i k_i <= s in random orientation sigma, which bounds the
+    region, and up to four random forms over n, k1..k_nu with int or
+    half-integer coefficients; ranges holds every point of the region."""
+    nu = draw(st.sampled_from((2, 3)))
+    syms = ["n"] + [f"k{i + 1}" for i in range(nu)]
+    sigma = draw(st.lists(st.sampled_from((1, -1)), min_size=nu,
+                          max_size=nu))
+    s = draw(st.integers(-4, 6))
+    forms = [LinearForm.make({k: c}, 3) for k, c in zip(syms[1:], sigma)]
+    forms.append(LinearForm.make({k: -c for k, c in zip(syms[1:], sigma)}, s))
+    forms += draw(st.lists(st.builds(
+        LinearForm.make, st.dictionaries(st.sampled_from(syms), HALF_OR_INT,
+                                         max_size=nu + 1),
+        st.one_of(st.integers(-12, 12), HALF_OR_INT)), max_size=4))
+    forms = draw(st.permutations(forms))
+    top = s + 3 * (nu - 1)  # sigma_i k_i <= s minus the others' lower ends
+    ranges = [range(-3, top + 1) if c > 0 else range(-top, 4) for c in sigma]
+    return nu, forms, draw(st.integers(-3, 3)), ranges
+
+
+class TestProjectedSupport:
+    """`lattice_sum` of the summand 1 counts the integer points of its
+    support: every axis bounded by the Fourier-Motzkin projection of the
+    support rows, against a brute-force count over a box around it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bounded_systems())
+    def test_sum_of_ones_counts_the_support(self, system):
+        nu, forms, n, ranges = system
+        env = {"n": n}
+        count = 0
+        for ks in itertools.product(*ranges):
+            env.update(zip((f"k{i + 1}" for i in range(nu)), ks))
+            count += all(value(f, env) >= 0 for f in forms)
+        term = ones(tuple(forms), nu)
+        assert lattice_sum(term, (n,), Fraction(3, 2)) == count
+        # axis i (from 1) is bounded by rows over 1, n, k1..k_i
+        assert all(len(r) == i + 2 for i, rows in
+                   enumerate(term._plan.bounds, 1) for r in rows)
 
 
 def per_point_sum(term, colors, qval=None):
@@ -604,7 +774,7 @@ def per_point_sum(term, colors, qval=None):
     evaluated on its own and added up, exactly or as rational functions
     of q."""
     free = [f"k{i + 1}" for i in range(term.nu)]
-    box = support_box(term.support_forms(), dict(zip(term.colors, colors)),
+    box = support_box(support_forms(term), dict(zip(term.colors, colors)),
                       free)
     points = [tuple(colors) + pt for pt in
               itertools.product(*(range(a, b + 1) for a, b in box))]
@@ -794,7 +964,7 @@ CAP = _SUPPORT_MAX_WIDTH
 
 
 class TestRowBounds:
-    """`lattice_sum` bounds each row of the last axis from its head, by the
+    """`_row_bounds` bounds each row of the last axis from its head, by the
     compiled support rows; `support_box` on that one free symbol is the
     oracle, except that a form without the last symbol that is negative
     empties the row."""
@@ -814,12 +984,11 @@ class TestRowBounds:
         forms = tuple(LinearForm.make({s: c for s, c in d.items()
                                        if s in syms}, c0)
                       for d, c0 in inputs)
-        term = ProperQHTerm(("n",), nu, (), QuadForm.make({}),
-                            constraints=forms)
+        term = ones(forms, nu)
         head, last = (n, k1)[:nu], syms[-1]
         fixed = dict(zip(syms, head))
         want = support_outcome(lambda: support_box(forms, fixed, [last])[0])
-        got = support_outcome(_row_bounds, term._plan, head, last)
+        got = support_outcome(_row_bounds, term._plan.support, head, last)
         if want[0] is not SupportError and any(
                 not coeff(f, last) and value(f, fixed) < 0 for f in forms):
             want = (want[0], want[0] - 1)
@@ -829,8 +998,9 @@ class TestRowBounds:
     def test_figure_eight_rows(self):
         f = habiro_figure_eight()
         for n in range(0, 6):
-            box = support_box(f.support_forms(), {"n": n}, ["k1"])[0]
-            assert _row_bounds(f._plan, (n,), "k1") == box == (0, n - 1)
+            box = support_box(support_forms(f), {"n": n}, ["k1"])[0]
+            got = _row_bounds(f._plan.support, (n,), "k1")
+            assert got == box == (0, n - 1)
 
 
 class TestAlgebra:
@@ -886,6 +1056,36 @@ def test_non_integer_points_are_refused(fn, args, point):
     with pytest.raises(DomainError, match=re.escape(
             f"point {point} has a non-integer entry")):
         fn(*args)
+
+
+BAD_QS = [(float("nan"), "nan"), (float("inf"), "inf"), (0.5, "0.5"),
+          ("5/2", "'5/2'"), (None, "None")]
+Q_ENTRY_POINTS = {
+    "eval_exact": lambda q: FIG8.eval_exact((3, 1), q),
+    "eval_exact_out_of_support": lambda q: FIG8.eval_exact((3, 5), q),
+    "lattice_sum": lambda q: lattice_sum(FIG8, (3,), q),
+    "jones_eval": lambda q: jones_eval(3, q),
+    "ore_apply": lambda q: ore_apply(p0_operator(), jones_evaluator(),
+                                     (3,), q),
+    "jones_evaluator": lambda q: jones_evaluator()((3,), q),
+    "jones_evaluator_below_one": lambda q: jones_evaluator()((0,), q),
+    "recurrence_report": lambda q: recurrence_report(ns=(1,), qs=(q,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(Q_ENTRY_POINTS))
+@pytest.mark.parametrize("qval, shown", BAD_QS, ids=[s for _, s in BAD_QS])
+def test_q_is_an_int_or_a_fraction(entry, qval, shown):
+    # nan and inf used to raise a raw ValueError and OverflowError, 0.5
+    # and '5/2' were read as q, and jones_eval(3, None) gave the sum in q
+    fn = Q_ENTRY_POINTS[entry]
+    if qval is None and entry == "lattice_sum":
+        assert fn(qval) == lattice_sum(FIG8, (3,))  # None: the sum in q
+        return
+    with pytest.raises(DomainError) as info:
+        fn(qval)
+    assert str(info.value) == f"q = {shown} is not an int or a Fraction"
+    assert fn(2) == fn(Fraction(2))  # an int is read as a Fraction
 
 
 # -- form coefficients: int when integral, Fraction only when not ----------
@@ -1016,12 +1216,14 @@ class TestFormCoefficients:
         box = support_box(forms, {}, ["k1"])
         assert box == [(lo, lo + width)]
         assert all(type(x) is int for x in box[0])
+        assert _row_bounds(ones(forms, 1)._plan.support, (0,), "k1") == box[0]
 
     def test_support_box_with_half_integer_coefficients(self):
         forms = [LinearForm.make({"k1": Fraction(1, 2)}, Fraction(-3, 2)),
                  LinearForm.make({"k1": Fraction(-1, 2), "n": 1},
                                  Fraction(1, 2))]
         assert support_box(forms, {"n": 4}, ["k1"]) == [(3, 9)]
+        assert _row_bounds(ones(forms, 1)._plan.support, (4,), "k1") == (3, 9)
         # a bound that is not an integer goes through a Fraction: a
         # half-integer coefficient, a half-integer constant, an int
         # coefficient that does not divide, and two free symbols sharing
@@ -1042,6 +1244,13 @@ class TestFormCoefficients:
             box = support_box(forms, fixed, free)
             assert box == want, forms
             assert all(type(x) is int for pair in box for x in pair)
+            # the program's rows: k1 from the projection, k2 from the
+            # support at k1 = 0
+            plan = ones(forms, len(free))._plan
+            n = fixed.get("n", 0)
+            assert _row_bounds(plan.bounds[0], (n,), "k1") == want[0]
+            if len(free) == 2:
+                assert _row_bounds(plan.support, (n, 0), "k2") == want[1]
 
     def test_dense_q_is_canonical(self):
         assert _dense_q([1]) == LaurentMPoly.const(1)
