@@ -29,14 +29,14 @@ _EXPORTS = {
     "errors": ("AjlabError", "BranchCutError", "ConvergenceError",
                "DegeneracyError", "DomainError", "PoleError",
                "SingularityError", "SupportError"),
-    "figure8": ("a_polynomial_nonabelian", "builtin_names", "cubic_operator",
+    "figure8": ("a_polynomial_nonabelian", "cubic_operator",
                 "jones_evaluator", "p0_operator", "recurrence_report"),
     "ore": ("OreOperator", "epsilon_eval_with_unit", "expand_at_one",
             "format_operator", "ore_apply", "ore_mul"),
     "poly": ("LaurentMPoly", "format_poly", "parse_poly", "poly_gcd",
              "poly_lcm", "resultant", "squarefree_part"),
     "potential": ("PotentialSpec", "SaddleResult", "asymptotic_check",
-                  "builtin_potential", "crossing_potential",
+                  "builtin_names", "builtin_potential", "crossing_potential",
                   "derivative_forms", "phi_eval", "prop_comp_check",
                   "saddle_system", "solve_saddle", "volume"),
     "qhg": ("ProperQHTerm", "build_crossing", "epsilon_ratio",

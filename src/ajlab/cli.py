@@ -21,7 +21,6 @@ from .elim import aj_compare, eliminate, ratio_system
 from .errors import AjlabError, DomainError
 from .figure8 import (
     a_polynomial_nonabelian,
-    builtin_names,
     cubic_displayed,
     cubic_operator,
     jones_evaluator,
@@ -34,18 +33,13 @@ from .potential import (
     _MAX_ITER,
     PotentialSpec,
     asymptotic_check,
+    builtin_names,
+    crossing_potential,
     prop_comp_check,
     solve_saddle,
     volume,
 )
-from .qhg import (
-    build_crossing,
-    epsilon_ratio,
-    habiro_figure_eight,
-    jones_eval,
-    jones_symbolic,
-    shift_ratio,
-)
+from .qhg import epsilon_ratio, jones_eval, jones_symbolic, shift_ratio
 from .ratfun import format_ratfun
 
 
@@ -160,13 +154,13 @@ def _known(doc: dict, *keys: str) -> None:
         raise DomainError(f"unknown key {unknown[0]!r} in the knot descriptor")
 
 
-def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
-    """--knot as (potential name, mirror): a builtin name, or a JSON file
+def _read_descriptor(name_or_path: str) -> PotentialSpec:
+    """--knot as a knot-table spec: a builtin name, or a JSON file
     with exactly one of {'builtin': name} and {'crossing': {'positive':
     b}}, 'mirror' optional at the top or in the crossing; a crossing's
     'normalization' may only be 'so3', and no other key is allowed."""
     if name_or_path in builtin_names():
-        return name_or_path, False
+        return PotentialSpec(name_or_path)
     path = pathlib.Path(name_or_path)
     if not path.exists():
         raise DomainError(
@@ -185,7 +179,7 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
     if "builtin" in doc:
         if doc["builtin"] not in builtin_names():
             raise DomainError(f"unknown built-in knot {doc['builtin']!r}")
-        return doc["builtin"], mirror
+        return PotentialSpec(doc["builtin"], mirror)
     c = doc["crossing"]
     if not isinstance(c, dict):
         raise DomainError("'crossing' must be an object")
@@ -193,25 +187,13 @@ def _read_descriptor(name_or_path: str) -> tuple[str, bool]:
     if c.get("normalization", "so3") != "so3":
         raise DomainError(f"unknown normalization {c['normalization']!r}: "
                           "a crossing is normalized as 'so3'")
-    name = "crossing+" if _flag(c, "positive", True) else "crossing-"
-    return name, _flag(c, "mirror", mirror)
+    return crossing_potential(_flag(c, "positive", True),
+                              _flag(c, "mirror", mirror))
 
 
 def _load_term(name_or_path: str):
-    """Resolve --knot to a summand.  Every summand here is unmirrored, so
-    a descriptor with 'mirror' set is refused rather than answered for
-    its mirror image."""
-    name, mirror = _read_descriptor(name_or_path)
-    if mirror:
-        raise DomainError("'mirror' applies only to volume and saddle; "
-                          "the summand commands have no mirrored summand")
-    return (habiro_figure_eight() if name == "figure8"
-            else build_crossing(name == "crossing+"))
-
-
-def _load_potential(name_or_path: str):
-    """Resolve --knot to a potential (for saddle / volume)."""
-    return PotentialSpec(*_read_descriptor(name_or_path))
+    """Resolve --knot to a summand; a mirrored descriptor is refused."""
+    return _read_descriptor(name_or_path).summand()
 
 
 # -- output ----------------------------------------------------------------
@@ -494,7 +476,7 @@ def ajcheck(ctx, opname, fmt, out):
 @_output_options
 def saddle(knot, alpha, start, tol, max_iter, fmt, out):
     """Newton saddle of the potential at fixed meridian."""
-    res = solve_saddle(_load_potential(knot), alpha, start, tol=tol,
+    res = solve_saddle(_read_descriptor(knot), alpha, start, tol=tol,
                        max_iter=max_iter)
     lines = [f"{k} = {_fmt_complex(v)}" for k, v in res.coords.items()]
     lines += [
@@ -514,7 +496,7 @@ def saddle(knot, alpha, start, tol, max_iter, fmt, out):
 @_output_options
 def volume_cmd(knot, alpha, start, fmt, out):
     """Im of the potential at the selected saddle."""
-    v = volume(_load_potential(knot), alpha, start)
+    v = volume(_read_descriptor(knot), alpha, start)
     _emit(fmt, out, f"{v:.17g}", {"volume": v})
 
 

@@ -167,7 +167,3 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
             "degree_span": span,
         })
     return rows
-
-
-def builtin_names() -> tuple[str, ...]:
-    return ("figure8",)

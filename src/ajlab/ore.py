@@ -240,7 +240,7 @@ def expand_at_one(p: OreOperator) -> tuple[OreOperator, list[OreOperator]]:
                 "lattice-coordinate coefficients: the centred split "
                 f"needs Qt-free coefficients, got {format_ratfun(c)} "
                 f"at shift {e}")
-    current = p
+    current, zero = p, RationalFunction.zero()
     rs: list[OreOperator] = []
     for i in range(1, p.nu + 1):
         # group by the Eti exponent:  sum_k  A_k * Eti^k
@@ -249,19 +249,12 @@ def expand_at_one(p: OreOperator) -> tuple[OreOperator, list[OreOperator]]:
         for e, c in current.terms.items():
             k = e[i]
             base = e[:i] + (0,) + e[i + 1:]
-            s = at_one.get(base)
-            at_one[base] = c if s is None else s + c
-            # (x^k - 1)/(x - 1) = x^(k-1) + ... + 1 ; negative k similar
-            if k > 0:
-                for j in range(k):
-                    key = e[:i] + (j,) + e[i + 1:]
-                    s = quot.get(key)
-                    quot[key] = c if s is None else s + c
-            elif k < 0:
-                for j in range(k, 0):
-                    key = e[:i] + (j,) + e[i + 1:]
-                    s = quot.get(key)
-                    quot[key] = -c if s is None else s - c
+            at_one[base] = at_one.get(base, zero) + c
+            # (x^k - 1)/(x - 1) = x^(k-1) + ... + 1; for k < 0 it is
+            # -(x^k + ... + x^-1)
+            for j in range(k) if k > 0 else range(k, 0):
+                key = e[:i] + (j,) + e[i + 1:]
+                quot[key] = quot.get(key, zero) + (c if k > 0 else -c)
         current = OreOperator(p.nu, at_one)
         rs.append(OreOperator(p.nu, quot))
     p0 = current

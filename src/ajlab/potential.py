@@ -1,16 +1,17 @@
 """Dilogarithm potentials, their exact derivative forms, and saddle points.
 
-Each potential is written once, as a table of terms in (alpha, coordinates):
-Li2 of a monomial, products of two logarithms, i*pi times a logarithm, and
-constants.  Its value is their sum, compiled once into the expression one
-writes by hand.  Its forms, the exponentiated logarithmic derivatives, come
-exactly from the same terms, so they are rational functions.  The
-coordinate forms set to 1 are the gluing equations; the alpha form is the
-squared longitude eigenvalue, whose square root, when its exponents are
-all even, is the linear one.  A mirror negates every term, so it negates
-the potential and inverts its forms.  Saddle points are found by Newton
-iteration on the cleared gluing polynomials; Im(potential) at the
-selected saddle is the volume.
+Each knot is one row of the knot table: its summand, its potential as
+terms in (alpha, coordinates) (Li2 of a monomial, products of two
+logarithms, i*pi times a logarithm, constants) and its default Newton
+start.  The potential's value is the sum of its terms, compiled once into
+the expression one writes by hand.  Its forms, the exponentiated
+logarithmic derivatives, come exactly from the same terms, so they are
+rational functions.  The coordinate forms set to 1 are the gluing
+equations; the alpha form is the squared longitude eigenvalue, whose square
+root, when its exponents are all even, is the linear one.  A mirror negates
+every term, so it negates the potential and inverts its forms.  Saddle
+points are found by Newton iteration on the cleared gluing polynomials;
+Im(potential) at the selected saddle is the volume.
 
 The exact objects of a potential (its forms, and the cleared gluing
 polynomials with their Jacobian) depend only on the `PotentialSpec`, so
@@ -23,7 +24,7 @@ iteration multiplies in only the coordinate powers.
 import cmath
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -38,29 +39,43 @@ from .errors import (
     SingularityError,
 )
 from .poly import Immutable, LaurentMPoly
-from .qhg import build_crossing, epsilon_ratio, habiro_figure_eight, shift_ratio
+from .qhg import (ProperQHTerm, build_crossing, epsilon_ratio,
+                  habiro_figure_eight, shift_ratio)
 from .ratfun import RationalFunction, format_ratfun
 
 _PI = math.pi
 
 
 class PotentialSpec(Immutable):
-    """Selects a potential by the name of its term table, optionally
-    mirrored (which negates every term)."""
+    """Selects a knot by its name in the knot table, optionally mirrored
+    (which negates every term of its potential)."""
 
     __slots__ = ("name", "mirror")
 
     def __init__(self, name: str, mirror: bool = False):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "mirror", mirror)
-        if name not in _TERMS:
+        if name not in _KNOTS:
             raise DomainError(f"unknown potential {name!r}: one of "
-                              f"{', '.join(_TERMS)}")
+                              f"{', '.join(_KNOTS)}")
+
+    def summand(self) -> ProperQHTerm:
+        """The knot's summand.  Every summand is unmirrored, so a mirrored
+        spec is refused rather than answered for its mirror image."""
+        if self.mirror:
+            raise DomainError("'mirror' applies only to volume and saddle; "
+                              "the summand commands have no mirrored summand")
+        return _KNOTS[self.name][0]()
+
+
+def builtin_names() -> tuple[str, ...]:
+    """The knots with a default Newton start, which --knot takes by name."""
+    return tuple(k for k, row in _KNOTS.items() if row[3] is not None)
 
 
 def builtin_potential(name: str = "figure8",
                       mirror: bool = False) -> PotentialSpec:
-    if name not in _BUILTIN_STARTS:
+    if name not in _KNOTS or _KNOTS[name][3] is None:
         raise DomainError(f"unknown builtin potential {name!r}")
     return PotentialSpec(name, mirror)
 
@@ -70,33 +85,32 @@ def crossing_potential(positive: bool,
     return PotentialSpec("crossing+" if positive else "crossing-", mirror)
 
 
-# -- term tables -----------------------------------------------------------
-# A potential is its variables, alpha first, and its terms, summed in order:
-# ("li2", s, M) is s*Li2(M), ("log", c, M1, M2) c*log(M1)*log(M2),
-# ("ipi", k, M) k*i*pi*log(M) and ("const", c, x) c*x, where a monomial M
-# is a product of variables over another.
+# -- the knot table --------------------------------------------------------
+# name -> (summand builder, variables with alpha first, terms summed in
+# order, default Newton start or None).  ("li2", s, M) is s*Li2(M),
+# ("log", c, M1, M2) c*log(M1)*log(M2), ("ipi", k, M) k*i*pi*log(M) and
+# ("const", c, x) c*x, where a monomial M is a product of variables over
+# another.
 
 _CROSSING = ("alpha", "w1", "w2", "w3", "w4")
-_TERMS = {
-    "figure8": (("alpha", "x"), [
+_KNOTS = {
+    "figure8": (habiro_figure_eight, ("alpha", "x"), [
         ("log", -2, "alpha", "x"), ("li2", -1, "alpha*alpha*x"),
-        ("li2", 1, "alpha*alpha/x")]),
-    "crossing+": (_CROSSING, [
+        ("li2", 1, "alpha*alpha/x")], 0.5 + 0.8j),
+    "crossing+": (partial(build_crossing, True), _CROSSING, [
         ("log", 1, "alpha", "alpha"), ("log", 1, "alpha", "w1*w3/(w2*w4)"),
         ("log", -1, "w2/w1", "w3/w2"), ("const", -1, "_PI * _PI / 6"),
         ("li2", -1, "alpha*w4/w3"), ("li2", -1, "alpha*w4/w1"),
         ("li2", 1, "w2*w4/(w1*w3)"), ("li2", 1, "alpha*w1/w2"),
-        ("li2", 1, "alpha*w3/w2")]),
-    "crossing-": (_CROSSING, [
+        ("li2", 1, "alpha*w3/w2")], None),
+    "crossing-": (partial(build_crossing, False), _CROSSING, [
         ("log", -1, "alpha", "alpha"),
         ("log", -1, "alpha", "w1*w3/(w2*w4)"),
         ("log", 1, "w3/w4", "w4/w1"), ("const", -1, "_PI * _PI / 6"),
         ("li2", 1, "w1*w3/(w2*w4)"), ("ipi", 1, "w1*w3/(w2*w4)"),
         ("li2", -1, "alpha*w1/w4"), ("li2", -1, "alpha*w3/w4"),
-        ("li2", 1, "alpha*w2/w3"), ("li2", 1, "alpha*w2/w1")]),
+        ("li2", 1, "alpha*w2/w3"), ("li2", 1, "alpha*w2/w1")], None),
 }
-# the builtin potentials, each with its default Newton start
-_BUILTIN_STARTS = {"figure8": 0.5 + 0.8j}
 _MAX_ITER = 10000  # most Newton iterations a solve may ask for
 
 
@@ -107,7 +121,7 @@ def _log(z: complex, what: str) -> complex:
 
 
 def coordinate_names(spec: PotentialSpec) -> tuple[str, ...]:
-    return _TERMS[spec.name][0][1:]
+    return _KNOTS[spec.name][1][1:]
 
 
 @cache
@@ -117,7 +131,7 @@ def _phi_function(name):
     monomial as its own text, the leading coefficient on the first factor,
     each later term added or subtracted.  So its value is that float
     expression, bit for bit, at its speed."""
-    names, terms = _TERMS[name]
+    names, terms = _KNOTS[name][1:3]
     parts = []
     for kind, c, *ms in terms:
         if kind == "li2":
@@ -176,7 +190,7 @@ def _form(spec: PotentialSpec, y: str,
     M2^(c*e1) * M1^(c*e2), k*i*pi*log(M) the sign (-1)^(k*e), every
     coefficient negated for a mirror.  None when an exponent is not
     divisible by root."""
-    names, terms = _TERMS[spec.name]
+    names, terms = _KNOTS[spec.name][1:3]
     j = names.index(y)
     flip = -1 if spec.mirror else 1
 
@@ -267,8 +281,8 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
     Returns one row per identity with the two sides, their quotient, and
     whether they agree exactly.
     """
-    term = build_crossing(positive)
-    forms = _forms(crossing_potential(positive))
+    spec = crossing_potential(positive)
+    term, forms = spec.summand(), _forms(spec)
     rows, mapping = [], _half_mapping(term.nu)
     for which, key in (("Et1", "w1"), ("Et2", "w2"), ("Et3", "w3"),
                        ("Et4", "w4"), ("Em", "alpha")):
@@ -397,9 +411,10 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
                  max_iter: int = 100) -> SaddleResult:
     """Newton iteration for a saddle of the potential at fixed alpha.
 
-    A builtin starts at x = 0.5 + 0.8i, near the unit circle, when no
-    start is given; a crossing has no default start.  A tol not positive
-    and finite, or a max_iter not an int in 1.._MAX_ITER, is a DomainError.
+    Without a start, Newton starts at the knot row's default (x = 0.5 +
+    0.8i for the figure-eight); a crossing row has none.  A tol not
+    positive and finite, or a max_iter not an int in 1.._MAX_ITER, is a
+    DomainError.
 
     Runs on the cleared gluing polynomials with their exact Jacobian, then
     re-checks the rational forms themselves (clearing can introduce
@@ -416,9 +431,9 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
     saddle, and the runs seen end in the spurious-zero ConvergenceError.
     """
     if start is None:
-        if spec.name not in _BUILTIN_STARTS:
+        start = _KNOTS[spec.name][3]
+        if start is None:
             raise DomainError("crossing potentials need an explicit start")
-        start = _BUILTIN_STARTS[spec.name]
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol = {tol} is not positive and finite")
     if type(max_iter) is not int or not 1 <= max_iter <= _MAX_ITER:

@@ -494,9 +494,10 @@ _SUPPORT_MAX_WIDTH = 100000  # widest row that _row_bounds returns
 def _row_bounds(rows: Sequence[tuple[int, ...]], head: tuple[int, ...],
                 sym: str) -> tuple[int, int]:
     """[lo, hi] of the rows' last axis sym where head + (k,) has every row
-    >= 0, hi < lo where a row with slope 0 is negative; a SupportError
-    without a bound on either side, or wider than _SUPPORT_MAX_WIDTH."""
-    y, lo, hi, empty = (1, *head), None, None, False
+    >= 0; the empty (0, -1) where a row with slope 0 is negative, before
+    any other check; else a SupportError without a bound on either side,
+    or wider than _SUPPORT_MAX_WIDTH."""
+    y, lo, hi = (1, *head), None, None
     for r in rows:
         b, s = sum(map(mul, r, y)), r[-1]  # y stops before the last axis
         if s > 0:
@@ -504,14 +505,14 @@ def _row_bounds(rows: Sequence[tuple[int, ...]], head: tuple[int, ...],
         elif s < 0:
             hi = b // -s if hi is None else min(hi, b // -s)
         elif b < 0:
-            empty = True
+            return 0, -1
     if lo is None or hi is None:
         raise SupportError(f"non-finite support: no bounds for {sym} "
                            "follow from the factor lengths")
     if hi - lo > _SUPPORT_MAX_WIDTH:
         raise SupportError(
             f"support width for {sym} exceeds {_SUPPORT_MAX_WIDTH}")
-    return (lo, lo - 1) if empty else (lo, hi)
+    return lo, hi
 
 
 class _ExactRun:

@@ -20,6 +20,7 @@ from ajlab.potential import (
     PotentialSpec,
     _rf_at_unit_root,
     asymptotic_check,
+    builtin_names,
     builtin_potential,
     coordinate_names,
     crossing_potential,
@@ -31,7 +32,7 @@ from ajlab.potential import (
     volume,
 )
 from ajlab.poly import parse_poly
-from ajlab.qhg import habiro_figure_eight
+from ajlab.qhg import build_crossing, habiro_figure_eight
 from ajlab.ratfun import RationalFunction, parse_ratfun
 
 
@@ -99,13 +100,45 @@ def test_ratio_limits_match_derivative_forms_exactly():
 
 
 def test_saddle_system_equals_summand_ratio_system():
-    term = habiro_figure_eight()
-    for kind in ("squared", "linear"):
-        from_potential = saddle_system(builtin_potential(), kind)
-        from_summand = ratio_system(term, kind)
-        assert from_potential.gluing == from_summand.gluing
-        assert from_potential.longitude == from_summand.longitude
-        assert from_potential.coordinates == from_summand.coordinates
+    # each knot row's potential and summand give one system; a crossing's
+    # alpha form has no rational square root, so both sides refuse linear
+    for name in potential._KNOTS:
+        spec = PotentialSpec(name)
+        for kind in ("squared", "linear"):
+            if kind == "linear" and name != "figure8":
+                with pytest.raises(DomainError, match="linear longitude"):
+                    saddle_system(spec, kind)
+                with pytest.raises(DomainError, match="linear longitude"):
+                    ratio_system(spec.summand(), kind)
+                continue
+            from_potential = saddle_system(spec, kind)
+            from_summand = ratio_system(spec.summand(), kind)
+            assert from_potential.gluing == from_summand.gluing
+            assert from_potential.longitude == from_summand.longitude
+            assert from_potential.coordinates == from_summand.coordinates
+
+
+def test_each_knot_row_gives_its_summand():
+    builders = {"figure8": habiro_figure_eight,
+                "crossing+": lambda: build_crossing(True),
+                "crossing-": lambda: build_crossing(False)}
+    assert set(builders) == set(potential._KNOTS)
+    for name, build in builders.items():
+        assert PotentialSpec(name).summand() == build()
+
+
+def test_a_mirrored_spec_has_no_summand():
+    for spec in ALL_SPECS:
+        if spec.mirror:
+            with pytest.raises(DomainError) as info:
+                spec.summand()
+            assert str(info.value) == (
+                "'mirror' applies only to volume and saddle; the summand "
+                "commands have no mirrored summand")
+
+
+def test_the_builtins_are_the_rows_with_a_start():
+    assert builtin_names() == ("figure8",)
 
 
 def test_mirror_has_the_same_gluing_equations():
