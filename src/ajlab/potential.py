@@ -13,12 +13,12 @@ every term, so it negates the potential and inverts its forms.  Saddle
 points are found by Newton iteration on the cleared gluing polynomials;
 Im(potential) at the selected saddle is the volume.
 
-The exact objects of a potential (its forms, and the cleared gluing
-polynomials with their Jacobian) depend only on the `PotentialSpec`, so
-each is built once per spec and process, on first use, and shared by every
-later solve; `derivative_forms` hands out a copy of the cached forms.  A
-solve puts its fixed alpha into the cached system once, so each Newton
-iteration multiplies in only the coordinate powers.
+The exact objects of a potential (its forms, the cleared gluing polynomials
+and their Jacobian) depend only on the `PotentialSpec`, so each is built
+once per spec and process, on first use; `derivative_forms` hands out a
+copy of the cached forms.  One compiler turns the Newton system (alpha put
+in once per solve) and each form into a cached float kernel with exactly
+the float operations of `eval_complex`.
 """
 
 import cmath
@@ -31,13 +31,8 @@ from typing import Mapping, Optional, Sequence
 from .dilog import li2
 from .elim import (EquationSystem, _half_mapping, cleared_equation,
                    rename_ratfun)
-from .errors import (
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    PoleError,
-    SingularityError,
-)
+from .errors import (ConvergenceError, DegeneracyError, DomainError,
+                     SingularityError)
 from .poly import Immutable, LaurentMPoly
 from .qhg import (ProperQHTerm, build_crossing, epsilon_ratio,
                   habiro_figure_eight, shift_ratio)
@@ -250,6 +245,47 @@ def _newton_system(spec: PotentialSpec) -> tuple[
     return polys, jac
 
 
+def _compile(polys, body: str, names, outer=()):
+    """`body` with its {}s filled by the values of polys, as f(*outer)(*names).
+    Each value takes `LaurentMPoly.eval_complex`'s float operations in its
+    order: from 0j, add the terms in insertion order, each its complex
+    coefficient times its variables' powers left to right.  A term's leading
+    powers of `outer` variables go into its coefficient once per call of f."""
+    consts, params, values = [], [], []
+    for p in polys:
+        values.append("0j")
+        for e, c in p.terms.items():
+            i = len(consts)
+            consts.append(complex(c))
+            pw = [(v in outer, f"*{v}**{k}") for v, k in zip(p.vars, e) if k]
+            n = next((j for j, (o, _) in enumerate(pw) if not o), len(pw))
+            params.append(f"_{i}=K[{i}]" + "".join(f for _, f in pw[:n]))
+            values[-1] += f" + _{i}" + "".join(f for _, f in pw[n:])
+    return eval(f"lambda {', '.join(outer)}: lambda "
+                f"{', '.join([*names, *params])}: {body.format(*values)}",
+                {"K": consts})
+
+
+@cache
+def _newton_kernel(spec: PotentialSpec):
+    """The Newton system as f(alpha)(*coordinates) = (values, Jacobian)."""
+    polys, jac = _newton_system(spec)
+    row = f"[{', '.join(['{}'] * len(polys))}]"
+    body = f"({row}, [{', '.join([row] * len(jac))}])"
+    return _compile(polys + sum(jac, ()), body, coordinate_names(spec),
+                    ("alpha",))
+
+
+@cache
+def _form_kernels(spec: PotentialSpec) -> Mapping:
+    """Each form as f(alpha=..., coordinate=...) = (denominator, numerator);
+    as in `eval_complex`, a zero denominator skips the numerator."""
+    names = ("alpha",) + coordinate_names(spec)
+    return MappingProxyType({
+        y: _compile((f.den, f.num), "(_d := {}, _d and {})", names)()
+        for y, f in _forms(spec).items()})
+
+
 def saddle_system(spec: PotentialSpec,
                   longitude: str = "squared") -> EquationSystem:
     """Cleared polynomial system: coordinate forms equal 1, the alpha form
@@ -288,7 +324,8 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
                        ("Et4", "w4"), ("Em", "alpha")):
         lhs = rename_ratfun(epsilon_ratio(term, which), mapping)
         rhs = forms[key]
-        quot = lhs / rhs
+        # both sides are canonical, so equal sides are exactly equal
+        quot = RationalFunction.one() if lhs == rhs else lhs / rhs
         rows.append({
             "identity": f"limit of {which} ratio vs {key} form",
             "pass": quot.is_one(),
@@ -332,11 +369,9 @@ class SaddleResult(Immutable):
 
 
 def _solve_linear(mat, rhs):
-    """Gaussian elimination with partial pivoting over complex numbers.
-
-    A 1x1 system is one division, the same bits as the general path's
-    back-substitution (rhs - 0) / pivot.
-    """
+    """Gaussian elimination with partial pivoting over complex numbers; a
+    1x1 system is one division, the same bits as the general path's
+    back-substitution (rhs - 0) / pivot."""
     n = len(rhs)
     if n == 1:
         if abs(mat[0][0]) < 1e-300:
@@ -361,54 +396,26 @@ def _solve_linear(mat, rhs):
     return out
 
 
-def _at_alpha(p: LaurentMPoly, a: complex, names) -> list:
-    """p with alpha = a put in: one (coefficient, ((coordinate index,
-    power), ...)) per term.  alpha sorts first in p.vars, so each
-    coefficient is the partial product `LaurentMPoly.eval_complex` forms
-    first, and `_eval_at` finishes it with the same float operations."""
-    out = []
-    for e, c in p.terms.items():
-        t = complex(c)
-        pows = []
-        for v, k in zip(p.vars, e):
-            if k:
-                if v == "alpha":
-                    t *= a ** k
-                else:
-                    pows.append((names.index(v), k))
-        out.append((t, tuple(pows)))
-    return out
+def _form_at(kernel, env, what: str) -> complex:
+    """A compiled form at a complex point given by name; a pole raises
+    SingularityError(what)."""
+    try:  # 0 to a negative power, or a zero denominator, raises
+        den, num = kernel(**env)
+        return num / den
+    except ZeroDivisionError:
+        raise SingularityError(what) from None
 
 
-def _eval_at(terms: list, w: list) -> complex:
-    """A polynomial from `_at_alpha` at the coordinates w."""
-    total = 0j
-    for t, pows in terms:
-        for i, k in pows:
-            t *= w[i] ** k
-        total += t
-    return total
-
-
-def _form_at(form: RationalFunction, env, what: str) -> complex:
-    """The form at a complex point; a pole raises SingularityError(what)."""
-    try:
-        return form.eval_complex(env)
-    except PoleError as exc:
-        raise SingularityError(what) from exc
-
-
-def _forms_residual(forms, coords, env) -> float:
+def _forms_residual(kernels, coords, env) -> float:
     worst = 0.0
     for c in coords:
-        v = _form_at(forms[c], env, f"{c} form undefined at the point")
+        v = _form_at(kernels[c], env, f"{c} form undefined at the point")
         worst = max(worst, abs(v - 1))
     return worst
 
 
 def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
-                 tol: float = 1e-12,
-                 max_iter: int = 100) -> SaddleResult:
+                 tol: float = 1e-12, max_iter: int = 100) -> SaddleResult:
     """Newton iteration for a saddle of the potential at fixed alpha.
 
     Without a start, Newton starts at the knot row's default (x = 0.5 +
@@ -455,17 +462,12 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
 
 def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
                    tol: float, max_iter: int) -> SaddleResult:
-    forms = _forms(spec)
-    coords = coordinate_names(spec)
-    polys, jac = _newton_system(spec)
-    names = list(coords)
-    polys = [_at_alpha(p, a, names) for p in polys]
-    jac = [[_at_alpha(p, a, names) for p in row] for row in jac]
+    forms = _form_kernels(spec)
+    names = coords = coordinate_names(spec)
+    step = _newton_kernel(spec)(a)
     z = [w[k] for k in names]
-    it = 0
     for it in range(1, max_iter + 1):
-        fv = [_eval_at(p, z) for p in polys]
-        jm = [[_eval_at(p, z) for p in row] for row in jac]
+        fv, jm = step(*z)
         delta = _solve_linear(jm, fv)
         for k, d in zip(names, delta):
             if not cmath.isfinite(d):
@@ -499,8 +501,7 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
         if phic.imag == phi.imag:
             # exact tie: settle deterministically on the branch whose
             # first coordinate sits in the upper half plane
-            first = names[0]
-            take = wc[first].imag > w[first].imag
+            take = wc[names[0]].imag > w[names[0]].imag
         if take:
             w, res, phi = wc, resc, phic
             env = {**w, "alpha": a}
@@ -508,8 +509,7 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
     return SaddleResult(a, w, res, phi, phi.imag, l2, it)
 
 
-def volume(spec: Optional[PotentialSpec] = None,
-           alpha: complex = -1.0 + 0j,
+def volume(spec: Optional[PotentialSpec] = None, alpha: complex = -1.0 + 0j,
            start=None) -> float:
     """Im of the potential at the selected saddle (default: the builtin
     at alpha = -1, from `solve_saddle`'s default start)."""
@@ -555,7 +555,7 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
     alpha^2 = zeta_N^n, x = zeta_N^i.  The relative gap shrinks like 1/N.
     """
     disc_rf = _discrete_em_ratio()
-    cont_rf = _forms(builtin_potential())["alpha"]
+    cont_rf = _form_kernels(builtin_potential())["alpha"]
     rows = []
     for big_n in big_ns:
         if not isinstance(big_n, int) or not 3 <= big_n <= 10**4:

@@ -9,11 +9,13 @@ import pytest
 
 from ajlab import potential
 from ajlab.dilog import li2
-from ajlab.elim import cleared_equation, ratio_system
+from ajlab.elim import (_half_mapping, cleared_equation, ratio_system,
+                        rename_ratfun)
 from ajlab.errors import (
     ConvergenceError,
     DegeneracyError,
     DomainError,
+    PoleError,
     SingularityError,
 )
 from ajlab.potential import (
@@ -32,8 +34,8 @@ from ajlab.potential import (
     volume,
 )
 from ajlab.poly import parse_poly
-from ajlab.qhg import build_crossing, habiro_figure_eight
-from ajlab.ratfun import RationalFunction, parse_ratfun
+from ajlab.qhg import build_crossing, epsilon_ratio, habiro_figure_eight
+from ajlab.ratfun import RationalFunction, format_ratfun, parse_ratfun
 
 
 W_GENERIC = (1.1 + 0.2j, 0.8 - 0.3j, 1.3 + 0.1j, 0.7 + 0.45j)
@@ -97,6 +99,37 @@ def test_ratio_limits_match_derivative_forms_exactly():
         for row in rows:
             assert row["pass"], row
             assert row["unit"] == "1"
+
+
+def _always_divide_rows(positive, forms):
+    """`prop_comp_check`'s rows with every quotient a division."""
+    term = build_crossing(positive)
+    rows, mapping = [], _half_mapping(term.nu)
+    for which, key in (("Et1", "w1"), ("Et2", "w2"), ("Et3", "w3"),
+                       ("Et4", "w4"), ("Em", "alpha")):
+        lhs = rename_ratfun(epsilon_ratio(term, which), mapping)
+        quot = lhs / forms[key]
+        rows.append({
+            "identity": f"limit of {which} ratio vs {key} form",
+            "pass": quot.is_one(),
+            "lhs": format_ratfun(lhs),
+            "rhs": format_ratfun(forms[key]),
+            "unit": format_ratfun(quot),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("positive", [True, False])
+def test_prop_comp_rows_equal_the_always_divide_rows(monkeypatch, positive,
+                                                     mirror):
+    # against a mirror's forms, the inverted ones, the sides differ and
+    # the quotient is a real division
+    forms = potential._forms(crossing_potential(positive, mirror))
+    monkeypatch.setattr(potential, "_forms", lambda spec: forms)
+    rows = prop_comp_check(positive)
+    assert rows == _always_divide_rows(positive, forms)
+    assert all(row["pass"] != mirror for row in rows)
 
 
 def test_saddle_system_equals_summand_ratio_system():
@@ -201,7 +234,8 @@ ALL_SPECS = ([builtin_potential(mirror=m) for m in (False, True)]
 def uncached(monkeypatch):
     """Make every cached builder in the module rebuild on each call."""
     def go():
-        for name in ("_forms", "_newton_system", "_discrete_em_ratio"):
+        for name in ("_forms", "_newton_system", "_newton_kernel",
+                     "_form_kernels", "_discrete_em_ratio"):
             monkeypatch.setattr(potential, name,
                                 getattr(potential, name).__wrapped__)
     return go
@@ -230,8 +264,9 @@ def test_saddles_are_identical_cold_warm_and_uncached(uncached):
     rng = random.Random(11)
     alphas = [cmath.rect(rng.uniform(0.9, 1.1), rng.uniform(2.2, 4.0))
               for _ in range(4)]
-    potential._forms.cache_clear()
-    potential._newton_system.cache_clear()
+    for cached in (potential._forms, potential._newton_system,
+                   potential._newton_kernel, potential._form_kernels):
+        cached.cache_clear()
     cold = [solve_saddle(builtin_potential(mirror=m), a, 0.5 + 0.8j)
             for m in (False, True) for a in alphas]
     warm = [solve_saddle(builtin_potential(mirror=m), a, 0.5 + 0.8j)
@@ -256,6 +291,67 @@ def test_asymptotic_rows_are_unchanged_by_the_caches(uncached):
     warm = asymptotic_check(big_ns=(100, 300))
     uncached()
     assert asymptotic_check(big_ns=(100, 300)) == warm
+
+
+def _value_or_error(f, *args, **kw):
+    try:
+        return repr(f(*args, **kw))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("index", range(len(ALL_SPECS)))
+def test_kernels_are_bit_identical_to_eval_complex(index):
+    # every Newton polynomial, Jacobian entry and form side, compiled,
+    # against `eval_complex` at the same point, zero coordinates included
+    spec = ALL_SPECS[index]
+    names = coordinate_names(spec)
+    polys, jac = potential._newton_system(spec)
+    step = potential._newton_kernel(spec)
+    forms, kernels = potential._forms(spec), potential._form_kernels(spec)
+    rng = random.Random(2600 + index)
+    poles = 0
+    for k in range(300):
+        vals = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for _ in range(len(names) + 1)]
+        if k % 3 == 0:  # alpha or one coordinate a signed zero
+            vals[rng.randrange(len(vals))] = complex(
+                rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+        if k % 10 == 1:  # every variable 1: a pole of some form of each
+            vals = [1 + 0j] * len(vals)
+        a, *z = vals
+        env = {**dict(zip(names, z)), "alpha": a}
+        want = _value_or_error(
+            lambda: ([p.eval_complex(env) for p in polys],
+                     [[p.eval_complex(env) for p in row] for row in jac]))
+        assert _value_or_error(lambda: step(a)(*z)) == want, env
+        for y, form in forms.items():
+            what = f"{y} form undefined at the point"
+            got = _value_or_error(potential._form_at, kernels[y], env, what)
+            assert got == _value_or_error(_oracle_form, form, env, what), env
+            poles += got == (SingularityError, what)
+            if isinstance(got, str):
+                assert repr(kernels[y](**env)) == repr(
+                    (form.den.eval_complex(env), form.num.eval_complex(env)))
+    assert poles >= 30
+
+
+def test_the_exact_commands_build_no_kernel(monkeypatch):
+    # certify runs saddle_system and prop_comp_check; neither compiles
+    potential._newton_kernel.cache_clear()
+    potential._form_kernels.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a float kernel was compiled")
+
+    monkeypatch.setattr(potential, "_compile", refuse)
+    for spec in ALL_SPECS:
+        saddle_system(spec)
+    saddle_system(builtin_potential(), "linear")
+    prop_comp_check(True)
+    prop_comp_check(False)
+    assert potential._newton_kernel.cache_info().currsize == 0
+    assert potential._form_kernels.cache_info().currsize == 0
 
 
 def test_saddle_selection_prefers_positive_imaginary_part():
@@ -389,7 +485,7 @@ def test_coordinate_validation():
 def test_form_pole_is_a_singularity():
     # the alpha form's denominator alpha^4 - 2 alpha^2 x + x^2 vanishes
     # at alpha = x = 1
-    forms = potential._forms(builtin_potential())
+    forms = potential._form_kernels(builtin_potential())
     with pytest.raises(SingularityError, match="alpha form undefined"):
         potential._forms_residual(forms, ["alpha"], {"alpha": 1, "x": 1})
     assert potential._forms_residual(forms, ["x"],
@@ -487,6 +583,23 @@ def _general_solve_linear(mat, rhs):
     return out
 
 
+def _oracle_form(form, env, what):
+    """The form by `RationalFunction.eval_complex`; a pole raises
+    SingularityError(what)."""
+    try:
+        return form.eval_complex(env)
+    except PoleError:
+        raise SingularityError(what) from None
+
+
+def _oracle_residual(forms, coords, env):
+    worst = 0.0
+    for c in coords:
+        v = _oracle_form(forms[c], env, f"{c} form undefined at the point")
+        worst = max(worst, abs(v - 1))
+    return worst
+
+
 def _oracle_newton(spec, a, w, tol, max_iter):
     forms = potential._forms(spec)
     coords = coordinate_names(spec)
@@ -507,7 +620,7 @@ def _oracle_newton(spec, a, w, tol, max_iter):
         raise ConvergenceError(
             f"Newton did not settle in {max_iter} iterations")
     env = {**w, "alpha": a}
-    res = potential._forms_residual(forms, coords, env)
+    res = _oracle_residual(forms, coords, env)
     if res > 1e-6:
         raise ConvergenceError(
             f"Newton landed on a spurious zero of the cleared system "
@@ -515,7 +628,7 @@ def _oracle_newton(spec, a, w, tol, max_iter):
     phi = phi_eval(spec, a, w)
     wc = {k: v.conjugate() for k, v in w.items()}
     try:
-        resc = potential._forms_residual(forms, coords, {**wc, "alpha": a})
+        resc = _oracle_residual(forms, coords, {**wc, "alpha": a})
     except SingularityError:
         resc = math.inf
     if resc <= max(10 * res, tol):
@@ -527,8 +640,8 @@ def _oracle_newton(spec, a, w, tol, max_iter):
         if take:
             w, res, phi = wc, resc, phic
             env = {**w, "alpha": a}
-    l2 = potential._form_at(forms["alpha"], env,
-                            "alpha form undefined at the saddle")
+    l2 = _oracle_form(forms["alpha"], env,
+                      "alpha form undefined at the saddle")
     return potential.SaddleResult(a, w, res, phi, phi.imag, l2, it)
 
 
@@ -547,18 +660,21 @@ def _outcome(monkeypatch, solve, spec, alpha, start, **kw):
     point whose forms were checked (the Newton end point even when it is
     a spurious zero)."""
     seen = []
-    inner = potential._forms_residual
 
-    def recorded(forms, coords, env):
-        seen.append(repr(env))
-        return inner(forms, coords, env)
+    def recorded(inner):
+        def residual(forms, coords, env):
+            seen.append(repr(env))
+            return inner(forms, coords, env)
+        return residual
 
-    monkeypatch.setattr(potential, "_forms_residual", recorded)
-    try:
-        out = solve(spec, alpha, start, **kw)
-    except Exception as exc:  # compared by type and message below
-        out = (type(exc), str(exc))
-    monkeypatch.setattr(potential, "_forms_residual", inner)
+    with monkeypatch.context() as m:
+        m.setattr(potential, "_forms_residual",
+                  recorded(potential._forms_residual))
+        m.setitem(globals(), "_oracle_residual", recorded(_oracle_residual))
+        try:
+            out = solve(spec, alpha, start, **kw)
+        except Exception as exc:  # compared by type and message below
+            out = (type(exc), str(exc))
     return out, seen
 
 
