@@ -15,16 +15,18 @@ Im(potential) at the selected saddle is the volume.
 
 The exact objects of a potential (its forms, the cleared gluing polynomials
 and their Jacobian) depend only on the `PotentialSpec`, so each is built
-once per spec and process, on first use; `derivative_forms` hands out a
-copy of the cached forms.  One compiler turns the Newton system (alpha put
-in once per solve) and each form into a cached float kernel with exactly
-the float operations of `eval_complex`.
+once per spec and process, on first use (a mirror's forms by inverting the
+plain ones); `derivative_forms` hands out a copy of the cached forms.  One
+compiler turns the Newton system (alpha put in once per solve) and each
+form into a cached float kernel with exactly the float operations of
+`eval_complex`, and one the Em ratio into a root-of-unity kernel.
 """
 
 import cmath
 import math
 from fractions import Fraction
 from functools import cache, partial
+from operator import sub
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -222,6 +224,9 @@ def _form(spec: PotentialSpec, y: str,
 
 @cache
 def _forms(spec: PotentialSpec) -> Mapping[str, RationalFunction]:
+    if spec.mirror:  # inverting a reduced pair needs no gcd
+        return MappingProxyType({y: f.inverse() for y, f in
+                                 _forms(PotentialSpec(spec.name)).items()})
     return MappingProxyType(
         {y: _form(spec, y) for y in coordinate_names(spec) + ("alpha",)})
 
@@ -407,11 +412,8 @@ def _form_at(kernel, env, what: str) -> complex:
 
 
 def _forms_residual(kernels, coords, env) -> float:
-    worst = 0.0
-    for c in coords:
-        v = _form_at(kernels[c], env, f"{c} form undefined at the point")
-        worst = max(worst, abs(v - 1))
-    return worst
+    return max([0.0] + [abs(_form_at(kernels[c], env, f"{c} form undefined "
+                                     "at the point") - 1) for c in coords])
 
 
 def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
@@ -469,13 +471,14 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
     for it in range(1, max_iter + 1):
         fv, jm = step(*z)
         delta = _solve_linear(jm, fv)
-        for k, d in zip(names, delta):
-            if not cmath.isfinite(d):
-                raise ConvergenceError(
-                    f"Newton step {k} = {d} is not finite at iteration {it}")
-        scale = max(1.0, max(abs(v) for v in z))
-        z = [v - d for v, d in zip(z, delta)]
-        if max(abs(d) for d in delta) < tol * scale:
+        if not all(map(cmath.isfinite, delta)):
+            k, d = next(kd for kd in zip(names, delta)
+                        if not cmath.isfinite(kd[1]))
+            raise ConvergenceError(
+                f"Newton step {k} = {d} is not finite at iteration {it}")
+        scale = max(1.0, max(map(abs, z)))
+        z = list(map(sub, z, delta))
+        if max(map(abs, delta)) < tol * scale:
             break
     else:
         raise ConvergenceError(
@@ -518,30 +521,44 @@ def volume(spec: Optional[PotentialSpec] = None, alpha: complex = -1.0 + 0j,
 
 # -- discrete-to-continuous asymptotics ------------------------------------
 
-def _rf_at_unit_root(r: RationalFunction, big_n: int,
-                     exps: Mapping[str, int]) -> complex:
-    """Evaluate at each variable = zeta^e for zeta = exp(2 pi i / N),
-    folding all integer exponents mod N before touching floats."""
-    def ev(p: LaurentMPoly) -> complex:
-        tot = 0j
+def _raise(exc: Exception):
+    raise exc
+
+
+def _rf_at_unit_root(r: RationalFunction, names: Sequence[str]):
+    """r at each variable names[j] = zeta^e_j, zeta = exp(2 pi i / N), as
+    f(N, *e): each side adds, from 0j in term order, float(c) * exp(2 pi i
+    ((k mod N) / N)) with k the term's exponents dotted with e in integers.
+    A zero denominator raises SingularityError, and a term whose variable
+    is not in names raises DomainError when it is reached."""
+    at = {v: f"_e{j}" for j, v in enumerate(names)}
+    nope = "_raise(DomainError('no exponent assigned to {}'))"
+    sides = []
+    for p in (r.den, r.num):
+        terms = ["0j"]
         for e, c in p.terms.items():
-            k = 0
-            for v, m in zip(p.vars, e):
-                if m:
-                    if v not in exps:
-                        raise DomainError(f"no exponent assigned to {v}")
-                    k += m * exps[v]
-            tot += float(c) * cmath.exp(2j * _PI * ((k % big_n) / big_n))
-        return tot
-    den = ev(r.den)
-    if den == 0:
-        raise SingularityError("denominator vanishes at the root of unity")
-    return ev(r.num) / den
+            k = " + ".join(f"{m} * {at.get(v) or nope.format(v)}"
+                           for v, m in zip(p.vars, e) if m) or "0"
+            terms.append(f"{float(c)!r} * _exp(_T * (({k}) % N / N))")
+        sides.append(" + ".join(terms))
+    return eval(f"lambda N, {''.join(a + ', ' for a in at.values())}: "
+                f"({sides[1]}) / _d if (_d := {sides[0]}) else _raise("
+                "SingularityError('denominator vanishes at the root of unity'))",
+                {**globals(), "_exp": cmath.exp, "_T": 2j * _PI})
 
 
 @cache
-def _discrete_em_ratio() -> RationalFunction:
-    return shift_ratio(habiro_figure_eight(), "Em")
+def _asymptotic_kernels():
+    """The builtin summand's Em ratio as f(N, 1, n, i) and its alpha form."""
+    return (_rf_at_unit_root(shift_ratio(habiro_figure_eight(), "Em"),
+                             ("q", "Q", "Qt1")),
+            _form_kernels(builtin_potential())["alpha"])
+
+
+def _nearest(p: int, d: int) -> int:
+    """round(Fraction(p, d)) for d > 0, ties to even, in integers."""
+    n, r = divmod(2 * p + d, 2 * d)
+    return n - (not r and n & 1)
 
 
 def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
@@ -551,25 +568,28 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
     matching point on the curve, for a ladder of root orders.
 
     The discrete side is evaluated at q = zeta_N, meridian zeta_N^n,
-    coordinate zeta_N^i with n ~ aN, i ~ uN; the continuous side at
-    alpha^2 = zeta_N^n, x = zeta_N^i.  The relative gap shrinks like 1/N.
+    coordinate zeta_N^i with n = round(aN), i = round(uN) (ties to even);
+    the continuous side at alpha^2 = zeta_N^n, x = zeta_N^i.  The relative
+    gap shrinks like 1/N.  A root order outside [3, 10^4], or an a or u
+    `Fraction` does not read as finite, is a DomainError before any row.
     """
-    disc_rf = _discrete_em_ratio()
-    cont_rf = _form_kernels(builtin_potential())["alpha"]
-    rows = []
+    big_ns = tuple(big_ns)
     for big_n in big_ns:
         if not isinstance(big_n, int) or not 3 <= big_n <= 10**4:
             raise DomainError(f"root order {big_n} out of range [3, 10^4]")
-        n = int(round(Fraction(a) * big_n))
-        i = int(round(Fraction(u) * big_n))
-        disc = _rf_at_unit_root(disc_rf, big_n, {"q": 1, "Q": n, "Qt1": i})
-        cont = _form_at(cont_rf, {
-            "alpha": cmath.exp(1j * _PI * n / big_n),
-            "x": cmath.exp(2j * _PI * i / big_n),
-        }, "alpha form undefined at the point")
-        rows.append({
-            "N": big_n, "n": n, "i": i,
-            "discrete": disc, "continuous": cont,
-            "rel_err": abs(disc - cont) / abs(cont),
-        })
+    try:
+        (ap, ad), (up, ud) = (Fraction(x).as_integer_ratio() for x in (a, u))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"a = {a!r}, u = {u!r}: not both rational") from None
+    disc_at, cont_at = _asymptotic_kernels()
+    rows = []
+    for big_n in big_ns:
+        n, i = _nearest(ap * big_n, ad), _nearest(up * big_n, ud)
+        disc = disc_at(big_n, 1, n, i)
+        cont = _form_at(cont_at, {"alpha": cmath.exp(1j * _PI * n / big_n),
+                                  "x": cmath.exp(2j * _PI * i / big_n)},
+                        "alpha form undefined at the point")
+        rows.append({"N": big_n, "n": n, "i": i, "discrete": disc,
+                     "continuous": cont,
+                     "rel_err": abs(disc - cont) / abs(cont)})
     return rows

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -33,8 +34,9 @@ from ajlab.potential import (
     solve_saddle,
     volume,
 )
-from ajlab.poly import parse_poly
-from ajlab.qhg import build_crossing, epsilon_ratio, habiro_figure_eight
+from ajlab.poly import LaurentMPoly, parse_poly
+from ajlab.qhg import (build_crossing, epsilon_ratio, habiro_figure_eight,
+                       shift_ratio)
 from ajlab.ratfun import RationalFunction, format_ratfun, parse_ratfun
 
 
@@ -235,7 +237,7 @@ def uncached(monkeypatch):
     """Make every cached builder in the module rebuild on each call."""
     def go():
         for name in ("_forms", "_newton_system", "_newton_kernel",
-                     "_form_kernels", "_discrete_em_ratio"):
+                     "_form_kernels", "_asymptotic_kernels"):
             monkeypatch.setattr(potential, name,
                                 getattr(potential, name).__wrapped__)
     return go
@@ -247,8 +249,33 @@ def test_cached_forms_and_newton_system_equal_fresh_builds():
             potential._forms.__wrapped__(spec))
         assert (potential._newton_system(spec)
                 == potential._newton_system.__wrapped__(spec))
-    assert (potential._discrete_em_ratio()
-            == potential._discrete_em_ratio.__wrapped__())
+    # the root-of-unity kernels compare by their values
+    disc, cont = potential._asymptotic_kernels()
+    fresh_disc, fresh_cont = potential._asymptotic_kernels.__wrapped__()
+    for big_n, n, i in ((3, 1, 1), (100, 30, 20), (997, -5, 2000)):
+        assert (_value_or_error(disc, big_n, 1, n, i)
+                == _value_or_error(fresh_disc, big_n, 1, n, i))
+        env = {"alpha": cmath.exp(1j * n / big_n),
+               "x": cmath.exp(2j * i / big_n)}
+        assert repr(cont(**env)) == repr(fresh_cont(**env))
+
+
+def test_a_mirror_builds_only_the_plain_forms(monkeypatch):
+    # a mirrored spec's forms are the plain ones inverted, so the exact
+    # build (`_form`) runs once per knot, for its unmirrored row
+    built = []
+    inner = potential._form
+
+    def recorded(spec, y, root=1):
+        built.append((spec, y))
+        return inner(spec, y, root)
+
+    monkeypatch.setattr(potential, "_form", recorded)
+    potential._forms.cache_clear()
+    for spec in ALL_SPECS:
+        potential._forms(spec)
+    assert built and not any(spec.mirror for spec, _ in built)
+    assert len(built) == len(set(built)) == 2 + 2 * 5
 
 
 def test_the_form_cache_holds_one_entry_per_spec():
@@ -340,11 +367,13 @@ def test_the_exact_commands_build_no_kernel(monkeypatch):
     # certify runs saddle_system and prop_comp_check; neither compiles
     potential._newton_kernel.cache_clear()
     potential._form_kernels.cache_clear()
+    potential._asymptotic_kernels.cache_clear()
 
     def refuse(*args):
         raise AssertionError("a float kernel was compiled")
 
     monkeypatch.setattr(potential, "_compile", refuse)
+    monkeypatch.setattr(potential, "_rf_at_unit_root", refuse)
     for spec in ALL_SPECS:
         saddle_system(spec)
     saddle_system(builtin_potential(), "linear")
@@ -352,6 +381,7 @@ def test_the_exact_commands_build_no_kernel(monkeypatch):
     prop_comp_check(False)
     assert potential._newton_kernel.cache_info().currsize == 0
     assert potential._form_kernels.cache_info().currsize == 0
+    assert potential._asymptotic_kernels.cache_info().currsize == 0
 
 
 def test_saddle_selection_prefers_positive_imaginary_part():
@@ -508,14 +538,207 @@ def test_asymptotic_gap_shrinks_like_one_over_n():
 
 def test_unit_root_evaluation_folds_exponents():
     q = RationalFunction(parse_poly("q"), parse_poly("1"))
-    z1 = _rf_at_unit_root(q, 4, {"q": 1})
+    z1 = _rf_at_unit_root(q, ("q",))(4, 1)
     assert abs(z1 - 1j) < 1e-15
     # exponents live in Z/N: 5 = 1 (mod 4)
-    assert _rf_at_unit_root(q, 4, {"q": 5}) == z1
+    assert _rf_at_unit_root(q, ("q",))(4, 5) == z1
     with pytest.raises(DomainError, match="no exponent"):
-        _rf_at_unit_root(q, 4, {})
+        _rf_at_unit_root(q, ())(4)
     with pytest.raises(DomainError, match="out of range"):
         asymptotic_check(big_ns=(2,))
+    # at N = 3 the discrete side's denominator vanishes
+    with pytest.raises(SingularityError, match="denominator vanishes"):
+        asymptotic_check(big_ns=(3,))
+
+
+# -- the root-of-unity kernel against the term walk ---------------------------
+# The oracle is the evaluation as first written: walk each side's terms,
+# fold the integer exponent mod N, add float(c) * exp(2 pi i (k mod N) / N)
+# from 0j, and check the denominator before the numerator is walked.
+
+def _oracle_unit_root(r, big_n, exps):
+    def ev(p):
+        tot = 0j
+        for e, c in p.terms.items():
+            k = 0
+            for v, m in zip(p.vars, e):
+                if m:
+                    if v not in exps:
+                        raise DomainError(f"no exponent assigned to {v}")
+                    k += m * exps[v]
+            tot += float(c) * cmath.exp(2j * math.pi * ((k % big_n) / big_n))
+        return tot
+    den = ev(r.den)
+    if den == 0:
+        raise SingularityError("denominator vanishes at the root of unity")
+    return ev(r.num) / den
+
+
+UNIT_ROOT_VARS = ("q", "Q", "Qt1")
+
+
+def _unit_root_exponents(rng, big_n):
+    # negative, at least N, and small, so exponents fold and terms cancel
+    return [rng.choice((rng.randint(-3 * big_n, -1),
+                        rng.randint(big_n, 3 * big_n), rng.randint(0, 2),
+                        rng.randint(-2, 0)))
+            for _ in UNIT_ROOT_VARS]
+
+
+def _assert_kernel_is_the_walk(r, names, big_n, exps):
+    kernel = _rf_at_unit_root(r, names)
+    want = _value_or_error(_oracle_unit_root, r, big_n,
+                           dict(zip(names, exps)))
+    assert _value_or_error(kernel, big_n, *exps) == want, (r, big_n, exps)
+    return want
+
+
+def test_the_em_kernel_is_the_term_walk():
+    em = shift_ratio(habiro_figure_eight(), "Em")
+    rng = random.Random(2701)
+    outcomes = set()
+    for k in range(600):
+        big_n = rng.choice((3, 4, 5, 10**4, rng.randint(3, 10**4)))
+        exps = _unit_root_exponents(rng, big_n)
+        if k % 5 == 0:  # every exponent 0: the denominator vanishes
+            exps = [0, 0, 0]
+        want = _assert_kernel_is_the_walk(em, UNIT_ROOT_VARS, big_n, exps)
+        outcomes.add(type(want))
+    assert outcomes == {str, tuple}
+    # the cached kernel is the same function of (N, 1, n, i)
+    disc = potential._asymptotic_kernels()[0]
+    for big_n, n, i in ((3, 1, 1), (100, 30, 20), (7, -9, 15)):
+        assert (_value_or_error(disc, big_n, 1, n, i) == _value_or_error(
+            _oracle_unit_root, em, big_n, {"q": 1, "Q": n, "Qt1": i}))
+
+
+def _random_poly(rng):
+    vs = UNIT_ROOT_VARS
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(-3, 3) for _ in vs)
+        terms[e] = terms.get(e, 0) + rng.choice(
+            (1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 7)))
+    poly = LaurentMPoly.const(0)
+    for e, c in terms.items():
+        poly = poly + LaurentMPoly.monomial(c, dict(zip(vs, e)))
+    return poly
+
+
+def test_random_ratios_at_unit_roots_are_the_term_walk():
+    rng = random.Random(2702)
+    seen = {"value": 0, "pole": 0, "no exponent": 0}
+    for k in range(400):
+        num, den = _random_poly(rng), _random_poly(rng)
+        if den.is_zero() or num.is_zero():
+            continue
+        if k % 4 == 0:  # 1 - q^a Q^b: a pole wherever a e_q + b e_Q = 0 mod N
+            den = LaurentMPoly.const(1) - LaurentMPoly.monomial(
+                1, {"q": rng.randint(-2, 2), "Q": rng.randint(-2, 2)})
+            if den.is_zero():
+                continue
+        r = RationalFunction(num, den)
+        names = UNIT_ROOT_VARS
+        if k % 7 == 0:  # one variable without an exponent
+            names = tuple(v for v in names if v != rng.choice(names))
+        big_n = rng.choice((3, 4, 6, rng.randint(3, 10**4)))
+        exps = _unit_root_exponents(rng, big_n)[:len(names)]
+        if k % 3 == 0:
+            exps = [0] * len(names)
+        want = _assert_kernel_is_the_walk(r, names, big_n, exps)
+        seen["value" if isinstance(want, str)
+             else "pole" if want[0] is SingularityError
+             else "no exponent"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_missing_exponent_and_a_pole_are_raised_in_walk_order():
+    # the denominator is evaluated first: its missing exponent, then its
+    # zero, come before anything missing from the numerator
+    r = RationalFunction(parse_poly("Q + 2"), parse_poly("q - 1"))
+    for names, exps in (((), ()), (("q",), (0,)), (("q",), (1,)),
+                        (("Q",), (1,))):
+        want = _assert_kernel_is_the_walk(r, names, 5, exps)
+        assert want[0] in (DomainError, SingularityError)
+    assert _value_or_error(_rf_at_unit_root(r, ("q",)), 5, 0) == (
+        SingularityError, "denominator vanishes at the root of unity")
+    assert _value_or_error(_rf_at_unit_root(r, ("q",)), 5, 1) == (
+        DomainError, "no exponent assigned to Q")
+
+
+@pytest.mark.parametrize("p, d", [(1, 2), (3, 2), (-1, 2), (-3, 2), (5, 2),
+                                  (0, 1), (-7, 3), (7, 3), (8, 3), (-8, 3)])
+def test_nearest_is_round_of_the_fraction(p, d):
+    assert potential._nearest(p, d) == int(round(Fraction(p, d)))
+
+
+def test_nearest_matches_round_on_seeded_fractions():
+    rng = random.Random(2703)
+    for _ in range(3000):
+        d = rng.randint(1, 400)
+        p = rng.randint(-10**6, 10**6)
+        if rng.random() < 0.3:  # an exact half
+            d = 2 * rng.randint(1, 200)
+            p = d // 2 * (2 * rng.randint(-1000, 1000) + 1)
+        assert potential._nearest(p, d) == int(round(Fraction(p, d)))
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(3, 2),
+                               Fraction(-1, 2), Fraction(-37, 100),
+                               Fraction(3, 10), 0.3, "0.3", "-3/7", 1, 0])
+def test_asymptotic_rows_round_as_fractions_do(a):
+    # odd N puts a = 1/2 and 3/2 on exact ties
+    em = shift_ratio(habiro_figure_eight(), "Em")
+    for big_n in (3, 5, 7, 99, 101, 1001):
+        n = int(round(Fraction(a) * big_n))
+        i = int(round(Fraction(1, 5) * big_n))
+        want = _value_or_error(_oracle_unit_root, em, big_n,
+                               {"q": 1, "Q": n, "Qt1": i})
+        try:
+            (row,) = asymptotic_check(a, Fraction(1, 5), (big_n,))
+        except SingularityError as exc:  # e.g. a = 3/2 at N = 3
+            assert want == (SingularityError, str(exc))
+            continue
+        assert (row["n"], row["i"]) == (n, i)
+        assert repr(row["discrete"]) == want
+
+
+def test_asymptotic_rows_on_seeded_fractions_are_the_term_walk():
+    em = shift_ratio(habiro_figure_eight(), "Em")
+    rng = random.Random(2704)
+    for _ in range(60):
+        a = Fraction(rng.randint(-300, 300), rng.randint(1, 200))
+        u = Fraction(rng.randint(-300, 300), rng.randint(1, 200))
+        big_n = rng.randint(3, 10**4)
+        n, i = int(round(a * big_n)), int(round(u * big_n))
+        want = _value_or_error(_oracle_unit_root, em, big_n,
+                               {"q": 1, "Q": n, "Qt1": i})
+        rows = _value_or_error(asymptotic_check, a, u, (big_n,))
+        if isinstance(want, tuple):
+            assert rows == want
+            continue
+        row = asymptotic_check(a, u, (big_n,))[0]
+        assert (row["n"], row["i"]) == (n, i)
+        assert repr(row["discrete"]) == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), None, float("inf"), "abc",
+                                 "1/0", 1j])
+def test_a_non_rational_exponent_fraction_is_a_domain_error(bad):
+    for kw in ({"a": bad}, {"u": bad}):
+        with pytest.raises(DomainError, match="not both rational"):
+            asymptotic_check(**kw)
+
+
+def test_every_root_order_is_checked_before_the_first_row(monkeypatch):
+    def refuse():
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(potential, "_asymptotic_kernels", refuse)
+    with pytest.raises(DomainError, match="root order 2 out of range"):
+        asymptotic_check(big_ns=(100, 200, 2))
+    with pytest.raises(DomainError, match="root order 200.0 out of range"):
+        asymptotic_check(big_ns=iter((100, 200.0)))
 
 
 # -- non-finite Newton steps -------------------------------------------------
@@ -886,6 +1109,10 @@ def test_mirror_forms_are_the_inverted_forms_term_for_term(spec):
     inverted = {k: f.inverse() if spec.mirror else f
                 for k, f in plain.items()}
     _assert_same_term_order(derivative_forms(spec), inverted)
+    # `_form` builds the mirror from its negated terms; the cache inverts
+    # the plain forms instead, and both give the same terms in this order
+    _assert_same_term_order({k: potential._form(spec, k) for k in plain},
+                            inverted)
     one = RationalFunction.one()
     for c, p in zip(coordinate_names(spec),
                     potential._newton_system(spec)[0]):
