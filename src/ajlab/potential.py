@@ -184,12 +184,10 @@ def _form(spec: PotentialSpec, y: str,
           root: int = 1) -> Optional[RationalFunction]:
     """exp(y * dphi/dy)^(1/root), term by term with e the exponent of y
     in M: s*Li2(M) gives (1 - M)^(-s*e), c*log(M1)*log(M2) the monomial
-    M2^(c*e1) * M1^(c*e2), k*i*pi*log(M) the sign (-1)^(k*e), every
-    coefficient negated for a mirror.  None when an exponent is not
-    divisible by root."""
+    M2^(c*e1) * M1^(c*e2), k*i*pi*log(M) the sign (-1)^(k*e); None when
+    an exponent is not divisible by root.  Unmirrored specs only."""
     names, terms = _KNOTS[spec.name][1:3]
     j = names.index(y)
-    flip = -1 if spec.mirror else 1
 
     def exponents(m):
         num, _, den = m.partition("/")
@@ -198,7 +196,6 @@ def _form(spec: PotentialSpec, y: str,
 
     sign, mono, ones = 0, [0] * len(names), {}
     for kind, c, *ms in terms:
-        c *= flip
         es = [exponents(m) for m in ms] if kind != "const" else ()
         if kind == "li2":
             key = tuple(es[0])
@@ -302,11 +299,13 @@ def saddle_system(spec: PotentialSpec,
     if longitude == "squared":
         lon = cleared_equation(_forms(spec)["alpha"], lv * lv)
     elif longitude == "linear":
-        root = _form(spec, "alpha", 2)
+        root = _form(PotentialSpec(spec.name), "alpha", 2)
         if root is None:
             raise DomainError(
                 "a linear longitude is only defined for the builtin "
                 "potential, whose alpha form has a rational square root")
+        if spec.mirror:  # as in `_forms`
+            root = root.inverse()
         lon = cleared_equation(root, lv)
     else:
         raise DomainError(f"unknown longitude kind {longitude!r}")
@@ -412,8 +411,11 @@ def _form_at(kernel, env, what: str) -> complex:
 
 
 def _forms_residual(kernels, coords, env) -> float:
-    return max([0.0] + [abs(_form_at(kernels[c], env, f"{c} form undefined "
-                                     "at the point") - 1) for c in coords])
+    worst = 0.0
+    for c in coords:
+        v = _form_at(kernels[c], env, f"{c} form undefined at the point")
+        worst = max(worst, abs(v - 1))
+    return worst
 
 
 def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
@@ -521,38 +523,33 @@ def volume(spec: Optional[PotentialSpec] = None, alpha: complex = -1.0 + 0j,
 
 # -- discrete-to-continuous asymptotics ------------------------------------
 
-def _raise(exc: Exception):
-    raise exc
-
-
 def _rf_at_unit_root(r: RationalFunction, names: Sequence[str]):
-    """r at each variable names[j] = zeta^e_j, zeta = exp(2 pi i / N), as
-    f(N, *e): each side adds, from 0j in term order, float(c) * exp(2 pi i
-    ((k mod N) / N)) with k the term's exponents dotted with e in integers.
-    A zero denominator raises SingularityError, and a term whose variable
-    is not in names raises DomainError when it is reached."""
-    at = {v: f"_e{j}" for j, v in enumerate(names)}
-    nope = "_raise(DomainError('no exponent assigned to {}'))"
+    """r at each variable v in names = zeta^v, zeta = exp(2 pi i / N), as
+    f(N=..., v=...) = (denominator, numerator); as in `_form_kernels`, a
+    zero denominator skips the numerator.  Each side adds, from 0j in term
+    order, float(c) * exp(2 pi i ((k mod N) / N)) with k the term's
+    exponents dotted with the v in integers.  A variable of r not in names
+    is a DomainError."""
     sides = []
     for p in (r.den, r.num):
         terms = ["0j"]
         for e, c in p.terms.items():
-            k = " + ".join(f"{m} * {at.get(v) or nope.format(v)}"
-                           for v, m in zip(p.vars, e) if m) or "0"
-            terms.append(f"{float(c)!r} * _exp(_T * (({k}) % N / N))")
+            for v, m in zip(p.vars, e):
+                if m and v not in names:
+                    raise DomainError(f"no exponent assigned to {v}")
+            ks = [f"{m} * {v}" for v, m in zip(p.vars, e) if m]
+            terms.append(f"{float(c)!r} * _exp(_T * (({' + '.join(ks) or 0})"
+                         " % N / N))")
         sides.append(" + ".join(terms))
-    return eval(f"lambda N, {''.join(a + ', ' for a in at.values())}: "
-                f"({sides[1]}) / _d if (_d := {sides[0]}) else _raise("
-                "SingularityError('denominator vanishes at the root of unity'))",
-                {**globals(), "_exp": cmath.exp, "_T": 2j * _PI})
+    return eval(f"lambda N, {', '.join(names)}: (_d := {sides[0]}, "
+                f"_d and {sides[1]})", {"_exp": cmath.exp, "_T": 2j * _PI})
 
 
 @cache
-def _asymptotic_kernels():
-    """The builtin summand's Em ratio as f(N, 1, n, i) and its alpha form."""
-    return (_rf_at_unit_root(shift_ratio(habiro_figure_eight(), "Em"),
-                             ("q", "Q", "Qt1")),
-            _form_kernels(builtin_potential())["alpha"])
+def _em_kernel():
+    """The builtin summand's Em ratio at roots of unity, in (N, q, Q, Qt1)."""
+    return _rf_at_unit_root(shift_ratio(habiro_figure_eight(), "Em"),
+                            ("q", "Q", "Qt1"))
 
 
 def _nearest(p: int, d: int) -> int:
@@ -581,13 +578,15 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
         (ap, ad), (up, ud) = (Fraction(x).as_integer_ratio() for x in (a, u))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(f"a = {a!r}, u = {u!r}: not both rational") from None
-    disc_at, cont_at = _asymptotic_kernels()
+    em_at = _em_kernel()
+    alpha_at = _form_kernels(builtin_potential())["alpha"]
     rows = []
     for big_n in big_ns:
         n, i = _nearest(ap * big_n, ad), _nearest(up * big_n, ud)
-        disc = disc_at(big_n, 1, n, i)
-        cont = _form_at(cont_at, {"alpha": cmath.exp(1j * _PI * n / big_n),
-                                  "x": cmath.exp(2j * _PI * i / big_n)},
+        disc = _form_at(em_at, {"N": big_n, "q": 1, "Q": n, "Qt1": i},
+                        "denominator vanishes at the root of unity")
+        cont = _form_at(alpha_at, {"alpha": cmath.exp(1j * _PI * n / big_n),
+                                   "x": cmath.exp(2j * _PI * i / big_n)},
                         "alpha form undefined at the point")
         rows.append({"N": big_n, "n": n, "i": i, "discrete": disc,
                      "continuous": cont,

@@ -237,7 +237,7 @@ def uncached(monkeypatch):
     """Make every cached builder in the module rebuild on each call."""
     def go():
         for name in ("_forms", "_newton_system", "_newton_kernel",
-                     "_form_kernels", "_asymptotic_kernels"):
+                     "_form_kernels", "_em_kernel"):
             monkeypatch.setattr(potential, name,
                                 getattr(potential, name).__wrapped__)
     return go
@@ -249,15 +249,11 @@ def test_cached_forms_and_newton_system_equal_fresh_builds():
             potential._forms.__wrapped__(spec))
         assert (potential._newton_system(spec)
                 == potential._newton_system.__wrapped__(spec))
-    # the root-of-unity kernels compare by their values
-    disc, cont = potential._asymptotic_kernels()
-    fresh_disc, fresh_cont = potential._asymptotic_kernels.__wrapped__()
+    # the root-of-unity kernel compares by its values
+    em, fresh = potential._em_kernel(), potential._em_kernel.__wrapped__()
     for big_n, n, i in ((3, 1, 1), (100, 30, 20), (997, -5, 2000)):
-        assert (_value_or_error(disc, big_n, 1, n, i)
-                == _value_or_error(fresh_disc, big_n, 1, n, i))
-        env = {"alpha": cmath.exp(1j * n / big_n),
-               "x": cmath.exp(2j * i / big_n)}
-        assert repr(cont(**env)) == repr(fresh_cont(**env))
+        env = {"N": big_n, "q": 1, "Q": n, "Qt1": i}
+        assert repr(em(**env)) == repr(fresh(**env))
 
 
 def test_a_mirror_builds_only_the_plain_forms(monkeypatch):
@@ -276,6 +272,10 @@ def test_a_mirror_builds_only_the_plain_forms(monkeypatch):
         potential._forms(spec)
     assert built and not any(spec.mirror for spec, _ in built)
     assert len(built) == len(set(built)) == 2 + 2 * 5
+    # so is a mirror's linear root: the plain one inverted
+    built.clear()
+    saddle_system(builtin_potential(mirror=True), "linear")
+    assert built == [(builtin_potential(), "alpha")]
 
 
 def test_the_form_cache_holds_one_entry_per_spec():
@@ -367,7 +367,7 @@ def test_the_exact_commands_build_no_kernel(monkeypatch):
     # certify runs saddle_system and prop_comp_check; neither compiles
     potential._newton_kernel.cache_clear()
     potential._form_kernels.cache_clear()
-    potential._asymptotic_kernels.cache_clear()
+    potential._em_kernel.cache_clear()
 
     def refuse(*args):
         raise AssertionError("a float kernel was compiled")
@@ -381,7 +381,7 @@ def test_the_exact_commands_build_no_kernel(monkeypatch):
     prop_comp_check(False)
     assert potential._newton_kernel.cache_info().currsize == 0
     assert potential._form_kernels.cache_info().currsize == 0
-    assert potential._asymptotic_kernels.cache_info().currsize == 0
+    assert potential._em_kernel.cache_info().currsize == 0
 
 
 def test_saddle_selection_prefers_positive_imaginary_part():
@@ -538,12 +538,12 @@ def test_asymptotic_gap_shrinks_like_one_over_n():
 
 def test_unit_root_evaluation_folds_exponents():
     q = RationalFunction(parse_poly("q"), parse_poly("1"))
-    z1 = _rf_at_unit_root(q, ("q",))(4, 1)
+    z1 = _at_unit_root(q, ("q",), 4, (1,))
     assert abs(z1 - 1j) < 1e-15
     # exponents live in Z/N: 5 = 1 (mod 4)
-    assert _rf_at_unit_root(q, ("q",))(4, 5) == z1
-    with pytest.raises(DomainError, match="no exponent"):
-        _rf_at_unit_root(q, ())(4)
+    assert _at_unit_root(q, ("q",), 4, (5,)) == z1
+    with pytest.raises(DomainError, match="no exponent assigned to q"):
+        _rf_at_unit_root(q, ())
     with pytest.raises(DomainError, match="out of range"):
         asymptotic_check(big_ns=(2,))
     # at N = 3 the discrete side's denominator vanishes
@@ -555,6 +555,13 @@ def test_unit_root_evaluation_folds_exponents():
 # The oracle is the evaluation as first written: walk each side's terms,
 # fold the integer exponent mod N, add float(c) * exp(2 pi i (k mod N) / N)
 # from 0j, and check the denominator before the numerator is walked.
+
+def _at_unit_root(r, names, big_n, exps):
+    """r through its compiled kernel, as `asymptotic_check` evaluates it."""
+    return potential._form_at(
+        _rf_at_unit_root(r, names), {"N": big_n, **dict(zip(names, exps))},
+        "denominator vanishes at the root of unity")
+
 
 def _oracle_unit_root(r, big_n, exps):
     def ev(p):
@@ -586,10 +593,15 @@ def _unit_root_exponents(rng, big_n):
 
 
 def _assert_kernel_is_the_walk(r, names, big_n, exps):
-    kernel = _rf_at_unit_root(r, names)
-    want = _value_or_error(_oracle_unit_root, r, big_n,
-                           dict(zip(names, exps)))
-    assert _value_or_error(kernel, big_n, *exps) == want, (r, big_n, exps)
+    at = dict(zip(names, exps))
+    want = _value_or_error(_oracle_unit_root, r, big_n, at)
+    got = _value_or_error(_at_unit_root, r, names, big_n, exps)
+    if got[0] is DomainError and want[0] is SingularityError:
+        # the kernel refuses a missing exponent when it is compiled; the
+        # walk meets the zero denominator before the numerator's variable
+        want = _value_or_error(_oracle_unit_root, RationalFunction(
+            r.num, LaurentMPoly.const(1)), big_n, at)
+    assert got == want, (r, big_n, exps)
     return want
 
 
@@ -605,11 +617,13 @@ def test_the_em_kernel_is_the_term_walk():
         want = _assert_kernel_is_the_walk(em, UNIT_ROOT_VARS, big_n, exps)
         outcomes.add(type(want))
     assert outcomes == {str, tuple}
-    # the cached kernel is the same function of (N, 1, n, i)
-    disc = potential._asymptotic_kernels()[0]
+    # the cached kernel is the same function of (N, q, Q, Qt1)
     for big_n, n, i in ((3, 1, 1), (100, 30, 20), (7, -9, 15)):
-        assert (_value_or_error(disc, big_n, 1, n, i) == _value_or_error(
-            _oracle_unit_root, em, big_n, {"q": 1, "Q": n, "Qt1": i}))
+        env = {"q": 1, "Q": n, "Qt1": i}
+        assert (_value_or_error(potential._form_at, potential._em_kernel(),
+                                {"N": big_n, **env}, "denominator vanishes "
+                                "at the root of unity")
+                == _value_or_error(_oracle_unit_root, em, big_n, env))
 
 
 def _random_poly(rng):
@@ -650,20 +664,6 @@ def test_random_ratios_at_unit_roots_are_the_term_walk():
              else "pole" if want[0] is SingularityError
              else "no exponent"] += 1
     assert min(seen.values()) >= 10, seen
-
-
-def test_a_missing_exponent_and_a_pole_are_raised_in_walk_order():
-    # the denominator is evaluated first: its missing exponent, then its
-    # zero, come before anything missing from the numerator
-    r = RationalFunction(parse_poly("Q + 2"), parse_poly("q - 1"))
-    for names, exps in (((), ()), (("q",), (0,)), (("q",), (1,)),
-                        (("Q",), (1,))):
-        want = _assert_kernel_is_the_walk(r, names, 5, exps)
-        assert want[0] in (DomainError, SingularityError)
-    assert _value_or_error(_rf_at_unit_root(r, ("q",)), 5, 0) == (
-        SingularityError, "denominator vanishes at the root of unity")
-    assert _value_or_error(_rf_at_unit_root(r, ("q",)), 5, 1) == (
-        DomainError, "no exponent assigned to Q")
 
 
 @pytest.mark.parametrize("p, d", [(1, 2), (3, 2), (-1, 2), (-3, 2), (5, 2),
@@ -734,7 +734,7 @@ def test_every_root_order_is_checked_before_the_first_row(monkeypatch):
     def refuse():
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(potential, "_asymptotic_kernels", refuse)
+    monkeypatch.setattr(potential, "_em_kernel", refuse)
     with pytest.raises(DomainError, match="root order 2 out of range"):
         asymptotic_check(big_ns=(100, 200, 2))
     with pytest.raises(DomainError, match="root order 200.0 out of range"):
@@ -1109,10 +1109,6 @@ def test_mirror_forms_are_the_inverted_forms_term_for_term(spec):
     inverted = {k: f.inverse() if spec.mirror else f
                 for k, f in plain.items()}
     _assert_same_term_order(derivative_forms(spec), inverted)
-    # `_form` builds the mirror from its negated terms; the cache inverts
-    # the plain forms instead, and both give the same terms in this order
-    _assert_same_term_order({k: potential._form(spec, k) for k in plain},
-                            inverted)
     one = RationalFunction.one()
     for c, p in zip(coordinate_names(spec),
                     potential._newton_system(spec)[0]):
