@@ -199,18 +199,23 @@ def _load_term(name_or_path: str):
 # -- output ----------------------------------------------------------------
 
 def _atomic_write(path: str, data: str) -> None:
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
-                               prefix=".ajlab-", suffix=".tmp")
+    """Write through a temporary file beside path, which no outcome leaves
+    behind; an OSError is a clean error that names path."""
+    target, tmp = os.path.abspath(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=".ajlab-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
         os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise click.FileError(path, exc.strerror) from exc
         raise
 
 

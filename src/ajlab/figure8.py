@@ -13,7 +13,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .ore import OreOperator, SequenceFn, ore_apply, ore_mul
 from .poly import LaurentMPoly, parse_poly, poly_lcm
-from .qhg import _rational_q, jones_eval, jones_symbolic
+from .qhg import _int_point, _rational_q, jones_eval, jones_symbolic
 from .ratfun import RationalFunction, parse_ratfun as _rf
 
 
@@ -137,7 +137,7 @@ def recurrence_report(ns=range(1, 9), qs=SAMPLE_QS) -> list[dict]:
     jev = jones_evaluator()
     rows = []
     for n in ns:
-        if n < 1:
+        if _int_point((n,))[0] < 1:
             raise DomainError(f"colors start at 1, got {n}")
         qvals = [_rational_q(qv) for qv in qs]
         sampled_ok = all(

@@ -8,10 +8,12 @@ int-or-Fraction canonical (`poly._coeff`) and may be half-integers, but the
 q-exponent must be an integer wherever it is evaluated (else DomainError).
 Each summand is compiled once, when built, into integer rows (`_Plan`).
 
-``eval_exact``/``eval_symbolic`` take every form at a point as a dot
-product of its row with the point, and multiply only the net powers of the
-(1 - q^j): #{numerator lengths >= j} - #{denominator lengths >= j}, in
-integers ((b^j - a^j)^m for q = a/b) or as dense coefficient lists.
+A summand's value at a point is one start (`ProperQHTerm._start`): each
+form is the dot product of its row with the point, and a run that holds
+its ring's 1 (`_ExactRun`: ints at q = a/b; `_SymbolicRun`: dense lists in
+q) steps once by the sign, q^e and the net power of each (1 - q^j),
+#{numerator lengths >= j} - #{denominator lengths >= j}.
+``eval_exact``/``eval_symbolic`` are that start and the run's value.
 
 ``shift_ratio`` is the exact ratio of the shifted summand to the summand,
 a rational function of q and of n -> Q, m -> Qm, ki -> Qt_i, read off the
@@ -22,12 +24,11 @@ and the lengths'; ``epsilon_ratio`` is its q -> 1 limit (the
 ``lattice_sum`` adds a summand up over its support, at a rational q or in
 q.  Each lattice axis is bounded from the axes before it by its rows in
 `_Plan.bounds` (the support rows, projected by Fourier-Motzkin), so the
-heads cover the support polytope.  Each row of the last axis is evaluated
-in full at its first point, and walked: each later point is the one
-before times a sign, a q-power and a few (1 - q^j), stepped in ints over
-one shared denominator or as dense lists.  A walk restarts with a
-full evaluation where the term is zero, or where a step changes the
-q-exponent by a half-integer or has a zero factor (q in {0, +-1}); so
+heads cover the support polytope.  Each row of the last axis starts a run
+at its first point and walks it: each later point is the one before times
+a sign, a q-power and a few (1 - q^j), stepped in the run's ring.  A walk
+restarts with a new start where the term is zero, or where a step changes
+the q-exponent by a half-integer or has a zero factor (q in {0, +-1}); so
 every value and every error is the point-by-point sum's.
 """
 
@@ -142,19 +143,12 @@ def _dense_q(coeffs: Sequence[int], low: int = 0) -> LaurentMPoly:
                                {(low + k,): c for k, c in enumerate(coeffs)})
 
 
-def _dense(p: LaurentMPoly) -> tuple[int, list]:
-    """(low, coeffs) with p = sum coeffs[k] * q^(low + k), p nonzero in q."""
-    low = p.min_degree("q")
-    coeffs = [0] * (p.degree("q") - low + 1)
-    for e, c in p.terms.items():
-        coeffs[sum(e) - low] = c  # e is () or (k,)
-    return low, coeffs
-
-
 def _times_one_minus(side: list, j: int) -> None:
-    """side *= 1 - q^j in place, on a dense coefficient list (j >= 1)."""
-    side.extend([0] * j)
-    side[j:] = map(sub, side[j:], side[:-j])
+    """side *= 1 - q^j in place, on a dense coefficient list (j >= 1); the
+    empty list is 0 and stays empty."""
+    if side:
+        side.extend([0] * j)
+        side[j:] = map(sub, side[j:], side[:-j])
 
 
 class QuadForm(Immutable):
@@ -287,9 +281,11 @@ class ProperQHTerm(Immutable):
     def symbols(self) -> tuple[str, ...]:
         return self.colors + tuple(_lattice_sym(i + 1) for i in range(self.nu))
 
-    def _at(self, point: Sequence[int]) -> Optional[tuple]:
-        """(the (length, under the bar) pair of every Pochhammer factor, the
-        q-exponent, the sign's parity) at point, or None out of support."""
+    def _start(self, point: Sequence[int], run):
+        """run, holding its ring's 1, stepped once by the value at point (the
+        sign, q^e and each (1 - q^j) to its net power); None where the value
+        is 0.  Out of support is 0 before any error, then a non-integer e is
+        a DomainError, then ``run.refuse`` refuses what only its ring does."""
         if len(point) != len(self.colors) + self.nu:
             raise DomainError(f"point {tuple(point)} does not match "
                               f"arguments {self.symbols()}")
@@ -299,76 +295,36 @@ class ProperQHTerm(Immutable):
         if min(vals, default=0) < 0:
             return None
         r, pairs, den = plan.quad
-        e = sum(map(mul, r, y)) + sum(k * x[i] * x[j] for i, j, k in pairs)
-        return (list(zip(vals, plan.denoms)),  # zip stops at the lengths
-                e if den == 1 else Fraction(e, den),
-                sum(map(mul, plan.sign, y)) % 2)
-
-    @staticmethod
-    def _net_multiplicities(lengths: Sequence[tuple[int, bool]]
-                            ) -> dict[int, int]:
-        """{j: m_j != 0}, the net power of (1 - q^j) in the Pochhammer
-        product: #{numerator lengths >= j} - #{denominator lengths >= j}."""
-        step: dict[int, int] = {}
-        for ln, denom in lengths:
-            step[ln] = step.get(ln, 0) + (-1 if denom else 1)
-        net, m = {}, 0
-        for j in range(max(step, default=0), 0, -1):
-            m += step.get(j, 0)
-            if m:
-                net[j] = m
-        return net
+        e = sum(map(mul, r, y)) + sum(c * x[i] * x[j] for i, j, c in pairs)
+        k = _int_exponent(Fraction(e, den)) if e % den else e // den
+        # each (length, under the bar), zip stopping at the lengths, and a
+        # (q)_0 = 1 to close the walk below: the net power m of (1 - q^j),
+        # #{numerator lengths >= j} - #{denominator lengths >= j}, is
+        # constant between two lengths, so walk them longest first
+        lengths = [*zip(vals, plan.denoms), (0, False)]
+        run.refuse(k, lengths)
+        up, down, m, hi = [], [], 0, 0
+        for ln, denom in sorted(lengths, reverse=True):
+            if m and ln < hi:
+                (up if m > 0 else down).extend(
+                    list(range(ln + 1, hi + 1)) * abs(m))
+            m, hi = m - 1 if denom else m + 1, ln
+        odd = sum(map(mul, plan.sign, y)) % 2
+        return run if run.step(odd, k, up, down) else None
 
     def eval_exact(self, point: Sequence[int], qval: Scalar) -> Fraction:
-        """Exact value at q = qval, zero out of support, in integer products;
-        a (q)_L under the bar that vanishes is a PoleError."""
-        qval = _rational_q(qval)
-        at = self._at(point)
-        if at is None:
-            return Fraction(0)
-        lengths, e, odd = at
-        a, b = qval.numerator, qval.denominator
-        k = _int_exponent(e)
-        if not a and k < 0:
-            raise DomainError("q = 0 under a negative exponent")
-        # a = 0 only with k >= 0; the Fraction below fixes the sign of a
-        num, den = (a ** k, b ** k) if k >= 0 else (b ** -k, a ** -k)
-        if odd:
-            num = -num
-        # a rational q is a root of some 1 - q^j (j >= 1) only at q = 1, or
-        # at q = -1 with j even; any such factor under the bar is a pole,
-        # even where the numerator would cancel it
-        if b == 1 and a in (1, -1):
-            for ln, denom in lengths:
-                if denom and ln >= (1 if a == 1 else 2):
-                    raise PoleError(
-                        f"(q)_{ln} vanishes at q = {qval} under the bar")
-        # with q = a/b, (1 - q^j)^m = (b^j - a^j)^m / b^(j*m)
-        bpow = 0
-        for j, m in self._net_multiplicities(lengths).items():
-            if m > 0:
-                num *= (b ** j - a ** j) ** m
-            else:
-                den *= (b ** j - a ** j) ** -m
-            bpow += j * m
-        return Fraction(num * b ** max(-bpow, 0),
-                        den * b ** max(bpow, 0))
+        """Exact value at q = qval, zero out of support, as the start of an
+        exact run; a (q)_L under the bar that vanishes is a PoleError."""
+        run = _ExactRun(_rational_q(qval))
+        self._start(point, run)  # a run never stepped sums to 0
+        return run.value()
 
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
-        """Value at an integer point as a rational function of q; zero out
-        of support."""
-        at = self._at(point)
-        if at is None:
-            return RationalFunction.zero()
-        lengths, e, odd = at
-        num, den = [1], [1]
-        for j, m in self._net_multiplicities(lengths).items():
-            side = num if m > 0 else den
-            for _ in range(abs(m)):
-                _times_one_minus(side, j)
-        if odd:
-            num = [-c for c in num]
-        return RationalFunction(_dense_q(num, _int_exponent(e)), _dense_q(den))
+        """Value at an integer point as a rational function of q, as the
+        start of a symbolic run; zero out of support."""
+        run = _SymbolicRun()
+        self._start(point, run)
+        return run.value()
 
 
 # -- shift ratios ----------------------------------------------------------
@@ -385,7 +341,8 @@ def _resolve_shift(term: ProperQHTerm, which: str) -> tuple[int, int]:
     if which == "Em":
         # n = 2m+1: one half-lattice step is two full steps
         return 0, 2 if colors == ("n",) else 1
-    if which.startswith("Et") and which[2:].isdigit():
+    if (isinstance(which, str) and which.startswith("Et")
+            and which[2:].isdigit()):
         i = int(which[2:])
         if not 1 <= i <= term.nu:
             raise DomainError(f"no lattice direction {i} (nu={term.nu})")
@@ -517,11 +474,25 @@ def _row_bounds(rows: Sequence[tuple[int, ...]], head: tuple[int, ...],
 
 class _ExactRun:
     """A run of stepped points at q = a/b: the running term t / d and the
-    partial sum s / d, in integers over one shared denominator d."""
+    partial sum s / d, in integers over one shared denominator d.  A new
+    run holds t = 1 and s = 0; its first step is a start (`_start`)."""
 
-    def __init__(self, q: Fraction, v: Fraction):
-        self.a, self.b, self.d = q.numerator, q.denominator, v.denominator
-        self.t = self.s = v.numerator
+    def __init__(self, q: Fraction):
+        self.a, self.b = q.numerator, q.denominator
+        self.t, self.s, self.d = 1, 0, 1
+
+    def refuse(self, k: int, lengths: list) -> None:
+        """A start's own refusals: q = 0 under a negative exponent k, then a
+        (q)_L under the bar that vanishes (only at q = 1, or at q = -1 with
+        L >= 2), even where the numerator would cancel it."""
+        a, b = self.a, self.b
+        if not a and k < 0:
+            raise DomainError("q = 0 under a negative exponent")
+        if b == 1 and a in (1, -1):
+            for ln, denom in lengths:
+                if denom and ln >= (1 if a == 1 else 2):
+                    raise PoleError(
+                        f"(q)_{ln} vanishes at q = {a} under the bar")
 
     def step(self, flip: int, e: int, up: list, down: list) -> bool:
         """t *= (-1)^flip q^e prod_up (1 - q^j) / prod_down (1 - q^j), then
@@ -545,12 +516,14 @@ class _ExactRun:
 
 class _SymbolicRun:
     """A run of stepped points in q: the running term q^e t / d and the
-    partial sum q^se s / d, dense integer coefficient lists over one d."""
+    partial sum q^se s / d, dense integer coefficient lists over one d; a
+    new run holds t = [1] and s = [] (0), and refuses no start."""
 
-    def __init__(self, v: RationalFunction):
-        # a canonical denominator has no monomial content: its low is 0
-        self.e, self.t = _dense(v.num)
-        self.se, self.s, self.d = self.e, list(self.t), _dense(v.den)[1]
+    def __init__(self):
+        self.e, self.se, self.t, self.s, self.d = 0, 0, [1], [], [1]
+
+    def refuse(self, k: int, lengths: list) -> None:
+        pass
 
     def step(self, flip: int, e: int, up: list, down: list) -> bool:
         t, s = self.t, self.s
@@ -562,6 +535,8 @@ class _SymbolicRun:
             _times_one_minus(self.d, j)
             _times_one_minus(s, j)
         self.e += e
+        if not s:  # the first step: the sum starts where the term does
+            self.se = self.e
         shift = self.e - self.se
         if shift < 0:
             s[:0] = [0] * -shift
@@ -584,13 +559,8 @@ def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
     colors = _int_point(colors)
     if len(colors) != len(term.colors):
         raise DomainError("wrong number of colors")
-    if qval is None:
-        total, evaluate, run = (RationalFunction.zero(), term.eval_symbolic,
-                                _SymbolicRun)
-    else:
-        q = _rational_q(qval)
-        total, evaluate = Fraction(0), partial(term.eval_exact, qval=q)
-        run = partial(_ExactRun, q)
+    ring = (_SymbolicRun if qval is None
+            else partial(_ExactRun, _rational_q(qval)))
     plan, nu, heads = term._plan, term.nu, [colors]
     for i, bound in enumerate(plan.bounds[:-1], 1):  # the outer axes
         nxt = []
@@ -603,39 +573,38 @@ def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
             for h in heads] if nu else [((), colors[0], colors[0])]
     delta, dslope, den = plan.delta, plan.delta[-1], plan.quad[2]
     flip, moving = plan.sign[-1] % 2, plan.moving
+    values = []  # one per run
     for head, lo, hi in rows:
-        cur = None  # the run at point k, then stepped to k + 1
-        for k in range(lo, hi):
-            if cur is None:
-                v = evaluate(head + (k,))
-                if not v:
+        cur = None  # the run at point k - 1, to be stepped to k
+        for k in range(lo, hi + 1):
+            if cur is not None:
+                up, down = [], []
+                for ln, (_, j0, j1, above) in zip(lens, moving):
+                    (up if above else down).extend(range(ln + j0, ln + j1))
+                if not e % den and cur.step(flip, e // den, up, down):
+                    lens = [ln + r[-1] for ln, (r, *_) in zip(lens, moving)]
+                    e += dslope
                     continue
-                cur, y = run(v), (1, *head, k)
+                values.append(cur.value())
+            cur = term._start(head + (k,), ring())
+            if cur is not None and k < hi:  # a row's last point never steps
+                y = (1, *head, k)
                 lens = [sum(map(mul, r, y)) for r, *_ in moving]
                 e = sum(map(mul, delta, y))
-            up, down = [], []
-            for ln, (_, j0, j1, above) in zip(lens, moving):
-                (up if above else down).extend(range(ln + j0, ln + j1))
-            if not e % den and cur.step(flip, e // den, up, down):
-                lens = [ln + r[-1] for ln, (r, *_) in zip(lens, moving)]
-                e += dslope
-            else:
-                total += cur.value()
-                cur = None
-        if lo <= hi:
-            total += cur.value() if cur else evaluate(head + (hi,))
-    return total
+        if cur is not None:
+            values.append(cur.value())
+    return sum(values[1:], values[0]) if values else ring().value()
 
 
 def jones_symbolic(n: int) -> LaurentMPoly:
     """The built-in knot's colored polynomial at color n, exactly, as a
     Laurent polynomial in q."""
-    if n < 1:
+    if _int_point((n,))[0] < 1:
         raise DomainError("color must be a positive integer")
     return lattice_sum(habiro_figure_eight(), (n,)).as_polynomial()
 
 
 def jones_eval(n: int, qval: Scalar) -> Fraction:
-    if n < 1:
+    if _int_point((n,))[0] < 1:
         raise DomainError("color must be a positive integer")
     return lattice_sum(habiro_figure_eight(), (n,), _rational_q(qval))

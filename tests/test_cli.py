@@ -276,6 +276,17 @@ def test_out_file_replaces_atomically(run, tmp_path):
     assert list(tmp_path.iterdir()) == [target]  # no temp litter
 
 
+def test_out_file_into_a_missing_directory(run, tmp_path):
+    # a clean error naming the path, not a traceback, and no temp litter
+    target = tmp_path / "missing" / "x.txt"
+    res = run("jones", "--n", "2", "--out", str(target))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.output == (f"Error: Could not open file {str(target)!r}: "
+                          "No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_knot_descriptor_files(run, tmp_path):
     crossing = tmp_path / "crossing.json"
     crossing.write_text(json.dumps({"crossing": {"positive": True}}))

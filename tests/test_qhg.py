@@ -913,22 +913,26 @@ class TestSteppedSum:
 
     @staticmethod
     def counted_evaluations(monkeypatch):
+        # every full evaluation, in either ring, is one start of a run
         calls = []
-        original = ProperQHTerm.eval_exact
+        original = ProperQHTerm._start
 
-        def counted(self, point, qval):
+        def counted(self, point, run):
             calls.append(point)
-            return original(self, point, qval)
+            return original(self, point, run)
 
-        monkeypatch.setattr(ProperQHTerm, "eval_exact", counted)
+        monkeypatch.setattr(ProperQHTerm, "_start", counted)
         return calls
 
     def test_one_full_evaluation_per_run(self, monkeypatch):
-        # the figure-eight's one row is walked from its first point; a
-        # twist-knot row k is bounded by the support to 0 <= l <= k, so
-        # it too is one run
+        # the figure-eight's one row is walked from its first point, at a
+        # rational q and in q; a twist-knot row k is bounded by the
+        # support to 0 <= l <= k, so it too is one run
         calls = self.counted_evaluations(monkeypatch)
         jones_eval(12, Fraction(3, 2))
+        assert calls == [(12, 0)]
+        calls.clear()
+        jones_symbolic(12)
         assert calls == [(12, 0)]
         calls.clear()
         lattice_sum(twist_knot(1), (4,), 3)
@@ -1050,6 +1054,11 @@ FIG8 = habiro_figure_eight()
     (jones_eval, (2.0, 2), "(2.0,)"),
     (lattice_sum, (FIG8, (Fraction(4),)), "(Fraction(4, 1),)"),
     (FIG8.eval_exact, ((3, 1.0), 2), "(3, 1.0)"),
+    # a color goes through the same check, not a raw TypeError from n < 1
+    (jones_symbolic, ("3",), "('3',)"),
+    (jones_symbolic, (None,), "(None,)"),
+    (jones_eval, (None, 2), "(None,)"),
+    (recurrence_report, (["a"],), "('a',)"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_non_integer_points_are_refused(fn, args, point):
     with pytest.raises(DomainError, match=re.escape(
@@ -1085,6 +1094,13 @@ def test_q_is_an_int_or_a_fraction(entry, qval, shown):
         fn(qval)
     assert str(info.value) == f"q = {shown} is not an int or a Fraction"
     assert fn(2) == fn(Fraction(2))  # an int is read as a Fraction
+
+
+@pytest.mark.parametrize("fn", [shift_ratio, epsilon_ratio])
+def test_a_shift_is_named_by_a_string(fn):
+    # an int raised a raw AttributeError before
+    with pytest.raises(DomainError, match="unknown shift 5"):
+        fn(FIG8, 5)
 
 
 # -- form coefficients: int when integral, Fraction only when not ----------
