@@ -7,6 +7,8 @@ resultants leaves a single polynomial in (alpha, l) — the candidate curve
 the annihilating operator is compared against.
 """
 
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DegeneracyError, DomainError
@@ -23,40 +25,29 @@ from .poly import (
 from .qhg import ProperQHTerm, epsilon_ratio
 from .ratfun import RationalFunction
 
-# -- variable renaming -----------------------------------------------------
+# -- summand symbols to curve coordinates ----------------------------------
 
-#: rename table for a summand colored by the full meridian exponential:
-#: its square root becomes alpha, the lattice coordinate becomes x
-RENAME_FULL = {"Q": ("alpha", 2), "Qt1": ("x", 1), "E": ("l", 1)}
+@lru_cache(maxsize=None)
+def _coordinates(colors: tuple[str, ...], nu: int) -> tuple[
+        tuple[str, ...], Mapping[str, LaurentMPoly]]:
+    """(coords, images): the curve coordinates of a summand's lattice
+    directions and the monomial each exponential symbol becomes.
 
-#: rename table for half-meridian summands (one color per strand); their
-#: lattice coordinates Qt_i -> w_i come per term from `_half_mapping`
-RENAME_HALF = {"Qm": ("alpha", 1), "E": ("l", 1)}
-
-
-def _half_mapping(nu: int) -> dict[str, tuple[str, int]]:
-    """RENAME_HALF with Qt_i -> w_i for every lattice index i = 1..nu."""
-    return {**RENAME_HALF,
-            **{f"Qt{i}": (f"w{i}", 1) for i in range(1, nu + 1)}}
-
-
-def rename_exponents(p: LaurentMPoly,
-                     mapping: Mapping[str, tuple[str, int]]) -> LaurentMPoly:
-    """Rename variables monomial-wise, scaling exponents: v^k -> u^(mk)."""
-    new_names = []
-    for v in p.vars:
-        name = mapping.get(v, (v, 1))[0]
-        if name in new_names:
-            raise DomainError(f"rename collides on {name}")
-        new_names.append(name)
-    return p.subst_monomials({v: LaurentMPoly.var(*mapping[v])
-                              for v in p.vars if v in mapping})
-
-
-def rename_ratfun(r: RationalFunction,
-                  mapping: Mapping[str, tuple[str, int]]) -> RationalFunction:
-    return RationalFunction(rename_exponents(r.num, mapping),
-                            rename_exponents(r.den, mapping))
+    The meridian goes to alpha (Q -> alpha^2 for the full color n, Qm ->
+    alpha for the half color m), Qt_i to the i-th coordinate (x for one
+    full-meridian direction, x_i for several, w_i on a half meridian) and
+    the color shift E to l.
+    """
+    full = colors == ("n",)
+    stem = "x" if full else "w"
+    coords = ((stem,) if full and nu == 1
+              else tuple(f"{stem}{i}" for i in range(1, nu + 1)))
+    images = {"Q": LaurentMPoly.var("alpha", 2)} if full else {
+        "Qm": LaurentMPoly.var("alpha")}
+    images.update({f"Qt{i}": LaurentMPoly.var(c)
+                   for i, c in enumerate(coords, 1)})
+    images["E"] = LaurentMPoly.var("l")
+    return coords, MappingProxyType(images)
 
 
 # -- equation systems ------------------------------------------------------
@@ -98,38 +89,28 @@ def ratio_system(term: ProperQHTerm,
     """Equations satisfied by the q = 1 limits of the term's shift ratios.
 
     Lattice ratios are set to 1; the color ratio is set to l (one-step,
-    "linear") or l^2 (two-step, "squared").  Full-meridian colors get
-    alpha^2 for the meridian variable and x for the lattice coordinate;
-    half-meridian colors get alpha and w1..w_nu.
+    "linear") or l^2 (two-step, "squared").  The summand's symbols become
+    curve coordinates as `_coordinates` says: alpha^2 (full meridian) or
+    alpha (half meridian) for the color, x, x1..x_nu or w1..w_nu for the
+    lattice.
     """
     if longitude not in ("linear", "squared"):
         raise DomainError(f"unknown longitude kind {longitude!r}")
-    one = RationalFunction.one()
     lvar = RationalFunction.var("l")
-    if term.colors == ("n",):
-        mapping = dict(RENAME_FULL)
-        if term.nu == 1:
-            coords = ("x",)
-        else:
-            coords = tuple(f"x{i}" for i in range(1, term.nu + 1))
-            for i in range(1, term.nu + 1):
-                mapping[f"Qt{i}"] = (f"x{i}", 1)
-        lon_ratio = epsilon_ratio(term, "Em" if longitude == "squared"
-                                  else "E")
-        rhs = lvar * lvar if longitude == "squared" else lvar
+    if longitude == "squared":
+        lon_ratio, rhs = epsilon_ratio(term, "Em"), lvar * lvar
+    elif term.colors == ("n",):
+        lon_ratio, rhs = epsilon_ratio(term, "E"), lvar
     else:
-        if longitude == "linear":
-            raise DomainError(
-                "linear longitude needs a full-meridian color; "
-                "half-meridian terms only expose the two-step ratio")
-        mapping = _half_mapping(term.nu)
-        coords = tuple(f"w{i}" for i in range(1, term.nu + 1))
-        lon_ratio = epsilon_ratio(term, "Em")
-        rhs = lvar * lvar
+        raise DomainError(
+            "linear longitude needs a full-meridian color; "
+            "half-meridian terms only expose the two-step ratio")
+    coords, images = _coordinates(term.colors, term.nu)
+    one = RationalFunction.one()
     glue = tuple(
-        cleared_equation(rename_ratfun(epsilon_ratio(term, f"Et{i}"), mapping), one)
+        cleared_equation(epsilon_ratio(term, f"Et{i}").subst(images), one)
         for i in range(1, term.nu + 1))
-    lon = cleared_equation(rename_ratfun(lon_ratio, mapping), rhs)
+    lon = cleared_equation(lon_ratio.subst(images), rhs)
     return EquationSystem(glue, lon, coords, longitude)
 
 
@@ -146,9 +127,6 @@ class APolyCandidate(Immutable):
         # discarded l-free factors / multiplicities
         object.__setattr__(self, "dropped", dropped)
         object.__setattr__(self, "order", order)
-
-    def __str__(self) -> str:
-        return format_poly(self.poly)
 
 
 def eliminate(system: EquationSystem,
@@ -229,11 +207,6 @@ class OperatorCurveComparison(Immutable):
         # scale absorbed when taking the limit
         object.__setattr__(self, "unit", unit)
 
-    def __str__(self) -> str:
-        verdict = "match" if self.match else "MISMATCH"
-        return (f"{verdict}: operator side {format_poly(self.operator_poly)}"
-                f" vs candidate {format_poly(self.candidate_poly)}")
-
 
 def aj_compare(op: OreOperator, candidate) -> OperatorCurveComparison:
     """Compare the q = 1 limit of an annihilating operator against an
@@ -243,8 +216,9 @@ def aj_compare(op: OreOperator, candidate) -> OperatorCurveComparison:
     recorded while taking the limit is reported in the same variables.
     """
     prim, unit = epsilon_eval_with_unit(op)
-    lhs = normalized(rename_exponents(prim, RENAME_FULL), main="l")
+    images = _coordinates(("n",), 0)[1]
+    lhs = normalized(prim.subst_monomials(images), main="l")
     rhs = candidate.poly if isinstance(candidate, APolyCandidate) else candidate
     rhs = normalized(rhs.clear_negative(), main="l")
     return OperatorCurveComparison(lhs == rhs, lhs, rhs,
-                                   rename_ratfun(unit, RENAME_FULL))
+                                   unit.subst(images))

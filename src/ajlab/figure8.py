@@ -102,7 +102,8 @@ def jones_evaluator() -> SequenceFn:
     def jones(point: tuple[int, ...], qval: Fraction) -> Fraction:
         if len(point) != 1:
             raise DomainError(f"the full sum takes one color, got {point}")
-        n, qval = point[0], _rational_q(qval)
+        qval = _rational_q(qval)
+        n, = _int_point(point)
         return _jones_cached(n, qval) if n >= 1 else Fraction(0)
     return jones
 

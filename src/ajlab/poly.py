@@ -537,21 +537,21 @@ def _binom(n: int, j: int) -> int:
     return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
 
 
-def limit_at_one(p: LaurentMPoly, v: str = "q") -> tuple[int, LaurentMPoly]:
-    """(k, c) with p = (v - 1)^k * u and c = u at v = 1, nonzero and free
-    of v; the other variables, Laurent powers included, are kept.
+def limit_at_one(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
+    """(k, c) with p = (q - 1)^k * u and c = u at q = 1, nonzero and free
+    of q; the other variables, Laurent powers included, are kept.
 
-    c is the lowest nonzero Taylor coefficient of p at v = 1.  The j-th one
-    is the sum of c_e * binom(e_v, j) over the terms, with the binomial
-    generalized to negative exponents, so powers of v need no clearing.
-    p = v^a * P with P a polynomial of degree d vanishes to order at most
+    c is the lowest nonzero Taylor coefficient of p at q = 1.  The j-th one
+    is the sum of c_e * binom(e_q, j) over the terms, with the binomial
+    generalized to negative exponents, so powers of q need no clearing.
+    p = q^a * P with P a polynomial of degree d vanishes to order at most
     d, so the search ends.
     """
     if p.is_zero():
-        raise DomainError(f"limit at {v} = 1 of the zero polynomial")
-    if v not in p.vars:
+        raise DomainError("limit at q = 1 of the zero polynomial")
+    if "q" not in p.vars:
         return 0, p
-    i = p.vars.index(v)
+    i = p.vars.index("q")
     rest = p.vars[:i] + p.vars[i + 1:]
     split = [(e[i], e[:i] + e[i + 1:], c) for e, c in p.terms.items()]
     k = 0

@@ -31,8 +31,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .dilog import li2
-from .elim import (EquationSystem, _half_mapping, cleared_equation,
-                   rename_ratfun)
+from .elim import EquationSystem, _coordinates, cleared_equation
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      SingularityError)
 from .poly import Immutable, LaurentMPoly
@@ -323,10 +322,12 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
     """
     spec = crossing_potential(positive)
     term, forms = spec.summand(), _forms(spec)
-    rows, mapping = [], _half_mapping(term.nu)
-    for which, key in (("Et1", "w1"), ("Et2", "w2"), ("Et3", "w3"),
-                       ("Et4", "w4"), ("Em", "alpha")):
-        lhs = rename_ratfun(epsilon_ratio(term, which), mapping)
+    coords, images = _coordinates(term.colors, term.nu)
+    pairs = [*((f"Et{i}", c) for i, c in enumerate(coords, 1)),
+             ("Em", "alpha")]
+    rows = []
+    for which, key in pairs:
+        lhs = epsilon_ratio(term, which).subst(images)
         rhs = forms[key]
         # both sides are canonical, so equal sides are exactly equal
         quot = RationalFunction.one() if lhs == rhs else lhs / rhs

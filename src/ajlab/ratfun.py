@@ -228,16 +228,20 @@ class RationalFunction(Immutable):
         """Substitute a monomial c * x^a, or a constant (zero included),
         for each bound variable; unbound variables stay symbolic.  Both
         sides go through one exponent map (`LaurentMPoly.subst_monomials`)
-        and the pair is reduced once.  Raises DomainError for any other
-        binding, for a negative power of a variable bound to zero, and
-        when the denominator vanishes under the substitution."""
+        and the pair is reduced once; a polynomial binding is used as it
+        is.  Raises DomainError for any other binding, for a negative power
+        of a variable bound to zero, and when the denominator vanishes
+        under the substitution."""
         images = {}
         for v, x in bindings.items():
-            f = as_ratfun(x)
-            if not f.is_polynomial() or len(f.num.terms) > 1:
+            if not isinstance(x, LaurentMPoly):
+                f = as_ratfun(x)
+                x = f.num if f.is_polynomial() else f
+            if not isinstance(x, LaurentMPoly) or len(x.terms) > 1:
                 raise DomainError(
-                    f"{v} is bound to {format_ratfun(f)}, not a monomial")
-            images[v] = f.num
+                    f"{v} is bound to {format_ratfun(as_ratfun(x))}, "
+                    "not a monomial")
+            images[v] = x
         dn = self.den.subst_monomials(images)
         if dn.is_zero():
             names = ", ".join(sorted(set(self.den.vars) & set(images)))

@@ -333,6 +333,15 @@ def test_crossing_saddle_needs_a_start(run, tmp_path):
                               "start\n")
 
 
+def test_verify_needs_a_closed_diagram(run, tmp_path):
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"crossing": {"positive": False}}))
+    res = run("verify", "--knot", str(negative))
+    assert res.exit_code == 1
+    assert res.output == ("Error: verify needs a closed-diagram summand "
+                          "(a builtin), not a single crossing\n")
+
+
 def test_bad_knot_descriptors(run, tmp_path):
     # the summand and the potential readers share one descriptor reader
     cases = [({"crossing": 5}, "'crossing' must be an object"),

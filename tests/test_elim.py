@@ -7,12 +7,10 @@ import pytest
 from ajlab.elim import (
     APolyCandidate,
     EquationSystem,
+    _coordinates,
     aj_compare,
     eliminate,
-    rename_exponents,
-    rename_ratfun,
     ratio_system,
-    RENAME_FULL,
 )
 from ajlab.errors import DegeneracyError, DomainError
 from ajlab.figure8 import (
@@ -44,19 +42,36 @@ def pm(got, want):
 
 
 class TestRenaming:
+    FULL = _coordinates(("n",), 1)[1]
+
     def test_exponent_scaling(self):
-        assert rename_exponents(P("Q^2 - Q^-1"), RENAME_FULL) == \
+        assert P("Q^2 - Q^-1").subst_monomials(self.FULL) == \
             P("alpha^4 - alpha^-2")
-        assert rename_exponents(P("q*Qt1 + E"), RENAME_FULL) == \
+        assert P("q*Qt1 + E").subst_monomials(self.FULL) == \
             P("q*x + l")
 
-    def test_collision_refused(self):
-        with pytest.raises(DomainError):
-            rename_exponents(P("Q + x"), {"Q": ("x", 1)})
-
     def test_ratfun(self):
-        r = rename_ratfun(rf("1 - Q*Qt1", "Qt1 - Q"), RENAME_FULL)
+        r = rf("1 - Q*Qt1", "Qt1 - Q").subst(self.FULL)
         assert r == rf("1 - alpha^2*x", "x - alpha^2")
+
+    @pytest.mark.parametrize("colors, nu, coords", [
+        (("n",), 0, ()),
+        (("n",), 1, ("x",)),
+        (("n",), 2, ("x1", "x2")),
+        (("m",), 4, ("w1", "w2", "w3", "w4")),
+    ])
+    def test_coordinates(self, colors, nu, coords):
+        got, images = _coordinates(colors, nu)
+        assert got == coords
+        meridian = {"Q": P("alpha^2")} if colors == ("n",) else {
+            "Qm": P("alpha")}
+        assert dict(images) == {
+            **meridian, **{f"Qt{i}": P(c) for i, c in enumerate(coords, 1)},
+            "E": P("l")}
+        # built once and read-only, since every caller shares it
+        assert _coordinates(colors, nu)[1] is images
+        with pytest.raises(TypeError):
+            images["E"] = P("x")
 
 
 class TestRatioSystems:

@@ -10,8 +10,7 @@ import pytest
 
 from ajlab import potential
 from ajlab.dilog import li2
-from ajlab.elim import (_half_mapping, cleared_equation, ratio_system,
-                        rename_ratfun)
+from ajlab.elim import _coordinates, cleared_equation, ratio_system
 from ajlab.errors import (
     ConvergenceError,
     DegeneracyError,
@@ -103,13 +102,22 @@ def test_ratio_limits_match_derivative_forms_exactly():
             assert row["unit"] == "1"
 
 
+@pytest.mark.parametrize("name", list(potential._KNOTS))
+def test_knot_table_names_the_summand_coordinates(name):
+    # the saddle side reads its names from the table without building a
+    # summand; they are the ones the summand's ratios are renamed to
+    term = potential._KNOTS[name][0]()
+    assert coordinate_names(PotentialSpec(name)) == _coordinates(
+        term.colors, term.nu)[0]
+
+
 def _always_divide_rows(positive, forms):
     """`prop_comp_check`'s rows with every quotient a division."""
     term = build_crossing(positive)
-    rows, mapping = [], _half_mapping(term.nu)
+    rows, images = [], _coordinates(term.colors, term.nu)[1]
     for which, key in (("Et1", "w1"), ("Et2", "w2"), ("Et3", "w3"),
                        ("Et4", "w4"), ("Em", "alpha")):
-        lhs = rename_ratfun(epsilon_ratio(term, which), mapping)
+        lhs = epsilon_ratio(term, which).subst(images)
         quot = lhs / forms[key]
         rows.append({
             "identity": f"limit of {which} ratio vs {key} form",

@@ -15,7 +15,7 @@ from ajlab.elim import eliminate, ratio_system
 from ajlab.errors import DomainError, PoleError, SupportError
 from ajlab.figure8 import jones_evaluator, p0_operator, recurrence_report
 from ajlab.ore import ore_apply
-from ajlab.poly import LaurentMPoly, parse_poly
+from ajlab.poly import LaurentMPoly, format_poly, parse_poly
 from ajlab.qhg import (
     LinearForm,
     _SUPPORT_MAX_WIDTH,
@@ -805,6 +805,28 @@ def twist_knot(p):
         constraints=(L({"k1": 1}), L({"k2": 1})))
 
 
+TWIST_GLUE_1 = ("alpha^4*x1^2*x2 - alpha^4*x1*x2 - alpha^2*x1^3*x2 "
+                "+ alpha^2*x1*x2^2 - alpha^2*x1*x2 + alpha^2*x1 + x1^2*x2 "
+                "- x1*x2")
+TWIST_LONGITUDES = {
+    "linear": "l*alpha^2 - alpha^2*x1 - l*x1 + 1",
+    "squared": "l^2*alpha^4 - alpha^4*x1^2 - 2*l^2*alpha^2*x1 + l^2*x1^2 "
+               "+ 2*alpha^2*x1 - 1"}
+
+
+@pytest.mark.parametrize("p, kind, glue_2", [
+    (1, "linear", "x1*x2^2 - x2^3 + x1*x2 - 1"),
+    (-1, "linear", "x1*x2^3 - x2^2 + x1 - x2"),
+    (-1, "squared", "x1*x2^3 - x2^2 + x1 - x2"),
+])
+def test_twist_knot_ratio_system(p, kind, glue_2):
+    # two lattice directions on the full meridian: coordinates x1 and x2
+    sys_ = ratio_system(twist_knot(p), kind)
+    assert sys_.coordinates == ("x1", "x2")
+    assert [format_poly(g) for g in sys_.gluing] == [TWIST_GLUE_1, glue_2]
+    assert format_poly(sys_.longitude) == TWIST_LONGITUDES[kind]
+
+
 def half_exponent():
     """q^(k1^2/2) on 0 <= k1 <= 3: a half-integer exponent at k1 = 1."""
     return ProperQHTerm(
@@ -1059,6 +1081,8 @@ FIG8 = habiro_figure_eight()
     (jones_symbolic, (None,), "(None,)"),
     (jones_eval, (None, 2), "(None,)"),
     (recurrence_report, (["a"],), "('a',)"),
+    (jones_evaluator(), (("a",), 2), "('a',)"),
+    (jones_evaluator(), ((None,), 2), "(None,)"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_non_integer_points_are_refused(fn, args, point):
     with pytest.raises(DomainError, match=re.escape(
