@@ -13,8 +13,10 @@ line.
 Submodules load on first use: ``import ajlab`` loads none of them, and
 the first access to a public name (``ajlab.jones_symbolic``) or to a
 submodule (``ajlab.figure8``) imports its home module and what that
-imports.  So ``ajlab.jones_symbolic(n)`` loads only `errors`, `poly`,
-`ratfun` and `qhg`, never the elimination or saddle-point side.
+imports.  So ``ajlab.jones_symbolic(n)`` and ``ajlab.jones_eval(n, q)``
+load only `errors`, `laurent` and `qhg`: not the gcd layer (`poly`), not
+rational functions (`ratfun`), never the elimination or saddle-point
+side.
 """
 
 from importlib import import_module
@@ -31,10 +33,11 @@ _EXPORTS = {
                "SingularityError", "SupportError"),
     "figure8": ("a_polynomial_nonabelian", "cubic_operator",
                 "jones_evaluator", "p0_operator", "recurrence_report"),
+    "laurent": ("LaurentMPoly", "format_poly"),
     "ore": ("OreOperator", "epsilon_eval_with_unit", "expand_at_one",
             "format_operator", "ore_apply", "ore_mul"),
-    "poly": ("LaurentMPoly", "format_poly", "parse_poly", "poly_gcd",
-             "poly_lcm", "resultant", "squarefree_part"),
+    "poly": ("parse_poly", "poly_gcd", "poly_lcm", "resultant",
+             "squarefree_part"),
     "potential": ("PotentialSpec", "SaddleResult", "asymptotic_check",
                   "builtin_names", "builtin_potential", "crossing_potential",
                   "derivative_forms", "phi_eval", "prop_comp_check",

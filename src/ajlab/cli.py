@@ -27,8 +27,9 @@ from .figure8 import (
     p0_operator,
     recurrence_report,
 )
+from .laurent import format_poly
 from .ore import ore_apply
-from .poly import format_poly, parse_poly
+from .poly import parse_poly
 from .potential import (
     _MAX_ITER,
     PotentialSpec,

@@ -9,21 +9,21 @@ the annihilating operator is compared against.
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import DegeneracyError, DomainError
-from .ore import OreOperator, epsilon_eval_with_unit
+from .laurent import Immutable, LaurentMPoly, format_poly
 from .poly import (
-    Immutable,
-    LaurentMPoly,
     _content_and_primitive_wrt,
-    format_poly,
     normalized,
     resultant,
     squarefree_part,
 )
 from .qhg import ProperQHTerm, epsilon_ratio
 from .ratfun import RationalFunction
+
+if TYPE_CHECKING:
+    from .ore import OreOperator
 
 # -- summand symbols to curve coordinates ----------------------------------
 
@@ -208,13 +208,16 @@ class OperatorCurveComparison(Immutable):
         object.__setattr__(self, "unit", unit)
 
 
-def aj_compare(op: OreOperator, candidate) -> OperatorCurveComparison:
+def aj_compare(op: "OreOperator", candidate) -> OperatorCurveComparison:
     """Compare the q = 1 limit of an annihilating operator against an
     eliminated curve, after moving both to (alpha, l) and normalizing.
 
     Equality is exact equality of the normalized polynomials; the unit
     recorded while taking the limit is reported in the same variables.
     """
+    # imported here: the saddle side loads elim for its equation systems
+    # and never compiles the operator layer
+    from .ore import epsilon_eval_with_unit
     prim, unit = epsilon_eval_with_unit(op)
     images = _coordinates(("n",), 0)[1]
     lhs = normalized(prim.subst_monomials(images), main="l")

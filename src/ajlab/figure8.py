@@ -11,8 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .laurent import LaurentMPoly
 from .ore import OreOperator, SequenceFn, ore_apply, ore_mul
-from .poly import LaurentMPoly, parse_poly, poly_lcm
+from .poly import parse_poly, poly_lcm
 from .qhg import _int_point, _rational_q, jones_eval, jones_symbolic
 from .ratfun import RationalFunction, parse_ratfun as _rf
 

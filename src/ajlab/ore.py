@@ -16,7 +16,7 @@ an integer point ``(n, k1..knu)``.  ``E`` advances ``n`` by one, ``Eti``
 advances ``ki`` by one, ``Q`` evaluates to ``q**n`` and ``Qti`` to ``q**ki``.
 
 ``epsilon_eval_with_unit`` takes the q -> 1 limit of a lattice-free
-operator with ``poly.limit_at_one`` and fixes its scale with
+operator with ``laurent.limit_at_one`` and fixes its scale with
 ``poly.signed_content``: the same limit and the same sign/content rule as
 the summand side (``qhg.epsilon_ratio``, ``elim``), so the two curves
 they produce are compared under one convention.
@@ -29,8 +29,8 @@ from operator import index
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
-from .poly import Immutable, LaurentMPoly, exact_divide, limit_at_one, \
-    poly_lcm, signed_content
+from .laurent import Immutable, LaurentMPoly, limit_at_one
+from .poly import exact_divide, poly_lcm, signed_content
 from .qhg import _int_point, _rational_q
 from .ratfun import RationalFunction, as_ratfun, format_ratfun
 

@@ -34,7 +34,7 @@ from .dilog import li2
 from .elim import EquationSystem, _coordinates, cleared_equation
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      SingularityError)
-from .poly import Immutable, LaurentMPoly
+from .laurent import Immutable, LaurentMPoly
 from .qhg import (ProperQHTerm, build_crossing, epsilon_ratio,
                   habiro_figure_eight, shift_ratio)
 from .ratfun import RationalFunction, format_ratfun

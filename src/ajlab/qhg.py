@@ -4,7 +4,7 @@ A summand is a sign times a q-power of a quadratic form in the integer
 arguments times finite q-Pochhammer factors (q)_L = (1-q)...(1-q^L) whose
 lengths L are integer linear forms.  The arguments are one color (``n`` or
 ``m``) plus lattice indices ``k1..k_nu``.  Form coefficients are
-int-or-Fraction canonical (`poly._coeff`) and may be half-integers, but the
+int-or-Fraction canonical (`laurent._coeff`) and may be half-integers, but the
 q-exponent must be an integer wherever it is evaluated (else DomainError).
 Each summand is compiled once, when built, into integer rows (`_Plan`).
 
@@ -19,7 +19,7 @@ q) steps once by the sign, q^e and the net power of each (1 - q^j),
 a rational function of q and of n -> Q, m -> Qm, ki -> Qt_i, read off the
 same rows: the sign's, the exponent's step along the axis (`_Plan.step`)
 and the lengths'; ``epsilon_ratio`` is its q -> 1 limit (the
-``poly.limit_at_one`` of ore).
+``laurent.limit_at_one`` of ore).
 
 ``lattice_sum`` adds a summand up over its support, at a rational q or in
 q.  Each lattice axis is bounded from the axes before it by its rows in
@@ -29,7 +29,13 @@ at its first point and walks it: each later point is the one before times
 a sign, a q-power and a few (1 - q^j), stepped in the run's ring.  A walk
 restarts with a new start where the term is zero, or where a step changes
 the q-exponent by a half-integer or has a zero factor (q in {0, +-1}); so
-every value and every error is the point-by-point sum's.
+every value and every error is the point-by-point sum's.  A symbolic run
+divides each down factor (1 - q^j) out of its sum at the end; only one that
+does not divide leaves a denominator, so a polynomial sum needs no gcd.
+
+The module imports only `laurent`; what builds a rational function imports
+`ratfun` when called, so the colored Jones values compile neither `ratfun`
+nor `poly`.
 """
 
 from __future__ import annotations
@@ -37,12 +43,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate
 from operator import add, index, mul, neg, sub
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
-from .poly import Immutable, LaurentMPoly, _coeff, limit_at_one
-from .ratfun import RationalFunction
+from .laurent import Immutable, LaurentMPoly, _coeff, limit_at_one
+
+if TYPE_CHECKING:
+    from .ratfun import RationalFunction
 
 Scalar = Union[int, Fraction]
 
@@ -64,7 +73,7 @@ def _sym_exp_var(sym: str) -> str:
 
 class LinearForm(Immutable):
     """sum coeffs[sym] * sym + const, each coefficient in the canonical
-    form of `poly._coeff`: an int when integral, else a Fraction."""
+    form of `laurent._coeff`: an int when integral, else a Fraction."""
 
     __slots__ = ("coeffs", "const")
 
@@ -149,6 +158,16 @@ def _times_one_minus(side: list, j: int) -> None:
     if side:
         side.extend([0] * j)
         side[j:] = map(sub, side[j:], side[:-j])
+
+
+def _over_one_minus(side: list, j: int) -> Optional[list]:
+    """side / (1 - q^j) on a dense coefficient list (j >= 1) when it
+    divides, else None: u_i = side_i + u_(i-j), the top j entries zero."""
+    u = list(side)
+    for r in range(min(j, len(u))):
+        u[r::j] = accumulate(u[r::j])
+    cut = max(len(u) - j, 0)
+    return None if any(u[cut:]) else u[:cut]
 
 
 class QuadForm(Immutable):
@@ -322,9 +341,10 @@ class ProperQHTerm(Immutable):
     def eval_symbolic(self, point: Sequence[int]) -> RationalFunction:
         """Value at an integer point as a rational function of q, as the
         start of a symbolic run; zero out of support."""
+        from .ratfun import as_ratfun
         run = _SymbolicRun()
         self._start(point, run)
-        return run.value()
+        return as_ratfun(run.value())
 
 
 # -- shift ratios ----------------------------------------------------------
@@ -353,6 +373,7 @@ def _resolve_shift(term: ProperQHTerm, which: str) -> tuple[int, int]:
 def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     """Exact ratio (shifted summand)/(summand) as a rational function of
     q and the exponential symbols, read off the plan's rows."""
+    from .ratfun import RationalFunction
     axis, step = _resolve_shift(term, which)
     plan = term._plan
     names = ("q", *map(_sym_exp_var, term.symbols()))
@@ -375,6 +396,7 @@ def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
 def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     """q -> 1 limit of ``shift_ratio``; the exponential symbols survive.
     A pole (the denominator vanishing to higher order) is a PoleError."""
+    from .ratfun import RationalFunction
     r = shift_ratio(term, which)
     vn, ln = limit_at_one(r.num)
     vd, ld = limit_at_one(r.den)
@@ -516,11 +538,12 @@ class _ExactRun:
 
 class _SymbolicRun:
     """A run of stepped points in q: the running term q^e t / d and the
-    partial sum q^se s / d, dense integer coefficient lists over one d; a
-    new run holds t = [1] and s = [] (0), and refuses no start."""
+    partial sum q^se s / d, dense integer coefficient lists, d the product
+    of (1 - q^j) over the list ``down``; a new run holds t = [1], s = []
+    (0) and no down factor, and refuses no start."""
 
     def __init__(self):
-        self.e, self.se, self.t, self.s, self.d = 0, 0, [1], [], [1]
+        self.e, self.se, self.t, self.s, self.down = 0, 0, [1], [], []
 
     def refuse(self, k: int, lengths: list) -> None:
         pass
@@ -532,8 +555,8 @@ class _SymbolicRun:
         for j in up:
             _times_one_minus(t, j)
         for j in down:
-            _times_one_minus(self.d, j)
             _times_one_minus(s, j)
+        self.down += down
         self.e += e
         if not s:  # the first step: the sum starts where the term does
             self.se = self.e
@@ -546,8 +569,21 @@ class _SymbolicRun:
         s[shift:end] = map(add, s[shift:end], t)
         return True
 
-    def value(self) -> RationalFunction:
-        return RationalFunction(_dense_q(self.s, self.se), _dense_q(self.d))
+    def value(self) -> Union[LaurentMPoly, RationalFunction]:
+        """s / d with each (1 - q^j) that divides s divided out of it: a
+        Laurent polynomial when every one does, else a rational function
+        over the rest."""
+        s, rest = self.s, [1]
+        for j in self.down:
+            u = _over_one_minus(s, j)
+            if u is None:
+                _times_one_minus(rest, j)
+            else:
+                s = u
+        if rest == [1]:
+            return _dense_q(s, self.se)
+        from .ratfun import RationalFunction
+        return RationalFunction(_dense_q(s, self.se), _dense_q(rest))
 
 
 def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
@@ -559,8 +595,15 @@ def lattice_sum(term: ProperQHTerm, colors: Sequence[int],
     colors = _int_point(colors)
     if len(colors) != len(term.colors):
         raise DomainError("wrong number of colors")
-    ring = (_SymbolicRun if qval is None
-            else partial(_ExactRun, _rational_q(qval)))
+    if qval is not None:
+        return _run_sum(term, colors, partial(_ExactRun, _rational_q(qval)))
+    from .ratfun import as_ratfun
+    return as_ratfun(_run_sum(term, colors, _SymbolicRun))
+
+
+def _run_sum(term: ProperQHTerm, colors: tuple[int, ...], ring):
+    """`lattice_sum` at checked colors in the ring whose runs ``ring()``
+    builds: the sum of the runs' values."""
     plan, nu, heads = term._plan, term.nu, [colors]
     for i, bound in enumerate(plan.bounds[:-1], 1):  # the outer axes
         nxt = []
@@ -601,7 +644,8 @@ def jones_symbolic(n: int) -> LaurentMPoly:
     Laurent polynomial in q."""
     if _int_point((n,))[0] < 1:
         raise DomainError("color must be a positive integer")
-    return lattice_sum(habiro_figure_eight(), (n,)).as_polynomial()
+    # the figure-eight's runs have no down factor: a Laurent polynomial
+    return _run_sum(habiro_figure_eight(), (n,), _SymbolicRun)
 
 
 def jones_eval(n: int, qval: Scalar) -> Fraction:

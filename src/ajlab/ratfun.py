@@ -13,14 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, PoleError
-from .poly import (
-    Immutable,
-    LaurentMPoly,
-    _Parser,
-    format_poly,
-    gcd_cofactors,
-    signed_content,
-)
+from .laurent import Immutable, LaurentMPoly, format_poly
+from .poly import _Parser, gcd_cofactors, signed_content
 
 Scalar = Union[int, Fraction]
 RFLike = Union["RationalFunction", LaurentMPoly, int, Fraction]

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from ajlab.cli import MAX_VALUES, main
 from ajlab.figure8 import a_polynomial_nonabelian
-from ajlab.poly import format_poly
+from ajlab.laurent import format_poly
 from ajlab.qhg import jones_eval
 from ajlab.ratfun import format_ratfun, parse_ratfun
 

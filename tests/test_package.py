@@ -36,7 +36,24 @@ def test_import_loads_no_submodule():
 
 def test_a_summand_loads_only_the_exact_layer():
     assert _loaded_after("import ajlab; ajlab.habiro_figure_eight()") == [
-        "ajlab.errors", "ajlab.poly", "ajlab.qhg", "ajlab.ratfun"]
+        "ajlab.errors", "ajlab.laurent", "ajlab.qhg"]
+
+
+def test_colored_jones_loads_no_gcd_layer():
+    # J_n is a sum of runs in integer lists: neither the gcd layer nor
+    # rational functions are compiled for it, in q or at a rational q
+    loaded = _loaded_after(
+        "import ajlab; ajlab.jones_symbolic(5); ajlab.jones_eval(5, 2)")
+    assert loaded == ["ajlab.errors", "ajlab.laurent", "ajlab.qhg"]
+
+
+def test_the_saddle_side_loads_no_operator_layer():
+    loaded = _loaded_after(
+        "import ajlab; s = ajlab.builtin_potential(); "
+        "ajlab.solve_saddle(s, 0.9 + 0.3j); ajlab.asymptotic_check(); "
+        "ajlab.volume()")
+    assert "ajlab.potential" in loaded
+    assert not {"ajlab.ore", "ajlab.figure8"} & set(loaded)
 
 
 def test_a_submodule_resolves_before_it_is_imported():

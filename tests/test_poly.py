@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from ajlab import ore as ore_module, poly as poly_module, qhg as qhg_module
 from ajlab.errors import DomainError, PoleError
 from ajlab.figure8 import cubic_operator, p0_operator
+from ajlab.laurent import LaurentMPoly, format_poly, limit_at_one, var_sort_key
 from ajlab.ore import OreOperator, epsilon_eval_with_unit, ore_mul
 from ajlab.poly import (
-    LaurentMPoly,
     _content_and_primitive_wrt,
     _dense_divide,
     _digits,
@@ -24,8 +24,6 @@ from ajlab.poly import (
     _prs_gcd,
     exact_divide,
     gcd_cofactors,
-    format_poly,
-    limit_at_one,
     normalized,
     parse_poly,
     poly_gcd,
@@ -33,7 +31,6 @@ from ajlab.poly import (
     resultant,
     signed_content,
     squarefree_part,
-    var_sort_key,
 )
 from ajlab.qhg import (
     build_crossing,

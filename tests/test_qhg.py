@@ -14,13 +14,18 @@ from ajlab.cli import _load_term
 from ajlab.elim import eliminate, ratio_system
 from ajlab.errors import DomainError, PoleError, SupportError
 from ajlab.figure8 import jones_evaluator, p0_operator, recurrence_report
+from ajlab.laurent import LaurentMPoly, format_poly
 from ajlab.ore import ore_apply
-from ajlab.poly import LaurentMPoly, format_poly, parse_poly
+from ajlab.poly import parse_poly
 from ajlab.qhg import (
     LinearForm,
     _SUPPORT_MAX_WIDTH,
+    _SymbolicRun,
     _dense_q,
+    _over_one_minus,
     _row_bounds,
+    _run_sum,
+    _times_one_minus,
     PochFactor,
     ProperQHTerm,
     QuadForm,
@@ -878,6 +883,45 @@ STEPPED = ([(habiro_figure_eight(), n) for n in range(1, 9)]
                             quad=QuadForm.make({("n", "n"): 1})), 3)])
 
 
+class _GcdRun(_SymbolicRun):
+    """The oracle for a symbolic run's value: the partial sum over the
+    product of every down factor (1 - q^j), reduced by one gcd."""
+
+    def value(self):
+        d = [1]
+        for j in self.down:
+            _times_one_minus(d, j)
+        return RationalFunction(_dense_q(self.s, self.se), _dense_q(d))
+
+
+def seeded_quotient(seed):
+    """A nu = 1 summand on 0 <= k1 <= n whose two numerator and two
+    denominator Pochhammer lengths and quadratic exponent are drawn by a
+    seeded generator."""
+    rng = random.Random(seed)
+    L = LinearForm.make
+    forms = [L({"k1": 1}), L({"n": 1, "k1": -1}), L({"n": 1, "k1": 1}),
+             L({"k1": 2}), L({"n": 1}), L({"k1": 1}, 1)]
+    num, den = rng.sample(forms, 2), rng.sample(forms, 2)
+    return ProperQHTerm(
+        colors=("n",), nu=1,
+        poch=tuple([PochFactor(f) for f in num]
+                   + [PochFactor(f, denom=True) for f in den]),
+        quad=QuadForm.make({("k1", "k1"): rng.randint(-1, 1),
+                            ("n", "k1"): rng.randint(-1, 1)}),
+        constraints=(L({"k1": 1}), L({"n": 1, "k1": -1})))
+
+
+# summands with the colors at which a symbolic sum is checked against the
+# gcd-reduced value: rows with no down factor, down factors that all
+# divide, and a seeded quotient where some do not (the fallback)
+GCD_ORACLE = ([(habiro_figure_eight(), n) for n in range(1, 31)]
+              + [(twist_knot(p), n) for p in (-2, -1, 1, 2)
+                 for n in range(1, 13)]
+              + [(trefoil(), n) for n in range(1, 11)]
+              + [(seeded_quotient(0), n) for n in range(1, 8)])
+
+
 class TestSteppedSum:
     """`lattice_sum` walks each support row by its shift ratio; the
     per-point sum is its oracle."""
@@ -927,6 +971,45 @@ class TestSteppedSum:
         with pytest.raises(DomainError) as info:
             lattice_sum(half_exponent(), (0,))
         assert str(info.value) == "exponent 1/2 of q is not an integer"
+
+    def test_symbolic_matches_the_gcd_reduction(self):
+        # dividing each down factor out of the sum gives the value that
+        # one gcd of the sum and the whole product of them gives
+        for term, n in GCD_ORACLE:
+            got = lattice_sum(term, (n,))
+            assert type(got) is RationalFunction
+            assert got == _run_sum(term, (n,), _GcdRun), n
+
+    def test_a_down_factor_that_does_not_divide_stays_under_the_bar(self):
+        term = seeded_quotient(0)
+        for n in range(2, 8):  # at n = 1 the sum is a polynomial
+            got = lattice_sum(term, (n,))
+            assert not got.is_polynomial()
+            assert got == per_point_sum(term, (n,))
+
+    def test_jones_symbolic_is_a_laurent_polynomial(self):
+        for n in range(1, 31):
+            got = jones_symbolic(n)
+            assert type(got) is LaurentMPoly
+            assert got == _run_sum(habiro_figure_eight(), (n,),
+                                   _GcdRun).as_polynomial()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), max_size=12), st.integers(1, 6),
+           st.lists(st.integers(-9, 9), max_size=6))
+    def test_division_by_one_minus_q_to_the_j(self, u, j, r):
+        # (1 - q^j) u divides back to u; adding r of degree < j, not 0,
+        # leaves a remainder
+        side = list(u)
+        _times_one_minus(side, j)
+        got = _over_one_minus(side, j)
+        assert got is not None
+        assert _dense_q(got) == _dense_q(u)
+        r = r[:j]
+        if any(r):
+            side = side + [0] * (len(r) - len(side))
+            side[:len(r)] = [a + b for a, b in zip(side, r)]
+            assert _over_one_minus(side, j) is None
 
     def test_twist_knot_minus_one_is_the_figure_eight(self):
         for n in range(1, 7):
@@ -1131,7 +1214,7 @@ def test_a_shift_is_named_by_a_string(fn):
 
 def assert_canonical_form(form):
     """Each stored coefficient an int, or a Fraction whose denominator is
-    not 1 (the rule of `poly._coeff`)."""
+    not 1 (the rule of `laurent._coeff`)."""
     if isinstance(form, QuadForm):
         stored = [c for _, c in form.quad] + [c for _, c in form.lin.coeffs]
         stored.append(form.lin.const)

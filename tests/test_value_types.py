@@ -1,7 +1,7 @@
 """The value types: construction, equality, hashing, repr, immutability.
 
 Every record class of the package is a slotted subclass of
-`poly.Immutable` with a hand-written ``__init__``; this pins the contract
+`laurent.Immutable` with a hand-written ``__init__``; this pins the contract
 callers rely on (parameter names, order and defaults, field-tuple
 equality within one class, the ``Name(field=value, ...)`` repr, and
 refusal of assignment), and that importing the package stays light.
