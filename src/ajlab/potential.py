@@ -17,7 +17,7 @@ The exact objects of a potential (its forms, the cleared gluing polynomials
 and their Jacobian) depend only on the `PotentialSpec`, so each is built
 once per spec and process, on first use (a mirror's forms by inverting the
 plain ones); `derivative_forms` hands out a copy of the cached forms.  One
-compiler turns the Newton system (alpha put in once per solve) and each
+compiler turns the whole Newton loop (alpha put in once per solve) and each
 form into a cached float kernel with exactly the float operations of
 `eval_complex`, and one the Em ratio into a root-of-unity kernel.
 """
@@ -26,9 +26,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache, partial
-from operator import sub
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .dilog import li2
 from .elim import EquationSystem, _coordinates, cleared_equation
@@ -108,6 +107,7 @@ _KNOTS = {
         ("li2", 1, "alpha*w2/w3"), ("li2", 1, "alpha*w2/w1")], None),
 }
 _MAX_ITER = 10000  # most Newton iterations a solve may ask for
+_NUMBER = (complex, float, int, Fraction)  # what alpha and coordinates take
 
 
 def _log(z: complex, what: str) -> complex:
@@ -146,20 +146,31 @@ def _phi_function(name):
 
 # -- evaluation ------------------------------------------------------------
 
-def _coerce_coords(spec: PotentialSpec, coords) -> dict[str, complex]:
+def _number(v, what: str) -> complex:
+    """v as a complex; else (a bool too) a DomainError naming `what`."""
+    if isinstance(v, _NUMBER) and type(v) is not bool:
+        try:
+            return complex(v)
+        except OverflowError:
+            raise DomainError(f"{what} does not fit a float") from None
+    raise DomainError(f"{what} = {v!r} is not a number")
+
+
+def _coerce_coords(spec: PotentialSpec, coords,
+                   what: str = "coords") -> dict[str, complex]:
     names = coordinate_names(spec)
     if isinstance(coords, Mapping):
         if set(coords) != set(names):
             raise DomainError(
                 f"coordinates must be exactly {names}, got {tuple(coords)}")
-        return {k: complex(coords[k]) for k in names}
-    if isinstance(coords, (int, float, complex, Fraction)):
+        coords = [coords[k] for k in names]
+    elif isinstance(coords, (*_NUMBER, str, bytes)) or not isinstance(
+            coords, Iterable):  # one value: a str is not its characters
         coords = (coords,)
-    vals = tuple(coords)
-    if len(vals) != len(names):
-        raise DomainError(
-            f"expected {len(names)} coordinates {names}, got {len(vals)}")
-    return {k: complex(v) for k, v in zip(names, vals)}
+    if len(vals := tuple(coords)) != len(names):
+        raise DomainError(f"{what}: expected {len(names)} coordinates "
+                          f"{names}, got {len(vals)}")
+    return {k: _number(v, f"{what} {k}") for k, v in zip(names, vals)}
 
 
 def _phi(spec: PotentialSpec, vals: Sequence[complex]) -> complex:
@@ -174,7 +185,7 @@ def _phi(spec: PotentialSpec, vals: Sequence[complex]) -> complex:
 def phi_eval(spec: PotentialSpec, alpha: complex, coords) -> complex:
     """Value of the potential, principal branches throughout."""
     w = _coerce_coords(spec, coords)
-    return _phi(spec, (complex(alpha), *w.values()))
+    return _phi(spec, (_number(alpha, "alpha"), *w.values()))
 
 
 # -- exact derivative forms ------------------------------------------------
@@ -247,9 +258,9 @@ def _newton_system(spec: PotentialSpec) -> tuple[
 
 
 def _compile(polys, body: str, names, outer=()):
-    """`body` with its {}s filled by the values of polys, as f(*outer)(*names).
-    Each value takes `LaurentMPoly.eval_complex`'s float operations in its
-    order: from 0j, add the terms in insertion order, each its complex
+    """The function body `body`, its {}s filled by the values of polys, as
+    f(*outer)(*names).  Each value takes `eval_complex`'s float operations
+    in its order: from 0j, add the terms in insertion order, each its complex
     coefficient times its variables' powers left to right.  A term's leading
     powers of `outer` variables go into its coefficient once per call of f."""
     consts, params, values = [], [], []
@@ -262,19 +273,40 @@ def _compile(polys, body: str, names, outer=()):
             n = next((j for j, (o, _) in enumerate(pw) if not o), len(pw))
             params.append(f"_{i}=K[{i}]" + "".join(f for _, f in pw[:n]))
             values[-1] += f" + _{i}" + "".join(f for _, f in pw[n:])
-    return eval(f"lambda {', '.join(outer)}: lambda "
-                f"{', '.join([*names, *params])}: {body.format(*values)}",
-                {"K": consts})
+    exec(f"def f({', '.join([*outer, 'K=K'])}):\n def g("
+         f"{', '.join([*names, *params])}):\n  "
+         + body.format(*values).replace("\n", "\n  ") + "\n return g",
+         globals(), ns := {"K": consts})
+    return ns["f"]
 
 
 @cache
 def _newton_kernel(spec: PotentialSpec):
-    """The Newton system as f(alpha)(*coordinates) = (values, Jacobian)."""
+    """Newton on the cleared gluing polynomials as f(alpha)(tol, max_iter,
+    *coordinates) = (coordinates, iterations).  A step d takes the values,
+    the Jacobian, then one division or `_solve_linear`; d not finite (seen
+    in coordinate order) ends it, max|d| < tol * max(1, max|z|) settles."""
     polys, jac = _newton_system(spec)
-    row = f"[{', '.join(['{}'] * len(polys))}]"
-    body = f"({row}, [{', '.join([row] * len(jac))}])"
-    return _compile(polys + sum(jac, ()), body, coordinate_names(spec),
-                    ("alpha",))
+    zs = coordinate_names(spec)
+    ds = ["_d%d" % i for i in range(len(zs))]
+    row = "[%s]" % ", ".join(["{}"] * len(zs))
+    step = ("_f = {}\n_j = {}\nif abs(_j) < 1e-300: raise DegeneracyError("
+            "'singular Jacobian in the Newton step')\n_d0 = _f / _j"
+            if len(zs) == 1 else "_f = %s\n%s, = _solve_linear([%s], _f)"
+            % (row, ", ".join(ds), ", ".join([row] * len(zs))))
+    # max|z| (z before the step) and max|d|, compared as max(map(abs, .))
+    zmax, dmax = (("max(%s)" if xs[1:] else "%s") % ", ".join(
+        map("abs({})".format, xs)) for xs in (zs, ds))
+    loop = "\n".join([step, *map(
+        "if not cmath.isfinite({1}): raise ConvergenceError('Newton step {0}"
+        " = %s is not finite at iteration %d' % ({1}, _it))".format, zs, ds),
+        "_s = " + zmax, "if not _s > 1.0: _s = 1.0",
+        *map("{0} = {0} - {1}".format, zs, ds),
+        "if %s < tol * _s: return (%s,), _it" % (dmax, ", ".join(zs))])
+    return _compile(polys + sum(jac, ()), (
+        "for _it in range(1, max_iter + 1):\n " + loop.replace("\n", "\n ")
+        + "\nraise ConvergenceError('Newton did not settle in %d iterations'"
+        " % max_iter)"), ("tol", "max_iter", *zs), ("alpha",))
 
 
 @cache
@@ -283,7 +315,7 @@ def _form_kernels(spec: PotentialSpec) -> Mapping:
     as in `eval_complex`, a zero denominator skips the numerator."""
     names = ("alpha",) + coordinate_names(spec)
     return MappingProxyType({
-        y: _compile((f.den, f.num), "(_d := {}, _d and {})", names)()
+        y: _compile((f.den, f.num), "return (_d := {}, _d and {})", names)()
         for y, f in _forms(spec).items()})
 
 
@@ -331,13 +363,9 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
         rhs = forms[key]
         # both sides are canonical, so equal sides are exactly equal
         quot = RationalFunction.one() if lhs == rhs else lhs / rhs
-        rows.append({
-            "identity": f"limit of {which} ratio vs {key} form",
-            "pass": quot.is_one(),
-            "lhs": format_ratfun(lhs),
-            "rhs": format_ratfun(rhs),
-            "unit": format_ratfun(quot),
-        })
+        rows.append({"identity": f"limit of {which} ratio vs {key} form",
+                     "pass": quot.is_one(), "lhs": format_ratfun(lhs),
+                     "rhs": format_ratfun(rhs), "unit": format_ratfun(quot)})
     return rows
 
 
@@ -362,26 +390,16 @@ class SaddleResult(Immutable):
     def to_json(self) -> dict:
         def c(z):
             return {"re": f"{z.real:.17g}", "im": f"{z.imag:.17g}"}
-        return {
-            "alpha": c(self.alpha),
-            "coords": {k: c(v) for k, v in self.coords.items()},
-            "residual": f"{self.residual:.17g}",
-            "phi": c(self.phi),
-            "im_phi": f"{self.im_phi:.17g}",
-            "l_squared": c(self.l_squared),
-            "iterations": self.iterations,
-        }
+        return {"alpha": c(self.alpha),
+                "coords": {k: c(v) for k, v in self.coords.items()},
+                "residual": f"{self.residual:.17g}", "phi": c(self.phi),
+                "im_phi": f"{self.im_phi:.17g}",
+                "l_squared": c(self.l_squared), "iterations": self.iterations}
 
 
 def _solve_linear(mat, rhs):
-    """Gaussian elimination with partial pivoting over complex numbers; a
-    1x1 system is one division, the same bits as the general path's
-    back-substitution (rhs - 0) / pivot."""
+    """Gaussian elimination with partial pivoting over complex numbers."""
     n = len(rhs)
-    if n == 1:
-        if abs(mat[0][0]) < 1e-300:
-            raise DegeneracyError("singular Jacobian in the Newton step")
-        return [rhs[0] / mat[0][0]]
     a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
@@ -424,18 +442,16 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
     """Newton iteration for a saddle of the potential at fixed alpha.
 
     Without a start, Newton starts at the knot row's default (x = 0.5 +
-    0.8i for the figure-eight); a crossing row has none.  A tol not
-    positive and finite, or a max_iter not an int in 1.._MAX_ITER, is a
-    DomainError.
+    0.8i for the figure-eight); a crossing row has none.  An alpha or
+    start that is no number or not finite, a tol not positive and finite,
+    or a max_iter not an int in 1.._MAX_ITER is a DomainError before
+    Newton; leaving the range of floats on the way is a ConvergenceError.
 
-    Runs on the cleared gluing polynomials with their exact Jacobian, then
-    re-checks the rational forms themselves (clearing can introduce
-    spurious zeros).  Of the converged point and its coordinate-wise
-    conjugate, the one with the larger imaginary part of the potential is
-    returned, provided it too satisfies the forms.
-
-    A non-finite alpha or start is a DomainError; leaving the range of
-    floats on the way is a ConvergenceError.
+    Runs the spec's compiled Newton loop on the cleared gluing polynomials
+    with their exact Jacobian, then re-checks the rational forms themselves
+    (clearing can introduce spurious zeros).  Of the converged point and
+    its coordinate-wise conjugate, the one with the larger imaginary part
+    of the potential is returned, provided it too satisfies the forms.
 
     Known limitation: every crossing form has degree 0 in (w1..w4), so a
     crossing's saddles are not isolated and Newton slides towards w = 0,
@@ -451,8 +467,8 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
     if type(max_iter) is not int or not 1 <= max_iter <= _MAX_ITER:
         raise DomainError(f"max_iter = {max_iter!r} is below 1, above "
                           f"{_MAX_ITER} or not an int")
-    a = complex(alpha)
-    w = _coerce_coords(spec, start)
+    a = _number(alpha, "alpha")
+    w = _coerce_coords(spec, start, "start")
     if not cmath.isfinite(a):
         raise DomainError(f"alpha = {a} is not finite")
     for k, z in w.items():
@@ -467,28 +483,12 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
 
 def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
                    tol: float, max_iter: int) -> SaddleResult:
+    names = coordinate_names(spec)
+    z, it = _newton_kernel(spec)(a)(tol, max_iter, *w.values())
     forms = _form_kernels(spec)
-    names = coords = coordinate_names(spec)
-    step = _newton_kernel(spec)(a)
-    z = [w[k] for k in names]
-    for it in range(1, max_iter + 1):
-        fv, jm = step(*z)
-        delta = _solve_linear(jm, fv)
-        if not all(map(cmath.isfinite, delta)):
-            k, d = next(kd for kd in zip(names, delta)
-                        if not cmath.isfinite(kd[1]))
-            raise ConvergenceError(
-                f"Newton step {k} = {d} is not finite at iteration {it}")
-        scale = max(1.0, max(map(abs, z)))
-        z = list(map(sub, z, delta))
-        if max(map(abs, delta)) < tol * scale:
-            break
-    else:
-        raise ConvergenceError(
-            f"Newton did not settle in {max_iter} iterations")
     w = dict(zip(names, z))
     env = {**w, "alpha": a}
-    res = _forms_residual(forms, coords, env)
+    res = _forms_residual(forms, names, env)
     if res > 1e-6:
         raise ConvergenceError(
             f"Newton landed on a spurious zero of the cleared system "
@@ -498,7 +498,7 @@ def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
     # solves the same system and may carry the opposite sign of Im(phi)
     wc = {k: v.conjugate() for k, v in w.items()}
     try:
-        resc = _forms_residual(forms, coords, {**wc, "alpha": a})
+        resc = _forms_residual(forms, names, {**wc, "alpha": a})
     except SingularityError:
         resc = math.inf
     if resc <= max(10 * res, tol):

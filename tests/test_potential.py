@@ -335,17 +335,44 @@ def _value_or_error(f, *args, **kw):
         return type(exc), str(exc)
 
 
+def _oracle_step(polys, jac, names, a, z, linear):
+    """One Newton step as first written, settled by tol = inf: the values
+    and Jacobian by `eval_complex`, the step by general elimination."""
+    env = {**dict(zip(names, z)), "alpha": a}
+    fv = [p.eval_complex(env) for p in polys]
+    delta = linear([[p.eval_complex(env) for p in row] for row in jac], fv)
+    for k, d in zip(names, delta):
+        if not cmath.isfinite(d):
+            raise ConvergenceError(
+                f"Newton step {k} = {d} is not finite at iteration 1")
+    scale = max(1.0, max(map(abs, z)))
+    if max(map(abs, delta)) < math.inf * scale:
+        return tuple(w - d for w, d in zip(z, delta)), 1
+    raise ConvergenceError("Newton did not settle in 1 iterations")
+
+
 @pytest.mark.parametrize("index", range(len(ALL_SPECS)))
-def test_kernels_are_bit_identical_to_eval_complex(index):
-    # every Newton polynomial, Jacobian entry and form side, compiled,
-    # against `eval_complex` at the same point, zero coordinates included
+def test_kernels_are_bit_identical_to_eval_complex(monkeypatch, index):
+    # one step of the compiled Newton loop, and every form side, against
+    # `eval_complex` (and general elimination for the step) at the same
+    # point, zero coordinates included; with several coordinates, the
+    # system handed to `_solve_linear` is `eval_complex`'s too
     spec = ALL_SPECS[index]
     names = coordinate_names(spec)
     polys, jac = potential._newton_system(spec)
-    step = potential._newton_kernel(spec)
+    newton = potential._newton_kernel(spec)
     forms, kernels = potential._forms(spec), potential._form_kernels(spec)
+    systems = {"got": [], "want": []}
+
+    def recorded(key):
+        def linear(mat, rhs):
+            systems[key].append(repr((mat, rhs)))
+            return _general_solve_linear(mat, rhs)
+        return linear
+
+    monkeypatch.setattr(potential, "_solve_linear", recorded("got"))
     rng = random.Random(2600 + index)
-    poles = 0
+    poles = steps = 0
     for k in range(300):
         vals = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 for _ in range(len(names) + 1)]
@@ -356,10 +383,10 @@ def test_kernels_are_bit_identical_to_eval_complex(index):
             vals = [1 + 0j] * len(vals)
         a, *z = vals
         env = {**dict(zip(names, z)), "alpha": a}
-        want = _value_or_error(
-            lambda: ([p.eval_complex(env) for p in polys],
-                     [[p.eval_complex(env) for p in row] for row in jac]))
-        assert _value_or_error(lambda: step(a)(*z)) == want, env
+        want = _value_or_error(_oracle_step, polys, jac, names, a, z,
+                               recorded("want"))
+        assert _value_or_error(lambda: newton(a)(math.inf, 1, *z)) == want, env
+        steps += isinstance(want, str)
         for y, form in forms.items():
             what = f"{y} form undefined at the point"
             got = _value_or_error(potential._form_at, kernels[y], env, what)
@@ -368,7 +395,9 @@ def test_kernels_are_bit_identical_to_eval_complex(index):
             if isinstance(got, str):
                 assert repr(kernels[y](**env)) == repr(
                     (form.den.eval_complex(env), form.num.eval_complex(env)))
-    assert poles >= 30
+    assert poles >= 30 and steps >= 200
+    assert systems["got"] == (systems["want"] if len(names) > 1 else [])
+    assert len(systems["want"]) == 300
 
 
 def test_the_exact_commands_build_no_kernel(monkeypatch):
@@ -472,6 +501,61 @@ def test_bad_newton_settings_are_refused_before_newton(no_newton, kw, named):
                         (crossing_potential(False, True), W_GENERIC)):
         with pytest.raises(DomainError, match=re.escape(named)):
             solve_saddle(spec, -1.0, start, **kw)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: solve_saddle(builtin_potential(), "abc"),
+     "alpha = 'abc' is not a number"),
+    (lambda: solve_saddle(builtin_potential(), None),
+     "alpha = None is not a number"),
+    (lambda: solve_saddle(builtin_potential(), True),
+     "alpha = True is not a number"),
+    (lambda: solve_saddle(builtin_potential(), 10 ** 400),
+     "alpha does not fit a float"),
+    (lambda: solve_saddle(builtin_potential(), 1.0, "1"),
+     "start x = '1' is not a number"),
+    (lambda: solve_saddle(builtin_potential(), 1.0, b"1"),
+     "start x = b'1' is not a number"),
+    (lambda: solve_saddle(builtin_potential(), 1.0, object),
+     "start x = <class 'object'> is not a number"),
+    (lambda: solve_saddle(builtin_potential(), 1.0, ["1"]),
+     "start x = '1' is not a number"),
+    (lambda: solve_saddle(builtin_potential(), 1.0, {"x": None}),
+     "start x = None is not a number"),
+    (lambda: solve_saddle(crossing_potential(True), 1.0,
+                          W_GENERIC[:3] + (Fraction(1, 10 ** 400) ** -1,)),
+     "start w4 does not fit a float"),
+    (lambda: volume(crossing_potential(True), 1.0, "abcd"),
+     "start: expected 4 coordinates"),
+    (lambda: volume(builtin_potential(), "-1"),
+     "alpha = '-1' is not a number"),
+    (lambda: volume(crossing_potential(False), -1.0,
+                    W_GENERIC[:2] + ([1.0],) + W_GENERIC[3:]),
+     "start w3 = [1.0] is not a number"),
+    (lambda: phi_eval(builtin_potential(), "abc", 0.5),
+     "alpha = 'abc' is not a number"),
+    (lambda: phi_eval(builtin_potential(), 1.0, "0.5"),
+     "coords x = '0.5' is not a number"),
+    (lambda: phi_eval(crossing_potential(False), 1.0, (1, 1, False, 1)),
+     "coords w3 = False is not a number"),
+])
+def test_non_number_inputs_are_domain_errors(no_newton, call, named):
+    # checked once per call, before Newton; a string used to be read as
+    # its characters, so "1" started Newton at x = 1
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
+
+
+def test_every_number_type_is_taken():
+    spec, cross = builtin_potential(), crossing_potential(True)
+    for alpha, at in ((-1, Fraction(1, 2)), (-1.0, 0.5), (-1 + 0j, [0.5]),
+                      (Fraction(-1), {"x": 1 / 2})):
+        assert phi_eval(spec, alpha, at) == phi_eval(spec, -1.0, 0.5)
+    for start in (0.5 + 0.8j, [0.5 + 0.8j], (0.5 + 0.8j,), {"x": 0.5 + 0.8j}):
+        assert solve_saddle(spec, -1, start) == solve_saddle(spec, -1.0)
+    # any iterable of numbers is a start
+    assert (_value_or_error(solve_saddle, cross, 1, iter(W_GENERIC))
+            == _value_or_error(solve_saddle, cross, 1.0, W_GENERIC))
 
 
 @pytest.mark.parametrize("max_iter", [1, potential._MAX_ITER])
@@ -764,13 +848,26 @@ def _count_linear_solves(monkeypatch, replace=None):
 
 
 def test_non_finite_step_ends_the_solve_at_once(monkeypatch):
-    # from this finite start the first step is already (nan+nanj)
+    # from these finite starts the first step is already (nan+nanj), and
+    # the solve ends in that step whatever budget is left
+    msg = "Newton step {} = (nan+nanj) is not finite at iteration 1"
+    checked = []
+    isfinite = cmath.isfinite
+    monkeypatch.setattr(cmath, "isfinite",
+                        lambda z: checked.append(repr(z)) or isfinite(z))
+    for max_iter in (1, 100):
+        checked.clear()
+        with pytest.raises(ConvergenceError,
+                           match=re.escape(msg.format("x"))):
+            solve_saddle(builtin_potential(), -1.0, 1e300 + 1e300j,
+                         max_iter=max_iter)
+        # alpha and the start, then the one step
+        assert checked == ["(-1+0j)", "(1e+300+1e+300j)", "(nan+nanj)"]
+    # with several coordinates, one `_solve_linear` call is one step
     calls = _count_linear_solves(monkeypatch)
-    with pytest.raises(ConvergenceError,
-                       match=re.escape("Newton step x = (nan+nanj) is not "
-                                       "finite at iteration 1")):
-        solve_saddle(builtin_potential(), -1.0, 1e300 + 1e300j)
-    assert calls == [1]
+    with pytest.raises(ConvergenceError, match=re.escape(msg.format("w1"))):
+        solve_saddle(crossing_potential(True), 1.0, (1e300 + 1e300j, 1, 1, 1))
+    assert calls == [4]
 
 
 def test_a_nan_after_a_finite_entry_is_seen(monkeypatch):
@@ -789,9 +886,10 @@ def test_a_nan_after_a_finite_entry_is_seen(monkeypatch):
 # -- bit-identity of the saddle path -----------------------------------------
 # The oracle is the Newton loop as first written: every iteration evaluates
 # the cached polynomials with `LaurentMPoly.eval_complex` at {**w, "alpha":
-# a} and solves the step by general elimination.  The production loop puts
-# alpha in once per solve and solves a 1x1 step by one division; both must
-# give the same bits, iteration counts and error messages included.
+# a} and solves the step by general elimination.  The production loop is
+# compiled per spec, puts alpha in once per solve and solves a 1x1 step by
+# one division; both must give the same bits, iteration counts and error
+# messages included.
 
 def _general_solve_linear(mat, rhs):
     n = len(rhs)
@@ -952,6 +1050,52 @@ def test_crossing_solves_are_bit_identical_to_the_oracle(monkeypatch,
             _assert_same_outcome(monkeypatch, spec, alpha, start)
             _assert_same_outcome(monkeypatch, spec, alpha, start,
                                  max_iter=3)
+
+
+@pytest.mark.parametrize("kw", [{"tol": 1e-6}, {"tol": 1e-15},
+                                {"max_iter": 1}])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_saddles_at_other_settings_are_bit_identical_to_the_oracle(
+        monkeypatch, mirror, kw):
+    # the stop rule compares max|d| with tol * scale: a loose tol settles
+    # earlier and a tight one later or not at all; from a saddle found at
+    # the default settings, one step may settle
+    spec = builtin_potential(mirror=mirror)
+    rng = random.Random(53 + mirror)
+    outcomes = set()
+    for alpha in _annulus_alphas(59 + mirror, 30):
+        starts = [0.5 + 0.8j, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+        found = _oracle_solve(spec, alpha, starts[0])
+        for st in starts + [found.coords["x"]]:
+            got = _assert_same_outcome(monkeypatch, spec, alpha, st, **kw)
+            outcomes.add(got.iterations if isinstance(got, potential.
+                                                      SaddleResult) else got)
+    assert len(outcomes) >= 2 and 1 in outcomes, outcomes
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_the_stop_rule_is_strict_and_scaled_before_the_step(monkeypatch,
+                                                            mirror):
+    # one step, with tol where the rule max|d| < tol * max(1, |z|) turns:
+    # from |z| <= 1, tol = |d| is the bound itself and does not settle; from
+    # |z| > 1, tol between |d| / scale before and after the step settles
+    # only when the scale is taken before it
+    spec = builtin_potential(mirror=mirror)
+    (poly,), ((dpoly,),) = potential._newton_system(spec)
+    outcomes = []
+    for alpha in _annulus_alphas(61 + mirror, 10):
+        for z in (0.5 + 0.8j, -0.3 + 0.2j, 2.5 + 1.5j, -1.5 - 2.5j):
+            env = {"x": z, "alpha": alpha}
+            step = poly.eval_complex(env) / dpoly.eval_complex(env)
+            d, after = abs(step), max(1.0, abs(z - step))
+            tols = ([d, math.nextafter(d, math.inf)] if abs(z) <= 1
+                    else [2 * d / (abs(z) + after)])
+            for tol in tols:
+                got = _assert_same_outcome(monkeypatch, spec, alpha, z,
+                                           tol=tol, max_iter=1)
+                outcomes.append(got[1] if isinstance(got, tuple) else "")
+    settled = [o for o in outcomes if "did not settle" not in o]
+    assert 20 <= len(settled) < len(outcomes), outcomes
 
 
 @pytest.mark.parametrize("alpha, start, kw, error", [
