@@ -1,10 +1,12 @@
 """Polynomial systems at q = 1 and their elimination down to a plane curve.
 
-The shift-ratio limits of a summand give one equation per lattice
-coordinate (the ratio equals 1) plus a longitude equation tying the shift
-in the color to a new variable l.  Eliminating the lattice coordinates by
-resultants leaves a single polynomial in (alpha, l) — the candidate curve
-the annihilating operator is compared against.
+The shift-ratio limits of a summand, renamed to curve coordinates
+(`ratio_forms`), are keyed like a potential's forms, and one builder
+(`curve_system`) clears either map: one equation per lattice coordinate
+(the form equals 1) plus a longitude equation tying the color's form to a
+new variable l.  Eliminating the lattice coordinates by resultants leaves a
+single polynomial in (alpha, l) — the candidate curve the annihilating
+operator is compared against.
 """
 
 from functools import lru_cache
@@ -19,7 +21,7 @@ from .poly import (
     resultant,
     squarefree_part,
 )
-from .qhg import ProperQHTerm, epsilon_ratio
+from .qhg import ProperQHTerm, shift_ratio
 from .ratfun import RationalFunction
 
 if TYPE_CHECKING:
@@ -84,34 +86,50 @@ def cleared_equation(lhs: RationalFunction, rhs: RationalFunction) -> LaurentMPo
     return normalized(p)
 
 
-def ratio_system(term: ProperQHTerm,
-                 longitude: str = "squared") -> EquationSystem:
-    """Equations satisfied by the q = 1 limits of the term's shift ratios.
-
-    Lattice ratios are set to 1; the color ratio is set to l (one-step,
-    "linear") or l^2 (two-step, "squared").  The summand's symbols become
-    curve coordinates as `_coordinates` says: alpha^2 (full meridian) or
-    alpha (half meridian) for the color, x, x1..x_nu or w1..w_nu for the
-    lattice.
-    """
+def ratio_forms(term: ProperQHTerm, longitude: str = "squared") -> tuple[
+        tuple[str, ...], dict[str, RationalFunction]]:
+    """(coords, forms): the q = 1 limits of the term's shift ratios in
+    curve coordinates, keyed like the potential's forms: each coordinate
+    keys its Et_i limit, "alpha" the Em ("squared") or E ("linear") limit.
+    A limit is the value at q = 1 (`qhg.epsilon_ratio`), so q -> 1 and
+    `_coordinates`' renaming are one substitution."""
     if longitude not in ("linear", "squared"):
         raise DomainError(f"unknown longitude kind {longitude!r}")
-    lvar = RationalFunction.var("l")
-    if longitude == "squared":
-        lon_ratio, rhs = epsilon_ratio(term, "Em"), lvar * lvar
-    elif term.colors == ("n",):
-        lon_ratio, rhs = epsilon_ratio(term, "E"), lvar
-    else:
+    if longitude == "linear" and term.colors != ("n",):
         raise DomainError(
             "linear longitude needs a full-meridian color; "
             "half-meridian terms only expose the two-step ratio")
     coords, images = _coordinates(term.colors, term.nu)
-    one = RationalFunction.one()
-    glue = tuple(
-        cleared_equation(epsilon_ratio(term, f"Et{i}").subst(images), one)
-        for i in range(1, term.nu + 1))
-    lon = cleared_equation(lon_ratio.subst(images), rhs)
-    return EquationSystem(glue, lon, coords, longitude)
+    at_one = {**images, "q": LaurentMPoly.const(1)}
+    shifts = {c: f"Et{i}" for i, c in enumerate(coords, 1)}
+    shifts["alpha"] = "Em" if longitude == "squared" else "E"
+    return coords, {key: shift_ratio(term, which).subst(at_one)
+                    for key, which in shifts.items()}
+
+
+def _gluing(coords: Sequence[str],
+            forms: Mapping[str, RationalFunction]) -> tuple[LaurentMPoly, ...]:
+    """Each coordinate's form = 1, cleared."""
+    return tuple(cleared_equation(forms[c], RationalFunction.one())
+                 for c in coords)
+
+
+def curve_system(coords: tuple[str, ...], forms: Mapping[str, RationalFunction],
+                 longitude: str) -> EquationSystem:
+    """The cleared system of a map keyed like `ratio_forms`: each coordinate
+    form = 1, and the alpha form = l^2 ("squared") or l ("linear")."""
+    lv = RationalFunction.var("l")
+    lon = cleared_equation(forms["alpha"],
+                           lv * lv if longitude == "squared" else lv)
+    return EquationSystem(_gluing(coords, forms), lon, coords, longitude)
+
+
+def ratio_system(term: ProperQHTerm,
+                 longitude: str = "squared") -> EquationSystem:
+    """Equations satisfied by the q = 1 limits of the term's shift ratios:
+    each lattice limit = 1, the color limit = l (one-step, "linear") or
+    l^2 (two-step, "squared"), in the coordinates of `_coordinates`."""
+    return curve_system(*ratio_forms(term, longitude), longitude)
 
 
 # -- elimination -----------------------------------------------------------

@@ -13,14 +13,13 @@ integer polynomials compute in Python integers.  Numbers returned
 exponents are legal everywhere.  In one variable products key terms by
 int exponents.
 
-Three conventions the other layers share live here and nowhere else:
-immutability, the limit at q = 1 and the text form.  Every value type of
-the package (polynomials, rational functions, operators, summand forms,
-result records) takes its immutability from one base, ``Immutable``:
-slotted fields set once in ``__init__``, with field-tuple equality,
-hashing and repr for the plain records.  ``limit_at_one`` gives the order
-of vanishing at q = 1 and the lowest nonzero Taylor coefficient.
-``format_poly`` writes the canonical text that ``poly.parse_poly`` reads.
+Two conventions the other layers share live here and nowhere else:
+immutability and the text form.  Every value type of the package
+(polynomials, rational functions, operators, summand forms, result
+records) takes its immutability from one base, ``Immutable``: slotted
+fields set once in ``__init__``, with field-tuple equality, hashing and
+repr for the plain records.  ``format_poly`` writes the canonical text
+that ``poly.parse_poly`` reads.
 
 The algorithms that need honest polynomials (gcd, exact division,
 resultant, square-free part) and the parser are in `poly`; a summand's
@@ -517,43 +516,6 @@ class LaurentMPoly(Immutable):
                             f"negative power of {v} at {v} = 0") from None
             total += t
         return total
-
-
-# -- the q -> 1 limit -------------------------------------------------------
-
-def _binom(n: int, j: int) -> int:
-    """n(n-1)...(n-j+1)/j!, for negative n too."""
-    return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
-
-
-def limit_at_one(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
-    """(k, c) with p = (q - 1)^k * u and c = u at q = 1, nonzero and free
-    of q; the other variables, Laurent powers included, are kept.
-
-    c is the lowest nonzero Taylor coefficient of p at q = 1.  The j-th one
-    is the sum of c_e * binom(e_q, j) over the terms, with the binomial
-    generalized to negative exponents, so powers of q need no clearing.
-    p = q^a * P with P a polynomial of degree d vanishes to order at most
-    d, so the search ends.
-    """
-    if p.is_zero():
-        raise DomainError("limit at q = 1 of the zero polynomial")
-    if "q" not in p.vars:
-        return 0, p
-    i = p.vars.index("q")
-    rest = p.vars[:i] + p.vars[i + 1:]
-    split = [(e[i], e[:i] + e[i + 1:], c) for e, c in p.terms.items()]
-    k = 0
-    while True:
-        out: dict[tuple[int, ...], Coeff] = {}
-        for ev, key, c in split:
-            b = _binom(ev, k)
-            if b:
-                out[key] = out.get(key, 0) + c * b
-        coeff = LaurentMPoly._build(rest, out)
-        if coeff:
-            return k, coeff
-        k += 1
 
 
 # -- formatting ------------------------------------------------------------

@@ -16,20 +16,21 @@ an integer point ``(n, k1..knu)``.  ``E`` advances ``n`` by one, ``Eti``
 advances ``ki`` by one, ``Q`` evaluates to ``q**n`` and ``Qti`` to ``q**ki``.
 
 ``epsilon_eval_with_unit`` takes the q -> 1 limit of a lattice-free
-operator with ``laurent.limit_at_one`` and fixes its scale with
-``poly.signed_content``: the same limit and the same sign/content rule as
-the summand side (``qhg.epsilon_ratio``, ``elim``), so the two curves
-they produce are compared under one convention.
+operator and fixes its scale with ``poly.signed_content``, the summand
+side's sign/content rule (``elim``), so both curves meet one convention.
+Its coefficients, unlike a summand's shift ratios, can vanish at q = 1, so
+``limit_at_one`` reads each one's order there and lowest Taylor coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import index
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, PoleError
-from .laurent import Immutable, LaurentMPoly, limit_at_one
+from .laurent import Coeff, Immutable, LaurentMPoly
 from .poly import exact_divide, poly_lcm, signed_content
 from .qhg import _int_point, _rational_q
 from .ratfun import RationalFunction, as_ratfun, format_ratfun
@@ -270,6 +271,41 @@ def expand_at_one(p: OreOperator) -> tuple[OreOperator, list[OreOperator]]:
 
 
 # -- q -> 1 limit ----------------------------------------------------------
+
+def _binom(n: int, j: int) -> int:
+    """n(n-1)...(n-j+1)/j!, for negative n too."""
+    return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
+
+
+def limit_at_one(p: LaurentMPoly) -> tuple[int, LaurentMPoly]:
+    """(k, c) with p = (q - 1)^k * u and c = u at q = 1, nonzero and free
+    of q; the other variables, Laurent powers included, are kept.
+
+    c is the lowest nonzero Taylor coefficient of p at q = 1.  The j-th one
+    is the sum of c_e * binom(e_q, j) over the terms, with the binomial
+    generalized to negative exponents, so powers of q need no clearing.
+    p = q^a * P with P a polynomial of degree d vanishes to order at most
+    d, so the search ends.
+    """
+    if p.is_zero():
+        raise DomainError("limit at q = 1 of the zero polynomial")
+    if "q" not in p.vars:
+        return 0, p
+    i = p.vars.index("q")
+    rest = p.vars[:i] + p.vars[i + 1:]
+    split = [(e[i], e[:i] + e[i + 1:], c) for e, c in p.terms.items()]
+    k = 0
+    while True:
+        out: dict[tuple[int, ...], Coeff] = {}
+        for ev, key, c in split:
+            b = _binom(ev, k)
+            if b:
+                out[key] = out.get(key, 0) + c * b
+        coeff = LaurentMPoly._build(rest, out)
+        if coeff:
+            return k, coeff
+        k += 1
+
 
 def epsilon_eval_with_unit(p: OreOperator) -> tuple[LaurentMPoly, RationalFunction]:
     """q -> 1 limit of the operator after clearing the common vanishing

@@ -30,12 +30,12 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .dilog import li2
-from .elim import EquationSystem, _coordinates, cleared_equation
+from .elim import EquationSystem, _gluing, curve_system, ratio_forms
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      SingularityError)
 from .laurent import Immutable, LaurentMPoly
-from .qhg import (ProperQHTerm, build_crossing, epsilon_ratio,
-                  habiro_figure_eight, shift_ratio)
+from .qhg import (ProperQHTerm, build_crossing, habiro_figure_eight,
+                  shift_ratio)
 from .ratfun import RationalFunction, format_ratfun
 
 _PI = math.pi
@@ -247,12 +247,10 @@ def derivative_forms(spec: PotentialSpec) -> dict[str, RationalFunction]:
 @cache
 def _newton_system(spec: PotentialSpec) -> tuple[
         tuple[LaurentMPoly, ...], tuple[tuple[LaurentMPoly, ...], ...]]:
-    """The cleared gluing polynomials (coordinate form = 1) and their
-    Jacobian in the coordinates."""
-    forms = _forms(spec)
+    """The cleared gluing polynomials (coordinate form = 1, as
+    `curve_system` clears them) and their Jacobian in the coordinates."""
     coords = coordinate_names(spec)
-    one = RationalFunction.one()
-    polys = tuple(cleared_equation(forms[c], one) for c in coords)
+    polys = _gluing(coords, _forms(spec))
     jac = tuple(tuple(p.derivative(c2) for c2 in coords) for p in polys)
     return polys, jac
 
@@ -324,12 +322,8 @@ def saddle_system(spec: PotentialSpec,
     """Cleared polynomial system: coordinate forms equal 1, the alpha form
     equals l^2 (or, when the alpha form has a rational square root, that
     root equals l)."""
-    lv = RationalFunction.var("l")
-    coords = coordinate_names(spec)
-    glue = _newton_system(spec)[0]
-    if longitude == "squared":
-        lon = cleared_equation(_forms(spec)["alpha"], lv * lv)
-    elif longitude == "linear":
+    forms = _forms(spec)
+    if longitude == "linear":
         root = _form(PotentialSpec(spec.name), "alpha", 2)
         if root is None:
             raise DomainError(
@@ -337,10 +331,10 @@ def saddle_system(spec: PotentialSpec,
                 "potential, whose alpha form has a rational square root")
         if spec.mirror:  # as in `_forms`
             root = root.inverse()
-        lon = cleared_equation(root, lv)
-    else:
+        forms = {**forms, "alpha": root}
+    elif longitude != "squared":
         raise DomainError(f"unknown longitude kind {longitude!r}")
-    return EquationSystem(glue, lon, coords, longitude)
+    return curve_system(coordinate_names(spec), forms, longitude)
 
 
 # -- identity table between summand ratios and potential forms -------------
@@ -353,13 +347,11 @@ def prop_comp_check(positive: bool = True) -> list[dict]:
     whether they agree exactly.
     """
     spec = crossing_potential(positive)
-    term, forms = spec.summand(), _forms(spec)
-    coords, images = _coordinates(term.colors, term.nu)
-    pairs = [*((f"Et{i}", c) for i, c in enumerate(coords, 1)),
-             ("Em", "alpha")]
+    limits = ratio_forms(spec.summand())[1]
+    forms = _forms(spec)
     rows = []
-    for which, key in pairs:
-        lhs = epsilon_ratio(term, which).subst(images)
+    for i, (key, lhs) in enumerate(limits.items(), 1):
+        which = f"Et{i}" if key != "alpha" else "Em"
         rhs = forms[key]
         # both sides are canonical, so equal sides are exactly equal
         quot = RationalFunction.one() if lhs == rhs else lhs / rhs

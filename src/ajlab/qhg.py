@@ -18,8 +18,7 @@ q) steps once by the sign, q^e and the net power of each (1 - q^j),
 ``shift_ratio`` is the exact ratio of the shifted summand to the summand,
 a rational function of q and of n -> Q, m -> Qm, ki -> Qt_i, read off the
 same rows: the sign's, the exponent's step along the axis (`_Plan.step`)
-and the lengths'; ``epsilon_ratio`` is its q -> 1 limit (the
-``laurent.limit_at_one`` of ore).
+and the lengths'; ``epsilon_ratio`` is its q -> 1 limit, the value at q = 1.
 
 ``lattice_sum`` adds a summand up over its support, at a rational q or in
 q.  Each lattice axis is bounded from the axes before it by its rows in
@@ -48,7 +47,7 @@ from operator import add, index, mul, neg, sub
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PoleError, SupportError
-from .laurent import Immutable, LaurentMPoly, _coeff, limit_at_one
+from .laurent import Immutable, LaurentMPoly, _coeff
 
 if TYPE_CHECKING:
     from .ratfun import RationalFunction
@@ -57,10 +56,6 @@ Scalar = Union[int, Fraction]
 
 _COLOR_SETS = (("n",), ("m",))
 _EXP_VAR = {"n": "Q", "m": "Qm"}
-
-
-def _lattice_sym(i: int) -> str:
-    return f"k{i}"
 
 
 def _sym_exp_var(sym: str) -> str:
@@ -298,7 +293,7 @@ class ProperQHTerm(Immutable):
         object.__setattr__(self, "_plan", _Plan(self))
 
     def symbols(self) -> tuple[str, ...]:
-        return self.colors + tuple(_lattice_sym(i + 1) for i in range(self.nu))
+        return self.colors + tuple(f"k{i + 1}" for i in range(self.nu))
 
     def _start(self, point: Sequence[int], run):
         """run, holding its ring's 1, stepped once by the value at point (the
@@ -395,18 +390,14 @@ def shift_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
 
 def epsilon_ratio(term: ProperQHTerm, which: str) -> RationalFunction:
     """q -> 1 limit of ``shift_ratio``; the exponential symbols survive.
-    A pole (the denominator vanishing to higher order) is a PoleError."""
-    from .ratfun import RationalFunction
+    Each factor of the ratio is a signed monomial or 1 - q^a * m with m
+    carrying the moved argument's symbol, so neither side vanishes at
+    q = 1: the limit is the value there (a pole would be a PoleError)."""
     r = shift_ratio(term, which)
-    vn, ln = limit_at_one(r.num)
-    vd, ld = limit_at_one(r.den)
-    if vn < vd:
-        raise PoleError(
-            f"shift ratio {which} diverges as q -> 1 "
-            f"(orders {vn} over {vd})")
-    if vn > vd:
-        return RationalFunction.zero()
-    return RationalFunction(ln, ld)
+    try:
+        return r.subst({"q": 1})
+    except DomainError as exc:
+        raise PoleError(f"shift ratio {which} diverges as q -> 1") from exc
 
 
 # -- concrete summands -----------------------------------------------------
@@ -452,7 +443,7 @@ def habiro_figure_eight() -> ProperQHTerm:
     condition.  Built once per process; the summand is frozen data, so
     every caller shares it.
     """
-    i = _lattice_sym(1)
+    i = "k1"
     return ProperQHTerm(
         colors=("n",), nu=1,
         poch=(
@@ -608,11 +599,11 @@ def _run_sum(term: ProperQHTerm, colors: tuple[int, ...], ring):
     for i, bound in enumerate(plan.bounds[:-1], 1):  # the outer axes
         nxt = []
         for h in heads:
-            lo, hi = _row_bounds(bound, h, _lattice_sym(i))
+            lo, hi = _row_bounds(bound, h, f"k{i}")
             nxt.extend(h + (k,) for k in range(lo, hi + 1))
         heads = nxt
     # with nu = 0 the one point is a row along the color
-    rows = [(h, *_row_bounds(plan.support, h, _lattice_sym(nu)))
+    rows = [(h, *_row_bounds(plan.support, h, f"k{nu}"))
             for h in heads] if nu else [((), colors[0], colors[0])]
     delta, dslope, den = plan.delta, plan.delta[-1], plan.quad[2]
     flip, moving = plan.sign[-1] % 2, plan.moving

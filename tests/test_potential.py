@@ -10,7 +10,8 @@ import pytest
 
 from ajlab import potential
 from ajlab.dilog import li2
-from ajlab.elim import _coordinates, cleared_equation, ratio_system
+from ajlab.elim import (_coordinates, cleared_equation, ratio_forms,
+                        ratio_system)
 from ajlab.errors import (
     ConvergenceError,
     DegeneracyError,
@@ -143,8 +144,9 @@ def test_prop_comp_rows_equal_the_always_divide_rows(monkeypatch, positive,
 
 
 def test_saddle_system_equals_summand_ratio_system():
-    # each knot row's potential and summand give one system; a crossing's
-    # alpha form has no rational square root, so both sides refuse linear
+    # each knot row's potential and summand give one map of forms and one
+    # system; a crossing's alpha form has no rational square root, so both
+    # sides refuse linear
     for name in potential._KNOTS:
         spec = PotentialSpec(name)
         for kind in ("squared", "linear"):
@@ -154,6 +156,14 @@ def test_saddle_system_equals_summand_ratio_system():
                 with pytest.raises(DomainError, match="linear longitude"):
                     ratio_system(spec.summand(), kind)
                 continue
+            forms = dict(potential._forms(spec))
+            if kind == "linear":
+                forms["alpha"] = potential._form(spec, "alpha", 2)
+            coords, limits = ratio_forms(spec.summand(), kind)
+            assert coords == coordinate_names(spec)
+            assert list(limits) == list(forms)
+            for key, form in forms.items():
+                assert limits[key] == form, (name, kind, key)
             from_potential = saddle_system(spec, kind)
             from_summand = ratio_system(spec.summand(), kind)
             assert from_potential.gluing == from_summand.gluing
@@ -446,6 +456,24 @@ def test_singular_jacobian_is_reported():
     # x = 1/2 at alpha = -1
     with pytest.raises(DegeneracyError, match="Jacobian"):
         solve_saddle(builtin_potential(), -1.0 + 0j, 0.5 + 0j)
+
+
+@pytest.mark.parametrize("exponent, singular", [(301, True), (299, False)])
+def test_singular_jacobian_threshold(monkeypatch, exponent, singular):
+    # one coordinate, f = c*(x - 2) with the constant Jacobian c: below
+    # 1e-300 the step is refused, above it the step lands on x = 2
+    c = Fraction(1, 10 ** exponent)
+    f = LaurentMPoly.const(c) * parse_poly("x - 2")
+    monkeypatch.setattr(potential, "_newton_system",
+                        lambda spec: ((f,), ((LaurentMPoly.const(c),),)))
+    newton = potential._newton_kernel.__wrapped__(builtin_potential())(0.9)
+    if singular:
+        with pytest.raises(DegeneracyError,
+                           match="^singular Jacobian in the Newton step$"):
+            newton(1e-12, 100, 1 + 0j)
+    else:
+        (x,), iterations = newton(1e-12, 100, 1 + 0j)
+        assert x == 2 and iterations == 2
 
 
 def test_newton_iteration_budget():

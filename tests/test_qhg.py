@@ -39,6 +39,8 @@ from ajlab.qhg import (
 )
 from ajlab.ratfun import RationalFunction
 
+from test_poly import divide_loop_limit
+
 P = parse_poly
 
 
@@ -604,6 +606,19 @@ class TestLimitRatios:
                 (build_crossing(False), ("Em", "Et1", "Et2", "Et3", "Et4"))):
             for which in shifts:
                 assert not epsilon_ratio(term, which).is_zero()
+
+    def test_shift_ratios_vanish_nowhere_at_one(self):
+        # why the limit is the value at q = 1: on every shift of every
+        # summand the suite builds, the oracle's order of vanishing is 0
+        # on both sides, and the limit is the quotient of the values there
+        for term in (*ALL_SUMMANDS, *map(twist_knot, (1, -1, 2, -2))):
+            shifts = (["E"] if term.colors == ("n",) else []) + ["Em"] + [
+                f"Et{i}" for i in range(1, term.nu + 1)]
+            for which in shifts:
+                r = shift_ratio(term, which)
+                (kn, cn), (kd, cd) = map(divide_loop_limit, (r.num, r.den))
+                assert (kn, kd) == (0, 0), (which, kn, kd)
+                assert epsilon_ratio(term, which) == RationalFunction(cn, cd)
 
     def test_vanishing_order_bookkeeping(self, monkeypatch):
         # the orders of vanishing at q = 1 above and below the bar decide:
