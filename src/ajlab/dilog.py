@@ -16,11 +16,23 @@ e^(+-i pi/3).  Nothing iterates to a tolerance.
 
 import cmath
 import math
+from fractions import Fraction
 
 from .errors import BranchCutError, DomainError
 
 _PI = math.pi
 _PI2_6 = _PI * _PI / 6
+_NUMBER = (complex, float, int, Fraction)  # what the float path takes
+
+
+def _number(v, what: str) -> complex:
+    """v as a complex; else (a bool too) a DomainError naming `what`."""
+    if isinstance(v, _NUMBER) and type(v) is not bool:
+        try:
+            return complex(v)
+        except OverflowError:
+            raise DomainError(f"{what} does not fit a float") from None
+    raise DomainError(f"{what} = {v!r} is not a number")
 
 
 # B_n / (n+1)! for n = 0..20 (B_1 = -1/2; odd n > 1 give zero), the
@@ -81,7 +93,8 @@ def _cut_upper(x: float) -> complex:
 
 
 def li2(z) -> complex:
-    """Dilogarithm of a number; complex, with the cut along [1, oo).
+    """Dilogarithm of a complex, float, int or `Fraction` (anything else, a
+    bool included, is a DomainError), with the cut along [1, oo).
 
     Real arguments below 1 give a real result (as a complex with zero
     imaginary part).  On the cut the two one-sided limits differ; they
@@ -93,12 +106,8 @@ def li2(z) -> complex:
     -log(1 - z) is summed: no loop runs to a tolerance, and the largest
     relative error seen against mpmath is below 1e-15.
     """
-    if isinstance(z, complex):
-        zc = z
-        from_real = False
-    else:
-        zc = complex(float(z))
-        from_real = True
+    from_real = not isinstance(z, complex)
+    zc = _number(z, "dilogarithm argument") if from_real else z
     if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
         raise DomainError("dilogarithm of a non-finite number")
     if zc.imag == 0.0:

@@ -71,10 +71,6 @@ class EquationSystem(Immutable):
     def equations(self) -> tuple[LaurentMPoly, ...]:
         return (*self.gluing, self.longitude)
 
-    def residual(self, point: Mapping[str, complex]) -> float:
-        """Largest absolute value of any equation at the point."""
-        return max(abs(p.eval_complex(point)) for p in self.equations())
-
 
 def cleared_equation(lhs: RationalFunction, rhs: RationalFunction) -> LaurentMPoly:
     """lhs == rhs as a primitive honest polynomial with positive leading

@@ -9,9 +9,9 @@ global order (`var_sort_key`), and each coefficient is an ``int`` when
 integral and a ``Fraction`` only when not (`_coeff`) — so mathematically
 equal polynomials are structurally equal, whatever route built them, and
 integer polynomials compute in Python integers.  Numbers returned
-(``constant_value``, ``eval_exact``) are ``Fraction``s.  Negative
-exponents are legal everywhere.  In one variable products key terms by
-int exponents.
+(``constant_value``, ``eval_exact``) are ``Fraction``s; float values come
+from `potential`'s compiled kernels alone.  Negative exponents are legal
+everywhere.  In one variable products key terms by int exponents.
 
 Two conventions the other layers share live here and nowhere else:
 immutability and the text form.  Every value type of the package
@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import add, attrgetter
 from typing import Mapping, Sequence, Union
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 Coeff = Union[int, Fraction]
 
@@ -499,23 +499,6 @@ class LaurentMPoly(Immutable):
                 t *= w[k]
             total += t
         return Fraction(total * num, den)
-
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        for v in self.vars:
-            if v not in point:
-                raise DomainError(f"no value supplied for variable {v}")
-        total = 0j
-        for e, c in self.terms.items():
-            t = complex(c)
-            for v, k in zip(self.vars, e):
-                if k:
-                    try:
-                        t *= complex(point[v]) ** k
-                    except ZeroDivisionError:
-                        raise PoleError(
-                            f"negative power of {v} at {v} = 0") from None
-            total += t
-        return total
 
 
 # -- formatting ------------------------------------------------------------

@@ -17,9 +17,9 @@ The exact objects of a potential (its forms, the cleared gluing polynomials
 and their Jacobian) depend only on the `PotentialSpec`, so each is built
 once per spec and process, on first use (a mirror's forms by inverting the
 plain ones); `derivative_forms` hands out a copy of the cached forms.  One
-compiler turns the whole Newton loop (alpha put in once per solve) and each
-form into a cached float kernel with exactly the float operations of
-`eval_complex`, and one the Em ratio into a root-of-unity kernel.
+compiler turns phi, the whole Newton loop (alpha put in once per solve) and
+each form into cached float kernels, called by position in (alpha,
+coordinates), and one the Em ratio into a root-of-unity kernel.
 """
 
 import cmath
@@ -29,7 +29,7 @@ from functools import cache, partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .dilog import li2
+from .dilog import _NUMBER, _number, li2
 from .elim import EquationSystem, _gluing, curve_system, ratio_forms
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      SingularityError)
@@ -107,7 +107,6 @@ _KNOTS = {
         ("li2", 1, "alpha*w2/w3"), ("li2", 1, "alpha*w2/w1")], None),
 }
 _MAX_ITER = 10000  # most Newton iterations a solve may ask for
-_NUMBER = (complex, float, int, Fraction)  # what alpha and coordinates take
 
 
 def _log(z: complex, what: str) -> complex:
@@ -121,13 +120,12 @@ def coordinate_names(spec: PotentialSpec) -> tuple[str, ...]:
 
 
 @cache
-def _phi_function(name):
-    """The potential as a function of its variables, compiled once from
-    its terms (module data only) into the sum as written by hand: each
-    monomial as its own text, the leading coefficient on the first factor,
-    each later term added or subtracted.  So its value is that float
-    expression, bit for bit, at its speed."""
-    names, terms = _KNOTS[name][1:3]
+def _phi_kernel(spec: PotentialSpec):
+    """The potential as f(alpha, coordinates), compiled once per spec from
+    its terms (module data only) into the sum as written by hand, negated
+    for a mirror: each monomial its own text, the leading coefficient on
+    the first factor.  A zero variable is a SingularityError."""
+    names, terms = _KNOTS[spec.name][1:3]
     parts = []
     for kind, c, *ms in terms:
         if kind == "li2":
@@ -140,24 +138,16 @@ def _phi_function(name):
         k = abs(c) if parts else c
         parts.append(("+ " if c > 0 else "- ") * bool(parts)
                      + {1: "", -1: "-"}.get(k, f"{k} * ") + body)
-    return eval(f"lambda {', '.join(names)}: {' '.join(parts)}",
-                {"li2": li2, "_log": _log, "_PI": _PI})
+    expr, args = " ".join(parts), ", ".join(names)
+    return _compile((), f"if 0 in ({args},): raise SingularityError("
+                    f"'potential needs {args} nonzero')\nreturn "
+                    + (f"-({expr})" if spec.mirror else expr), names)()
 
 
 # -- evaluation ------------------------------------------------------------
 
-def _number(v, what: str) -> complex:
-    """v as a complex; else (a bool too) a DomainError naming `what`."""
-    if isinstance(v, _NUMBER) and type(v) is not bool:
-        try:
-            return complex(v)
-        except OverflowError:
-            raise DomainError(f"{what} does not fit a float") from None
-    raise DomainError(f"{what} = {v!r} is not a number")
-
-
 def _coerce_coords(spec: PotentialSpec, coords,
-                   what: str = "coords") -> dict[str, complex]:
+                   what: str = "coords") -> tuple[complex, ...]:
     names = coordinate_names(spec)
     if isinstance(coords, Mapping):
         if set(coords) != set(names):
@@ -170,22 +160,13 @@ def _coerce_coords(spec: PotentialSpec, coords,
     if len(vals := tuple(coords)) != len(names):
         raise DomainError(f"{what}: expected {len(names)} coordinates "
                           f"{names}, got {len(vals)}")
-    return {k: _number(v, f"{what} {k}") for k, v in zip(names, vals)}
-
-
-def _phi(spec: PotentialSpec, vals: Sequence[complex]) -> complex:
-    """The potential at vals = (alpha, coordinates...)."""
-    if 0 in vals:
-        names = ("alpha",) + coordinate_names(spec)
-        raise SingularityError(f"potential needs {', '.join(names)} nonzero")
-    val = _phi_function(spec.name)(*vals)
-    return -val if spec.mirror else val
+    return tuple(_number(v, f"{what} {k}") for k, v in zip(names, vals))
 
 
 def phi_eval(spec: PotentialSpec, alpha: complex, coords) -> complex:
     """Value of the potential, principal branches throughout."""
     w = _coerce_coords(spec, coords)
-    return _phi(spec, (_number(alpha, "alpha"), *w.values()))
+    return _phi_kernel(spec)(_number(alpha, "alpha"), *w)
 
 
 # -- exact derivative forms ------------------------------------------------
@@ -257,10 +238,10 @@ def _newton_system(spec: PotentialSpec) -> tuple[
 
 def _compile(polys, body: str, names, outer=()):
     """The function body `body`, its {}s filled by the values of polys, as
-    f(*outer)(*names).  Each value takes `eval_complex`'s float operations
-    in its order: from 0j, add the terms in insertion order, each its complex
-    coefficient times its variables' powers left to right.  A term's leading
-    powers of `outer` variables go into its coefficient once per call of f."""
+    f(*outer)(*names).  Each value takes these float operations in order:
+    from 0j, add the terms in insertion order, each its complex coefficient
+    times its variables' powers left to right.  A term's leading powers of
+    `outer` variables go into its coefficient once per call of f."""
     consts, params, values = [], [], []
     for p in polys:
         values.append("0j")
@@ -309,8 +290,8 @@ def _newton_kernel(spec: PotentialSpec):
 
 @cache
 def _form_kernels(spec: PotentialSpec) -> Mapping:
-    """Each form as f(alpha=..., coordinate=...) = (denominator, numerator);
-    as in `eval_complex`, a zero denominator skips the numerator."""
+    """Each form as f(alpha, coordinates) = (denominator, numerator); a
+    zero denominator skips the numerator."""
     names = ("alpha",) + coordinate_names(spec)
     return MappingProxyType({
         y: _compile((f.den, f.num), "return (_d := {}, _d and {})", names)()
@@ -411,21 +392,23 @@ def _solve_linear(mat, rhs):
     return out
 
 
-def _form_at(kernel, env, what: str) -> complex:
-    """A compiled form at a complex point given by name; a pole raises
-    SingularityError(what)."""
+def _form_at(kernel, point, what: str) -> complex:
+    """The kernel's form at point; a pole raises SingularityError(what)."""
     try:  # 0 to a negative power, or a zero denominator, raises
-        den, num = kernel(**env)
+        den, num = kernel(*point)
         return num / den
     except ZeroDivisionError:
         raise SingularityError(what) from None
 
 
-def _forms_residual(kernels, coords, env) -> float:
+def _forms_residual(kernels, coords, point) -> float:
+    """max |form - 1| over the forms of coords; NaN if one of them is."""
     worst = 0.0
     for c in coords:
-        v = _form_at(kernels[c], env, f"{c} form undefined at the point")
-        worst = max(worst, abs(v - 1))
+        d = abs(_form_at(kernels[c], point,
+                         f"{c} form undefined at the point") - 1)
+        if d > worst or d != d:  # max(worst, nan) would drop the NaN
+            worst = d
     return worst
 
 
@@ -460,51 +443,51 @@ def solve_saddle(spec: PotentialSpec, alpha: complex, start=None,
         raise DomainError(f"max_iter = {max_iter!r} is below 1, above "
                           f"{_MAX_ITER} or not an int")
     a = _number(alpha, "alpha")
-    w = _coerce_coords(spec, start, "start")
+    z = _coerce_coords(spec, start, "start")
     if not cmath.isfinite(a):
         raise DomainError(f"alpha = {a} is not finite")
-    for k, z in w.items():
-        if not cmath.isfinite(z):
-            raise DomainError(f"start {k} = {z} is not finite")
+    for k, v in zip(coordinate_names(spec), z):
+        if not cmath.isfinite(v):
+            raise DomainError(f"start {k} = {v} is not finite")
     try:
-        return _newton_saddle(spec, a, w, tol, max_iter)
+        return _newton_saddle(spec, a, z, tol, max_iter)
     except OverflowError:
         raise ConvergenceError(
             f"Newton overflowed the range of floats at alpha = {a}") from None
 
 
-def _newton_saddle(spec: PotentialSpec, a: complex, w: dict[str, complex],
+def _newton_saddle(spec: PotentialSpec, a: complex, z: tuple[complex, ...],
                    tol: float, max_iter: int) -> SaddleResult:
     names = coordinate_names(spec)
-    z, it = _newton_kernel(spec)(a)(tol, max_iter, *w.values())
+    z, it = _newton_kernel(spec)(a)(tol, max_iter, *z)
     forms = _form_kernels(spec)
-    w = dict(zip(names, z))
-    env = {**w, "alpha": a}
-    res = _forms_residual(forms, names, env)
-    if res > 1e-6:
+    p = (a, *z)
+    res = _forms_residual(forms, names, p)
+    if not res <= 1e-6:  # a NaN residual is refused too
         raise ConvergenceError(
             f"Newton landed on a spurious zero of the cleared system "
             f"(form residual {res:.2e})")
-    phi = _phi(spec, (a, *z))
+    phi_at = _phi_kernel(spec)
+    phi = phi_at(*p)
     # candidate with every coordinate conjugated: for symmetric alpha it
     # solves the same system and may carry the opposite sign of Im(phi)
-    wc = {k: v.conjugate() for k, v in w.items()}
+    pc = (a, *map(complex.conjugate, z))
     try:
-        resc = _forms_residual(forms, names, {**wc, "alpha": a})
+        resc = _forms_residual(forms, names, pc)
     except SingularityError:
         resc = math.inf
     if resc <= max(10 * res, tol):
-        phic = _phi(spec, (a, *wc.values()))
+        phic = phi_at(*pc)
         take = phic.imag > phi.imag
         if phic.imag == phi.imag:
             # exact tie: settle deterministically on the branch whose
             # first coordinate sits in the upper half plane
-            take = wc[names[0]].imag > w[names[0]].imag
+            take = pc[1].imag > p[1].imag
         if take:
-            w, res, phi = wc, resc, phic
-            env = {**w, "alpha": a}
-    l2 = _form_at(forms["alpha"], env, "alpha form undefined at the saddle")
-    return SaddleResult(a, w, res, phi, phi.imag, l2, it)
+            p, res, phi = pc, resc, phic
+    l2 = _form_at(forms["alpha"], p, "alpha form undefined at the saddle")
+    return SaddleResult(a, dict(zip(names, p[1:])), res, phi, phi.imag,
+                        l2, it)
 
 
 def volume(spec: Optional[PotentialSpec] = None, alpha: complex = -1.0 + 0j,
@@ -518,7 +501,7 @@ def volume(spec: Optional[PotentialSpec] = None, alpha: complex = -1.0 + 0j,
 
 def _rf_at_unit_root(r: RationalFunction, names: Sequence[str]):
     """r at each variable v in names = zeta^v, zeta = exp(2 pi i / N), as
-    f(N=..., v=...) = (denominator, numerator); as in `_form_kernels`, a
+    f(N, *names) = (denominator, numerator); as in `_form_kernels`, a
     zero denominator skips the numerator.  Each side adds, from 0j in term
     order, float(c) * exp(2 pi i ((k mod N) / N)) with k the term's
     exponents dotted with the v in integers.  A variable of r not in names
@@ -560,8 +543,9 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
     The discrete side is evaluated at q = zeta_N, meridian zeta_N^n,
     coordinate zeta_N^i with n = round(aN), i = round(uN) (ties to even);
     the continuous side at alpha^2 = zeta_N^n, x = zeta_N^i.  The relative
-    gap shrinks like 1/N.  A root order outside [3, 10^4], or an a or u
-    `Fraction` does not read as finite, is a DomainError before any row.
+    gap shrinks like 1/N.  A root order outside [3, 10^4], or an a or u that
+    is not a finite `Fraction` or whose angle pi n / N or 2 pi i / N does
+    not fit a float, is a DomainError before any row.
     """
     big_ns = tuple(big_ns)
     for big_n in big_ns:
@@ -571,15 +555,23 @@ def asymptotic_check(a=Fraction(3, 10), u=Fraction(1, 5),
         (ap, ad), (up, ud) = (Fraction(x).as_integer_ratio() for x in (a, u))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(f"a = {a!r}, u = {u!r}: not both rational") from None
-    em_at = _em_kernel()
-    alpha_at = _form_kernels(builtin_potential())["alpha"]
-    rows = []
+    points = []
     for big_n in big_ns:
         n, i = _nearest(ap * big_n, ad), _nearest(up * big_n, ud)
-        disc = _form_at(em_at, {"N": big_n, "q": 1, "Q": n, "Qt1": i},
+        try:  # an int past the floats overflows, a large one gives inf
+            t = (1j * _PI * n / big_n, 2j * _PI * i / big_n)
+        except OverflowError:
+            t = (math.inf,)
+        if not all(map(cmath.isfinite, t)):
+            raise DomainError(f"a or u too large: an angle at N = {big_n} "
+                              "does not fit a float")
+        points.append((big_n, n, i, *t))
+    em_at, alpha_at = _em_kernel(), _form_kernels(builtin_potential())["alpha"]
+    rows = []
+    for big_n, n, i, t_a, t_u in points:
+        disc = _form_at(em_at, (big_n, 1, n, i),
                         "denominator vanishes at the root of unity")
-        cont = _form_at(alpha_at, {"alpha": cmath.exp(1j * _PI * n / big_n),
-                                   "x": cmath.exp(2j * _PI * i / big_n)},
+        cont = _form_at(alpha_at, (cmath.exp(t_a), cmath.exp(t_u)),
                         "alpha form undefined at the point")
         rows.append({"N": big_n, "n": n, "i": i, "discrete": disc,
                      "continuous": cont,

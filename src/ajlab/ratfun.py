@@ -251,14 +251,6 @@ class RationalFunction(Immutable):
                 "evaluation point")
         return self.num.eval_exact(point) / d
 
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        d = self.den.eval_complex(point)
-        if d == 0:
-            raise PoleError(
-                f"denominator {format_poly(self.den)} vanishes at the "
-                "evaluation point")
-        return self.num.eval_complex(point) / d
-
 
 # -- parsing and formatting ------------------------------------------------
 

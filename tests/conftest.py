@@ -5,8 +5,51 @@ from fractions import Fraction
 
 import pytest
 
-from ajlab.errors import DomainError
+from ajlab.errors import DomainError, PoleError
+from ajlab.laurent import format_poly
 from ajlab.ore import OreOperator, ore_apply
+
+
+# -- the float oracle ---------------------------------------------------------
+# `ajlab.potential` evaluates polynomials in floats only through its compiled
+# kernels.  These walk the terms instead, with the same float operations in
+# the same order, so the kernels are checked against them bit for bit; the
+# tests import them with `from conftest import ...`.
+
+def eval_complex(p, point):
+    """The LaurentMPoly p at a point given by name: from 0j, add the terms
+    in insertion order, each its complex coefficient times its variables'
+    powers left to right.  0 to a negative power is a PoleError."""
+    for v in p.vars:
+        if v not in point:
+            raise DomainError(f"no value supplied for variable {v}")
+    total = 0j
+    for e, c in p.terms.items():
+        t = complex(c)
+        for v, k in zip(p.vars, e):
+            if k:
+                try:
+                    t *= complex(point[v]) ** k
+                except ZeroDivisionError:
+                    raise PoleError(
+                        f"negative power of {v} at {v} = 0") from None
+        total += t
+    return total
+
+
+def eval_ratfun_complex(r, point):
+    """The RationalFunction r at the point; a zero denominator, seen
+    before the numerator is walked, is a PoleError."""
+    d = eval_complex(r.den, point)
+    if d == 0:
+        raise PoleError(f"denominator {format_poly(r.den)} vanishes at the "
+                        "evaluation point")
+    return eval_complex(r.num, point) / d
+
+
+def system_residual(system, point):
+    """Largest absolute value of any equation of the EquationSystem."""
+    return max(abs(eval_complex(p, point)) for p in system.equations())
 
 
 def _telescoped_residual(p0, rs, f, n, bounds, qval):

@@ -131,6 +131,15 @@ def test_asympt_rows(run):
     assert set(rows[0]["discrete"]) == {"re", "im"}
 
 
+def test_asympt_refuses_an_angle_past_the_floats(run):
+    # n = round(a N) has 403 digits, past the floats: one line, exit 1
+    res = run("asympt", "--a", "1" + "0" * 400)
+    assert res.exit_code == 1
+    assert res.output == ("Error: a or u too large: an angle at N = 100 "
+                          "does not fit a float\n")
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_exit_codes(run):
     assert run("jones", "--n", "1", "--no-such-flag").exit_code == 2
     res = run("ratio", "--knot", "no-such-knot")

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -153,6 +154,25 @@ class TestCut:
             li2(float("inf"))
         with pytest.raises(DomainError):
             li2(complex(0, float("nan")))
+
+
+@pytest.mark.parametrize("bad", ["1", "0.5", None, True, False, b"1", [0.5],
+                                 (0.5, 0.0)])
+def test_a_non_number_is_a_domain_error(bad):
+    # a string is not read as a number, and a bool is not one
+    with pytest.raises(DomainError, match=re.escape(
+            f"dilogarithm argument = {bad!r} is not a number")):
+        li2(bad)
+
+
+def test_every_number_type_is_taken():
+    half = li2(complex(0.5, 0.0))
+    assert li2(0.5) == li2(Fraction(1, 2)) == half
+    assert li2(1) == li2(1.0) == li2(Fraction(1)) == complex(math.pi**2 / 6)
+    assert li2(-3) == li2(Fraction(-3)) == li2(-3.0)
+    for big in (10**400, -10**400, Fraction(10**400, 3)):
+        with pytest.raises(DomainError, match="does not fit a float"):
+            li2(big)
 
 
 # -- seeded battery against mpmath -------------------------------------------

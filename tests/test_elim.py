@@ -3,6 +3,7 @@
 import cmath
 
 import pytest
+from conftest import system_residual
 
 from ajlab.elim import (
     APolyCandidate,
@@ -101,8 +102,8 @@ class TestRatioSystems:
         disc = cmath.sqrt(b * b - 4 * a2 * a2)
         x = (-b + disc) / (2 * a2)
         l = (1 - a2 * x) / (x - a2)
-        assert sys_.residual({"alpha": a, "x": x, "l": l}) < 1e-12
-        assert sys_.residual({"alpha": a, "x": x + 0.1, "l": l}) > 1e-3
+        assert system_residual(sys_, {"alpha": a, "x": x, "l": l}) < 1e-12
+        assert system_residual(sys_, {"alpha": a, "x": x + 0.1, "l": l}) > 1e-3
 
     def test_half_meridian_shape(self):
         sys_ = ratio_system(build_crossing(True), "squared")

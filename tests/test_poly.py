@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import eval_complex
 from hypothesis import assume, given, settings, strategies as st
 
 from ajlab import ore as ore_module, poly as poly_module
@@ -146,10 +147,11 @@ class TestArithmetic:
         assert p.eval_exact({"Q": Fraction(1, 2)}) == 2
 
     def test_eval_complex_at_a_pole(self):
+        # the tests' float oracle
         p = P("x^-1 + 1")
         with pytest.raises(PoleError):
-            p.eval_complex({"x": 0j})
-        assert p.eval_complex({"x": 2j}) == 1 - 0.5j
+            eval_complex(p, {"x": 0j})
+        assert eval_complex(p, {"x": 2j}) == 1 - 0.5j
 
     def test_derivative(self):
         p = P("Q^3*E + 2*Q*E^2 - 5")

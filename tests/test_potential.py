@@ -7,6 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import eval_complex, eval_ratfun_complex
 
 from ajlab import potential
 from ajlab.dilog import li2
@@ -73,8 +74,8 @@ def _check_gradients(spec, alpha, coords):
             a = shifted.pop("alpha")
             return phi_eval(spec, a, shifted)
         numeric = cmath.exp((at(h) - at(-h)) / (2 * h))
-        exact = (forms[var].num.eval_complex(env)
-                 / forms[var].den.eval_complex(env))
+        exact = (eval_complex(forms[var].num, env)
+                 / eval_complex(forms[var].den, env))
         assert abs(numeric - exact) <= 1e-6 * abs(exact), (var, numeric, exact)
 
 
@@ -255,7 +256,7 @@ def uncached(monkeypatch):
     """Make every cached builder in the module rebuild on each call."""
     def go():
         for name in ("_forms", "_newton_system", "_newton_kernel",
-                     "_form_kernels", "_em_kernel"):
+                     "_form_kernels", "_phi_kernel", "_em_kernel"):
             monkeypatch.setattr(potential, name,
                                 getattr(potential, name).__wrapped__)
     return go
@@ -349,8 +350,8 @@ def _oracle_step(polys, jac, names, a, z, linear):
     """One Newton step as first written, settled by tol = inf: the values
     and Jacobian by `eval_complex`, the step by general elimination."""
     env = {**dict(zip(names, z)), "alpha": a}
-    fv = [p.eval_complex(env) for p in polys]
-    delta = linear([[p.eval_complex(env) for p in row] for row in jac], fv)
+    fv = [eval_complex(p, env) for p in polys]
+    delta = linear([[eval_complex(p, env) for p in row] for row in jac], fv)
     for k, d in zip(names, delta):
         if not cmath.isfinite(d):
             raise ConvergenceError(
@@ -399,12 +400,13 @@ def test_kernels_are_bit_identical_to_eval_complex(monkeypatch, index):
         steps += isinstance(want, str)
         for y, form in forms.items():
             what = f"{y} form undefined at the point"
-            got = _value_or_error(potential._form_at, kernels[y], env, what)
+            got = _value_or_error(potential._form_at, kernels[y], (a, *z),
+                                  what)
             assert got == _value_or_error(_oracle_form, form, env, what), env
             poles += got == (SingularityError, what)
             if isinstance(got, str):
-                assert repr(kernels[y](**env)) == repr(
-                    (form.den.eval_complex(env), form.num.eval_complex(env)))
+                assert repr(kernels[y](a, *z)) == repr(
+                    (eval_complex(form.den, env), eval_complex(form.num, env)))
     assert poles >= 30 and steps >= 200
     assert systems["got"] == (systems["want"] if len(names) > 1 else [])
     assert len(systems["want"]) == 300
@@ -637,9 +639,8 @@ def test_form_pole_is_a_singularity():
     # at alpha = x = 1
     forms = potential._form_kernels(builtin_potential())
     with pytest.raises(SingularityError, match="alpha form undefined"):
-        potential._forms_residual(forms, ["alpha"], {"alpha": 1, "x": 1})
-    assert potential._forms_residual(forms, ["x"],
-                                     {"alpha": 1, "x": 1}) == 1.0
+        potential._forms_residual(forms, ["alpha"], (1, 1))
+    assert potential._forms_residual(forms, ["x"], (1, 1)) == 1.0
 
 
 def test_asymptotic_gap_shrinks_like_one_over_n():
@@ -679,7 +680,7 @@ def test_unit_root_evaluation_folds_exponents():
 def _at_unit_root(r, names, big_n, exps):
     """r through its compiled kernel, as `asymptotic_check` evaluates it."""
     return potential._form_at(
-        _rf_at_unit_root(r, names), {"N": big_n, **dict(zip(names, exps))},
+        _rf_at_unit_root(r, names), (big_n, *exps),
         "denominator vanishes at the root of unity")
 
 
@@ -741,7 +742,7 @@ def test_the_em_kernel_is_the_term_walk():
     for big_n, n, i in ((3, 1, 1), (100, 30, 20), (7, -9, 15)):
         env = {"q": 1, "Q": n, "Qt1": i}
         assert (_value_or_error(potential._form_at, potential._em_kernel(),
-                                {"N": big_n, **env}, "denominator vanishes "
+                                (big_n, 1, n, i), "denominator vanishes "
                                 "at the root of unity")
                 == _value_or_error(_oracle_unit_root, em, big_n, env))
 
@@ -842,6 +843,34 @@ def test_asymptotic_rows_on_seeded_fractions_are_the_term_walk():
         assert repr(row["discrete"]) == want
 
 
+@pytest.mark.parametrize("kw", [{"a": Fraction(10**400, 3)},
+                                {"u": -Fraction(10**400, 3)},
+                                {"a": 1e306}, {"u": 1e306}])
+def test_an_angle_past_the_floats_is_refused_before_any_row(monkeypatch, kw):
+    # an n or i past the floats overflows on the way to its angle, and
+    # pi n or 2 pi i past the largest float is inf (a NaN row before)
+    def refuse():
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(potential, "_em_kernel", refuse)
+    with pytest.raises(DomainError, match=re.escape(
+            "a or u too large: an angle at N = 100 does not fit a float")):
+        asymptotic_check(**kw, big_ns=(100, 200))
+
+
+@pytest.mark.parametrize("a, u", [(5.7e305, Fraction(1, 5)),
+                                  (Fraction(3, 10), -2.8e305)])
+def test_the_largest_angles_that_fit_keep_their_floats(a, u):
+    # not reduced mod 2N: the continuous side is the alpha form at
+    # exp(i pi n / N) and exp(2 pi i i / N), as the floats give them
+    form = potential._forms(builtin_potential())["alpha"]
+    (row,) = asymptotic_check(a, u, (100,))
+    env = {"alpha": cmath.exp(1j * math.pi * row["n"] / 100),
+           "x": cmath.exp(2j * math.pi * row["i"] / 100)}
+    assert repr(row["continuous"]) == repr(_oracle_form(
+        form, env, "alpha form undefined at the point"))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), None, float("inf"), "abc",
                                  "1/0", 1j])
 def test_a_non_rational_exponent_fraction_is_a_domain_error(bad):
@@ -898,6 +927,34 @@ def test_non_finite_step_ends_the_solve_at_once(monkeypatch):
     assert calls == [4]
 
 
+# points where the x form is (nan+nanj): of the figure-eight and of its
+# mirror, and of the mirror with alpha and x swapped
+NAN_POINTS = [(False, 1e300 + 1e300j, 1e-170), (True, 1e300 + 1e300j, 1e-170),
+              (True, 1e-170, 1e300 + 1e300j)]
+
+
+@pytest.mark.parametrize("mirror, alpha, x", NAN_POINTS)
+def test_a_nan_form_gives_a_nan_residual(mirror, alpha, x):
+    # max(0.0, nan) is 0.0: the residual must not go through it
+    spec = builtin_potential(mirror=mirror)
+    forms = potential._form_kernels(spec)
+    assert cmath.isnan(potential._form_at(forms["x"], (alpha, x), ""))
+    assert math.isnan(potential._forms_residual(forms, ["x"], (alpha, x)))
+    env = {"alpha": alpha, "x": x}
+    assert math.isnan(_oracle_residual(potential._forms(spec), ["x"], env))
+
+
+@pytest.mark.parametrize("mirror, alpha, x", NAN_POINTS)
+def test_a_newton_end_with_a_nan_form_is_refused(monkeypatch, mirror, alpha,
+                                                 x):
+    monkeypatch.setattr(potential, "_newton_kernel",
+                        lambda spec: lambda a: lambda tol, it, z: ((x,), 3))
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "Newton landed on a spurious zero of the cleared system "
+            "(form residual nan)")):
+        solve_saddle(builtin_potential(mirror=mirror), alpha, 0.5 + 0.8j)
+
+
 def test_a_nan_after_a_finite_entry_is_seen(monkeypatch):
     # max(1.0, nan) is 1.0: the check must not go through max(abs(d))
     def nan_second(mat, rhs):
@@ -913,11 +970,11 @@ def test_a_nan_after_a_finite_entry_is_seen(monkeypatch):
 
 # -- bit-identity of the saddle path -----------------------------------------
 # The oracle is the Newton loop as first written: every iteration evaluates
-# the cached polynomials with `LaurentMPoly.eval_complex` at {**w, "alpha":
-# a} and solves the step by general elimination.  The production loop is
-# compiled per spec, puts alpha in once per solve and solves a 1x1 step by
-# one division; both must give the same bits, iteration counts and error
-# messages included.
+# the cached polynomials with the term walk `eval_complex` (conftest) at
+# {**w, "alpha": a} and solves the step by general elimination.  The
+# production loop is compiled per spec, puts alpha in once per solve, solves
+# a 1x1 step by one division and calls its kernels by position; both must
+# give the same bits, iteration counts and error messages included.
 
 def _general_solve_linear(mat, rhs):
     n = len(rhs)
@@ -941,19 +998,24 @@ def _general_solve_linear(mat, rhs):
 
 
 def _oracle_form(form, env, what):
-    """The form by `RationalFunction.eval_complex`; a pole raises
+    """The form by `eval_ratfun_complex`; a pole raises
     SingularityError(what)."""
     try:
-        return form.eval_complex(env)
+        return eval_ratfun_complex(form, env)
     except PoleError:
         raise SingularityError(what) from None
 
 
 def _oracle_residual(forms, coords, env):
+    """max |form - 1| over the forms of coords, NaN if any of them is."""
     worst = 0.0
     for c in coords:
         v = _oracle_form(forms[c], env, f"{c} form undefined at the point")
-        worst = max(worst, abs(v - 1))
+        d = abs(v - 1)
+        if math.isnan(d) or math.isnan(worst):
+            worst = math.nan
+        else:
+            worst = max(worst, d)
     return worst
 
 
@@ -965,8 +1027,8 @@ def _oracle_newton(spec, a, w, tol, max_iter):
     it = 0
     for it in range(1, max_iter + 1):
         env = {**w, "alpha": a}
-        fv = [p.eval_complex(env) for p in polys]
-        jm = [[jac[i][j].eval_complex(env) for j in range(len(names))]
+        fv = [eval_complex(p, env) for p in polys]
+        jm = [[eval_complex(jac[i][j], env) for j in range(len(names))]
               for i in range(len(polys))]
         delta = _general_solve_linear(jm, fv)
         scale = max(1.0, max(abs(w[k]) for k in names))
@@ -978,7 +1040,7 @@ def _oracle_newton(spec, a, w, tol, max_iter):
             f"Newton did not settle in {max_iter} iterations")
     env = {**w, "alpha": a}
     res = _oracle_residual(forms, coords, env)
-    if res > 1e-6:
+    if not res <= 1e-6:
         raise ConvergenceError(
             f"Newton landed on a spurious zero of the cleared system "
             f"(form residual {res:.2e})")
@@ -1005,8 +1067,9 @@ def _oracle_newton(spec, a, w, tol, max_iter):
 def _oracle_solve(spec, alpha, start, tol=1e-12, max_iter=100):
     a = complex(alpha)
     try:
-        return _oracle_newton(spec, a, potential._coerce_coords(spec, start),
-                              tol, max_iter)
+        w = dict(zip(coordinate_names(spec),
+                     potential._coerce_coords(spec, start)))
+        return _oracle_newton(spec, a, w, tol, max_iter)
     except OverflowError:
         raise ConvergenceError(
             f"Newton overflowed the range of floats at alpha = {a}") from None
@@ -1015,19 +1078,21 @@ def _oracle_solve(spec, alpha, start, tol=1e-12, max_iter=100):
 def _outcome(monkeypatch, solve, spec, alpha, start, **kw):
     """The result or (exception type, message), and the repr of every
     point whose forms were checked (the Newton end point even when it is
-    a spurious zero)."""
+    a spurious zero), as (alpha, coordinates) on both sides."""
     seen = []
 
-    def recorded(inner):
-        def residual(forms, coords, env):
-            seen.append(repr(env))
-            return inner(forms, coords, env)
+    def recorded(inner, as_point):
+        def residual(forms, coords, at):
+            seen.append(repr(as_point(coords, at)))
+            return inner(forms, coords, at)
         return residual
 
     with monkeypatch.context() as m:
-        m.setattr(potential, "_forms_residual",
-                  recorded(potential._forms_residual))
-        m.setitem(globals(), "_oracle_residual", recorded(_oracle_residual))
+        m.setattr(potential, "_forms_residual", recorded(
+            potential._forms_residual, lambda coords, point: tuple(point)))
+        m.setitem(globals(), "_oracle_residual", recorded(
+            _oracle_residual,
+            lambda coords, env: (env["alpha"], *(env[c] for c in coords))))
         try:
             out = solve(spec, alpha, start, **kw)
         except Exception as exc:  # compared by type and message below
@@ -1114,7 +1179,7 @@ def test_the_stop_rule_is_strict_and_scaled_before_the_step(monkeypatch,
     for alpha in _annulus_alphas(61 + mirror, 10):
         for z in (0.5 + 0.8j, -0.3 + 0.2j, 2.5 + 1.5j, -1.5 - 2.5j):
             env = {"x": z, "alpha": alpha}
-            step = poly.eval_complex(env) / dpoly.eval_complex(env)
+            step = eval_complex(poly, env) / eval_complex(dpoly, env)
             d, after = abs(step), max(1.0, abs(z - step))
             tols = ([d, math.nextafter(d, math.inf)] if abs(z) <= 1
                     else [2 * d / (abs(z) + after)])
@@ -1221,14 +1286,14 @@ def _hand_phi(spec, alpha, coords):
     a = complex(alpha)
     pi = math.pi
     if spec.name == "figure8":
-        x = w["x"]
+        (x,) = w
         if x == 0 or a == 0:
             raise SingularityError("potential needs alpha, x nonzero")
         a2 = a * a
         val = (-2 * _log(a, "alpha") * _log(x, "x")
                - li2(a2 * x) + li2(a2 / x))
     else:
-        w1, w2, w3, w4 = (w["w1"], w["w2"], w["w3"], w["w4"])
+        w1, w2, w3, w4 = w
         if a == 0 or 0 in (w1, w2, w3, w4):
             raise SingularityError("potential needs alpha, w1..w4 nonzero")
         la = _log(a, "alpha")
